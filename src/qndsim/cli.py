@@ -2,7 +2,10 @@
 
 Subcommands: check, evolve, measure, sweep.  Exit codes are uniform across
 subcommands: 0 success / conditions hold, 1 computed negative result or
-runtime failure, 2 input error.  All output files are UTF-8 with LF line
+runtime failure, 2 input error.  A bad value or scenario file prints one
+``error:`` line to stderr (an unknown option gets argparse's usage message);
+no input ends in a traceback.  The measure command and the sweep both
+run scenarios.run_measurements.  All output files are UTF-8 with LF line
 endings; floats use the dot decimal separator at full precision, so repeated
 runs with identical inputs produce identical bytes.
 """
@@ -11,25 +14,21 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .model import check_conditions, prepare_initial
 from .dynamics import IntegrationError, evolve_exact, evolve_stepped
-from .measurement import (
-    ImpossibleOutcomeError,
-    aggregate_sigma,
-    dispersion_experiment,
-    measurement_trials,
-    outcome_distribution,
-    repeatability_protocol,
-)
+from .measurement import ImpossibleOutcomeError
 from .scenarios import (
     DEFAULT_ETA_GRID,
     Schedule,
     interpolation_sweep,
+    run_measurements,
     write_sweep_csv,
 )
 from .scenario_io import ScenarioFormatError, load_scenario_file
@@ -87,8 +86,11 @@ def cmd_evolve(args) -> int:
     s = _load(args.scenario, args)
     if s is None:
         return EXIT_INPUT
-    if args.t_end < 0 or args.dt <= 0:
-        print("error: need t-end >= 0 and dt > 0", file=sys.stderr)
+    if not (0 <= args.t_end < math.inf and 0 < args.dt < math.inf):
+        print("error: need finite t-end >= 0 and dt > 0", file=sys.stderr)
+        return EXIT_INPUT
+    if args.t_end > 0 and round(args.t_end / args.dt) < 1:
+        print("error: t-end must span at least one step of dt", file=sys.stderr)
         return EXIT_INPUT
     w0 = prepare_initial(s.model, s.preparation, pointer_basis=s.pointer.basis)
     if args.t_end == 0:
@@ -123,46 +125,36 @@ def cmd_measure(args) -> int:
     s = _load(args.scenario, args)
     if s is None:
         return EXIT_INPUT
-    seed = args.seed if args.seed is not None else s.seed
-    n_repeats = args.repeats if args.repeats is not None else s.schedule.n_repeats
-    n_trials = args.trials if args.trials is not None else s.schedule.n_trials
+    seed = s.seed if args.seed is None else args.seed
     sched = s.schedule
     try:
-        repeat_record = repeatability_protocol(
-            s.model, s.preparation, s.pointer, s.calibration,
-            sched.tau, sched.delta_tau, n_repeats, seed,
+        if seed < 0:
+            raise ValueError("seed must be non-negative")
+        sched = replace(
+            sched,
+            n_repeats=sched.n_repeats if args.repeats is None else args.repeats,
+            n_trials=sched.n_trials if args.trials is None else args.trials,
         )
-        trials = measurement_trials(
-            s.model, s.preparation, s.pointer, s.calibration,
-            sched.tau, n_trials, seed,
-        )
-        variance = dispersion_experiment(
-            s.model, s.preparation, s.pointer, s.calibration,
-            sched.tau, n_trials, seed,
-        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    s = replace(s, schedule=sched, seed=seed)
+    try:
+        run = run_measurements(s)
     except ImpossibleOutcomeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    w_tau = evolve_exact(
-        s.model,
-        prepare_initial(s.model, s.preparation, pointer_basis=s.pointer.basis),
-        sched.tau,
-    )
-    p = outcome_distribution(w_tau, s.pointer, (s.model.d_system, s.model.d_apparatus))
-    i = s.preparation.system_index
-    analytic = aggregate_sigma(s.calibration, i, distribution=p)
-    empirical = aggregate_sigma(s.calibration, i, record=trials)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            trials.write_csv(fh)
+            run.trials.write_csv(fh)
     if args.repeat_out:
         with open(args.repeat_out, "w", encoding="utf-8", newline="\n") as fh:
-            repeat_record.write_csv(fh)
-    _say(args, f"sigma_analytic = {_fmt(analytic.sigma)}")
-    _say(args, f"sigma_empirical = {_fmt(empirical.sigma)}")
-    degenerate = " (degenerate: single trial)" if n_trials < 2 else ""
-    _say(args, f"reading_variance = {_fmt(variance)}{degenerate}")
-    _say(args, f"repeat_changes = {repeat_record.outcome_changes()}")
+            run.repeats.write_csv(fh)
+    _say(args, f"sigma_analytic = {_fmt(run.sigma_analytic)}")
+    _say(args, f"sigma_empirical = {_fmt(run.sigma_empirical)}")
+    degenerate = " (degenerate: single trial)" if sched.n_trials < 2 else ""
+    _say(args, f"reading_variance = {_fmt(run.reading_variance)}{degenerate}")
+    _say(args, f"repeat_changes = {run.repeats.outcome_changes()}")
     return EXIT_OK
 
 
@@ -191,21 +183,25 @@ def cmd_sweep(args) -> int:
         seeds = _parse_int_list(args.seeds)
         if len(dims) != 2:
             raise ValueError("dims must be dS,dM")
+        if min(dims) < 2:
+            raise ValueError("dims must be at least 2 on each side")
         if not seeds:
             raise ValueError("seed list is empty")
+        if min(seeds) < 0:
+            raise ValueError("seeds must be non-negative")
         if not eta_grid:
             raise ValueError("eta grid is empty")
         if any(not 0.0 <= e <= 1.0 for e in eta_grid):
             raise ValueError("eta values must lie in [0, 1]")
+        schedule = Schedule(
+            tau=args.tau,
+            delta_tau=args.delta_tau,
+            n_repeats=args.repeats,
+            n_trials=args.trials,
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    schedule = Schedule(
-        tau=args.tau,
-        delta_tau=args.delta_tau,
-        n_repeats=args.repeats,
-        n_trials=args.trials,
-    )
     rows = interpolation_sweep(dims, eta_grid, seeds, schedule)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -222,18 +218,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bipartite system-apparatus measurement simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Options are matched in full, so "--seed" cannot stand for sweep's "--seeds".
 
     def common(p):
         p.add_argument("--quiet", action="store_true", help="suppress stdout summary")
         p.add_argument("--out", type=Path, default=None, help="output CSV path")
-        p.add_argument("--seed", type=int, default=None, help="override scenario seed")
 
-    p_check = sub.add_parser("check", help="evaluate the commutation conditions")
+    p_check = sub.add_parser(
+        "check", help="evaluate the commutation conditions", allow_abbrev=False
+    )
     p_check.add_argument("scenario", type=Path)
-    common(p_check)
+    p_check.add_argument("--quiet", action="store_true", help="suppress stdout summary")
     p_check.set_defaults(func=cmd_check)
 
-    p_evolve = sub.add_parser("evolve", help="propagate the joint state")
+    p_evolve = sub.add_parser(
+        "evolve", help="propagate the joint state", allow_abbrev=False
+    )
     p_evolve.add_argument("scenario", type=Path)
     p_evolve.add_argument("--t-end", type=float, default=1.0)
     p_evolve.add_argument("--dt", type=float, default=1e-3)
@@ -244,10 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_evolve)
     p_evolve.set_defaults(func=cmd_evolve)
 
-    p_measure = sub.add_parser("measure", help="run measurement protocols")
+    p_measure = sub.add_parser(
+        "measure", help="run measurement protocols", allow_abbrev=False
+    )
     p_measure.add_argument("scenario", type=Path)
     p_measure.add_argument("--repeats", type=int, default=None)
     p_measure.add_argument("--trials", type=int, default=None)
+    p_measure.add_argument("--seed", type=int, default=None, help="override scenario seed")
     p_measure.add_argument(
         "--repeat-out", type=Path, default=None,
         help="CSV path for the repeated-measurement sequence",
@@ -255,7 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_measure)
     p_measure.set_defaults(func=cmd_measure)
 
-    p_sweep = sub.add_parser("sweep", help="interpolation sweep over (eta, seed)")
+    p_sweep = sub.add_parser(
+        "sweep", help="interpolation sweep over (eta, seed)", allow_abbrev=False
+    )
     p_sweep.add_argument("--dims", default="2,2", help="dS,dM")
     p_sweep.add_argument(
         "--eta-grid", default=",".join(str(e) for e in DEFAULT_ETA_GRID)

@@ -88,8 +88,8 @@ def evolve_stepped(
     invariants with the positivity tolerance relaxed to 1e-7; a violation
     aborts with the offending time.
     """
-    if not 0 < dt <= t_end:
-        raise ValueError("need 0 < dt <= t_end")
+    if not dt > 0 or round(t_end / dt) < 1:
+        raise ValueError("need dt > 0 and t_end spanning at least one step")
     n_steps = int(round(t_end / dt))
     dt = t_end / n_steps
     times = [0.0]

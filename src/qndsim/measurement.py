@@ -4,6 +4,8 @@ Outcome probabilities come from projecting the joint state onto the pointer
 eigenprojectors on the apparatus factor; the post-measurement update is the
 Lüders projection on that factor only.  Per-trial randomness derives from
 ``SeedSequence([seed, trial])`` so trials are reproducible and independent.
+draw_trials and reading_variance are the steps scenarios.run_measurements
+composes; measurement_trials and dispersion_experiment run them from a model.
 """
 
 from __future__ import annotations
@@ -259,19 +261,28 @@ def measurement_trials(
     seed: int,
 ) -> MeasurementRecord:
     """Independent prepare -> evolve(tau) -> measure runs, one entry per trial."""
-    if n_trials < 1:
-        raise ValueError("need n_trials >= 1")
-    dims = (m.d_system, m.d_apparatus)
-    sys_index = prep.system_index
     w0 = prepare_initial(m, prep, pointer_basis=pointer.basis)
     w_tau = evolve_exact(m, w0, tau) if tau > 0 else w0
-    p = outcome_distribution(w_tau, pointer, dims)
+    p = outcome_distribution(w_tau, pointer, (m.d_system, m.d_apparatus))
+    return draw_trials(p, cal, prep.system_index, tau, n_trials, seed)
+
+
+def draw_trials(
+    p: Sequence[float],
+    cal: Calibration,
+    system_index: Optional[int],
+    tau: float,
+    n_trials: int,
+    seed: int,
+) -> MeasurementRecord:
+    """One record entry per trial; trial k samples p with trial_rng(seed, k)."""
+    if n_trials < 1:
+        raise ValueError("need n_trials >= 1")
     record = MeasurementRecord()
     for trial in range(n_trials):
-        rng = trial_rng(seed, trial)
-        lam = sample_outcome(p, rng)
+        lam = sample_outcome(p, trial_rng(seed, trial))
         record.append(
-            RecordEntry(trial, tau, sys_index, lam, cal.value(sys_index, lam))
+            RecordEntry(trial, tau, system_index, lam, cal.value(system_index, lam))
         )
     return record
 
@@ -289,9 +300,15 @@ def dispersion_experiment(
 
     Zero for non-demolition models with eigenbasis preparations (every trial
     hits the same pointer state); strictly positive for generic violating
-    models.  A single trial returns 0 by convention (degenerate).
+    models.
     """
-    record = measurement_trials(m, prep, pointer, cal, tau, n_trials, seed)
+    return reading_variance(
+        measurement_trials(m, prep, pointer, cal, tau, n_trials, seed)
+    )
+
+
+def reading_variance(record: MeasurementRecord) -> float:
+    """Population variance of the readings; 0 for a single entry (degenerate)."""
     readings = record.readings()
     if len(readings) < 2:
         return 0.0

@@ -81,12 +81,11 @@ def _parse_model(doc: dict) -> BipartiteModel:
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"model.dims: {exc}") from exc
     if "family" in doc:
-        family = doc["family"]
-        seed = int(doc.get("seed", 0))
-        eta = doc.get("eta")
         try:
-            return random_model((d_s, d_m), family, seed, eta=eta)
-        except ValueError as exc:
+            seed = int(doc.get("seed", 0))
+            eta = None if doc.get("eta") is None else float(doc["eta"])
+            return random_model((d_s, d_m), doc["family"], seed, eta=eta)
+        except (TypeError, ValueError) as exc:
             raise ScenarioFormatError(f"model: {exc}") from exc
     for key in ("h_system", "h_apparatus", "h_coupling"):
         if key not in doc:
@@ -104,10 +103,20 @@ def _parse_model(doc: dict) -> BipartiteModel:
 
 
 def _parse_preparation(doc: dict, model: BipartiteModel) -> Preparation:
-    if "system_index" in doc:
-        return Preparation.eigenbasis(
-            int(doc["system_index"]), int(doc["apparatus_index"])
-        )
+    if "system_index" in doc or "apparatus_index" in doc:
+        for key in ("system_index", "apparatus_index"):
+            if key not in doc:
+                raise ScenarioFormatError(f"preparation.{key} missing")
+        try:
+            i, lam = int(doc["system_index"]), int(doc["apparatus_index"])
+        except (TypeError, ValueError) as exc:
+            raise ScenarioFormatError(f"preparation: {exc}") from exc
+        if not (0 <= i < model.d_system and 0 <= lam < model.d_apparatus):
+            raise ScenarioFormatError(
+                f"preparation indices ({i}, {lam}) out of range for dims "
+                f"({model.d_system}, {model.d_apparatus})"
+            )
+        return Preparation.eigenbasis(i, lam)
     if "rho" in doc and "mu" in doc:
         try:
             rho = DensityOperator(_parse_matrix(doc["rho"], "preparation.rho"))
@@ -147,6 +156,10 @@ def parse_scenario(doc: dict, name: Optional[str] = None) -> Scenario:
         pointer = PointerObservable.from_operator(
             _hermitian(doc["pointer"], "pointer")
         )
+        if pointer.dim != model.d_apparatus:
+            raise ScenarioFormatError(
+                f"pointer: dimension {pointer.dim}, expected d_M = {model.d_apparatus}"
+            )
     calibration = None
     cal_doc = doc.get("calibration")
     if cal_doc is not None:
@@ -159,6 +172,17 @@ def parse_scenario(doc: dict, name: Optional[str] = None) -> Scenario:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioFormatError(f"calibration: {exc}") from exc
+        if calibration.table.shape[0] != model.d_system:
+            raise ScenarioFormatError(
+                f"calibration: table has {calibration.table.shape[0]} rows, "
+                f"expected d_S = {model.d_system}"
+            )
+    try:
+        seed = int(doc.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ScenarioFormatError(f"seed: {exc}") from exc
+    if seed < 0:
+        raise ScenarioFormatError(f"seed {seed} is negative")
     return Scenario.build(
         name=name or doc.get("name", "scenario"),
         model=model,
@@ -166,7 +190,7 @@ def parse_scenario(doc: dict, name: Optional[str] = None) -> Scenario:
         schedule=schedule,
         pointer=pointer,
         calibration=calibration,
-        seed=int(doc.get("seed", 0)),
+        seed=seed,
         eta=doc["model"].get("eta") if "family" in doc["model"] else None,
     )
 

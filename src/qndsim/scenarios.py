@@ -1,9 +1,11 @@
 """Curated experiment definitions, sweeps, and brute-force oracle checks.
 
 A Scenario bundles a model, a preparation, a pointer observable, a schedule,
-and a calibration; run_scenario executes the whole pipeline (condition check,
-state constancy, repeated measurement, dispersion, weighted means) and emits
-one result row.  oracle_check re-derives the core numerics through slow,
+and a calibration.  run_measurements is the one measurement pipeline, shared
+by the CLI measure command and run_scenario: repeat protocol, w(tau) and its
+Born distribution once, trial record, reading variance, weighted means.
+run_scenario adds the condition check and state constancy and emits one
+result row.  oracle_check re-derives the core numerics through slow,
 independent routes (truncated-series exponential, explicit index loops) and
 compares them against the main implementations.
 """
@@ -11,6 +13,7 @@ compares them against the main implementations.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -31,9 +34,9 @@ from .measurement import (
     MeasurementRecord,
     PointerObservable,
     aggregate_sigma,
-    dispersion_experiment,
-    measurement_trials,
+    draw_trials,
     outcome_distribution,
+    reading_variance,
     repeatability_protocol,
 )
 
@@ -58,10 +61,20 @@ DEFAULT_ETA_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
 
 @dataclass(frozen=True)
 class Schedule:
+    """Measurement times and counts, validated once at construction."""
+
     tau: float = 1.0
     delta_tau: float = 0.5
     n_repeats: int = 5
     n_trials: int = 200
+
+    def __post_init__(self):
+        if not (0 < self.tau < math.inf and 0 < self.delta_tau < math.inf):
+            raise ValueError("schedule needs finite tau > 0 and delta_tau > 0")
+        if self.n_repeats < 2:
+            raise ValueError("schedule needs n_repeats >= 2")
+        if self.n_trials < 1:
+            raise ValueError("schedule needs n_trials >= 1")
 
 
 @dataclass(frozen=True)
@@ -121,6 +134,41 @@ class SweepRow:
         ]
 
 
+@dataclass(frozen=True)
+class MeasurementRun:
+    """Everything one scenario's measurements yield."""
+
+    repeats: MeasurementRecord
+    trials: MeasurementRecord
+    reading_variance: float
+    sigma_analytic: float
+    sigma_empirical: float
+
+
+def run_measurements(s: Scenario) -> MeasurementRun:
+    """Repeat protocol, then n_trials readings of one w(tau) and its Born p.
+
+    p feeds both the trial record and the analytic weighted mean.
+    """
+    sched = s.schedule
+    i = s.preparation.system_index
+    repeats = repeatability_protocol(
+        s.model, s.preparation, s.pointer, s.calibration,
+        sched.tau, sched.delta_tau, sched.n_repeats, s.seed,
+    )
+    w0 = prepare_initial(s.model, s.preparation, pointer_basis=s.pointer.basis)
+    w_tau = evolve_exact(s.model, w0, sched.tau)
+    p = outcome_distribution(w_tau, s.pointer, (s.model.d_system, s.model.d_apparatus))
+    trials = draw_trials(p, s.calibration, i, sched.tau, sched.n_trials, s.seed)
+    return MeasurementRun(
+        repeats=repeats,
+        trials=trials,
+        reading_variance=reading_variance(trials),
+        sigma_analytic=aggregate_sigma(s.calibration, i, distribution=p).sigma,
+        sigma_empirical=aggregate_sigma(s.calibration, i, record=trials).sigma,
+    )
+
+
 def run_scenario(s: Scenario) -> SweepRow:
     """Full pipeline for one scenario, assembled into a single result row."""
     try:
@@ -129,41 +177,7 @@ def run_scenario(s: Scenario) -> SweepRow:
         constancy = state_constancy_check(
             s.model, s.preparation, t_grid, pointer_basis=s.pointer.basis
         )
-        repeat_record = repeatability_protocol(
-            s.model,
-            s.preparation,
-            s.pointer,
-            s.calibration,
-            s.schedule.tau,
-            s.schedule.delta_tau,
-            s.schedule.n_repeats,
-            s.seed,
-        )
-        variance = dispersion_experiment(
-            s.model,
-            s.preparation,
-            s.pointer,
-            s.calibration,
-            s.schedule.tau,
-            s.schedule.n_trials,
-            s.seed,
-        )
-        w0 = prepare_initial(s.model, s.preparation, pointer_basis=s.pointer.basis)
-        w_tau = evolve_exact(s.model, w0, s.schedule.tau)
-        dims = (s.model.d_system, s.model.d_apparatus)
-        p = outcome_distribution(w_tau, s.pointer, dims)
-        sys_index = s.preparation.system_index
-        analytic = aggregate_sigma(s.calibration, sys_index, distribution=p)
-        trials = measurement_trials(
-            s.model,
-            s.preparation,
-            s.pointer,
-            s.calibration,
-            s.schedule.tau,
-            s.schedule.n_trials,
-            s.seed,
-        )
-        empirical = aggregate_sigma(s.calibration, sys_index, record=trials)
+        run = run_measurements(s)
     except Exception as exc:
         raise RuntimeError(f"scenario {s.name!r} failed: {exc}") from exc
     return SweepRow(
@@ -172,10 +186,10 @@ def run_scenario(s: Scenario) -> SweepRow:
         eq4_defect=report.eq4_defect,
         eq5_defect=report.eq5_defect,
         constancy_dev=constancy,
-        repeat_changes=repeat_record.outcome_changes(),
-        reading_variance=variance,
-        sigma_analytic=analytic.sigma,
-        sigma_empirical=empirical.sigma,
+        repeat_changes=run.repeats.outcome_changes(),
+        reading_variance=run.reading_variance,
+        sigma_analytic=run.sigma_analytic,
+        sigma_empirical=run.sigma_empirical,
     )
 
 

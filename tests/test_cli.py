@@ -1,12 +1,17 @@
 import csv
+import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qndsim.cli import main
-from qndsim.scenario_io import bundled_scenario_path
+from qndsim.scenario_io import bundled_scenario_path, load_scenario_file
+from qndsim.scenarios import run_scenario
 
 QND = str(bundled_scenario_path("qubit-qnd"))
+BUNDLED = sorted(bundled_scenario_path("qubit-qnd").parent.glob("*.json"))
 VIOLATING = str(bundled_scenario_path("qubit-violating"))
 
 
@@ -63,6 +68,14 @@ class TestEvolve:
         b = np.array([float(x) for x in last_s[1:]])
         assert np.linalg.norm(a - b) <= 1e-8
 
+    @pytest.mark.parametrize("mode", ["--exact", "--stepped"])
+    def test_t_end_rounding_to_one_step(self, mode, tmp_path):
+        out = tmp_path / "traj.csv"
+        argv = ["evolve", QND, "--t-end", "6e-4", mode, "--out", str(out)]
+        assert main(argv) == 0
+        rows = list(csv.reader(out.open()))
+        assert [float(r[0]) for r in rows[1:]] == [0.0, 6e-4]
+
     def test_prints_conservation_summary(self, capsys):
         assert main(["evolve", QND, "--t-end", "1"]) == 0
         out = capsys.readouterr().out
@@ -108,6 +121,21 @@ class TestMeasure:
         lams = {row[3] for row in rows[1:]}
         assert len(lams) == 1
 
+    @pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
+    def test_summary_matches_sweep_row(self, path, capsys):
+        assert main(["measure", str(path), "--seed", "3", "--trials", "300"]) == 0
+        summary = dict(
+            line.split(" = ") for line in capsys.readouterr().out.splitlines()
+        )
+        s = load_scenario_file(path)
+        row = run_scenario(
+            replace(s, seed=3, schedule=replace(s.schedule, n_trials=300))
+        )
+        assert float(summary["sigma_analytic"]) == row.sigma_analytic
+        assert float(summary["sigma_empirical"]) == row.sigma_empirical
+        assert float(summary["reading_variance"]) == row.reading_variance
+        assert int(summary["repeat_changes"]) == row.repeat_changes
+
 
 class TestSweep:
     def test_eta_zero_all_sharp(self, tmp_path):
@@ -149,3 +177,76 @@ class TestSweep:
 
     def test_bad_eta_is_input_error(self):
         assert main(["sweep", "--eta-grid", "2.0", "--seeds", "0:2", "--quiet"]) == 2
+
+
+def _bad_file(tmp_path, edit):
+    doc = json.loads(Path(QND).read_text(encoding="utf-8"))
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+BAD_FILES = {
+    "tau-zero": lambda d: d["schedule"].update(tau=0),
+    "n-trials-zero": lambda d: d["schedule"].update(n_trials=0),
+    "no-apparatus-index": lambda d: d["preparation"].pop("apparatus_index"),
+    "system-index-range": lambda d: d["preparation"].update(system_index=2),
+    "apparatus-index-range": lambda d: d["preparation"].update(apparatus_index=-1),
+    "eta-not-number": lambda d: d.update(
+        model={"dims": [2, 2], "family": "interpolated", "seed": 0, "eta": "x"}
+    ),
+    "calibration-rows": lambda d: d.update(calibration={"table": [[1, -1]] * 3}),
+    "pointer-dim": lambda d: d.update(pointer={"diag": [1, 0, -1]}),
+    "negative-seed": lambda d: d.update(seed=-1),
+}
+
+BAD_ARGS = {
+    "measure-trials-0": ["measure", QND, "--trials", "0"],
+    "measure-repeats-1": ["measure", QND, "--repeats", "1"],
+    "measure-seed-negative": ["measure", QND, "--seed", "-1"],
+    "sweep-trials-0": ["sweep", "--trials", "0"],
+    "sweep-repeats-1": ["sweep", "--repeats", "1"],
+    "sweep-tau-0": ["sweep", "--tau", "0"],
+    "sweep-dims-1": ["sweep", "--dims", "1,2"],
+    "sweep-seed-negative": ["sweep", "--seeds=-2:0"],
+    "evolve-shorter-than-dt": ["evolve", QND, "--t-end", "1e-4"],
+    "evolve-stepped-shorter-than-dt": ["evolve", QND, "--t-end", "1e-4", "--stepped"],
+    "evolve-t-end-inf": ["evolve", QND, "--t-end", "inf"],
+    "evolve-dt-nan": ["evolve", QND, "--dt", "nan"],
+}
+
+
+def _assert_input_error(argv, capsys):
+    # An exception escaping main fails the test, so exit 2 also means no traceback.
+    assert main(argv + ["--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", BAD_ARGS.values(), ids=BAD_ARGS.keys())
+def test_bad_argument_is_input_error(argv, capsys):
+    _assert_input_error(argv, capsys)
+
+
+@pytest.mark.parametrize("command", ["check", "evolve", "measure"])
+@pytest.mark.parametrize("edit", BAD_FILES.values(), ids=BAD_FILES.keys())
+def test_bad_scenario_file_is_input_error(command, edit, tmp_path, capsys):
+    _assert_input_error([command, _bad_file(tmp_path, edit)], capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", QND, "--seed", "1"],
+        ["check", QND, "--out", "x.csv"],
+        ["evolve", QND, "--seed", "1"],
+        ["sweep", "--seed", "1"],
+    ],
+    ids=["check-seed", "check-out", "evolve-seed", "sweep-seed"],
+)
+def test_deleted_options_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -13,6 +13,7 @@ from qndsim.measurement import (
     dispersion_experiment,
     measurement_trials,
     outcome_distribution,
+    reading_variance,
     repeatability_protocol,
     sample_outcome,
     trial_rng,
@@ -265,6 +266,16 @@ class TestDispersion:
             m, Preparation.eigenbasis(0, 0), ptr, cal, 1.0, 1, 0
         )
         assert v == 0.0
+
+    @pytest.mark.parametrize("family", ["qnd", "violating"])
+    def test_is_variance_of_trial_record(self, family):
+        m = random_model((3, 2), family, 4)
+        ptr = PointerObservable.from_operator(m.h_apparatus)
+        cal = Calibration.from_pointer(ptr)
+        args = (m, Preparation.eigenbasis(1, 0), ptr, cal, 1.0, 200, 9)
+        assert dispersion_experiment(*args) == reading_variance(
+            measurement_trials(*args)
+        )
 
     def test_trial_seeds_are_order_independent(self):
         assert trial_rng(3, 5).random() == trial_rng(3, 5).random()

@@ -229,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("scenario", type=Path)
     p_check.add_argument("--quiet", action="store_true", help="suppress stdout summary")
-    p_check.set_defaults(func=cmd_check)
 
     p_evolve = sub.add_parser(
         "evolve", help="propagate the joint state", allow_abbrev=False
@@ -242,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--stepped", dest="stepped", action="store_true")
     p_evolve.set_defaults(stepped=False)
     common(p_evolve)
-    p_evolve.set_defaults(func=cmd_evolve)
 
     p_measure = sub.add_parser(
         "measure", help="run measurement protocols", allow_abbrev=False
@@ -256,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="CSV path for the repeated-measurement sequence",
     )
     common(p_measure)
-    p_measure.set_defaults(func=cmd_measure)
 
     p_sweep = sub.add_parser(
         "sweep", help="interpolation sweep over (eta, seed)", allow_abbrev=False
@@ -271,14 +268,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--repeats", type=int, default=5)
     p_sweep.add_argument("--trials", type=int, default=50)
     common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # Built per call: no parser or namespace outlives main holding a command.
+    commands = {"check": cmd_check, "evolve": cmd_evolve,
+                "measure": cmd_measure, "sweep": cmd_sweep}
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 Two propagation paths: an exact spectral propagator (the default for all
 experiments) and a classical 4th-order stepped integrator that exercises the
 term-by-term component form of the evolution equation.  The two are
-cross-checked against each other in the test suite.
+cross-checked against each other in the test suite.  Both read the model's
+compiled operators, so H is diagonalised once per model, not once per time.
 """
 
 from __future__ import annotations
@@ -12,16 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DensityOperator,
-    InvariantViolationError,
-    as_matrix,
-    commutator,
-    propagator,
-    spectral,
-    tensor,
-)
-from .model import BipartiteModel, Preparation, prepare_initial, total_hamiltonian
+from .linalg import DensityOperator, InvariantViolationError, as_matrix, commutator
+from .model import BipartiteModel, Preparation, prepare_initial
 
 DEFAULT_DT = 1e-3
 STEPPED_POS_TOL = 1e-7
@@ -63,11 +56,9 @@ def rhs_component_form(m: BipartiteModel, w) -> np.ndarray:
     wm = as_matrix(w)
     if wm.shape[0] != m.dim:
         raise ValueError(f"state dim {wm.shape[0]} does not match model dim {m.dim}")
-    eye_s = np.eye(m.d_system, dtype=complex)
-    eye_m = np.eye(m.d_apparatus, dtype=complex)
-    term_system = commutator(tensor(m.h_system, eye_m), wm)
+    term_system = commutator(m.system_term, wm)
     term_coupling = commutator(as_matrix(m.h_coupling), wm)
-    term_apparatus = commutator(tensor(eye_s, m.h_apparatus), wm)
+    term_apparatus = commutator(m.apparatus_term, wm)
     return -1j * (term_system + term_coupling + term_apparatus)
 
 
@@ -75,7 +66,7 @@ def evolve_exact(m: BipartiteModel, w0: DensityOperator, t: float) -> DensityOpe
     """Propagate via U w U^dag with U = exp(-i H_total t)."""
     if t < 0:
         raise ValueError("time must be nonnegative")
-    u = propagator(total_hamiltonian(m), t)
+    u = m.spectrum.unitary(t)
     return DensityOperator(u @ w0.matrix @ u.conj().T)
 
 
@@ -123,11 +114,9 @@ def state_constancy_check(
     automatic, so a genuinely stationary preparation scores ~0.
     """
     w0 = prepare_initial(m, prep, pointer_basis=pointer_basis)
-    dec = spectral(total_hamiltonian(m))
-    v = dec.eigenvectors
     worst = 0.0
     for t in t_grid:
-        u = (v * np.exp(-1j * dec.eigenvalues * t)) @ v.conj().T
+        u = m.spectrum.unitary(t)
         wt = u @ w0.matrix @ u.conj().T
         worst = max(worst, float(np.linalg.norm(wt - w0.matrix)))
     return worst

@@ -42,13 +42,16 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def frobenius(a) -> float:
-    return float(np.linalg.norm(as_matrix(a)))
-
-
-def _check_square(m: np.ndarray, what: str) -> None:
+def _check_hermitian(m: np.ndarray, what: str) -> None:
+    """Raise unless M is square and ||M - M^dag||_F <= EPS_HERM * max(1, ||M||_F)."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"{what} must be square, got shape {m.shape}")
+    scale = max(1.0, float(np.linalg.norm(m)))
+    defect = float(np.linalg.norm(m - m.conj().T))
+    if defect > EPS_HERM * scale:
+        raise InvariantViolationError(
+            f"{what} is not Hermitian: ||M - M^dag||_F = {defect:.3e}"
+        )
 
 
 @dataclass(frozen=True)
@@ -59,13 +62,7 @@ class HermitianOperator:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        _check_square(m, "HermitianOperator")
-        scale = max(1.0, float(np.linalg.norm(m)))
-        defect = float(np.linalg.norm(m - m.conj().T))
-        if defect > EPS_HERM * scale:
-            raise InvariantViolationError(
-                f"matrix is not Hermitian: ||M - M^dag||_F = {defect:.3e}"
-            )
+        _check_hermitian(m, "matrix")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -76,10 +73,6 @@ class HermitianOperator:
     @classmethod
     def zero(cls, dim: int) -> "HermitianOperator":
         return cls(np.zeros((dim, dim), dtype=complex))
-
-    @classmethod
-    def identity(cls, dim: int) -> "HermitianOperator":
-        return cls(np.eye(dim, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -95,13 +88,7 @@ class DensityOperator:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        _check_square(m, "DensityOperator")
-        scale = max(1.0, float(np.linalg.norm(m)))
-        defect = float(np.linalg.norm(m - m.conj().T))
-        if defect > EPS_HERM * scale:
-            raise InvariantViolationError(
-                f"state is not Hermitian: defect {defect:.3e}"
-            )
+        _check_hermitian(m, "state")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > EPS_TRACE:
             raise InvariantViolationError(f"state trace {tr} is not 1")
@@ -150,6 +137,11 @@ class SpectralDecomposition:
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
+
+    def unitary(self, t: float) -> np.ndarray:
+        """U = exp(-i H t) = V exp(-i E t) V^dag for the decomposed H."""
+        v = self.eigenvectors
+        return (v * np.exp(-1j * self.eigenvalues * t)) @ v.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +197,7 @@ def _deterministic_basis(w: np.ndarray, v: np.ndarray) -> np.ndarray:
             block = v[:, start:stop]
             proj = block @ block.conj().T
             chosen = []
-            for j in range(n):
-                cand = proj @ np.eye(n, dtype=complex)[:, j]
+            for cand in proj.T:
                 for u in chosen:
                     cand = cand - u * (u.conj() @ cand)
                 nrm = np.linalg.norm(cand)
@@ -230,20 +221,14 @@ def spectral(h) -> SpectralDecomposition:
     pointer bases are reproducible across runs.
     """
     m = as_matrix(h)
-    _check_square(m, "spectral input")
-    scale = max(1.0, float(np.linalg.norm(m)))
-    if float(np.linalg.norm(m - m.conj().T)) > EPS_HERM * scale:
-        raise InvariantViolationError("spectral input is not Hermitian")
+    _check_hermitian(m, "spectral input")
     w, v = np.linalg.eigh(m)
     return SpectralDecomposition(w, _deterministic_basis(w, v))
 
 
 def propagator(h, t: float) -> np.ndarray:
     """Unitary U = exp(-i H t) via the eigendecomposition of H."""
-    dec = spectral(h)
-    phases = np.exp(-1j * dec.eigenvalues * t)
-    v = dec.eigenvectors
-    return (v * phases) @ v.conj().T
+    return spectral(h).unitary(t)
 
 
 def _joint(w, d_system: int, d_apparatus: int) -> np.ndarray:

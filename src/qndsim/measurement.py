@@ -178,14 +178,17 @@ def outcome_distribution(
 
 
 def sample_outcome(p: Sequence[float], rng: np.random.Generator) -> int:
-    """Single-draw CDF inversion; boundary ties resolve to the lower index."""
+    """Single-draw CDF inversion; boundary ties resolve to the lower index.
+
+    A draw past the rounded total falls to the last outcome of positive weight.
+    """
     u = rng.random()
     cum = 0.0
     for lam, plam in enumerate(p):
         cum += plam
         if u < cum:
             return lam
-    return len(p) - 1
+    return max(lam for lam, plam in enumerate(p) if plam > 0)
 
 
 def collapse_after_outcome(

@@ -4,11 +4,14 @@ A model couples a measured system (dim dS) to a measuring apparatus
 (dim dM).  The two non-demolition conditions are
 [H_system x I, H_coupling] = 0 and [H_coupling, I x H_apparatus] = 0;
 check_conditions quantifies how far a model is from satisfying them.
+A model compiles its joint-space operators once, on first use, and every
+caller reads them: lifted terms, total H, its spectrum, the h_S eigenbasis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -47,6 +50,35 @@ class BipartiteModel:
     @property
     def dim(self) -> int:
         return self.d_system * self.d_apparatus
+
+    # Compiled operators: built on first use, then shared (arrays read-only).
+
+    @cached_property
+    def system_term(self) -> np.ndarray:
+        return _frozen(tensor(self.h_system, np.eye(self.d_apparatus)))
+
+    @cached_property
+    def apparatus_term(self) -> np.ndarray:
+        return _frozen(tensor(np.eye(self.d_system), self.h_apparatus))
+
+    @cached_property
+    def hamiltonian(self) -> HermitianOperator:
+        return HermitianOperator(
+            self.system_term + self.apparatus_term + as_matrix(self.h_coupling)
+        )
+
+    @cached_property
+    def spectrum(self) -> SpectralDecomposition:
+        return spectral(self.hamiltonian)
+
+    @cached_property
+    def system_basis(self) -> SpectralDecomposition:
+        return spectral(self.h_system)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -98,14 +130,7 @@ class Preparation:
 
 def total_hamiltonian(m: BipartiteModel) -> HermitianOperator:
     """tensor(h_system, I) + tensor(I, h_apparatus) + h_coupling."""
-    eye_s = np.eye(m.d_system, dtype=complex)
-    eye_m = np.eye(m.d_apparatus, dtype=complex)
-    h = (
-        tensor(m.h_system, eye_m)
-        + tensor(eye_s, m.h_apparatus)
-        + as_matrix(m.h_coupling)
-    )
-    return HermitianOperator(h)
+    return m.hamiltonian
 
 
 def check_conditions(m: BipartiteModel, threshold: float = CONDITION_THRESHOLD) -> ConditionReport:
@@ -117,10 +142,8 @@ def check_conditions(m: BipartiteModel, threshold: float = CONDITION_THRESHOLD) 
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    eye_s = np.eye(m.d_system, dtype=complex)
-    eye_m = np.eye(m.d_apparatus, dtype=complex)
-    eq4 = commutator_defect(tensor(m.h_system, eye_m), m.h_coupling)
-    eq5 = commutator_defect(m.h_coupling, tensor(eye_s, m.h_apparatus))
+    eq4 = commutator_defect(m.system_term, m.h_coupling)
+    eq5 = commutator_defect(m.h_coupling, m.apparatus_term)
     return ConditionReport(
         eq4_defect=eq4,
         eq5_defect=eq5,
@@ -151,7 +174,7 @@ def prepare_initial(
             )
         if pointer_basis is None:
             pointer_basis = spectral(m.h_apparatus)
-        sys_vec = spectral(m.h_system).eigenvectors[:, i]
+        sys_vec = m.system_basis.eigenvectors[:, i]
         app_vec = pointer_basis.eigenvectors[:, lam]
         rho = np.outer(sys_vec, sys_vec.conj())
         mu = np.outer(app_vec, app_vec.conj())

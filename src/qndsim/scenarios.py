@@ -52,10 +52,6 @@ SWEEP_HEADER = [
     "sigma_empirical",
 ]
 
-# Seeds whose "violating" draws exhibit positive reading variance; published
-# so the dichotomy sweep is reproducible.
-VIOLATING_SEEDS = list(range(20))
-
 DEFAULT_ETA_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
 
 

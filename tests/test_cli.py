@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qndsim import cli
 from qndsim.cli import main
 from qndsim.scenario_io import bundled_scenario_path, load_scenario_file
 from qndsim.scenarios import run_scenario
@@ -250,3 +252,15 @@ def test_deleted_options_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_dispatch_leaves_no_reference_to_commands():
+    # With the collector off, any parser or namespace still holding a command
+    # after main returns would show up as a referrer.
+    gc.disable()
+    try:
+        assert main(["check", QND, "--quiet"]) == 0
+        referrers = gc.get_referrers(cli.cmd_check)
+    finally:
+        gc.enable()
+    assert referrers == [vars(cli)]

@@ -98,6 +98,12 @@ class TestSampleOutcome:
         # zero-probability bins are skipped deterministically
         assert sample_outcome([0.5, 0.0, 0.5], FixedRng(0.6)) == 2
 
+    def test_draw_past_rounded_total_skips_zero_weight(self):
+        p = np.array([0.1] * 10 + [0.0])
+        p = p / p.sum()
+        assert sum(p) < 1.0  # the cumulative sum rounds below 1
+        assert sample_outcome(p, FixedRng(np.nextafter(1.0, 0.0))) == 9
+
     def test_empirical_frequencies_match(self):
         p = np.array([0.3, 0.7])
         rng = np.random.default_rng(42)

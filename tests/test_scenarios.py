@@ -10,7 +10,6 @@ from qndsim.scenarios import (
     DEFAULT_ETA_GRID,
     Scenario,
     Schedule,
-    VIOLATING_SEEDS,
     interpolation_sweep,
     oracle_check,
     run_scenario,
@@ -74,7 +73,7 @@ class TestInterpolationSweep:
             assert row.eq4_defect <= 1e-10 and row.eq5_defect <= 1e-10
 
     def test_eta_one_mostly_disperses(self):
-        rows = interpolation_sweep((2, 2), [1.0], VIOLATING_SEEDS, SMALL_SCHEDULE)
+        rows = interpolation_sweep((2, 2), [1.0], range(20), SMALL_SCHEDULE)
         positive = sum(1 for row in rows if row.reading_variance > 0)
         assert positive >= 0.9 * len(rows)
 

@@ -32,6 +32,7 @@ from .dynamics import (
     Trajectory,
     evolve_exact,
     evolve_stepped,
+    exact_trajectory,
     rhs_component_form,
     state_constancy_check,
 )

@@ -13,7 +13,6 @@ runs with identical inputs produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from dataclasses import replace
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import check_conditions, prepare_initial
-from .dynamics import IntegrationError, evolve_exact, evolve_stepped
+from .dynamics import IntegrationError, evolve_stepped, exact_trajectory
 from .measurement import ImpossibleOutcomeError
 from .scenarios import (
     DEFAULT_ETA_GRID,
@@ -65,21 +64,16 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.both_hold else EXIT_NEGATIVE
 
 
-def _write_trajectory(path, times, states) -> None:
-    dim = states[0].shape[0]
-    header = ["time"]
-    for r in range(dim):
-        for c in range(dim):
-            header += [f"re_{r}_{c}", f"im_{r}_{c}"]
+def _write_trajectory(path, traj) -> None:
+    d = traj.states.shape[1]
+    cols = [f"{p}_{r}_{c}" for r in range(d) for c in range(d) for p in ("re", "im")]
+    # "%.17g" prints what _fmt does; the float view interleaves re and im.
+    row = ",".join(["%.17g"] * (1 + len(cols))) + "\n"
+    cells = traj.states.view(float).reshape(len(traj.times), -1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for t, w in zip(times, states):
-            row = [_fmt(t)]
-            for r in range(dim):
-                for c in range(dim):
-                    row += [_fmt(w[r, c].real), _fmt(w[r, c].imag)]
-            writer.writerow(row)
+        fh.write(",".join(["time"] + cols) + "\n")
+        for t, w in zip(traj.times.tolist(), cells):
+            fh.write(row % (t, *w.tolist()))
 
 
 def cmd_evolve(args) -> int:
@@ -89,32 +83,24 @@ def cmd_evolve(args) -> int:
     if not (0 <= args.t_end < math.inf and 0 < args.dt < math.inf):
         print("error: need finite t-end >= 0 and dt > 0", file=sys.stderr)
         return EXIT_INPUT
-    if args.t_end > 0 and round(args.t_end / args.dt) < 1:
+    n = int(round(args.t_end / args.dt))
+    if args.t_end > 0 and n < 1:
         print("error: t-end must span at least one step of dt", file=sys.stderr)
         return EXIT_INPUT
     w0 = prepare_initial(s.model, s.preparation, pointer_basis=s.pointer.basis)
-    if args.t_end == 0:
-        times = [0.0]
-        states = [w0.matrix]
-    elif args.stepped:
-        try:
+    try:
+        if args.stepped and n > 0:
             traj = evolve_stepped(s.model, w0, args.t_end, args.dt)
-        except IntegrationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NEGATIVE
-        times = list(traj.times)
-        states = [w.matrix for w in traj.states]
-    else:
-        n = int(round(args.t_end / args.dt))
-        times = [k * args.t_end / n for k in range(n + 1)]
-        states = [w0.matrix] + [
-            evolve_exact(s.model, w0, t).matrix for t in times[1:]
-        ]
+        else:
+            traj = exact_trajectory(s.model, w0, np.arange(n + 1) * args.t_end / max(n, 1))
+    except IntegrationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NEGATIVE
     if args.out:
-        _write_trajectory(args.out, times, states)
-    final = states[-1]
+        _write_trajectory(args.out, traj)
+    final = traj.states[-1]
     trace_dev = abs(float(np.trace(final).real) - 1.0)
-    purity0 = float(np.trace(states[0] @ states[0]).real)
+    purity0 = float(np.trace(w0.matrix @ w0.matrix).real)
     purity1 = float(np.trace(final @ final).real)
     _say(args, f"terminal trace deviation = {_fmt(trace_dev)}")
     _say(args, f"purity drift = {_fmt(abs(purity1 - purity0))}")

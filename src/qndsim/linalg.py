@@ -23,13 +23,20 @@ EPS_COMM = 1e-10
 # Eigenvalues closer than this are treated as one degenerate group.
 DEGENERACY_TOL = 1e-9
 
+# Matrices validated or propagated at once, so stack temporaries stay small.
+STACK_BLOCK = 256
+
 
 class DimensionMismatchError(ValueError):
     """Operands have incompatible dimensions."""
 
 
 class InvariantViolationError(ValueError):
-    """A constructed value violates its physical invariants."""
+    """A constructed value violates its physical invariants (at stack ``index``)."""
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 def as_matrix(a) -> np.ndarray:
@@ -42,16 +49,50 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def _check_hermitian(m: np.ndarray, what: str) -> None:
-    """Raise unless M is square and ||M - M^dag||_F <= EPS_HERM * max(1, ||M||_F)."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+def read_only(a, dtype=complex) -> np.ndarray:
+    """A read-only copy of a, so that freezing never touches the caller's array."""
+    a = np.array(a, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
+def check_operators(m: np.ndarray, what: str, pos_tol: float | None = None) -> None:
+    """Raise unless each M in the (..., d, d) stack m has a finite ||M||_F (so no
+    NaN, inf or overflowing entry), ||M - M^dag||_F <= EPS_HERM * max(1, ||M||_F)
+    and, given pos_tol, is a state (unit trace, no eigenvalue below -pos_tol);
+    ``index`` is the first failure, in C order."""
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatchError(f"{what} must be square, got shape {m.shape}")
-    scale = max(1.0, float(np.linalg.norm(m)))
-    defect = float(np.linalg.norm(m - m.conj().T))
-    if defect > EPS_HERM * scale:
-        raise InvariantViolationError(
-            f"{what} is not Hermitian: ||M - M^dag||_F = {defect:.3e}"
-        )
+    flat = m.reshape(-1, *m.shape[-2:])
+    for start in range(0, len(flat), STACK_BLOCK):
+        b = flat[start:start + STACK_BLOCK]
+        n, msg = len(b), None  # each rule sees the prefix the earlier ones passed
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.linalg.norm(b, axis=(1, 2))
+            bad = ~np.isfinite(scale)
+            if bad.any():
+                n = int(bad.argmax())
+                msg = f"{what} is not finite: ||M||_F = {scale[n]}"
+            b = b[:n]
+            defect = np.linalg.norm(b - b.conj().swapaxes(1, 2), axis=(1, 2))
+            bad = defect > EPS_HERM * np.maximum(1.0, scale[:n])
+            if bad.any():
+                n = int(bad.argmax())
+                msg = f"{what} is not Hermitian: ||M - M^dag||_F = {defect[n]:.3e}"
+            if pos_tol is not None:
+                tr = np.trace(b[:n], axis1=1, axis2=2)
+                bad = abs(tr - 1.0) > EPS_TRACE
+                if bad.any():
+                    n = int(bad.argmax())
+                    msg = f"{what} trace {complex(tr[n])} is not 1"
+                b = b[:n]
+                lo = np.linalg.eigvalsh((b + b.conj().swapaxes(1, 2)) / 2).min(axis=1)
+                bad = lo < -pos_tol
+                if bad.any():
+                    n = int(bad.argmax())
+                    msg = f"{what} has eigenvalue {lo[n]:.3e} below -{pos_tol:g}"
+        if msg is not None:
+            raise InvariantViolationError(msg, start + n)
 
 
 @dataclass(frozen=True)
@@ -61,9 +102,8 @@ class HermitianOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        _check_hermitian(m, "matrix")
-        m.setflags(write=False)
+        m = read_only(as_matrix(self.matrix))
+        check_operators(m, "matrix")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -87,17 +127,8 @@ class DensityOperator:
     pos_tol: float = field(default=EPS_POS, compare=False, repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        _check_hermitian(m, "state")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > EPS_TRACE:
-            raise InvariantViolationError(f"state trace {tr} is not 1")
-        lo = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
-        if lo < -self.pos_tol:
-            raise InvariantViolationError(
-                f"state has eigenvalue {lo:.3e} below -{self.pos_tol:g}"
-            )
-        m.setflags(write=False)
+        m = read_only(as_matrix(self.matrix))
+        check_operators(m, "state", self.pos_tol)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -123,12 +154,8 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.eigenvalues, dtype=float)
-        v = np.asarray(self.eigenvectors, dtype=complex)
-        w.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "eigenvectors", v)
+        object.__setattr__(self, "eigenvalues", read_only(self.eigenvalues, float))
+        object.__setattr__(self, "eigenvectors", read_only(self.eigenvectors))
 
     @property
     def dim(self) -> int:
@@ -138,9 +165,10 @@ class SpectralDecomposition:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
 
-    def unitary(self, t: float) -> np.ndarray:
-        """U = exp(-i H t) = V exp(-i E t) V^dag for the decomposed H."""
+    def unitary(self, t) -> np.ndarray:
+        """U = exp(-i H t) = V exp(-i E t) V^dag; T times give a (T, d, d) stack."""
         v = self.eigenvectors
+        t = np.asarray(t, dtype=float)[..., None, None]
         return (v * np.exp(-1j * self.eigenvalues * t)) @ v.conj().T
 
 
@@ -221,7 +249,7 @@ def spectral(h) -> SpectralDecomposition:
     pointer bases are reproducible across runs.
     """
     m = as_matrix(h)
-    _check_hermitian(m, "spectral input")
+    check_operators(m, "spectral input")
     w, v = np.linalg.eigh(m)
     return SpectralDecomposition(w, _deterministic_basis(w, v))
 

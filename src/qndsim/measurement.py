@@ -22,6 +22,7 @@ from .linalg import (
     DimensionMismatchError,
     HermitianOperator,
     SpectralDecomposition,
+    read_only,
     spectral,
     tensor,
 )
@@ -50,9 +51,7 @@ class PointerObservable:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", read_only(self.values, float))
 
     @classmethod
     def from_operator(cls, h: HermitianOperator) -> "PointerObservable":
@@ -80,14 +79,14 @@ class Calibration:
     table: Optional[np.ndarray] = None  # shape (dS, dM)
 
     def __post_init__(self):
-        vals = np.asarray(self.pointer_values, dtype=float)
-        vals.setflags(write=False)
+        vals = read_only(self.pointer_values, float)
+        if not np.isfinite(vals).all():
+            raise ValueError("calibration pointer values must be finite")
         object.__setattr__(self, "pointer_values", vals)
         if self.table is not None:
-            tab = np.asarray(self.table, dtype=float)
-            if tab.ndim != 2 or tab.shape[1] != len(vals):
-                raise ValueError("calibration table must be (dS, dM)")
-            tab.setflags(write=False)
+            tab = read_only(self.table, float)
+            if tab.ndim != 2 or tab.shape[1] != len(vals) or not np.isfinite(tab).all():
+                raise ValueError("calibration table must be a finite (dS, dM) array")
             object.__setattr__(self, "table", tab)
 
     @classmethod
@@ -147,9 +146,7 @@ class PointerStatistics:
     mode: str  # "analytic" | "empirical"
 
     def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
-        p.setflags(write=False)
-        object.__setattr__(self, "probabilities", p)
+        object.__setattr__(self, "probabilities", read_only(self.probabilities, float))
 
 
 def outcome_distribution(

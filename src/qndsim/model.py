@@ -22,6 +22,7 @@ from .linalg import (
     SpectralDecomposition,
     as_matrix,
     commutator_defect,
+    read_only,
     spectral,
     tensor,
 )
@@ -55,11 +56,11 @@ class BipartiteModel:
 
     @cached_property
     def system_term(self) -> np.ndarray:
-        return _frozen(tensor(self.h_system, np.eye(self.d_apparatus)))
+        return read_only(tensor(self.h_system, np.eye(self.d_apparatus)))
 
     @cached_property
     def apparatus_term(self) -> np.ndarray:
-        return _frozen(tensor(np.eye(self.d_system), self.h_apparatus))
+        return read_only(tensor(np.eye(self.d_system), self.h_apparatus))
 
     @cached_property
     def hamiltonian(self) -> HermitianOperator:
@@ -74,11 +75,6 @@ class BipartiteModel:
     @cached_property
     def system_basis(self) -> SpectralDecomposition:
         return spectral(self.h_system)
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)

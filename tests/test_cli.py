@@ -9,6 +9,8 @@ import pytest
 
 from qndsim import cli
 from qndsim.cli import main
+from qndsim.dynamics import evolve_stepped, exact_trajectory
+from qndsim.model import prepare_initial
 from qndsim.scenario_io import bundled_scenario_path, load_scenario_file
 from qndsim.scenarios import run_scenario
 
@@ -201,6 +203,15 @@ BAD_FILES = {
     "calibration-rows": lambda d: d.update(calibration={"table": [[1, -1]] * 3}),
     "pointer-dim": lambda d: d.update(pointer={"diag": [1, 0, -1]}),
     "negative-seed": lambda d: d.update(seed=-1),
+    "operator-nan": lambda d: d["model"].update(
+        h_system=[[[float("nan"), 0], [0, 0]], [[0, 0], [-1, 0]]]
+    ),
+    "operator-infinity": lambda d: d["model"].update(
+        h_system={"diag": [float("inf"), 1]}
+    ),
+    "calibration-nan": lambda d: d.update(
+        calibration={"table": [[float("nan"), 1], [1, -1]]}
+    ),
 }
 
 BAD_ARGS = {
@@ -264,3 +275,26 @@ def test_dispatch_leaves_no_reference_to_commands():
     finally:
         gc.enable()
     assert referrers == [vars(cli)]
+
+
+@pytest.mark.parametrize("scenario", BUNDLED, ids=[p.stem for p in BUNDLED])
+@pytest.mark.parametrize("stepped", [False, True], ids=["exact", "stepped"])
+def test_trajectory_writer_matches_cell_by_cell_csv(scenario, stepped, tmp_path):
+    s = load_scenario_file(scenario)
+    w0 = prepare_initial(s.model, s.preparation, pointer_basis=s.pointer.basis)
+    if stepped:
+        traj = evolve_stepped(s.model, w0, 2.0, 0.01)
+    else:
+        traj = exact_trajectory(s.model, w0, np.arange(201) * 2.0 / 200)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    cli._write_trajectory(got, traj)
+    d = w0.dim
+    with open(want, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(
+            ["time"] + [f"{p}_{r}_{c}" for r in range(d) for c in range(d) for p in ("re", "im")]
+        )
+        for t, w in zip(traj.times, traj.states):
+            cells = [x for z in w.ravel() for x in (z.real, z.imag)]
+            writer.writerow([cli._fmt(t)] + [cli._fmt(x) for x in cells])
+    assert got.read_bytes() == want.read_bytes()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from qndsim.dynamics import (
     rhs_component_form,
     state_constancy_check,
 )
+from qndsim.scenario_io import bundled_scenario_path, load_scenario_file
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -158,7 +161,7 @@ class TestEvolveStepped:
         rng = np.random.default_rng(5)
         w0 = random_density(rng, 4)
         traj = evolve_stepped(m, w0, 2.0, 1e-3)
-        purity = [np.trace(w.matrix @ w.matrix).real for w in traj.states]
+        purity = [np.trace(w @ w).real for w in traj.states]
         assert max(purity) - min(purity) <= 1e-6
 
     def test_trace_conserved(self):
@@ -167,7 +170,7 @@ class TestEvolveStepped:
         w0 = random_density(rng, 4)
         traj = evolve_stepped(m, w0, 2.0, 1e-3)
         for w in traj.states:
-            assert abs(np.trace(w.matrix).real - 1.0) <= 1e-8
+            assert abs(np.trace(w).real - 1.0) <= 1e-8
 
     def test_matches_exact_at_default_dt(self):
         m = random_model((2, 2), "violating", 10)
@@ -182,7 +185,18 @@ class TestEvolveStepped:
         w0 = prepare_initial(m, Preparation.eigenbasis(0, 0))
         with pytest.raises(IntegrationError) as err:
             evolve_stepped(m, w0, 4.0, 2.0)
-        assert err.value.time > 0
+        assert err.value.time == 2.0
+
+    def test_blow_up_reports_first_step(self):
+        # Huge steps overflow to inf/nan long before t_end; the failure is
+        # still reported at the first step, and no RuntimeWarning escapes.
+        s = load_scenario_file(bundled_scenario_path("qubit-violating"))
+        w0 = prepare_initial(s.model, s.preparation, pointer_basis=s.pointer.basis)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(IntegrationError) as err:
+                evolve_stepped(s.model, w0, 1000.0, 5.0)
+        assert err.value.time == 5.0
 
     def test_rejects_bad_step(self):
         m = random_model((2, 2), "qnd", 0)

@@ -7,6 +7,7 @@ from qndsim.linalg import (
     DimensionMismatchError,
     HermitianOperator,
     InvariantViolationError,
+    SpectralDecomposition,
     commutator,
     commutator_defect,
     expectation,
@@ -16,6 +17,7 @@ from qndsim.linalg import (
     spectral,
     tensor,
 )
+from qndsim.measurement import Calibration, PointerObservable, PointerStatistics
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -248,3 +250,44 @@ class TestExpectation:
         rng = np.random.default_rng(12)
         with pytest.raises(DimensionMismatchError):
             expectation(np.eye(3), random_density(rng, 2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("build", [HermitianOperator, DensityOperator, spectral])
+def test_non_finite_entry_rejected(build, bad):
+    m = np.eye(2, dtype=complex) / 2
+    m[1, 1] = bad
+    with pytest.raises(InvariantViolationError, match="not finite"):
+        build(m)
+
+
+# Each case: (the caller's array, a constructor that is given it).
+CALLER_ARRAYS = {
+    "HermitianOperator": (lambda: I2.copy(), HermitianOperator),
+    "DensityOperator": (lambda: I2 / 2, DensityOperator),
+    "SpectralDecomposition.eigenvalues": (
+        lambda: np.array([0.0, 1.0]), lambda a: SpectralDecomposition(a, I2)
+    ),
+    "SpectralDecomposition.eigenvectors": (
+        lambda: I2.copy(), lambda a: SpectralDecomposition(np.array([0.0, 1.0]), a)
+    ),
+    "Calibration.pointer_values": (lambda: np.array([1.0, -1.0]), Calibration),
+    "Calibration.table": (
+        lambda: np.ones((2, 2)), lambda a: Calibration(np.array([1.0, -1.0]), a)
+    ),
+    "PointerObservable": (
+        lambda: np.array([-1.0, 1.0]),
+        lambda a: PointerObservable(HermitianOperator(SZ), spectral(SZ), a),
+    ),
+    "PointerStatistics": (
+        lambda: np.array([0.5, 0.5]),
+        lambda a: PointerStatistics(a, 0.5, None, "analytic"),
+    ),
+}
+
+
+@pytest.mark.parametrize("make, build", CALLER_ARRAYS.values(), ids=CALLER_ARRAYS.keys())
+def test_constructor_leaves_caller_array_writeable(make, build):
+    a = make()
+    build(a)
+    assert a.flags.writeable

@@ -1,15 +1,27 @@
 """Property tests: the compiled operators a random model caches give the same
-bytes as building them afresh and are computed once; sampling never picks an
-outcome of zero weight."""
+bytes as building them afresh and are computed once; a stacked trajectory and
+its block-wise validation agree bitwise with the one-state routes; sampling
+never picks an outcome of zero weight."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qndsim.dynamics
+import qndsim.linalg
 import qndsim.model
-from qndsim.dynamics import evolve_exact, rhs_component_form
-from qndsim.linalg import EPS_RECON, as_matrix, commutator, propagator
+from qndsim.dynamics import evolve_exact, exact_trajectory, rhs_component_form
+from qndsim.linalg import (
+    EPS_POS,
+    EPS_RECON,
+    DensityOperator,
+    InvariantViolationError,
+    as_matrix,
+    check_operators,
+    commutator,
+    propagator,
+)
 from qndsim.measurement import sample_outcome
 from qndsim.model import Preparation, prepare_initial, random_model, total_hamiltonian
 
@@ -28,6 +40,17 @@ def initial_state(m, data):
     i = data.draw(st.integers(0, m.d_system - 1))
     lam = data.draw(st.integers(0, m.d_apparatus - 1))
     return prepare_initial(m, Preparation.eigenbasis(i, lam))
+
+
+def time_grids():
+    """Sorted positive times, prefixed by 0."""
+    later = st.lists(st.floats(1e-3, 10.0), min_size=0, max_size=12, unique=True)
+    return later.map(lambda ts: np.array([0.0] + sorted(ts)))
+
+
+def small_blocks():
+    """Stack block sizes small enough that a short stack spans several blocks."""
+    return st.sampled_from([1, 2, 3, qndsim.linalg.STACK_BLOCK])
 
 
 def explicit_terms(m):
@@ -60,6 +83,76 @@ def test_evolve_exact_matches_uncached_propagator(m, t, data):
     u = propagator(total_hamiltonian(m).matrix, t)
     expect = u @ w0.matrix @ u.conj().T
     assert np.array_equal(evolve_exact(m, w0, t).matrix, expect)
+
+
+@SETTINGS
+@given(models(), time_grids(), small_blocks(), st.data())
+def test_exact_trajectory_matches_evolve_exact(m, times, block, data):
+    w0 = initial_state(m, data)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qndsim.dynamics, "STACK_BLOCK", block)
+        traj = exact_trajectory(m, w0, times)
+    assert np.array_equal(traj.times, times)
+    assert not traj.states.flags.writeable
+    assert np.array_equal(traj.states[0], w0.matrix)
+    for t, w in zip(times[1:], traj.states[1:]):
+        assert np.array_equal(w, evolve_exact(m, w0, t).matrix)
+
+
+@SETTINGS
+@given(models(), time_grids())
+def test_stacked_unitary_matches_one_time(m, times):
+    stack = m.spectrum.unitary(times)
+    assert stack.shape == (len(times), m.dim, m.dim)
+    for t, u in zip(times, stack):
+        assert np.array_equal(u, m.spectrum.unitary(t))
+
+
+def corrupt(w, kind):
+    """A copy of the pure state w that breaks one density-operator rule."""
+    d = len(w)
+    if kind == "non-finite":
+        return w + np.where(np.eye(d) == 1, np.nan, 0)
+    if kind == "non-Hermitian":
+        return w + np.triu(np.full((d, d), 1e-3), 1)
+    if kind == "trace":
+        return 1.1 * w
+    return 1.1 * w - 0.1 * np.eye(d) / d  # unit trace, eigenvalue -0.1/d
+
+
+@SETTINGS
+@given(
+    models(),
+    st.integers(2, 40),
+    small_blocks(),
+    st.lists(
+        st.tuples(
+            st.integers(0, 39),
+            st.sampled_from(["non-finite", "non-Hermitian", "trace", "negative"]),
+        ),
+        min_size=1,
+        max_size=2,
+    ),
+    st.data(),
+)
+def test_stacked_check_flags_first_failing_state(m, n, block, bad, data):
+    w0 = initial_state(m, data)
+    stack = exact_trajectory(m, w0, np.arange(n) * 0.1).states.copy()
+    for k, kind in bad:
+        stack[k % n] = corrupt(stack[k % n], kind)
+    first = None
+    for k, w in enumerate(stack):
+        try:
+            DensityOperator(w)
+        except InvariantViolationError as exc:
+            first = (k, str(exc))
+            break
+    assert first is not None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qndsim.linalg, "STACK_BLOCK", block)
+        with pytest.raises(InvariantViolationError) as err:
+            check_operators(stack, "state", EPS_POS)
+    assert (err.value.index, str(err.value)) == first
 
 
 @SETTINGS

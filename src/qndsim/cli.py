@@ -80,8 +80,9 @@ def cmd_evolve(args) -> int:
     s = _load(args.scenario, args)
     if s is None:
         return EXIT_INPUT
-    if not (0 <= args.t_end < math.inf and 0 < args.dt < math.inf):
-        print("error: need finite t-end >= 0 and dt > 0", file=sys.stderr)
+    if not (0 <= args.t_end < math.inf and 0 < args.dt < math.inf
+            and args.t_end / args.dt < math.inf):
+        print("error: need finite t-end >= 0, dt > 0 and t-end / dt", file=sys.stderr)
         return EXIT_INPUT
     n = int(round(args.t_end / args.dt))
     if args.t_end > 0 and n < 1:

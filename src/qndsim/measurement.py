@@ -2,16 +2,17 @@
 
 Outcome probabilities come from projecting the joint state onto the pointer
 eigenprojectors on the apparatus factor; the post-measurement update is the
-Lüders projection on that factor only.  Per-trial randomness derives from
-``SeedSequence([seed, trial])`` so trials are reproducible and independent.
+Lüders projection on that factor only.  Randomness is one counter-based
+stream per seed, trial_rng(seed): trial k, and the repeat protocol's k-th
+measurement, take draw k, so the first k trials of an n-trial run equal a
+k-trial run.  A MeasurementRecord holds the results as columns.
 draw_trials and reading_variance are the steps scenarios.run_measurements
 composes; measurement_trials and dispersion_experiment run them from a model.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -93,49 +94,53 @@ class Calibration:
     def from_pointer(cls, pointer: PointerObservable) -> "Calibration":
         return cls(pointer_values=pointer.values)
 
-    def value(self, system_index: Optional[int], pointer_index: int) -> float:
+    def readings(self, system_index: Optional[int], pointer_index) -> np.ndarray:
+        """c(i, lam) for a pointer index or an array of them."""
         if self.table is not None and system_index is not None:
-            return float(self.table[system_index, pointer_index])
-        return float(self.pointer_values[pointer_index])
+            return self.table[system_index, pointer_index]
+        return self.pointer_values[pointer_index]
+
+
+NO_INDEX = -1  # the i column of a row without a prepared system index
 
 
 @dataclass(frozen=True)
-class RecordEntry:
-    trial: int
-    time: float
-    system_index: Optional[int]
-    pointer_index: int
-    reading: float
-
-
-@dataclass
 class MeasurementRecord:
-    entries: list[RecordEntry] = field(default_factory=list)
+    """Read-only columns, one row per trial or repeat; lam is the CSV's lambda."""
 
-    def append(self, entry: RecordEntry) -> None:
-        self.entries.append(entry)
+    trial: np.ndarray
+    time: np.ndarray
+    i: np.ndarray
+    lam: np.ndarray
+    reading: np.ndarray
 
-    def readings(self) -> np.ndarray:
-        return np.array([e.reading for e in self.entries], dtype=float)
+    def __post_init__(self):
+        columns = {"trial": int, "time": float, "i": int, "lam": int, "reading": float}
+        for name, dtype in columns.items():
+            object.__setattr__(self, name, read_only(getattr(self, name), dtype))
+        if self.trial.ndim != 1 or len({getattr(self, n).shape for n in columns}) != 1:
+            raise ValueError("record columns must be 1-D and of one length")
 
-    def pointer_indices(self) -> np.ndarray:
-        return np.array([e.pointer_index for e in self.entries], dtype=int)
+    @classmethod
+    def from_outcomes(cls, cal: Calibration, system_index: Optional[int], trial, time, lam):
+        """Rows of pointer indices lam at one system index, read through cal;
+        trial and time broadcast against lam."""
+        lam = np.asarray(lam, dtype=int)
+        i = NO_INDEX if system_index is None else system_index
+        trial, time, i = (np.broadcast_to(c, lam.shape) for c in (trial, time, i))
+        return cls(trial, time, i, lam, cal.readings(system_index, lam))
 
     def outcome_changes(self) -> int:
-        """Count of consecutive entries whose pointer index changed."""
-        idx = self.pointer_indices()
-        if len(idx) < 2:
-            return 0
-        return int(np.sum(idx[1:] != idx[:-1]))
+        """Count of consecutive rows whose pointer index changed."""
+        return int(np.count_nonzero(self.lam[1:] != self.lam[:-1]))
 
     def write_csv(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["trial", "time", "i", "lambda", "reading"])
-        for e in self.entries:
-            i = "" if e.system_index is None else e.system_index
-            writer.writerow(
-                [e.trial, f"{e.time:.17g}", i, e.pointer_index, f"{e.reading:.17g}"]
-            )
+        fh.write("trial,time,i,lambda,reading\n")
+        i = ["" if k == NO_INDEX else k for k in self.i.tolist()]
+        rows = zip(self.trial.tolist(), self.time.tolist(), i,
+                   self.lam.tolist(), self.reading.tolist())
+        # "%.17g" prints what f"{x:.17g}" does, one row per format call.
+        fh.writelines("%d,%.17g,%s,%d,%.17g\n" % row for row in rows)
 
 
 @dataclass(frozen=True)
@@ -174,18 +179,17 @@ def outcome_distribution(
     return p / p.sum()
 
 
-def sample_outcome(p: Sequence[float], rng: np.random.Generator) -> int:
-    """Single-draw CDF inversion; boundary ties resolve to the lower index.
+def invert_cdf(p: Sequence[float], u):
+    """For each uniform draw u, the first lam whose running sum of p exceeds u;
+    a draw at or past the rounded total falls to the last lam with p > 0."""
+    p = np.asarray(p, dtype=float)
+    lam = np.searchsorted(np.cumsum(p), u, side="right")
+    return np.minimum(lam, np.flatnonzero(p > 0)[-1])
 
-    A draw past the rounded total falls to the last outcome of positive weight.
-    """
-    u = rng.random()
-    cum = 0.0
-    for lam, plam in enumerate(p):
-        cum += plam
-        if u < cum:
-            return lam
-    return max(lam for lam, plam in enumerate(p) if plam > 0)
+
+def sample_outcome(p: Sequence[float], rng: np.random.Generator) -> int:
+    """One Born draw: invert_cdf at a single rng.random()."""
+    return int(invert_cdf(p, rng.random()))
 
 
 def collapse_after_outcome(
@@ -204,9 +208,10 @@ def collapse_after_outcome(
     return DensityOperator(projected / p_lam)
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Deterministic per-trial generator from (seed, trial index)."""
-    return np.random.default_rng(np.random.SeedSequence([seed, trial]))
+def trial_rng(seed: int) -> np.random.Generator:
+    """Philox keyed through SeedSequence(seed), so any seed >= 0 works (even
+    >= 2**128); draw k is trial k's, however many draws are taken."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 def repeatability_protocol(
@@ -218,22 +223,21 @@ def repeatability_protocol(
     delta_tau: float,
     n_repeats: int,
     seed: int,
-    trial: int = 0,
 ) -> MeasurementRecord:
     """Measure, then re-evolve and re-measure n_repeats times in one run.
 
     Prepare w(0), evolve to tau, sample and collapse; then repeatedly evolve
-    by delta_tau and measure again, recording every outcome.
+    by delta_tau and measure again, recording every outcome as trial 0.
+    The k-th measurement takes draw k of trial_rng(seed).
     """
     if n_repeats < 2:
         raise ValueError("need n_repeats >= 2")
     if tau <= 0 or delta_tau <= 0:
         raise ValueError("tau and delta_tau must be positive")
     dims = (m.d_system, m.d_apparatus)
-    rng = trial_rng(seed, trial)
-    sys_index = prep.system_index
-    record = MeasurementRecord()
+    rng = trial_rng(seed)
     w = prepare_initial(m, prep, pointer_basis=pointer.basis)
+    times, lams = [], []
     t = 0.0
     for k in range(n_repeats):
         step = tau if k == 0 else delta_tau
@@ -244,11 +248,10 @@ def repeatability_protocol(
         try:
             w = collapse_after_outcome(w, pointer, lam, dims)
         except ImpossibleOutcomeError as exc:
-            raise ImpossibleOutcomeError(lam, trial) from exc
-        record.append(
-            RecordEntry(trial, t, sys_index, lam, cal.value(sys_index, lam))
-        )
-    return record
+            raise ImpossibleOutcomeError(lam, 0) from exc
+        times.append(t)
+        lams.append(lam)
+    return MeasurementRecord.from_outcomes(cal, prep.system_index, 0, times, lams)
 
 
 def measurement_trials(
@@ -260,7 +263,7 @@ def measurement_trials(
     n_trials: int,
     seed: int,
 ) -> MeasurementRecord:
-    """Independent prepare -> evolve(tau) -> measure runs, one entry per trial."""
+    """Independent prepare -> evolve(tau) -> measure runs, one row per trial."""
     w0 = prepare_initial(m, prep, pointer_basis=pointer.basis)
     w_tau = evolve_exact(m, w0, tau) if tau > 0 else w0
     p = outcome_distribution(w_tau, pointer, (m.d_system, m.d_apparatus))
@@ -275,16 +278,11 @@ def draw_trials(
     n_trials: int,
     seed: int,
 ) -> MeasurementRecord:
-    """One record entry per trial; trial k samples p with trial_rng(seed, k)."""
+    """One row per trial at time tau; trial k inverts p at draw k of trial_rng(seed)."""
     if n_trials < 1:
         raise ValueError("need n_trials >= 1")
-    record = MeasurementRecord()
-    for trial in range(n_trials):
-        lam = sample_outcome(p, trial_rng(seed, trial))
-        record.append(
-            RecordEntry(trial, tau, system_index, lam, cal.value(system_index, lam))
-        )
-    return record
+    lam = invert_cdf(p, trial_rng(seed).random(n_trials))
+    return MeasurementRecord.from_outcomes(cal, system_index, np.arange(n_trials), tau, lam)
 
 
 def dispersion_experiment(
@@ -308,8 +306,8 @@ def dispersion_experiment(
 
 
 def reading_variance(record: MeasurementRecord) -> float:
-    """Population variance of the readings; 0 for a single entry (degenerate)."""
-    readings = record.readings()
+    """Population variance of the readings; 0 for a single row (degenerate)."""
+    readings = record.reading
     if len(readings) < 2:
         return 0.0
     if np.all(readings == readings[0]):
@@ -335,15 +333,12 @@ def aggregate_sigma(
         p = np.asarray(distribution, dtype=float)
         mode = "analytic"
     else:
-        if not record.entries:
+        if not len(record.lam):
             raise ValueError("empty record set")
-        idx = record.pointer_indices()
-        d_m = len(cal.pointer_values)
-        p = np.bincount(idx, minlength=d_m).astype(float) / len(idx)
+        p = np.bincount(record.lam, minlength=len(cal.pointer_values)) / len(record.lam)
         mode = "empirical"
-    sigma = float(
-        sum(p[lam] * cal.value(system_index, lam) for lam in range(len(p)))
-    )
+    # builtin sum, not a dot product: adds in lam order, so sigma keeps its rounding
+    sigma = float(sum(p * cal.readings(system_index, np.arange(len(p)))))
     return PointerStatistics(
         probabilities=p, sigma=sigma, system_index=system_index, mode=mode
     )

@@ -98,6 +98,8 @@ def _parse_model(doc: dict) -> BipartiteModel:
             h_apparatus=_hermitian(doc["h_apparatus"], "model.h_apparatus"),
             h_coupling=_hermitian(doc["h_coupling"], "model.h_coupling"),
         )
+    except ScenarioFormatError:
+        raise  # already names the operator
     except ValueError as exc:
         raise ScenarioFormatError(f"model: {exc}") from exc
 

@@ -227,6 +227,7 @@ BAD_ARGS = {
     "evolve-stepped-shorter-than-dt": ["evolve", QND, "--t-end", "1e-4", "--stepped"],
     "evolve-t-end-inf": ["evolve", QND, "--t-end", "inf"],
     "evolve-dt-nan": ["evolve", QND, "--dt", "nan"],
+    "evolve-steps-overflow": ["evolve", QND, "--t-end", "1e300", "--dt", "1e-300"],
 }
 
 
@@ -247,6 +248,21 @@ def test_bad_argument_is_input_error(argv, capsys):
 @pytest.mark.parametrize("edit", BAD_FILES.values(), ids=BAD_FILES.keys())
 def test_bad_scenario_file_is_input_error(command, edit, tmp_path, capsys):
     _assert_input_error([command, _bad_file(tmp_path, edit)], capsys)
+
+
+def test_bad_operator_is_named_once(tmp_path, capsys):
+    path = _bad_file(tmp_path, BAD_FILES["operator-nan"])
+    assert main(["check", path, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: model.h_system: "), err
+    assert "model:" not in err
+
+
+def test_seed_beyond_128_bits_runs(tmp_path, capsys):
+    path = _bad_file(tmp_path, lambda d: d.update(seed=2**130 + 5))
+    out = tmp_path / "rec.csv"
+    assert main(["measure", path, "--trials", "20", "--out", str(out), "--quiet"]) == 0
+    assert len(out.read_text().splitlines()) == 21
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -5,12 +8,14 @@ from qndsim.linalg import DensityOperator, HermitianOperator, tensor
 from qndsim.model import Preparation, random_model
 from qndsim.measurement import (
     Calibration,
+    NO_INDEX,
     ImpossibleOutcomeError,
     MeasurementRecord,
     PointerObservable,
     aggregate_sigma,
     collapse_after_outcome,
     dispersion_experiment,
+    draw_trials,
     measurement_trials,
     outcome_distribution,
     reading_variance,
@@ -150,7 +155,7 @@ class TestRepeatability:
                 m, Preparation.eigenbasis(0, 0), ptr, cal, 1.0, 0.5, 5, seed
             )
             assert rec.outcome_changes() == 0
-            assert len(rec.entries) == 5
+            assert len(rec.lam) == 5
 
     def test_diagonal_model_trivially_repeats(self):
         from qndsim.model import BipartiteModel
@@ -215,21 +220,18 @@ class TestAggregateSigma:
         analytic = aggregate_sigma(cal, None, distribution=p).sigma
         assert analytic == pytest.approx(-0.1)
         rng = np.random.default_rng(77)
-        rec = MeasurementRecord()
-        from qndsim.measurement import RecordEntry
-
         n = 10**5
-        for trial in range(n):
-            lam = sample_outcome(p, rng)
-            rec.append(RecordEntry(trial, 1.0, None, lam, cal.value(None, lam)))
+        lam = [sample_outcome(p, rng) for _ in range(n)]
+        rec = MeasurementRecord.from_outcomes(cal, None, np.arange(n), 1.0, lam)
         empirical = aggregate_sigma(cal, None, record=rec).sigma
         pop_std = np.sqrt(p @ np.array([2.0, -1.0]) ** 2 - analytic**2)
         assert abs(empirical - analytic) <= 3 * pop_std / np.sqrt(n)
 
     def test_empty_record_rejected(self):
         cal = Calibration(pointer_values=[1.0, -1.0])
+        empty = MeasurementRecord.from_outcomes(cal, None, [], [], [])
         with pytest.raises(ValueError):
-            aggregate_sigma(cal, None, record=MeasurementRecord())
+            aggregate_sigma(cal, None, record=empty)
 
 
 class TestDispersion:
@@ -284,17 +286,55 @@ class TestDispersion:
         )
 
     def test_trial_seeds_are_order_independent(self):
-        assert trial_rng(3, 5).random() == trial_rng(3, 5).random()
-        assert trial_rng(3, 5).random() != trial_rng(3, 6).random()
+        # trial k is draw k of the keyed stream, however many draws follow
+        assert trial_rng(3).random(6)[5] == trial_rng(3).random(10)[5]
+        assert trial_rng(3).random(6)[5] != trial_rng(3).random(7)[6]
+
+
+class TestDrawTrials:
+    def test_first_trials_equal_a_shorter_run(self):
+        p = np.array([0.2, 0.0, 0.5, 0.3])
+        cal = Calibration(pointer_values=[1.0, 2.0, 3.0, 4.0])
+        long = draw_trials(p, cal, None, 1.0, 1000, 11)
+        for k in (1, 7, 999):
+            short = draw_trials(p, cal, None, 1.0, k, 11)
+            assert np.array_equal(long.lam[:k], short.lam)
+            assert np.array_equal(long.reading[:k], short.reading)
+
+    def test_chi_square_against_born_weights(self):
+        p = np.array([0.5, 0.3, 0.0, 0.15, 0.05])
+        cal = Calibration(pointer_values=np.arange(5.0))
+        n = 10**5
+        counts = np.bincount(draw_trials(p, cal, None, 1.0, n, 2024).lam, minlength=5)
+        assert counts[2] == 0
+        live = p > 0
+        chi2 = float(np.sum((counts[live] - n * p[live]) ** 2 / (n * p[live])))
+        # 16.27 is the 0.999 quantile of chi-square with 3 degrees of freedom
+        assert chi2 < 16.27
+
+    def test_repeat_protocol_shares_the_first_draw_with_trial_0(self):
+        for seed in range(10):
+            m = random_model((2, 2), "violating", seed)
+            ptr = PointerObservable.from_operator(m.h_apparatus)
+            cal = Calibration.from_pointer(ptr)
+            prep = Preparation.eigenbasis(0, 0)
+            rep = repeatability_protocol(m, prep, ptr, cal, 1.0, 0.5, 3, seed)
+            trials = measurement_trials(m, prep, ptr, cal, 1.0, 5, seed)
+            assert rep.lam[0] == trials.lam[0]
+            assert rep.trial.tolist() == [0, 0, 0]
 
 
 class TestRecordCsv:
-    def test_header_and_absent_index(self, tmp_path):
-        from qndsim.measurement import RecordEntry
+    def test_columns_must_share_one_length(self):
+        with pytest.raises(ValueError):
+            MeasurementRecord(
+                trial=[0, 1], time=[1.0], i=[0, 0], lam=[0, 1], reading=[1.0, -1.0]
+            )
 
-        rec = MeasurementRecord()
-        rec.append(RecordEntry(0, 1.0, None, 1, -1.0))
-        rec.append(RecordEntry(1, 1.0, 2, 0, 1.0))
+    def test_header_and_absent_index(self, tmp_path):
+        rec = MeasurementRecord(
+            trial=[0, 1], time=[1.0, 1.0], i=[NO_INDEX, 2], lam=[1, 0], reading=[-1.0, 1.0]
+        )
         path = tmp_path / "rec.csv"
         with open(path, "w", newline="\n") as fh:
             rec.write_csv(fh)
@@ -302,3 +342,22 @@ class TestRecordCsv:
         assert lines[0] == "trial,time,i,lambda,reading"
         assert lines[1].startswith("0,1,,1,")
         assert lines[2].startswith("1,1,2,0,")
+
+    @pytest.mark.parametrize("system_index", [None, 1], ids=["no-index", "index"])
+    def test_matches_csv_writer_rendering(self, system_index):
+        table = np.array([[0.5, -1.25, 1 / 3], [2e-17, -7.0, np.pi]])
+        cal = Calibration([1 / 7, -2.0, 1e300], table)
+        tau = 0.1 + 0.2  # 0.30000000000000004 needs all 17 digits
+        rec = draw_trials([0.2, 0.5, 0.3], cal, system_index, tau, 500, 3)
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(["trial", "time", "i", "lambda", "reading"])
+        for trial, lam in enumerate(rec.lam.tolist()):
+            if system_index is None:
+                i, c = "", cal.pointer_values[lam]
+            else:
+                i, c = system_index, table[system_index, lam]
+            writer.writerow([trial, f"{tau:.17g}", i, lam, f"{c:.17g}"])
+        got = io.StringIO()
+        rec.write_csv(got)
+        assert got.getvalue() == want.getvalue()

@@ -1,7 +1,10 @@
 """Property tests: the compiled operators a random model caches give the same
 bytes as building them afresh and are computed once; a stacked trajectory and
 its block-wise validation agree bitwise with the one-state routes; sampling
-never picks an outcome of zero weight."""
+never picks an outcome of zero weight, and the vectorised CDF inversion picks
+what the one-draw loop picks; Born weights, evolved and collapsed states keep
+their invariants; non-demolition models read sharply; scenario documents
+round-trip."""
 
 import numpy as np
 import pytest
@@ -13,17 +16,30 @@ import qndsim.linalg
 import qndsim.model
 from qndsim.dynamics import evolve_exact, exact_trajectory, rhs_component_form
 from qndsim.linalg import (
+    EPS_HERM,
     EPS_POS,
     EPS_RECON,
+    EPS_TRACE,
     DensityOperator,
+    HermitianOperator,
     InvariantViolationError,
     as_matrix,
     check_operators,
     commutator,
     propagator,
 )
-from qndsim.measurement import sample_outcome
+from qndsim.measurement import (
+    Calibration,
+    PointerObservable,
+    collapse_after_outcome,
+    draw_trials,
+    invert_cdf,
+    outcome_distribution,
+    sample_outcome,
+)
 from qndsim.model import Preparation, prepare_initial, random_model, total_hamiltonian
+from qndsim.scenario_io import parse_scenario, render_scenario
+from qndsim.scenarios import Scenario, Schedule, run_measurements
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -215,3 +231,165 @@ def test_sample_outcome_never_returns_zero_weight(weights, u):
             return u
 
     assert p[sample_outcome(p, Fixed())] > 0
+
+
+def weight_lists():
+    """Unnormalised outcome weights with zeros and tiny entries among them."""
+    return st.lists(
+        st.sampled_from([0.0, 0.1, 0.3, 1.0, 1e-17]), min_size=1, max_size=12
+    ).filter(lambda w: sum(w) > 0)
+
+
+def loop_inversion(p, u):
+    """The one-draw CDF inversion written as a loop: first lam with u < cum."""
+    cum = 0.0
+    for lam, plam in enumerate(p):
+        cum += plam
+        if u < cum:
+            return lam
+    return max(lam for lam, plam in enumerate(p) if plam > 0)
+
+
+class Fixed:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@settings(max_examples=200, deadline=None)
+@given(weight_lists(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20), st.data())
+def test_vectorised_inversion_matches_one_draw(weights, draws, data):
+    p = np.array(weights) / sum(weights)
+    cum = np.cumsum(p)
+    # boundaries of the CDF and the largest draw below 1 are the edge cases
+    edges = [np.nextafter(1.0, 0.0)] + [c for c in cum.tolist() if c < 1.0]
+    u = np.array(draws + data.draw(st.lists(st.sampled_from(edges), min_size=1, max_size=5)))
+    got = invert_cdf(p, u)
+    assert got.tolist() == [sample_outcome(p, Fixed(x)) for x in u.tolist()]
+    assert got.tolist() == [loop_inversion(p, x) for x in u.tolist()]
+
+
+@settings(max_examples=50, deadline=None)
+@given(weight_lists(), st.integers(1, 300), st.integers(0, 300), st.integers(0, 2**140))
+def test_first_trials_do_not_depend_on_trial_count(weights, n, k, seed):
+    p = np.array(weights) / sum(weights)
+    cal = Calibration(pointer_values=np.arange(len(p), dtype=float))
+    k = min(k, n - 1) + 1
+    long, short = (draw_trials(p, cal, 0, 1.0, count, seed) for count in (n, k))
+    for name in ("trial", "time", "i", "lam", "reading"):
+        assert np.array_equal(getattr(long, name)[:k], getattr(short, name))
+
+
+def random_state(d, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def assert_state(w):
+    """The state rules of linalg.check_operators, recomputed here."""
+    w = as_matrix(w)
+    assert abs(np.trace(w).real - 1.0) <= EPS_TRACE
+    assert np.linalg.norm(w - w.conj().T) <= EPS_HERM * max(1.0, np.linalg.norm(w))
+    assert np.linalg.eigvalsh(w).min() >= -EPS_POS
+
+
+@SETTINGS
+@given(models(), st.integers(0, 2**32), st.booleans(), st.floats(0.0, 10.0))
+def test_born_weights_and_states_keep_invariants(m, seed, mixed, t):
+    if mixed:
+        w0 = DensityOperator(random_state(m.dim, seed))
+    else:
+        w0 = prepare_initial(m, Preparation.eigenbasis(seed % m.d_system, seed % m.d_apparatus))
+    pointer = PointerObservable.from_operator(m.h_apparatus)
+    dims = (m.d_system, m.d_apparatus)
+    w = evolve_exact(m, w0, t)
+    assert_state(w)
+    p = outcome_distribution(w, pointer, dims)
+    assert p.min() >= 0.0
+    assert abs(p.sum() - 1.0) <= 1e-12
+    for lam in np.flatnonzero(p > 1e-6):
+        assert_state(collapse_after_outcome(w, pointer, lam, dims))
+
+
+@SETTINGS
+@given(
+    st.integers(2, 3), st.integers(2, 3), st.integers(0, 2**16), st.integers(0, 2**140),
+    st.integers(2, 8), st.integers(1, 400), st.data(),
+)
+def test_qnd_models_read_sharply(d_s, d_m, model_seed, seed, n_repeats, n_trials, data):
+    m = random_model((d_s, d_m), "qnd", model_seed)
+    prep = Preparation.eigenbasis(data.draw(st.integers(0, d_s - 1)),
+                                  data.draw(st.integers(0, d_m - 1)))
+    schedule = Schedule(n_repeats=n_repeats, n_trials=n_trials)
+    run = run_measurements(Scenario.build("qnd", m, prep, schedule, seed=seed))
+    assert run.reading_variance == 0.0
+    assert run.repeats.outcome_changes() == 0
+    assert run.trials.outcome_changes() == 0
+
+
+def hermitian(d, seed):
+    w = random_state(d, seed)
+    return HermitianOperator(w + w.conj().T)
+
+
+@st.composite
+def scenarios(draw):
+    """Scenarios a scenario file can state: an explicit model, the calibration
+    table (if any) read against the pointer's own eigenvalues, no eta."""
+    m = draw(models())
+    if draw(st.booleans()):
+        prep = Preparation.eigenbasis(draw(st.integers(0, m.d_system - 1)),
+                                      draw(st.integers(0, m.d_apparatus - 1)))
+    else:
+        prep = Preparation.general(
+            DensityOperator(random_state(m.d_system, draw(st.integers(0, 2**32)))),
+            DensityOperator(random_state(m.d_apparatus, draw(st.integers(0, 2**32)))),
+        )
+    pointer = None
+    if draw(st.booleans()):
+        pointer = PointerObservable.from_operator(
+            hermitian(m.d_apparatus, draw(st.integers(0, 2**32)))
+        )
+    calibration = None
+    if draw(st.booleans()):
+        pointer = pointer or PointerObservable.from_operator(m.h_apparatus)
+        table = draw(st.lists(st.floats(-1e3, 1e3), min_size=m.dim, max_size=m.dim))
+        calibration = Calibration(pointer.values, np.reshape(table, (m.d_system, m.d_apparatus)))
+    schedule = Schedule(
+        tau=draw(st.floats(1e-3, 10.0)),
+        delta_tau=draw(st.floats(1e-3, 10.0)),
+        n_repeats=draw(st.integers(2, 10)),
+        n_trials=draw(st.integers(1, 10**4)),
+    )
+    name = draw(st.text(min_size=1, max_size=12))
+    return Scenario.build(name, m, prep, schedule, pointer, calibration,
+                          seed=draw(st.integers(0, 2**140)))
+
+
+def scenario_fields(s):
+    """Every field of a scenario, arrays as (shape, bytes), for exact comparison."""
+    def arr(a):
+        a = as_matrix(a) if not isinstance(a, np.ndarray) else a
+        return a.shape, a.dtype.str, a.tobytes()
+
+    m, prep, cal = s.model, s.preparation, s.calibration
+    return (
+        s.name, s.seed, s.eta, s.schedule,
+        m.d_system, m.d_apparatus,
+        arr(m.h_system), arr(m.h_apparatus), arr(m.h_coupling),
+        prep.system_index, prep.apparatus_index,
+        None if prep.rho_system is None else arr(prep.rho_system),
+        None if prep.mu_apparatus is None else arr(prep.mu_apparatus),
+        arr(s.pointer.operator), arr(s.pointer.values),
+        arr(cal.pointer_values), None if cal.table is None else arr(cal.table),
+    )
+
+
+@SETTINGS
+@given(scenarios())
+def test_rendered_scenario_parses_back(s):
+    assert scenario_fields(parse_scenario(render_scenario(s))) == scenario_fields(s)

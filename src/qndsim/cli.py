@@ -97,6 +97,9 @@ def cmd_evolve(args) -> int:
     except IntegrationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
+    except MemoryError:
+        print(f"error: a trajectory of {n + 1} states does not fit in memory", file=sys.stderr)
+        return EXIT_INPUT
     if args.out:
         _write_trajectory(args.out, traj)
     final = traj.states[-1]

@@ -60,7 +60,8 @@ def check_operators(m: np.ndarray, what: str, pos_tol: float | None = None) -> N
     """Raise unless each M in the (..., d, d) stack m has a finite ||M||_F (so no
     NaN, inf or overflowing entry), ||M - M^dag||_F <= EPS_HERM * max(1, ||M||_F)
     and, given pos_tol, is a state (unit trace, no eigenvalue below -pos_tol);
-    ``index`` is the first failure, in C order."""
+    ``index`` is the first failure, in C order.  A block whose (M + M^dag)/2 +
+    pos_tol*I all have a Cholesky factor is positive; otherwise eigvalsh decides."""
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatchError(f"{what} must be square, got shape {m.shape}")
     flat = m.reshape(-1, *m.shape[-2:])
@@ -85,12 +86,15 @@ def check_operators(m: np.ndarray, what: str, pos_tol: float | None = None) -> N
                 if bad.any():
                     n = int(bad.argmax())
                     msg = f"{what} trace {complex(tr[n])} is not 1"
-                b = b[:n]
-                lo = np.linalg.eigvalsh((b + b.conj().swapaxes(1, 2)) / 2).min(axis=1)
-                bad = lo < -pos_tol
-                if bad.any():
-                    n = int(bad.argmax())
-                    msg = f"{what} has eigenvalue {lo[n]:.3e} below -{pos_tol:g}"
+                b = (b[:n] + b[:n].conj().swapaxes(1, 2)) / 2
+                try:  # accept at once when every M + pos_tol*I factorises
+                    np.linalg.cholesky(b + pos_tol * np.eye(b.shape[-1]))
+                except np.linalg.LinAlgError:
+                    lo = np.linalg.eigvalsh(b).min(axis=1)
+                    bad = lo < -pos_tol
+                    if bad.any():
+                        n = int(bad.argmax())
+                        msg = f"{what} has eigenvalue {lo[n]:.3e} below -{pos_tol:g}"
         if msg is not None:
             raise InvariantViolationError(msg, start + n)
 
@@ -206,21 +210,22 @@ def commutator_defect(a, b) -> float:
     return num / den
 
 
+def degenerate_groups(w: np.ndarray) -> np.ndarray:
+    """Group start indices of ascending w; neighbours within DEGENERACY_TOL share a group."""
+    return np.flatnonzero(np.diff(w, prepend=-np.inf) > DEGENERACY_TOL)
+
+
 def _deterministic_basis(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Make eigenvector columns reproducible across runs.
 
-    Within each degenerate group (eigenvalues closer than DEGENERACY_TOL) the
-    basis is rebuilt by Gram-Schmidt of the projected standard basis vectors
-    in index order; every column's phase is fixed so its largest-magnitude
-    component is real positive.
+    Within each degenerate group (see degenerate_groups) the basis is rebuilt
+    by Gram-Schmidt of the projected standard basis vectors in index order;
+    every column's phase is fixed so its largest-magnitude component is real
+    positive.
     """
-    n = len(w)
     v = v.copy()
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and w[stop] - w[stop - 1] <= DEGENERACY_TOL:
-            stop += 1
+    starts = degenerate_groups(w)
+    for start, stop in zip(starts, [*starts[1:], len(w)]):
         if stop - start > 1:
             block = v[:, start:stop]
             proj = block @ block.conj().T
@@ -234,8 +239,7 @@ def _deterministic_basis(w: np.ndarray, v: np.ndarray) -> np.ndarray:
                 if len(chosen) == stop - start:
                     break
             v[:, start:stop] = np.column_stack(chosen)
-        start = stop
-    for j in range(n):
+    for j in range(len(w)):
         k = int(np.argmax(np.abs(v[:, j])))
         phase = v[k, j] / abs(v[k, j])
         v[:, j] = v[:, j] / phase
@@ -259,23 +263,23 @@ def propagator(h, t: float) -> np.ndarray:
     return spectral(h).unitary(t)
 
 
-def _joint(w, d_system: int, d_apparatus: int) -> np.ndarray:
+def joint_axes(w, d_system: int, d_apparatus: int) -> np.ndarray:
+    """The joint state as a (dS, dM, dS, dM) view, one axis per factor index."""
     m = as_matrix(w)
     if m.shape[0] != d_system * d_apparatus:
-        raise DimensionMismatchError(
-            f"state dim {m.shape[0]} does not factor as {d_system}*{d_apparatus}"
-        )
+        raise DimensionMismatchError(f"state dim {m.shape[0]} does not factor as "
+                                     f"{d_system}*{d_apparatus}")
     return m.reshape(d_system, d_apparatus, d_system, d_apparatus)
 
 
 def partial_trace_apparatus(w, d_system: int, d_apparatus: int) -> DensityOperator:
     """Trace out the apparatus factor, returning the system marginal."""
-    return DensityOperator(np.einsum("iaja->ij", _joint(w, d_system, d_apparatus)))
+    return DensityOperator(np.einsum("iaja->ij", joint_axes(w, d_system, d_apparatus)))
 
 
 def partial_trace_system(w, d_system: int, d_apparatus: int) -> DensityOperator:
     """Trace out the system factor, returning the apparatus marginal."""
-    return DensityOperator(np.einsum("iaib->ab", _joint(w, d_system, d_apparatus)))
+    return DensityOperator(np.einsum("iaib->ab", joint_axes(w, d_system, d_apparatus)))
 
 
 def expectation(o, rho) -> float:

@@ -1,18 +1,21 @@
 """Pointer-basis readout: Born-rule sampling, repeated measurement, statistics.
 
-Outcome probabilities come from projecting the joint state onto the pointer
-eigenprojectors on the apparatus factor; the post-measurement update is the
-Lüders projection on that factor only.  Randomness is one counter-based
-stream per seed, trial_rng(seed): trial k, and the repeat protocol's k-th
-measurement, take draw k, so the first k trials of an n-trial run equal a
-k-trial run.  A MeasurementRecord holds the results as columns.
+An outcome is a distinct pointer value: one group of eigenvalues within
+DEGENERACY_TOL, and its eigenspace.  Both steps act on the apparatus axes of
+w viewed as (dS, dM, dS, dM), with no joint-space projector: Born weights are
+the eigenspace weights of rho_M = tr_S w, and the update is the Lüders
+projection (I x P_g) w (I x P_g) onto the measured eigenspace.  Randomness is
+one counter-based stream per seed, trial_rng(seed): trial k, and the repeat
+protocol's k-th measurement, take draw k, so the first k trials of an n-trial
+run equal a k-trial run.  A MeasurementRecord holds the results as columns.
 draw_trials and reading_variance are the steps scenarios.run_measurements
 composes; measurement_trials and dispersion_experiment run them from a model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,9 +26,10 @@ from .linalg import (
     DimensionMismatchError,
     HermitianOperator,
     SpectralDecomposition,
+    degenerate_groups,
+    joint_axes,
     read_only,
     spectral,
-    tensor,
 )
 from .model import BipartiteModel, Preparation, prepare_initial
 from .dynamics import evolve_exact
@@ -45,39 +49,46 @@ class ImpossibleOutcomeError(RuntimeError):
 
 @dataclass(frozen=True)
 class PointerObservable:
-    """Apparatus-space observable whose eigenvalues are the raw readings."""
+    """Apparatus-space observable whose distinct eigenvalues are the raw readings:
+    outcome g is the g-th degenerate group (linalg.degenerate_groups), with
+    eigenvectors in basis columns starts[g] to starts[g + 1] and reading
+    values[g], the group's lowest eigenvalue."""
 
     operator: HermitianOperator
     basis: SpectralDecomposition
-    values: np.ndarray
+    starts: np.ndarray = field(init=False, repr=False)
+    values: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", read_only(self.values, float))
+        starts = degenerate_groups(self.basis.eigenvalues)
+        object.__setattr__(self, "starts", read_only(starts, int))
+        object.__setattr__(self, "values", read_only(self.basis.eigenvalues[starts], float))
 
     @classmethod
     def from_operator(cls, h: HermitianOperator) -> "PointerObservable":
-        dec = spectral(h)
-        return cls(operator=h, basis=dec, values=dec.eigenvalues)
+        return cls(h, spectral(h))
 
     @property
     def dim(self) -> int:
         return self.operator.dim
 
-    def projector(self, lam: int) -> np.ndarray:
-        v = self.basis.eigenvectors[:, lam]
-        return np.outer(v, v.conj())
+    @cached_property
+    def projectors(self) -> np.ndarray:
+        """Read-only (groups, dM, dM): P_g = V_g V_g^dag for each eigenspace block V_g."""
+        blocks = np.split(self.basis.eigenvectors, self.starts[1:], axis=1)
+        return read_only([b @ b.conj().T for b in blocks])
 
 
 @dataclass(frozen=True)
 class Calibration:
-    """Maps (prepared system index i, pointer index lam) to a real reading.
+    """Maps (prepared system index i, pointer group lam) to a real reading.
 
-    Default reading is the pointer eigenvalue, independent of i; a full
-    (i, lam) table may be supplied instead.
+    Default reading is the pointer value, independent of i; a full (i, lam)
+    table, one column per distinct pointer value, may be supplied instead.
     """
 
     pointer_values: np.ndarray
-    table: Optional[np.ndarray] = None  # shape (dS, dM)
+    table: Optional[np.ndarray] = None  # shape (dS, number of pointer values)
 
     def __post_init__(self):
         vals = read_only(self.pointer_values, float)
@@ -87,7 +98,7 @@ class Calibration:
         if self.table is not None:
             tab = read_only(self.table, float)
             if tab.ndim != 2 or tab.shape[1] != len(vals) or not np.isfinite(tab).all():
-                raise ValueError("calibration table must be a finite (dS, dM) array")
+                raise ValueError(f"calibration table must be a finite (dS, {len(vals)}) array")
             object.__setattr__(self, "table", tab)
 
     @classmethod
@@ -95,7 +106,7 @@ class Calibration:
         return cls(pointer_values=pointer.values)
 
     def readings(self, system_index: Optional[int], pointer_index) -> np.ndarray:
-        """c(i, lam) for a pointer index or an array of them."""
+        """c(i, lam) for a pointer group or an array of them."""
         if self.table is not None and system_index is not None:
             return self.table[system_index, pointer_index]
         return self.pointer_values[pointer_index]
@@ -106,7 +117,8 @@ NO_INDEX = -1  # the i column of a row without a prepared system index
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """Read-only columns, one row per trial or repeat; lam is the CSV's lambda."""
+    """Read-only columns, one row per trial or repeat; lam, the CSV's lambda,
+    is the pointer group index."""
 
     trial: np.ndarray
     time: np.ndarray
@@ -123,7 +135,7 @@ class MeasurementRecord:
 
     @classmethod
     def from_outcomes(cls, cal: Calibration, system_index: Optional[int], trial, time, lam):
-        """Rows of pointer indices lam at one system index, read through cal;
+        """Rows of pointer groups lam at one system index, read through cal;
         trial and time broadcast against lam."""
         lam = np.asarray(lam, dtype=int)
         i = NO_INDEX if system_index is None else system_index
@@ -131,7 +143,7 @@ class MeasurementRecord:
         return cls(trial, time, i, lam, cal.readings(system_index, lam))
 
     def outcome_changes(self) -> int:
-        """Count of consecutive rows whose pointer index changed."""
+        """Count of consecutive rows whose pointer group changed."""
         return int(np.count_nonzero(self.lam[1:] != self.lam[:-1]))
 
     def write_csv(self, fh) -> None:
@@ -154,25 +166,24 @@ class PointerStatistics:
         object.__setattr__(self, "probabilities", read_only(self.probabilities, float))
 
 
+def _apparatus_axes(w: DensityOperator, pointer: PointerObservable, dims) -> np.ndarray:
+    if pointer.dim != dims[1]:
+        raise DimensionMismatchError("pointer dimension does not match apparatus")
+    return joint_axes(w, *dims)
+
+
 def outcome_distribution(
     w: DensityOperator, pointer: PointerObservable, dims: tuple[int, int]
 ) -> np.ndarray:
-    """Born weights p_lam = tr(w (I x Pi_lam)) over pointer outcomes.
+    """Born weights p_g = tr(w (I x P_g)): the sum of Re(v_k^dag rho_M v_k) over
+    the eigenvectors v_k of group g, with rho_M = tr_S w.
 
     Values in [-EPS_POS, 0) are floating noise and clipped to 0, then the
     distribution is renormalized; larger negatives are an error.
     """
-    d_s, d_m = dims
-    if w.dim != d_s * d_m:
-        raise DimensionMismatchError(
-            f"state dim {w.dim} does not factor as {d_s}*{d_m}"
-        )
-    if pointer.dim != d_m:
-        raise DimensionMismatchError("pointer dimension does not match apparatus")
-    eye_s = np.eye(d_s, dtype=complex)
-    p = np.empty(d_m)
-    for lam in range(d_m):
-        p[lam] = float(np.trace(w.matrix @ tensor(eye_s, pointer.projector(lam))).real)
+    rho_m = np.einsum("iaib->ab", _apparatus_axes(w, pointer, dims))
+    v = pointer.basis.eigenvectors
+    p = np.add.reduceat((v.conj() * (rho_m @ v)).sum(axis=0).real, pointer.starts)
     if p.min() < -EPS_POS:
         raise ValueError(f"outcome probability {p.min():.3e} below -{EPS_POS:g}")
     p = np.maximum(p, 0.0)
@@ -198,10 +209,12 @@ def collapse_after_outcome(
     lam: int,
     dims: tuple[int, int],
 ) -> DensityOperator:
-    """Lüders update on the apparatus factor: (I x Pi) w (I x Pi) / p_lam."""
+    """Lüders update onto the eigenspace of group lam: (I x P) w (I x P) / p_lam,
+    P applied on the row and then the column apparatus axis."""
     d_s, d_m = dims
-    proj = tensor(np.eye(d_s, dtype=complex), pointer.projector(lam))
-    projected = proj @ w.matrix @ proj
+    proj = pointer.projectors[lam]
+    left = proj @ _apparatus_axes(w, pointer, dims).reshape(d_s, d_m, -1)
+    projected = (left.reshape(-1, d_s, d_m) @ proj).reshape(w.dim, w.dim)
     p_lam = float(np.trace(projected).real)
     if p_lam <= 0.0:
         raise ImpossibleOutcomeError(lam)
@@ -216,9 +229,10 @@ def trial_rng(seed: int) -> np.random.Generator:
 
 def repeatability_protocol(
     m: BipartiteModel,
-    prep: Preparation,
+    w_tau: DensityOperator,
     pointer: PointerObservable,
     cal: Calibration,
+    system_index: Optional[int],
     tau: float,
     delta_tau: float,
     n_repeats: int,
@@ -226,8 +240,8 @@ def repeatability_protocol(
 ) -> MeasurementRecord:
     """Measure, then re-evolve and re-measure n_repeats times in one run.
 
-    Prepare w(0), evolve to tau, sample and collapse; then repeatedly evolve
-    by delta_tau and measure again, recording every outcome as trial 0.
+    Sample and collapse the state w_tau reached at time tau; then repeatedly
+    evolve by delta_tau and measure again, recording every outcome as trial 0.
     The k-th measurement takes draw k of trial_rng(seed).
     """
     if n_repeats < 2:
@@ -236,13 +250,12 @@ def repeatability_protocol(
         raise ValueError("tau and delta_tau must be positive")
     dims = (m.d_system, m.d_apparatus)
     rng = trial_rng(seed)
-    w = prepare_initial(m, prep, pointer_basis=pointer.basis)
+    w, t = w_tau, tau
     times, lams = [], []
-    t = 0.0
     for k in range(n_repeats):
-        step = tau if k == 0 else delta_tau
-        w = evolve_exact(m, w, step)
-        t += step
+        if k:
+            w = evolve_exact(m, w, delta_tau)
+            t += delta_tau
         p = outcome_distribution(w, pointer, dims)
         lam = sample_outcome(p, rng)
         try:
@@ -251,7 +264,7 @@ def repeatability_protocol(
             raise ImpossibleOutcomeError(lam, 0) from exc
         times.append(t)
         lams.append(lam)
-    return MeasurementRecord.from_outcomes(cal, prep.system_index, 0, times, lams)
+    return MeasurementRecord.from_outcomes(cal, system_index, 0, times, lams)
 
 
 def measurement_trials(
@@ -308,10 +321,8 @@ def dispersion_experiment(
 def reading_variance(record: MeasurementRecord) -> float:
     """Population variance of the readings; 0 for a single row (degenerate)."""
     readings = record.reading
-    if len(readings) < 2:
-        return 0.0
-    if np.all(readings == readings[0]):
-        # exact zero: identical readings must not pick up summation residue
+    # exact zero: identical readings must not pick up summation residue
+    if len(readings) < 2 or np.all(readings == readings[0]):
         return 0.0
     return float(np.var(readings))
 

@@ -75,16 +75,20 @@ def _hermitian(spec, what: str) -> HermitianOperator:
         raise ScenarioFormatError(f"{what}: {exc}") from exc
 
 
-def _parse_model(doc: dict) -> BipartiteModel:
+def _parse_model(doc: dict) -> tuple[BipartiteModel, Optional[float]]:
+    """The model and its eta, which labels an explicit model as well."""
     try:
         d_s, d_m = (int(x) for x in doc["dims"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"model.dims: {exc}") from exc
+    try:
+        eta = None if doc.get("eta") is None else float(doc["eta"])
+    except (TypeError, ValueError) as exc:
+        raise ScenarioFormatError(f"model.eta: {exc}") from exc
     if "family" in doc:
         try:
             seed = int(doc.get("seed", 0))
-            eta = None if doc.get("eta") is None else float(doc["eta"])
-            return random_model((d_s, d_m), doc["family"], seed, eta=eta)
+            return random_model((d_s, d_m), doc["family"], seed, eta=eta), eta
         except (TypeError, ValueError) as exc:
             raise ScenarioFormatError(f"model: {exc}") from exc
     for key in ("h_system", "h_apparatus", "h_coupling"):
@@ -97,7 +101,7 @@ def _parse_model(doc: dict) -> BipartiteModel:
             h_system=_hermitian(doc["h_system"], "model.h_system"),
             h_apparatus=_hermitian(doc["h_apparatus"], "model.h_apparatus"),
             h_coupling=_hermitian(doc["h_coupling"], "model.h_coupling"),
-        )
+        ), eta
     except ScenarioFormatError:
         raise  # already names the operator
     except ValueError as exc:
@@ -141,7 +145,7 @@ def parse_scenario(doc: dict, name: Optional[str] = None) -> Scenario:
     for key in ("model", "preparation", "schedule"):
         if key not in doc:
             raise ScenarioFormatError(f"{key!r} section missing")
-    model = _parse_model(doc["model"])
+    model, eta = _parse_model(doc["model"])
     prep = _parse_preparation(doc["preparation"], model)
     sched_doc = doc["schedule"]
     try:
@@ -193,13 +197,13 @@ def parse_scenario(doc: dict, name: Optional[str] = None) -> Scenario:
         pointer=pointer,
         calibration=calibration,
         seed=seed,
-        eta=doc["model"].get("eta") if "family" in doc["model"] else None,
+        eta=eta,
     )
 
 
 def render_scenario(s: Scenario) -> dict:
     """Canonical explicit document for a scenario (matrices as [re, im])."""
-    doc = {
+    return {
         "schema": SCHEMA_VERSION,
         "name": s.name,
         "model": {
@@ -207,6 +211,7 @@ def render_scenario(s: Scenario) -> dict:
             "h_system": _render_matrix(s.model.h_system.matrix),
             "h_apparatus": _render_matrix(s.model.h_apparatus.matrix),
             "h_coupling": _render_matrix(s.model.h_coupling.matrix),
+            **({} if s.eta is None else {"eta": s.eta}),
         },
         "preparation": (
             {
@@ -233,7 +238,6 @@ def render_scenario(s: Scenario) -> dict:
         ),
         "seed": s.seed,
     }
-    return doc
 
 
 def load_scenario_file(path) -> Scenario:

@@ -2,8 +2,9 @@
 
 A Scenario bundles a model, a preparation, a pointer observable, a schedule,
 and a calibration.  run_measurements is the one measurement pipeline, shared
-by the CLI measure command and run_scenario: repeat protocol, w(tau) and its
-Born distribution once, trial record, reading variance, weighted means.
+by the CLI measure command and run_scenario: w(0) prepared and evolved to
+w(tau) once, its Born distribution once, the repeat protocol from w(tau),
+trial record, reading variance, weighted means.
 run_scenario adds the condition check and state constancy and emits one
 result row.  oracle_check re-derives the core numerics through slow,
 independent routes (truncated-series exponential, explicit index loops) and
@@ -14,12 +15,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from .linalg import DensityOperator, HermitianOperator, tensor
+from .linalg import DensityOperator
 from .model import (
     BipartiteModel,
     Preparation,
@@ -39,18 +40,6 @@ from .measurement import (
     reading_variance,
     repeatability_protocol,
 )
-
-SWEEP_HEADER = [
-    "eta",
-    "seed",
-    "eq4_defect",
-    "eq5_defect",
-    "constancy_dev",
-    "repeat_changes",
-    "reading_variance",
-    "sigma_analytic",
-    "sigma_empirical",
-]
 
 DEFAULT_ETA_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
 
@@ -116,18 +105,12 @@ class SweepRow:
     sigma_empirical: float
 
     def as_csv_fields(self) -> list[str]:
-        eta = "" if self.eta is None else f"{self.eta:.17g}"
-        return [
-            eta,
-            str(self.seed),
-            f"{self.eq4_defect:.17g}",
-            f"{self.eq5_defect:.17g}",
-            f"{self.constancy_dev:.17g}",
-            str(self.repeat_changes),
-            f"{self.reading_variance:.17g}",
-            f"{self.sigma_analytic:.17g}",
-            f"{self.sigma_empirical:.17g}",
-        ]
+        """Integers as they are, floats at full precision, an absent eta empty."""
+        return ["" if v is None else str(v) if isinstance(v, int) else f"{v:.17g}"
+                for v in astuple(self)]
+
+
+SWEEP_HEADER = [f.name for f in fields(SweepRow)]
 
 
 @dataclass(frozen=True)
@@ -142,18 +125,17 @@ class MeasurementRun:
 
 
 def run_measurements(s: Scenario) -> MeasurementRun:
-    """Repeat protocol, then n_trials readings of one w(tau) and its Born p.
-
-    p feeds both the trial record and the analytic weighted mean.
+    """One w(tau) and its Born p: the repeat protocol starts from w(tau), and
+    p feeds both the n_trials readings and the analytic weighted mean.
     """
     sched = s.schedule
     i = s.preparation.system_index
-    repeats = repeatability_protocol(
-        s.model, s.preparation, s.pointer, s.calibration,
-        sched.tau, sched.delta_tau, sched.n_repeats, s.seed,
-    )
     w0 = prepare_initial(s.model, s.preparation, pointer_basis=s.pointer.basis)
     w_tau = evolve_exact(s.model, w0, sched.tau)
+    repeats = repeatability_protocol(
+        s.model, w_tau, s.pointer, s.calibration,
+        i, sched.tau, sched.delta_tau, sched.n_repeats, s.seed,
+    )
     p = outcome_distribution(w_tau, s.pointer, (s.model.d_system, s.model.d_apparatus))
     trials = draw_trials(p, s.calibration, i, sched.tau, sched.n_trials, s.seed)
     return MeasurementRun(
@@ -202,8 +184,6 @@ def interpolation_sweep(
     """
     rows = []
     for eta in eta_grid:
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"eta {eta} outside [0, 1]")
         for seed in seeds:
             m = random_model(dims, "interpolated", seed, eta=eta)
             s = Scenario.build(
@@ -293,7 +273,7 @@ def _born_index_loops(
     d_m: int,
     swapped: bool = False,
 ) -> np.ndarray:
-    """Outcome weights via explicit index-loop traces."""
+    """Weight of each pointer eigenvector (not group) via explicit index-loop traces."""
     p = np.zeros(d_m)
     basis = pointer.basis.eigenvectors
     for lam in range(d_m):
@@ -331,7 +311,7 @@ def oracle_check(
     """Cross-check the main numerics against slow independent recomputations.
 
     Recomputes the exact propagation via a truncated-series exponential, the
-    outcome distribution via explicit index loops, and the evolution
+    outcome distribution via explicit index loops summed per pointer group, and the evolution
     right-hand side via quadruple-indexed loops.  Returns a falsy report with
     a diff when any route disagrees beyond tol.  swap_index_convention
     deliberately mis-wires the oracle-side joint index (negative control).
@@ -367,10 +347,8 @@ def oracle_check(
         lines.append(f"rhs_component_form vs index loops: |diff| = {d_rhs:.3e}")
 
     p_main = outcome_distribution(w0, pointer, dims)
-    p_loops = _born_index_loops(
-        w0.matrix, pointer, d_s, d_m, swapped=swap_index_convention
-    )
-    p_loops = np.maximum(p_loops, 0.0)
+    p_loops = _born_index_loops(w0.matrix, pointer, d_s, d_m, swapped=swap_index_convention)
+    p_loops = np.maximum(np.add.reduceat(p_loops, pointer.starts), 0.0)
     p_loops = p_loops / p_loops.sum()
     d_born = float(np.max(np.abs(p_main - p_loops)))
     if d_born > tol:

@@ -106,9 +106,8 @@ def test_criterion_4_repeatability():
         m = random_model((2, 2), "qnd", seed)
         ptr = PointerObservable.from_operator(m.h_apparatus)
         cal = Calibration.from_pointer(ptr)
-        rec = repeatability_protocol(
-            m, Preparation.eigenbasis(0, 0), ptr, cal, 1.0, 0.5, 5, seed
-        )
+        w_tau = evolve_exact(m, prepare_initial(m, Preparation.eigenbasis(0, 0)), 1.0)
+        rec = repeatability_protocol(m, w_tau, ptr, cal, 0, 1.0, 0.5, 5, seed)
         changes += rec.outcome_changes()
     _report(4, f"repeatability, 5 measurements x 100 models ({changes} changes)", changes == 0)
 

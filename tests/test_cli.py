@@ -141,6 +141,49 @@ class TestMeasure:
         assert int(summary["repeat_changes"]) == row.repeat_changes
 
 
+# Pointer diag(1, 1, 0): group 0 reads 0 (e2), group 1 reads 1 (e0 and e1), and
+# h_apparatus turns e0 into e1 inside the reading-1 eigenspace.
+DEGENERATE_POINTER = {
+    "schema": 1,
+    "name": "degenerate-pointer",
+    "model": {
+        "dims": [2, 3],
+        "h_system": "pauli_z",
+        "h_apparatus": [[[0, 0], [1, 0], [0, 0]], [[1, 0], [0, 0], [0, 0]], [[0, 0]] * 3],
+        "h_coupling": {"zero": 6},
+    },
+    "pointer": {"diag": [1, 1, 0]},
+    "schedule": {"tau": 1.0, "delta_tau": 0.5, "n_repeats": 6, "n_trials": 400},
+    "calibration": {"table": [[-5.0, 7.0], [3.0, 9.0]]},
+    "seed": 5,
+}
+
+
+# Readings per group: the calibration row of system index 0, or without an
+# index the pointer values.
+@pytest.mark.parametrize(
+    "preparation, readings",
+    [
+        ({"system_index": 0, "apparatus_index": 1}, {1: 7.0}),  # e0: reading 1 only
+        ({"rho": {"diag": [1, 0]}, "mu": {"diag": [0.5, 0, 0.5]}}, {0: 0.0, 1: 1.0}),
+    ],
+    ids=["reading-1-eigenspace", "both-readings"],
+)
+def test_measure_on_degenerate_pointer(preparation, readings, tmp_path, capsys):
+    doc = dict(DEGENERATE_POINTER, preparation=preparation)
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, rep = tmp_path / "rec.csv", tmp_path / "rep.csv"
+    argv = ["measure", str(path), "--out", str(out), "--repeat-out", str(rep)]
+    assert main(argv) == 0
+    assert "repeat_changes = 0" in capsys.readouterr().out
+    trials = list(csv.DictReader(out.open()))
+    assert {int(r["lambda"]) for r in trials} == set(readings)
+    for r in trials:
+        assert float(r["reading"]) == readings[int(r["lambda"])]
+    assert len({r["lambda"] for r in csv.DictReader(rep.open())}) == 1
+
+
 class TestSweep:
     def test_eta_zero_all_sharp(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -212,6 +255,10 @@ BAD_FILES = {
     "calibration-nan": lambda d: d.update(
         calibration={"table": [[float("nan"), 1], [1, -1]]}
     ),
+    # the identity pointer has one distinct value, so one column, not two
+    "calibration-columns-per-value": lambda d: d.update(
+        pointer={"identity": 2}, calibration={"table": [[1, -1], [1, -1]]}
+    ),
 }
 
 BAD_ARGS = {
@@ -242,6 +289,16 @@ def _assert_input_error(argv, capsys):
 @pytest.mark.parametrize("argv", BAD_ARGS.values(), ids=BAD_ARGS.keys())
 def test_bad_argument_is_input_error(argv, capsys):
     _assert_input_error(argv, capsys)
+
+
+@pytest.mark.parametrize("mode", ["--exact", "--stepped"])
+def test_trajectory_beyond_memory_is_input_error(mode, monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(cli, "exact_trajectory", no_memory)
+    monkeypatch.setattr(cli, "evolve_stepped", no_memory)
+    _assert_input_error(["evolve", QND, "--t-end", "1", mode], capsys)
 
 
 @pytest.mark.parametrize("command", ["check", "evolve", "measure"])

@@ -276,8 +276,7 @@ CALLER_ARRAYS = {
         lambda: np.ones((2, 2)), lambda a: Calibration(np.array([1.0, -1.0]), a)
     ),
     "PointerObservable": (
-        lambda: np.array([-1.0, 1.0]),
-        lambda a: PointerObservable(HermitianOperator(SZ), spectral(SZ), a),
+        lambda: SZ.copy(), lambda a: PointerObservable.from_operator(HermitianOperator(a))
     ),
     "PointerStatistics": (
         lambda: np.array([0.5, 0.5]),

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from qndsim.linalg import DensityOperator, HermitianOperator, tensor
-from qndsim.model import Preparation, random_model
+from qndsim.dynamics import evolve_exact
+from qndsim.model import Preparation, prepare_initial, random_model
 from qndsim.measurement import (
     Calibration,
     NO_INDEX,
@@ -37,6 +38,14 @@ class FixedRng:
         return self.u
 
 
+def run_protocol(m, prep, ptr, cal, tau, delta_tau, n_repeats, seed):
+    """The repeat protocol from the prepared state evolved to tau."""
+    w_tau = evolve_exact(m, prepare_initial(m, prep, pointer_basis=ptr.basis), tau)
+    return repeatability_protocol(
+        m, w_tau, ptr, cal, prep.system_index, tau, delta_tau, n_repeats, seed
+    )
+
+
 def pointer_state(lam):
     v = POINTER_Z.basis.eigenvectors[:, lam]
     return np.outer(v, v.conj())
@@ -49,10 +58,10 @@ class TestPointerObservable:
         ptr = PointerObservable.from_operator(HermitianOperator((g + g.conj().T) / 2))
         total = np.zeros((3, 3), dtype=complex)
         for lam in range(3):
-            p = ptr.projector(lam)
+            p = ptr.projectors[lam]
             assert np.allclose(p @ p, p, atol=1e-10)
             for mu in range(lam):
-                assert np.allclose(p @ ptr.projector(mu), 0, atol=1e-10)
+                assert np.allclose(p @ ptr.projectors[mu], 0, atol=1e-10)
             total += p
         assert np.allclose(total, np.eye(3), atol=1e-8)
 
@@ -138,6 +147,18 @@ class TestCollapse:
         assert np.allclose(out.matrix, expect, atol=1e-12)
         assert np.trace(out.matrix).real == pytest.approx(1.0)
 
+    def test_degenerate_pointer_projects_onto_eigenspace(self):
+        # pointer diag(1, 1, 0) with the apparatus in (e0 + e1)/sqrt(2): reading 1
+        # is certain, and the Lüders update onto its eigenspace leaves w as it is
+        ptr = PointerObservable.from_operator(HermitianOperator(np.diag([1.0, 1.0, 0.0])))
+        w = DensityOperator(tensor(np.diag([1.0, 0.0]), DensityOperator.pure([1, 1, 0]).matrix))
+        assert ptr.values.tolist() == [0.0, 1.0]
+        assert outcome_distribution(w, ptr, (2, 3)).tolist() == [0.0, 1.0]
+        out = collapse_after_outcome(w, ptr, 1, (2, 3))
+        assert np.linalg.norm(out.matrix - w.matrix) <= 1e-15
+        with pytest.raises(ImpossibleOutcomeError):
+            collapse_after_outcome(w, ptr, 0, (2, 3))
+
     def test_impossible_outcome(self):
         rho = DensityOperator.maximally_mixed(2)
         w = DensityOperator(tensor(rho.matrix, pointer_state(0)))
@@ -151,7 +172,7 @@ class TestRepeatability:
             m = random_model((2, 2), "qnd", seed)
             ptr = PointerObservable.from_operator(m.h_apparatus)
             cal = Calibration.from_pointer(ptr)
-            rec = repeatability_protocol(
+            rec = run_protocol(
                 m, Preparation.eigenbasis(0, 0), ptr, cal, 1.0, 0.5, 5, seed
             )
             assert rec.outcome_changes() == 0
@@ -168,7 +189,7 @@ class TestRepeatability:
         )
         ptr = PointerObservable.from_operator(m.h_apparatus)
         cal = Calibration.from_pointer(ptr)
-        rec = repeatability_protocol(
+        rec = run_protocol(
             m, Preparation.eigenbasis(0, 0), ptr, cal, 1.0, 0.5, 4, 0
         )
         assert rec.outcome_changes() == 0
@@ -179,7 +200,7 @@ class TestRepeatability:
             m = random_model((2, 2), "violating", seed)
             ptr = PointerObservable.from_operator(m.h_apparatus)
             cal = Calibration.from_pointer(ptr)
-            rec = repeatability_protocol(
+            rec = run_protocol(
                 m, Preparation.eigenbasis(0, 0), ptr, cal, 1.0, 0.5, 5, seed
             )
             flips += rec.outcome_changes()
@@ -190,7 +211,7 @@ class TestRepeatability:
         ptr = PointerObservable.from_operator(m.h_apparatus)
         cal = Calibration.from_pointer(ptr)
         with pytest.raises(ValueError):
-            repeatability_protocol(
+            run_protocol(
                 m, Preparation.eigenbasis(0, 0), ptr, cal, 1.0, 0.5, 1, 0
             )
 
@@ -318,7 +339,7 @@ class TestDrawTrials:
             ptr = PointerObservable.from_operator(m.h_apparatus)
             cal = Calibration.from_pointer(ptr)
             prep = Preparation.eigenbasis(0, 0)
-            rep = repeatability_protocol(m, prep, ptr, cal, 1.0, 0.5, 3, seed)
+            rep = run_protocol(m, prep, ptr, cal, 1.0, 0.5, 3, seed)
             trials = measurement_trials(m, prep, ptr, cal, 1.0, 5, seed)
             assert rep.lam[0] == trials.lam[0]
             assert rep.trial.tolist() == [0, 0, 0]

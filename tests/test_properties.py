@@ -3,8 +3,10 @@ bytes as building them afresh and are computed once; a stacked trajectory and
 its block-wise validation agree bitwise with the one-state routes; sampling
 never picks an outcome of zero weight, and the vectorised CDF inversion picks
 what the one-draw loop picks; Born weights, evolved and collapsed states keep
-their invariants; non-demolition models read sharply; scenario documents
-round-trip."""
+their invariants; the apparatus-factor Born/Lüders kernel agrees with explicit
+index loops and kron projectors on degenerate pointers; the Cholesky accept
+test decides positivity as eigvalsh does; non-demolition models read sharply;
+scenario documents round-trip."""
 
 import numpy as np
 import pytest
@@ -39,7 +41,7 @@ from qndsim.measurement import (
 )
 from qndsim.model import Preparation, prepare_initial, random_model, total_hamiltonian
 from qndsim.scenario_io import parse_scenario, render_scenario
-from qndsim.scenarios import Scenario, Schedule, run_measurements
+from qndsim.scenarios import Scenario, Schedule, _born_index_loops, run_measurements
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -315,6 +317,95 @@ def test_born_weights_and_states_keep_invariants(m, seed, mixed, t):
         assert_state(collapse_after_outcome(w, pointer, lam, dims))
 
 
+def random_unitary(d, seed):
+    rng = np.random.default_rng(seed)
+    return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+
+
+@st.composite
+def degenerate_pointers(draw, d_m):
+    """(pointer, u, values): u diag(values) u^dag in a random basis u, with the
+    last eigenvalue forced equal to the first, so at least one group is degenerate."""
+    values = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=d_m, max_size=d_m))
+    values[-1] = values[0]
+    u = random_unitary(d_m, draw(st.integers(0, 2**32)))
+    h = (u * values) @ u.conj().T
+    return PointerObservable.from_operator(HermitianOperator((h + h.conj().T) / 2)), u, values
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.integers(2, 4), st.integers(0, 2**32), st.data())
+def test_born_kernel_sums_index_loops_per_group(d_s, d_m, seed, data):
+    pointer, u, values = data.draw(degenerate_pointers(d_m))
+    assert len(pointer.values) == len(set(values))
+    w = random_state(d_s * d_m, seed)
+    dims = (d_s, d_m)
+    p = outcome_distribution(DensityOperator(w), pointer, dims)
+    loops = np.add.reduceat(_born_index_loops(w, pointer, d_s, d_m), pointer.starts)
+    assert np.allclose(p, loops / loops.sum(), rtol=0, atol=1e-12)
+    for g in np.flatnonzero(p > 1e-3):
+        # the eigenspace projector from the generating basis, lifted with kron
+        v = u[:, np.isclose(values, pointer.values[g])]
+        proj = np.kron(np.eye(d_s), v @ v.conj().T)
+        expect = proj @ w @ proj
+        expect = expect / np.trace(expect).real
+        once = collapse_after_outcome(DensityOperator(w), pointer, g, dims)
+        assert np.allclose(once.matrix, expect, rtol=0, atol=1e-11)
+        twice = collapse_after_outcome(once, pointer, g, dims)
+        assert np.allclose(twice.matrix, once.matrix, rtol=0, atol=1e-12)
+
+
+def state_with_min_eigenvalue(d, seed, lowest):
+    """A unit-trace Hermitian matrix in a random basis whose lowest eigenvalue is lowest."""
+    r = np.random.default_rng(seed).uniform(0.1, 1.0, size=d - 1)
+    lam = np.concatenate([[lowest], (1.0 - lowest) * r / r.sum()])
+    u = random_unitary(d, seed)
+    return (u * lam) @ u.conj().T
+
+
+# Lowest eigenvalues a relative 1e-3 either side of the -pos_tol threshold.
+SHIFTS = [1.0 - 1e-3, 1.0 + 1e-3]
+
+
+def eigvalsh_lowest(w):
+    return np.linalg.eigvalsh((w + w.conj().T) / 2).min()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2**32), st.sampled_from(SHIFTS),
+       st.sampled_from([EPS_POS, 1e-7]))
+def test_cholesky_accepts_what_eigvalsh_accepts(d, seed, shift, pos_tol):
+    w = state_with_min_eigenvalue(d, seed, -pos_tol * shift)
+    lo = eigvalsh_lowest(w)
+    assert abs(lo + pos_tol * shift) <= 1e-14  # the state sits where it was put
+    try:
+        check_operators(w, "state", pos_tol)
+        accepted = True
+    except InvariantViolationError:
+        accepted = False
+    assert accepted == (lo >= -pos_tol)
+
+
+@SETTINGS
+@given(
+    st.integers(2, 6),
+    st.lists(st.tuples(st.integers(0, 2**32), st.sampled_from(SHIFTS)), max_size=12),
+    small_blocks(),
+)
+def test_failing_stack_reports_the_eigvalsh_failure(d, members, block):
+    members = members + [(0, SHIFTS[1])]  # at least one state fails
+    stack = np.stack([state_with_min_eigenvalue(d, seed, -EPS_POS * shift)
+                      for seed, shift in members])
+    lows = [eigvalsh_lowest(w) for w in stack]
+    k = next(k for k, lo in enumerate(lows) if lo < -EPS_POS)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qndsim.linalg, "STACK_BLOCK", block)
+        with pytest.raises(InvariantViolationError) as err:
+            check_operators(stack, "state", EPS_POS)
+    assert err.value.index == k
+    assert str(err.value) == f"state has eigenvalue {lows[k]:.3e} below -{EPS_POS:g}"
+
+
 @SETTINGS
 @given(
     st.integers(2, 3), st.integers(2, 3), st.integers(0, 2**16), st.integers(0, 2**140),
@@ -339,7 +430,7 @@ def hermitian(d, seed):
 @st.composite
 def scenarios(draw):
     """Scenarios a scenario file can state: an explicit model, the calibration
-    table (if any) read against the pointer's own eigenvalues, no eta."""
+    table (if any) read against the pointer's own values, an eta or none."""
     m = draw(models())
     if draw(st.booleans()):
         prep = Preparation.eigenbasis(draw(st.integers(0, m.d_system - 1)),
@@ -367,7 +458,8 @@ def scenarios(draw):
     )
     name = draw(st.text(min_size=1, max_size=12))
     return Scenario.build(name, m, prep, schedule, pointer, calibration,
-                          seed=draw(st.integers(0, 2**140)))
+                          seed=draw(st.integers(0, 2**140)),
+                          eta=draw(st.none() | st.floats(0.0, 1.0)))
 
 
 def scenario_fields(s):

@@ -5,9 +5,10 @@ subcommands: 0 success / conditions hold, 1 computed negative result or
 runtime failure, 2 input error.  A bad value or scenario file prints one
 ``error:`` line to stderr (an unknown option gets argparse's usage message);
 no input ends in a traceback.  The measure command and the sweep both
-run scenarios.run_measurements.  All output files are UTF-8 with LF line
-endings; floats use the dot decimal separator at full precision, so repeated
-runs with identical inputs produce identical bytes.
+run scenarios.measure_batch, on one scenario or on batches of sweep points.
+All output files are UTF-8 with LF line endings; floats use the dot decimal
+separator at full precision, so repeated runs with identical inputs produce
+identical bytes.
 """
 
 from __future__ import annotations

@@ -1,7 +1,10 @@
 """Dense complex linear algebra for small bipartite quantum systems.
 
 All operators are plain ``numpy`` complex arrays; the wrapper classes exist
-only to validate physical invariants at construction time.  Units: hbar = 1,
+only to validate physical invariants at construction time.  Operators,
+states and spectra may carry leading batch axes, (..., d, d): every
+operation then acts on each matrix of the stack, with bits equal to the
+one-matrix call, so a batch of models runs each step once.  Units: hbar = 1,
 so time and energy are dimensionless reciprocal pairs.  The joint index
 convention for a system (dim dS) coupled to an apparatus (dim dM) is
 system-major: (i, lam) -> i * dM + lam, fixed globally.
@@ -23,8 +26,15 @@ EPS_COMM = 1e-10
 # Eigenvalues closer than this are treated as one degenerate group.
 DEGENERACY_TOL = 1e-9
 
-# Matrices validated or propagated at once, so stack temporaries stay small.
+# Matrices validated or propagated at once, so stack temporaries stay small:
+# at most STACK_BLOCK matrices and, for large matrices, STACK_ELEMENTS entries.
 STACK_BLOCK = 256
+STACK_ELEMENTS = 1 << 13
+
+
+def stack_block(d: int) -> int:
+    """How many d x d matrices one stacked block holds."""
+    return max(1, min(STACK_BLOCK, STACK_ELEMENTS // d ** 2))
 
 
 class DimensionMismatchError(ValueError):
@@ -39,11 +49,19 @@ class InvariantViolationError(ValueError):
         self.index = index
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce an operator wrapper or array-like to a complex 2-D array."""
+def as_operators(a) -> np.ndarray:
+    """Coerce an operator wrapper or array-like to a complex (..., d, d) array."""
     if isinstance(a, (HermitianOperator, DensityOperator)):
         return a.matrix
     m = np.asarray(a, dtype=complex)
+    if m.ndim < 2:
+        raise DimensionMismatchError(f"expected a (..., d, d) stack, got ndim={m.ndim}")
+    return m
+
+
+def as_matrix(a) -> np.ndarray:
+    """Coerce an operator wrapper or array-like to a complex 2-D array."""
+    m = as_operators(a)
     if m.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-D matrix, got ndim={m.ndim}")
     return m
@@ -65,8 +83,9 @@ def check_operators(m: np.ndarray, what: str, pos_tol: float | None = None) -> N
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatchError(f"{what} must be square, got shape {m.shape}")
     flat = m.reshape(-1, *m.shape[-2:])
-    for start in range(0, len(flat), STACK_BLOCK):
-        b = flat[start:start + STACK_BLOCK]
+    block = stack_block(m.shape[-1])
+    for start in range(0, len(flat), block):
+        b = flat[start:start + block]
         n, msg = len(b), None  # each rule sees the prefix the earlier ones passed
         with np.errstate(over="ignore", invalid="ignore"):
             scale = np.linalg.norm(b, axis=(1, 2))
@@ -101,18 +120,19 @@ def check_operators(m: np.ndarray, what: str, pos_tol: float | None = None) -> N
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """A finite-dimensional Hermitian operator (observable or Hamiltonian term)."""
+    """A finite-dimensional Hermitian operator (observable or Hamiltonian term),
+    or a (..., d, d) stack of them, validated as one stack."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = read_only(as_matrix(self.matrix))
+        m = read_only(as_operators(self.matrix))
         check_operators(m, "matrix")
         object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @classmethod
     def zero(cls, dim: int) -> "HermitianOperator":
@@ -124,20 +144,21 @@ class DensityOperator:
     """Positive-semidefinite unit-trace operator (quantum state).
 
     Eigenvalues in [-pos_tol, 0) are accepted as-is, not clipped; anything
-    below -pos_tol fails construction so that integrator bugs surface.
+    below -pos_tol fails construction so that integrator bugs surface.  A
+    (..., d, d) stack of states is validated as one stack.
     """
 
     matrix: np.ndarray
     pos_tol: float = field(default=EPS_POS, compare=False, repr=False)
 
     def __post_init__(self):
-        m = read_only(as_matrix(self.matrix))
+        m = read_only(as_operators(self.matrix))
         check_operators(m, "state", self.pos_tol)
         object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @classmethod
     def pure(cls, vec) -> "DensityOperator":
@@ -152,7 +173,8 @@ class DensityOperator:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (ascending, real) and orthonormal eigenvector columns."""
+    """Eigenvalues (..., d) (ascending, real) and orthonormal eigenvector columns
+    (..., d, d), one decomposition per leading batch index."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -160,20 +182,25 @@ class SpectralDecomposition:
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", read_only(self.eigenvalues, float))
         object.__setattr__(self, "eigenvectors", read_only(self.eigenvectors))
+        if self.eigenvectors.shape != (*self.eigenvalues.shape, self.dim):
+            raise DimensionMismatchError("need one eigenvector column per eigenvalue")
 
     @property
     def dim(self) -> int:
-        return len(self.eigenvalues)
+        return self.eigenvalues.shape[-1]
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return (v * self.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
     def unitary(self, t) -> np.ndarray:
-        """U = exp(-i H t) = V exp(-i E t) V^dag; T times give a (T, d, d) stack."""
-        v = self.eigenvectors
-        t = np.asarray(t, dtype=float)[..., None, None]
-        return (v * np.exp(-1j * self.eigenvalues * t)) @ v.conj().T
+        """U = exp(-i H t) = V exp(-i E t) V^dag, shaped batch + t.shape + (d, d):
+        a time gives one U per decomposition, T times a (..., T, d, d) stack."""
+        t = np.asarray(t, dtype=float)
+        lead = self.eigenvalues.shape[:-1] + (1,) * t.ndim
+        e = self.eigenvalues.reshape(*lead, self.dim)
+        v = self.eigenvectors.reshape(*lead, self.dim, self.dim)
+        return (v * np.exp(-1j * e * t[..., None])[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +208,12 @@ class SpectralDecomposition:
 
 
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product, system factor first (system-major joint index)."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    """Kronecker product, system factor first (system-major joint index), of
+    each pair in two (..., m, m) and (..., n, n) stacks; the same products as
+    np.kron of each pair."""
+    a, b = as_operators(a), as_operators(b)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], *np.multiply(a.shape[-2:], b.shape[-2:]))
 
 
 def commutator(a, b) -> np.ndarray:
@@ -195,35 +226,44 @@ def commutator(a, b) -> np.ndarray:
     return ma @ mb - mb @ ma
 
 
-def commutator_defect(a, b) -> float:
+def frobenius(m: np.ndarray) -> np.ndarray:
+    """||M||_F of each C-contiguous matrix of a (..., d, d) stack, with the bits
+    of np.linalg.norm(M): one BLAS dot of the real parts plus one of the
+    imaginary parts per matrix (matmul of a row by a column calls that dot)."""
+    m = np.asarray(m)
+    row = m.reshape(*m.shape[:-2], 1, -1)
+    re, im = row.real, row.imag
+    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
+
+
+def commutator_defect(a, b):
     """Normalized commutator size: ||[A,B]||_F / max(1, ||A||_F ||B||_F).
 
-    Zero (within floating arithmetic) iff the operators commute.
+    Zero (within floating arithmetic) iff the operators commute.  A float for
+    two matrices; an array over the batch for (..., d, d) stacks.
     """
-    ma, mb = as_matrix(a), as_matrix(b)
+    ma, mb = as_operators(a), as_operators(b)
     if ma.shape != mb.shape:
         raise DimensionMismatchError(
             f"commutator_defect of shapes {ma.shape} and {mb.shape}"
         )
-    num = float(np.linalg.norm(ma @ mb - mb @ ma))
-    den = max(1.0, float(np.linalg.norm(ma)) * float(np.linalg.norm(mb)))
-    return num / den
+    defect = frobenius(ma @ mb - mb @ ma) / np.maximum(1.0, frobenius(ma) * frobenius(mb))
+    return float(defect) if defect.ndim == 0 else defect
 
 
 def degenerate_groups(w: np.ndarray) -> np.ndarray:
-    """Group start indices of ascending w; neighbours within DEGENERACY_TOL share a group."""
-    return np.flatnonzero(np.diff(w, prepend=-np.inf) > DEGENERACY_TOL)
+    """Group start indices of ascending eigenvalues w (..., d), which every row of
+    a stack must share; neighbours within DEGENERACY_TOL share a group."""
+    w = np.asarray(w)
+    gaps = (np.diff(w, axis=-1, prepend=-np.inf) > DEGENERACY_TOL).reshape(-1, w.shape[-1])
+    if (gaps != gaps[:1]).any():
+        raise ValueError("eigenvalues of the stack fall into different degenerate groups")
+    return np.flatnonzero(gaps[0])
 
 
-def _deterministic_basis(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Make eigenvector columns reproducible across runs.
-
-    Within each degenerate group (see degenerate_groups) the basis is rebuilt
-    by Gram-Schmidt of the projected standard basis vectors in index order;
-    every column's phase is fixed so its largest-magnitude component is real
-    positive.
-    """
-    v = v.copy()
+def _orthonormalise_groups(w: np.ndarray, v: np.ndarray) -> None:
+    """Rebuild, in place, the columns of each degenerate group of one matrix's
+    eigenvectors v by Gram-Schmidt of the projected standard basis vectors."""
     starts = degenerate_groups(w)
     for start, stop in zip(starts, [*starts[1:], len(w)]):
         if stop - start > 1:
@@ -239,20 +279,33 @@ def _deterministic_basis(w: np.ndarray, v: np.ndarray) -> np.ndarray:
                 if len(chosen) == stop - start:
                     break
             v[:, start:stop] = np.column_stack(chosen)
-    for j in range(len(w)):
-        k = int(np.argmax(np.abs(v[:, j])))
-        phase = v[k, j] / abs(v[k, j])
-        v[:, j] = v[:, j] / phase
-    return v
+
+
+def _deterministic_basis(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Make eigenvector columns reproducible across runs.
+
+    Within each degenerate group (see degenerate_groups) the basis is rebuilt
+    by Gram-Schmidt, matrix by matrix; then every column's phase is fixed so
+    its largest-magnitude component is real positive.  The phase is v_k / |v_k|
+    with |v_k| from np.hypot, which rounds as abs() of one complex does.
+    """
+    v = v.copy()
+    flat_w, flat_v = w.reshape(-1, w.shape[-1]), v.reshape(-1, *v.shape[-2:])
+    for n in np.flatnonzero((np.diff(flat_w, axis=-1) <= DEGENERACY_TOL).any(axis=-1)):
+        _orthonormalise_groups(flat_w[n], flat_v[n])
+    k = np.argmax(np.abs(v), axis=-2)[..., None, :]
+    top = np.take_along_axis(v, k, axis=-2)
+    return v / (top / np.hypot(top.real, top.imag))
 
 
 def spectral(h) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian operator, ascending eigenvalues.
+    """Eigendecomposition of a Hermitian operator, or of each in a (..., d, d)
+    stack, ascending eigenvalues.
 
     Degenerate subspaces get a deterministic orthonormal basis so that
     pointer bases are reproducible across runs.
     """
-    m = as_matrix(h)
+    m = as_operators(h)
     check_operators(m, "spectral input")
     w, v = np.linalg.eigh(m)
     return SpectralDecomposition(w, _deterministic_basis(w, v))
@@ -264,22 +317,22 @@ def propagator(h, t: float) -> np.ndarray:
 
 
 def joint_axes(w, d_system: int, d_apparatus: int) -> np.ndarray:
-    """The joint state as a (dS, dM, dS, dM) view, one axis per factor index."""
-    m = as_matrix(w)
-    if m.shape[0] != d_system * d_apparatus:
-        raise DimensionMismatchError(f"state dim {m.shape[0]} does not factor as "
+    """The joint state(s) as a (..., dS, dM, dS, dM) view, one axis per factor index."""
+    m = as_operators(w)
+    if m.shape[-1] != d_system * d_apparatus:
+        raise DimensionMismatchError(f"state dim {m.shape[-1]} does not factor as "
                                      f"{d_system}*{d_apparatus}")
-    return m.reshape(d_system, d_apparatus, d_system, d_apparatus)
+    return m.reshape(*m.shape[:-2], d_system, d_apparatus, d_system, d_apparatus)
 
 
 def partial_trace_apparatus(w, d_system: int, d_apparatus: int) -> DensityOperator:
     """Trace out the apparatus factor, returning the system marginal."""
-    return DensityOperator(np.einsum("iaja->ij", joint_axes(w, d_system, d_apparatus)))
+    return DensityOperator(np.einsum("...iaja->...ij", joint_axes(w, d_system, d_apparatus)))
 
 
 def partial_trace_system(w, d_system: int, d_apparatus: int) -> DensityOperator:
     """Trace out the system factor, returning the apparatus marginal."""
-    return DensityOperator(np.einsum("iaib->ab", joint_axes(w, d_system, d_apparatus)))
+    return DensityOperator(np.einsum("...iaib->...ab", joint_axes(w, d_system, d_apparatus)))
 
 
 def expectation(o, rho) -> float:

@@ -8,8 +8,12 @@ projection (I x P_g) w (I x P_g) onto the measured eigenspace.  Randomness is
 one counter-based stream per seed, trial_rng(seed): trial k, and the repeat
 protocol's k-th measurement, take draw k, so the first k trials of an n-trial
 run equal a k-trial run.  A MeasurementRecord holds the results as columns.
-draw_trials and reading_variance are the steps scenarios.run_measurements
-composes; measurement_trials and dispersion_experiment run them from a model.
+States, pointers and Born distributions may carry leading batch axes: the
+Born weights, CDF inversion, Lüders update and repeated_outcomes then step
+every point of a batch at once.  draw_trials, repeated_outcomes and
+reading_variance are the steps scenarios.measure_batch composes;
+measurement_trials, repeatability_protocol and dispersion_experiment run
+them for one model.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .linalg import (
     DensityOperator,
     DimensionMismatchError,
     HermitianOperator,
+    InvariantViolationError,
     SpectralDecomposition,
     degenerate_groups,
     joint_axes,
@@ -36,15 +41,16 @@ from .dynamics import evolve_exact
 
 
 class ImpossibleOutcomeError(RuntimeError):
-    """Conditioning on an outcome with zero probability."""
+    """Conditioning on an outcome with zero probability (at ``index`` of a batch)."""
 
-    def __init__(self, pointer_index: int, trial: Optional[int] = None):
+    def __init__(self, pointer_index: int, trial: Optional[int] = None, index: int = 0):
         where = "" if trial is None else f" in trial {trial}"
         super().__init__(
             f"pointer outcome {pointer_index} has zero probability{where}"
         )
         self.pointer_index = pointer_index
         self.trial = trial
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -52,7 +58,8 @@ class PointerObservable:
     """Apparatus-space observable whose distinct eigenvalues are the raw readings:
     outcome g is the g-th degenerate group (linalg.degenerate_groups), with
     eigenvectors in basis columns starts[g] to starts[g + 1] and reading
-    values[g], the group's lowest eigenvalue."""
+    values[g], the group's lowest eigenvalue.  A batch of pointers (operator
+    and basis with leading axes) shares one group structure."""
 
     operator: HermitianOperator
     basis: SpectralDecomposition
@@ -60,9 +67,11 @@ class PointerObservable:
     values: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if self.basis.eigenvectors.shape != self.operator.matrix.shape:
+            raise DimensionMismatchError("pointer basis and operator shapes differ")
         starts = degenerate_groups(self.basis.eigenvalues)
         object.__setattr__(self, "starts", read_only(starts, int))
-        object.__setattr__(self, "values", read_only(self.basis.eigenvalues[starts], float))
+        object.__setattr__(self, "values", read_only(self.basis.eigenvalues[..., starts], float))
 
     @classmethod
     def from_operator(cls, h: HermitianOperator) -> "PointerObservable":
@@ -74,9 +83,9 @@ class PointerObservable:
 
     @cached_property
     def projectors(self) -> np.ndarray:
-        """Read-only (groups, dM, dM): P_g = V_g V_g^dag for each eigenspace block V_g."""
-        blocks = np.split(self.basis.eigenvectors, self.starts[1:], axis=1)
-        return read_only([b @ b.conj().T for b in blocks])
+        """Read-only (..., groups, dM, dM): P_g = V_g V_g^dag for each eigenspace block V_g."""
+        blocks = np.split(self.basis.eigenvectors, self.starts[1:], axis=-1)
+        return read_only(np.stack([b @ b.conj().swapaxes(-1, -2) for b in blocks], axis=-3))
 
 
 @dataclass(frozen=True)
@@ -176,26 +185,43 @@ def outcome_distribution(
     w: DensityOperator, pointer: PointerObservable, dims: tuple[int, int]
 ) -> np.ndarray:
     """Born weights p_g = tr(w (I x P_g)): the sum of Re(v_k^dag rho_M v_k) over
-    the eigenvectors v_k of group g, with rho_M = tr_S w.
+    the eigenvectors v_k of group g, with rho_M = tr_S w; (..., groups) for a
+    batch of states and pointers.
 
     Values in [-EPS_POS, 0) are floating noise and clipped to 0, then the
-    distribution is renormalized; larger negatives are an error.
+    distribution is renormalized; larger negatives are an error, raised as
+    an InvariantViolationError at the first such point of the batch.
     """
-    rho_m = np.einsum("iaib->ab", _apparatus_axes(w, pointer, dims))
+    rho_m = np.einsum("...iaib->...ab", _apparatus_axes(w, pointer, dims))
     v = pointer.basis.eigenvectors
-    p = np.add.reduceat((v.conj() * (rho_m @ v)).sum(axis=0).real, pointer.starts)
-    if p.min() < -EPS_POS:
-        raise ValueError(f"outcome probability {p.min():.3e} below -{EPS_POS:g}")
+    weights = (v.conj() * (rho_m @ v)).sum(axis=-2).real
+    p = np.add.reduceat(weights, pointer.starts, axis=-1)
+    low = p.min(axis=-1).reshape(-1)
+    if (low < -EPS_POS).any():
+        n = int((low < -EPS_POS).argmax())
+        raise InvariantViolationError(f"outcome probability {low[n]:.3e} below -{EPS_POS:g}", n)
     p = np.maximum(p, 0.0)
-    return p / p.sum()
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def invert_cdf(p: Sequence[float], u):
     """For each uniform draw u, the first lam whose running sum of p exceeds u;
-    a draw at or past the rounded total falls to the last lam with p > 0."""
+    a draw at or past the rounded total falls to the last lam with p > 0.
+
+    p may be a (..., groups) batch of distributions; u's leading axes then
+    match p's, and any further axes of u are draws from the same p.  The
+    running sums do not decrease, so the index is the count of sums <= u,
+    which is np.searchsorted(..., side="right"), counted one group at a time.
+    """
     p = np.asarray(p, dtype=float)
-    lam = np.searchsorted(np.cumsum(p), u, side="right")
-    return np.minimum(lam, np.flatnonzero(p > 0)[-1])
+    u = np.asarray(u)
+    extra = (1,) * (u.ndim - p.ndim + 1)
+    cdf = np.cumsum(p, axis=-1).reshape(*p.shape[:-1], *extra, p.shape[-1])
+    lam = np.zeros(np.broadcast_shapes(u.shape, cdf.shape[:-1]), dtype=np.intp)
+    for g in range(p.shape[-1]):
+        lam += cdf[..., g] <= u
+    last = p.shape[-1] - 1 - np.argmax(p[..., ::-1] > 0, axis=-1)
+    return np.minimum(lam, np.reshape(last, (*p.shape[:-1], *extra)))
 
 
 def sample_outcome(p: Sequence[float], rng: np.random.Generator) -> int:
@@ -210,21 +236,60 @@ def collapse_after_outcome(
     dims: tuple[int, int],
 ) -> DensityOperator:
     """Lüders update onto the eigenspace of group lam: (I x P) w (I x P) / p_lam,
-    P applied on the row and then the column apparatus axis."""
+    P applied on the row and then the column apparatus axis; for a batch, lam
+    holds one group per point and the states are checked as one stack."""
     d_s, d_m = dims
-    proj = pointer.projectors[lam]
-    left = proj @ _apparatus_axes(w, pointer, dims).reshape(d_s, d_m, -1)
-    projected = (left.reshape(-1, d_s, d_m) @ proj).reshape(w.dim, w.dim)
-    p_lam = float(np.trace(projected).real)
-    if p_lam <= 0.0:
-        raise ImpossibleOutcomeError(lam)
-    return DensityOperator(projected / p_lam)
+    axes = _apparatus_axes(w, pointer, dims)
+    batch = axes.shape[:-4]
+    lam = np.broadcast_to(lam, batch)
+    proj = np.take_along_axis(pointer.projectors, lam[..., None, None, None], axis=-3)
+    left = proj @ axes.reshape(*batch, d_s, d_m, -1)
+    projected = (left.reshape(*batch, -1, d_s, d_m) @ proj).reshape(*batch, w.dim, w.dim)
+    p_lam = np.trace(projected, axis1=-2, axis2=-1).real
+    impossible = (p_lam <= 0.0).reshape(-1)
+    if impossible.any():
+        n = int(impossible.argmax())
+        raise ImpossibleOutcomeError(int(lam.reshape(-1)[n]), index=n)
+    return DensityOperator(projected / p_lam[..., None, None])
 
 
 def trial_rng(seed: int) -> np.random.Generator:
     """Philox keyed through SeedSequence(seed), so any seed >= 0 works (even
     >= 2**128); draw k is trial k's, however many draws are taken."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def repeated_outcomes(
+    m: BipartiteModel,
+    w_tau: DensityOperator,
+    p_tau,
+    pointer: PointerObservable,
+    delta_tau: float,
+    u,
+) -> np.ndarray:
+    """Pointer groups of u.shape[-1] repeated measurements, every point of a
+    batch in lockstep: measurement k inverts the Born distribution at draw
+    u[..., k] and collapses the state, which then evolves by delta_tau to the
+    next one.  The first measures w_tau, whose distribution p_tau is given;
+    the state after the last measurement is never needed, so it is not formed."""
+    dims = (m.d_system, m.d_apparatus)
+    w, p, lams = w_tau, p_tau, []
+    for k in range(u.shape[-1]):
+        if k:
+            w = evolve_exact(m, w, delta_tau)
+            p = outcome_distribution(w, pointer, dims)
+        lams.append(invert_cdf(p, u[..., k]))
+        if k + 1 < u.shape[-1]:
+            try:
+                w = collapse_after_outcome(w, pointer, lams[-1], dims)
+            except ImpossibleOutcomeError as exc:
+                raise ImpossibleOutcomeError(exc.pointer_index, 0, exc.index) from exc
+    return np.stack(lams, axis=-1)
+
+
+def repeat_times(tau: float, delta_tau: float, n_repeats: int) -> np.ndarray:
+    """tau, tau + delta_tau, ...: each time the previous one plus delta_tau."""
+    return np.cumsum([tau] + [delta_tau] * (n_repeats - 1))
 
 
 def repeatability_protocol(
@@ -248,23 +313,11 @@ def repeatability_protocol(
         raise ValueError("need n_repeats >= 2")
     if tau <= 0 or delta_tau <= 0:
         raise ValueError("tau and delta_tau must be positive")
-    dims = (m.d_system, m.d_apparatus)
-    rng = trial_rng(seed)
-    w, t = w_tau, tau
-    times, lams = [], []
-    for k in range(n_repeats):
-        if k:
-            w = evolve_exact(m, w, delta_tau)
-            t += delta_tau
-        p = outcome_distribution(w, pointer, dims)
-        lam = sample_outcome(p, rng)
-        try:
-            w = collapse_after_outcome(w, pointer, lam, dims)
-        except ImpossibleOutcomeError as exc:
-            raise ImpossibleOutcomeError(lam, 0) from exc
-        times.append(t)
-        lams.append(lam)
-    return MeasurementRecord.from_outcomes(cal, system_index, 0, times, lams)
+    p = outcome_distribution(w_tau, pointer, (m.d_system, m.d_apparatus))
+    lams = repeated_outcomes(m, w_tau, p, pointer, delta_tau, trial_rng(seed).random(n_repeats))
+    return MeasurementRecord.from_outcomes(
+        cal, system_index, 0, repeat_times(tau, delta_tau, n_repeats), lams
+    )
 
 
 def measurement_trials(
@@ -279,8 +332,10 @@ def measurement_trials(
     """Independent prepare -> evolve(tau) -> measure runs, one row per trial."""
     w0 = prepare_initial(m, prep, pointer_basis=pointer.basis)
     w_tau = evolve_exact(m, w0, tau) if tau > 0 else w0
+    if n_trials < 1:
+        raise ValueError("need n_trials >= 1")
     p = outcome_distribution(w_tau, pointer, (m.d_system, m.d_apparatus))
-    return draw_trials(p, cal, prep.system_index, tau, n_trials, seed)
+    return draw_trials(p, cal, prep.system_index, tau, trial_rng(seed).random(n_trials))
 
 
 def draw_trials(
@@ -288,14 +343,13 @@ def draw_trials(
     cal: Calibration,
     system_index: Optional[int],
     tau: float,
-    n_trials: int,
-    seed: int,
+    u: np.ndarray,
 ) -> MeasurementRecord:
-    """One row per trial at time tau; trial k inverts p at draw k of trial_rng(seed)."""
-    if n_trials < 1:
+    """One row per uniform draw at time tau: trial k inverts p at u[k]."""
+    if len(u) < 1:
         raise ValueError("need n_trials >= 1")
-    lam = invert_cdf(p, trial_rng(seed).random(n_trials))
-    return MeasurementRecord.from_outcomes(cal, system_index, np.arange(n_trials), tau, lam)
+    return MeasurementRecord.from_outcomes(
+        cal, system_index, np.arange(len(u)), tau, invert_cdf(p, u))
 
 
 def dispersion_experiment(

@@ -6,13 +6,15 @@ A model couples a measured system (dim dS) to a measuring apparatus
 check_conditions quantifies how far a model is from satisfying them.
 A model compiles its joint-space operators once, on first use, and every
 caller reads them: lifted terms, total H, its spectrum, the h_S eigenbasis.
+A model may also be a batch: operators with one shared leading batch shape,
+compiled, checked and prepared as stacks by the same code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -20,7 +22,6 @@ from .linalg import (
     DensityOperator,
     HermitianOperator,
     SpectralDecomposition,
-    as_matrix,
     commutator_defect,
     read_only,
     spectral,
@@ -32,6 +33,9 @@ CONDITION_THRESHOLD = 1e-10
 
 @dataclass(frozen=True)
 class BipartiteModel:
+    """One model, or a batch of models whose three operators share a leading
+    batch shape (model.batch); every compiled operator then carries it too."""
+
     d_system: int
     d_apparatus: int
     h_system: HermitianOperator
@@ -47,25 +51,43 @@ class BipartiteModel:
             raise ValueError("h_apparatus dimension mismatch")
         if self.h_coupling.dim != self.d_system * self.d_apparatus:
             raise ValueError("h_coupling dimension mismatch")
+        if not (self.h_system.matrix.shape[:-2] == self.h_apparatus.matrix.shape[:-2]
+                == self.batch):
+            raise ValueError("h_system, h_apparatus and h_coupling batch shapes differ")
 
     @property
     def dim(self) -> int:
         return self.d_system * self.d_apparatus
 
+    @property
+    def batch(self) -> tuple[int, ...]:
+        """The leading batch shape; () for one model."""
+        return self.h_coupling.matrix.shape[:-2]
+
     # Compiled operators: built on first use, then shared (arrays read-only).
 
     @cached_property
-    def system_term(self) -> np.ndarray:
-        return read_only(tensor(self.h_system, np.eye(self.d_apparatus)))
+    def terms(self) -> np.ndarray:
+        """(..., 3, d, d): the lifted system term h_S x I, the coupling and the
+        lifted apparatus term I x h_M, in the order of the component form."""
+        return read_only(np.stack([
+            tensor(self.h_system, np.eye(self.d_apparatus)),
+            self.h_coupling.matrix,
+            tensor(np.eye(self.d_system), self.h_apparatus),
+        ], axis=-3))
 
-    @cached_property
+    @property
+    def system_term(self) -> np.ndarray:
+        return self.terms[..., 0, :, :]
+
+    @property
     def apparatus_term(self) -> np.ndarray:
-        return read_only(tensor(np.eye(self.d_system), self.h_apparatus))
+        return self.terms[..., 2, :, :]
 
     @cached_property
     def hamiltonian(self) -> HermitianOperator:
         return HermitianOperator(
-            self.system_term + self.apparatus_term + as_matrix(self.h_coupling)
+            self.system_term + self.apparatus_term + self.h_coupling.matrix
         )
 
     @cached_property
@@ -79,6 +101,8 @@ class BipartiteModel:
 
 @dataclass(frozen=True)
 class ConditionReport:
+    """Defects and verdicts: floats and bools for one model, arrays for a batch."""
+
     eq4_defect: float
     eq5_defect: float
     eq4_holds: bool
@@ -87,7 +111,7 @@ class ConditionReport:
 
     @property
     def both_hold(self) -> bool:
-        return self.eq4_holds and self.eq5_holds
+        return self.eq4_holds & self.eq5_holds
 
 
 @dataclass(frozen=True)
@@ -158,7 +182,7 @@ def prepare_initial(
 
     Index preparations project onto the system-Hamiltonian eigenvector and
     the pointer-basis vector; pointer_basis defaults to the eigenbasis of
-    h_apparatus.
+    h_apparatus.  A batch of models gets one state per model, checked as a stack.
     """
     if prep.is_indexed:
         i, lam = prep.system_index, prep.apparatus_index
@@ -170,21 +194,68 @@ def prepare_initial(
             )
         if pointer_basis is None:
             pointer_basis = spectral(m.h_apparatus)
-        sys_vec = m.system_basis.eigenvectors[:, i]
-        app_vec = pointer_basis.eigenvectors[:, lam]
-        rho = np.outer(sys_vec, sys_vec.conj())
-        mu = np.outer(app_vec, app_vec.conj())
+        sys_vec = m.system_basis.eigenvectors[..., :, i]
+        app_vec = pointer_basis.eigenvectors[..., :, lam]
+        # the products np.outer(v, v.conj()) forms, for each vector of a stack
+        rho = sys_vec[..., :, None] * sys_vec.conj()[..., None, :]
+        mu = app_vec[..., :, None] * app_vec.conj()[..., None, :]
     else:
         if prep.rho_system.dim != m.d_system or prep.mu_apparatus.dim != m.d_apparatus:
             raise ValueError("preparation dimensions do not match the model")
         rho = prep.rho_system.matrix
         mu = prep.mu_apparatus.matrix
-    return DensityOperator(tensor(rho, mu))
+    return DensityOperator(np.broadcast_to(tensor(rho, mu), (*m.batch, m.dim, m.dim)))
 
 
 def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (g + g.conj().T) / 2
+
+
+class ModelDraws(NamedTuple):
+    """A random model's seeded matrices, stacked over seeds: (seeds, d, d) each."""
+
+    h_system: np.ndarray
+    h_apparatus: np.ndarray
+    hc_qnd: np.ndarray
+    hc_violating: np.ndarray
+
+
+def model_draws(dims: tuple[int, int], seeds: Sequence[int]) -> ModelDraws:
+    """Every draw of random_model for each seed, with stacked eigenbases and
+    couplings; each seed's generator is drawn in the one-seed order, so row k
+    equals the draws for seeds[k] alone."""
+    d_s, d_m = dims
+    if d_s < 2 or d_m < 2:
+        raise ValueError("random_model needs dims >= 2 on each side")
+    rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds]
+    h_s = np.array([_random_hermitian(rng, d_s) for rng in rngs])
+    h_m = np.array([_random_hermitian(rng, d_m) for rng in rngs])
+    v_s = spectral(h_s).eigenvectors
+    v_m = spectral(h_m).eigenvectors
+    n_terms = min(d_s, d_m)
+    ab = [[(rng.uniform(-1.0, 1.0, size=d_s), rng.uniform(-1.0, 1.0, size=d_m))
+           for _ in range(n_terms)] for rng in rngs]
+    hc_violating = np.array([_random_hermitian(rng, d_s * d_m) for rng in rngs])
+
+    # Diagonal-in-eigenbasis coupling: sum_k A_k x B_k.
+    hc_qnd = np.zeros((len(rngs), d_s * d_m, d_s * d_m), dtype=complex)
+    for k in range(n_terms):
+        a = np.array([pairs[k][0] for pairs in ab])[:, None, :]
+        b = np.array([pairs[k][1] for pairs in ab])[:, None, :]
+        term_a = (v_s * a) @ v_s.conj().swapaxes(-1, -2)
+        term_b = (v_m * b) @ v_m.conj().swapaxes(-1, -2)
+        hc_qnd += tensor(term_a, term_b)
+    hc_qnd = (hc_qnd + hc_qnd.conj().swapaxes(-1, -2)) / 2
+    return ModelDraws(h_s, h_m, hc_qnd, hc_violating)
+
+
+def interpolate_coupling(hc_qnd, hc_violating, eta):
+    """(1 - eta) * qnd + eta * violating for eta in [0, 1]; eta may be an array
+    broadcasting against the couplings' leading axes."""
+    if not np.all((np.asarray(eta) >= 0.0) & (np.asarray(eta) <= 1.0)):  # NaN fails
+        raise ValueError("interpolated family needs eta in [0, 1]")
+    return (1.0 - eta) * hc_qnd + eta * hc_violating
 
 
 def random_model(
@@ -201,38 +272,20 @@ def random_model(
     ``interpolated``: (1 - eta) * qnd + eta * violating, sharing the same
     seeded draws, so eta=0 reproduces the qnd model exactly.
     """
-    d_s, d_m = dims
-    if d_s < 2 or d_m < 2:
-        raise ValueError("random_model needs dims >= 2 on each side")
     if family == "interpolated":
-        if eta is None or not 0.0 <= eta <= 1.0:
+        if eta is None:  # interpolate_coupling checks the range
             raise ValueError("interpolated family needs eta in [0, 1]")
     elif family not in ("qnd", "violating"):
         raise ValueError(f"unknown model family {family!r}")
-
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    h_s = _random_hermitian(rng, d_s)
-    h_m = _random_hermitian(rng, d_m)
-    v_s = spectral(h_s).eigenvectors
-    v_m = spectral(h_m).eigenvectors
-
-    # Diagonal-in-eigenbasis coupling: sum_k A_k x B_k.
-    hc_qnd = np.zeros((d_s * d_m, d_s * d_m), dtype=complex)
-    for _ in range(min(d_s, d_m)):
-        a = rng.uniform(-1.0, 1.0, size=d_s)
-        b = rng.uniform(-1.0, 1.0, size=d_m)
-        term_a = (v_s * a) @ v_s.conj().T
-        term_b = (v_m * b) @ v_m.conj().T
-        hc_qnd += np.kron(term_a, term_b)
-    hc_qnd = (hc_qnd + hc_qnd.conj().T) / 2
-    hc_violating = _random_hermitian(rng, d_s * d_m)
+    d_s, d_m = dims
+    h_s, h_m, hc_qnd, hc_violating = (a[0] for a in model_draws(dims, [seed]))
 
     if family == "qnd":
         hc = hc_qnd
     elif family == "violating":
         hc = hc_violating
     else:
-        hc = (1.0 - eta) * hc_qnd + eta * hc_violating
+        hc = interpolate_coupling(hc_qnd, hc_violating, eta)
 
     return BipartiteModel(
         d_system=d_s,

@@ -1,14 +1,19 @@
 """Curated experiment definitions, sweeps, and brute-force oracle checks.
 
 A Scenario bundles a model, a preparation, a pointer observable, a schedule,
-and a calibration.  run_measurements is the one measurement pipeline, shared
-by the CLI measure command and run_scenario: w(0) prepared and evolved to
-w(tau) once, its Born distribution once, the repeat protocol from w(tau),
-trial record, reading variance, weighted means.
-run_scenario adds the condition check and state constancy and emits one
-result row.  oracle_check re-derives the core numerics through slow,
-independent routes (truncated-series exponential, explicit index loops) and
-compares them against the main implementations.
+and a calibration.  A Batch is scenarios that share dims, preparation,
+pointer eigenvalue groups and schedule, stacked so that each stage runs once
+over all of them; Batch.of(s) is one scenario as a batch of one.
+measure_batch is the one measurement pipeline, shared by the CLI measure
+command (run_measurements) and run_batch: w(0) prepared and evolved to
+w(tau) once, its Born distribution once, one draw stream per point, the
+repeat protocol from w(tau), trial record, reading variance, weighted means.
+run_batch adds the condition check and state constancy and emits one result
+row per point; run_scenario is run_batch on one scenario, and
+interpolation_sweep runs the (eta, seed) grid of one dims as a few batches.
+oracle_check re-derives the core numerics through slow, independent routes
+(truncated-series exponential, explicit index loops) and compares them
+against the main implementations.
 """
 
 from __future__ import annotations
@@ -20,11 +25,19 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import DensityOperator
+from .linalg import (
+    DensityOperator,
+    HermitianOperator,
+    SpectralDecomposition,
+    degenerate_groups,
+    spectral,
+)
 from .model import (
     BipartiteModel,
     Preparation,
     check_conditions,
+    interpolate_coupling,
+    model_draws,
     prepare_initial,
     random_model,
     total_hamiltonian,
@@ -38,10 +51,15 @@ from .measurement import (
     draw_trials,
     outcome_distribution,
     reading_variance,
-    repeatability_protocol,
+    repeat_times,
+    repeated_outcomes,
+    trial_rng,
 )
 
 DEFAULT_ETA_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
+CONSTANCY_POINTS = 11  # the constancy grid: t = 0 and 10 times up to max(tau, 1)
+# Bytes one sweep batch may hold (4 MiB), which bounds the points it runs at once.
+BATCH_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -124,50 +142,149 @@ class MeasurementRun:
     sigma_empirical: float
 
 
+@dataclass(frozen=True)
+class Batch:
+    """Scenarios that share dims, preparation, pointer eigenvalue groups and
+    schedule: model and pointer carry the batch axes, and the per-point fields
+    are tuples in the batch's C order.  Batch.of(s) has no batch axis."""
+
+    names: tuple[str, ...]
+    model: BipartiteModel
+    pointer: PointerObservable
+    preparation: Preparation
+    schedule: Schedule
+    calibrations: tuple[Calibration, ...]
+    seeds: tuple[int, ...]
+    etas: tuple[Optional[float], ...]
+
+    @classmethod
+    def of(cls, s: Scenario) -> "Batch":
+        return cls((s.name,), s.model, s.pointer, s.preparation, s.schedule,
+                   (s.calibration,), (s.seed,), (s.eta,))
+
+    def point(self, n: int) -> "Batch":
+        """Point n, in C order, as a batch of one."""
+        def row(a, core):
+            return a.reshape(-1, *a.shape[a.ndim - core:])[n]
+
+        m, basis = self.model, self.pointer.basis
+        model = BipartiteModel(m.d_system, m.d_apparatus, *(
+            HermitianOperator(row(h.matrix, 2)) for h in (m.h_system, m.h_apparatus, m.h_coupling)))
+        pointer = PointerObservable(model.h_apparatus, SpectralDecomposition(
+            row(basis.eigenvalues, 1), row(basis.eigenvectors, 2)))
+        return Batch((self.names[n],), model, pointer, self.preparation, self.schedule,
+                     (self.calibrations[n],), (self.seeds[n],), (self.etas[n],))
+
+
+def measure_batch(b: Batch) -> list[MeasurementRun]:
+    """One w(tau) and its Born p per point, each stage run once over the batch.
+    Point n draws once, trial_rng(seed).random(max(n_repeats, n_trials)): draw
+    k is both repeat k's and trial k's.  The repeat protocol starts from w(tau);
+    p feeds the repeats' first reading, the n_trials readings and the analytic
+    weighted mean.  Trial records, taken one point at a time so that only one
+    point's draws are held, and statistics are per point."""
+    sched, m, i = b.schedule, b.model, b.preparation.system_index
+    w0 = prepare_initial(m, b.preparation, pointer_basis=b.pointer.basis)
+    w_tau = evolve_exact(m, w0, sched.tau)
+    p = outcome_distribution(w_tau, b.pointer, (m.d_system, m.d_apparatus))
+    u_repeats = np.empty((*m.batch, sched.n_repeats))
+    trials = []
+    for point, seed, cal in zip(np.ndindex(m.batch), b.seeds, b.calibrations, strict=True):
+        u = trial_rng(seed).random(max(sched.n_repeats, sched.n_trials))
+        u_repeats[point] = u[:sched.n_repeats]
+        trials.append(draw_trials(p[point], cal, i, sched.tau, u[:sched.n_trials]))
+    repeat_lams = repeated_outcomes(m, w_tau, p, b.pointer, sched.delta_tau, u_repeats)
+    times = repeat_times(sched.tau, sched.delta_tau, sched.n_repeats)
+    return [
+        MeasurementRun(
+            repeats=MeasurementRecord.from_outcomes(cal, i, 0, times, repeat_lams[point]),
+            trials=record,
+            reading_variance=reading_variance(record),
+            sigma_analytic=aggregate_sigma(cal, i, distribution=p[point]).sigma,
+            sigma_empirical=aggregate_sigma(cal, i, record=record).sigma,
+        )
+        for point, cal, record in zip(np.ndindex(m.batch), b.calibrations, trials, strict=True)
+    ]
+
+
 def run_measurements(s: Scenario) -> MeasurementRun:
-    """One w(tau) and its Born p: the repeat protocol starts from w(tau), and
-    p feeds both the n_trials readings and the analytic weighted mean.
-    """
-    sched = s.schedule
-    i = s.preparation.system_index
-    w0 = prepare_initial(s.model, s.preparation, pointer_basis=s.pointer.basis)
-    w_tau = evolve_exact(s.model, w0, sched.tau)
-    repeats = repeatability_protocol(
-        s.model, w_tau, s.pointer, s.calibration,
-        i, sched.tau, sched.delta_tau, sched.n_repeats, s.seed,
-    )
-    p = outcome_distribution(w_tau, s.pointer, (s.model.d_system, s.model.d_apparatus))
-    trials = draw_trials(p, s.calibration, i, sched.tau, sched.n_trials, s.seed)
-    return MeasurementRun(
-        repeats=repeats,
-        trials=trials,
-        reading_variance=reading_variance(trials),
-        sigma_analytic=aggregate_sigma(s.calibration, i, distribution=p).sigma,
-        sigma_empirical=aggregate_sigma(s.calibration, i, record=trials).sigma,
-    )
+    """measure_batch on one scenario."""
+    return measure_batch(Batch.of(s))[0]
+
+
+def run_batch(b: Batch) -> list[SweepRow]:
+    """The full pipeline, each stage once over the batch, then one result row
+    per point.  A failure raises naming the point it was found at: the first
+    failing point, in C order, of the first stage that fails.  An error that
+    carries no point index reruns the batch one point at a time to find it."""
+    try:
+        report = check_conditions(b.model)
+        t_grid = np.linspace(0.0, max(b.schedule.tau, 1.0), CONSTANCY_POINTS)[1:]
+        constancy = state_constancy_check(
+            b.model, b.preparation, t_grid, pointer_basis=b.pointer.basis
+        )
+        runs = measure_batch(b)
+    except Exception as exc:
+        index = getattr(exc, "index", None)
+        if index is None and len(b.names) > 1:
+            for n in range(len(b.names)):
+                run_batch(b.point(n))  # raises naming point n if it fails alone
+            raise RuntimeError(
+                f"scenarios {b.names[0]!r} to {b.names[-1]!r} failed as one batch: {exc}"
+            ) from exc
+        raise RuntimeError(f"scenario {b.names[index or 0]!r} failed: {exc}") from exc
+    columns = (np.reshape(a, -1).tolist()
+               for a in (report.eq4_defect, report.eq5_defect, constancy))
+    return [
+        SweepRow(
+            eta=eta,
+            seed=seed,
+            eq4_defect=eq4,
+            eq5_defect=eq5,
+            constancy_dev=dev,
+            repeat_changes=run.repeats.outcome_changes(),
+            reading_variance=run.reading_variance,
+            sigma_analytic=run.sigma_analytic,
+            sigma_empirical=run.sigma_empirical,
+        )
+        for eta, seed, eq4, eq5, dev, run in zip(b.etas, b.seeds, *columns, runs, strict=True)
+    ]
 
 
 def run_scenario(s: Scenario) -> SweepRow:
     """Full pipeline for one scenario, assembled into a single result row."""
-    try:
-        report = check_conditions(s.model)
-        t_grid = np.linspace(0.0, max(s.schedule.tau, 1.0), 11)[1:]
-        constancy = state_constancy_check(
-            s.model, s.preparation, t_grid, pointer_basis=s.pointer.basis
-        )
-        run = run_measurements(s)
-    except Exception as exc:
-        raise RuntimeError(f"scenario {s.name!r} failed: {exc}") from exc
-    return SweepRow(
-        eta=s.eta,
-        seed=s.seed,
-        eq4_defect=report.eq4_defect,
-        eq5_defect=report.eq5_defect,
-        constancy_dev=constancy,
-        repeat_changes=run.repeats.outcome_changes(),
-        reading_variance=run.reading_variance,
-        sigma_analytic=run.sigma_analytic,
-        sigma_empirical=run.sigma_empirical,
+    return run_batch(Batch.of(s))[0]
+
+
+def _point_bytes(dims: tuple[int, int], schedule: Schedule) -> int:
+    """Bytes a sweep point holds while its batch runs: its constancy trajectory
+    and about as many other joint matrices (model terms, H, its eigenvectors,
+    propagators, states), one draw stream, and the five 8-byte columns of its
+    repeat and trial records."""
+    matrix = 16 * math.prod(dims) ** 2
+    draws = 8 * max(schedule.n_repeats, schedule.n_trials)
+    return 2 * CONSTANCY_POINTS * matrix + draws + 40 * (schedule.n_repeats + schedule.n_trials)
+
+
+def _sweep_batch(dims, points, draws, basis, schedule) -> Batch:
+    """The interpolated models of points, (eta, seed, k) with k the seed's row
+    in draws and basis (the spectra of the drawn h_M, the pointers)."""
+    k = [k for _, _, k in points]
+    hc = interpolate_coupling(draws.hc_qnd[k], draws.hc_violating[k],
+                              np.array([eta for eta, _, _ in points])[:, None, None])
+    model = BipartiteModel(*dims, HermitianOperator(draws.h_system[k]),
+                           HermitianOperator(draws.h_apparatus[k]), HermitianOperator(hc))
+    pointer = PointerObservable(model.h_apparatus, SpectralDecomposition(
+        basis.eigenvalues[k], basis.eigenvectors[k]))
+    return Batch(
+        names=tuple(f"interp-eta{eta:g}-seed{seed}" for eta, seed, _ in points),
+        model=model,
+        pointer=pointer,
+        preparation=Preparation.eigenbasis(0, 0),
+        schedule=schedule,
+        calibrations=tuple(Calibration(values) for values in pointer.values),
+        seeds=tuple(seed for _, seed, _ in points),
+        etas=tuple(eta for eta, _, _ in points),
     )
 
 
@@ -179,22 +296,33 @@ def interpolation_sweep(
 ) -> list[SweepRow]:
     """Run the pipeline over an (eta, seed) grid of interpolated models.
 
-    The output reports the tendency relation between condition defect and
-    reading variance; no strict monotonicity is asserted.
+    Each seed's matrices are drawn once and blended for every eta.  A batch
+    holds at most BATCH_BYTES // _point_bytes points, whose pointers share
+    eigenvalue groups; seeds are drawn a batch's worth at a time, and a long
+    eta grid is split across batches.  The rows come back in grid order,
+    eta-major.  The output reports the tendency relation between condition
+    defect and reading variance; no strict monotonicity is asserted.
     """
-    rows = []
-    for eta in eta_grid:
-        for seed in seeds:
-            m = random_model(dims, "interpolated", seed, eta=eta)
-            s = Scenario.build(
-                name=f"interp-eta{eta:g}-seed{seed}",
-                model=m,
-                preparation=Preparation.eigenbasis(0, 0),
-                schedule=schedule,
-                seed=seed,
-                eta=eta,
-            )
-            rows.append(run_scenario(s))
+    etas, seeds = list(eta_grid), list(seeds)
+    if not etas or not seeds:
+        return []
+    per_batch = max(1, BATCH_BYTES // _point_bytes(dims, schedule))
+    per_draw = max(1, per_batch // len(etas))
+    rows = [None] * (len(etas) * len(seeds))
+    for lo in range(0, len(seeds), per_draw):
+        chunk = seeds[lo:lo + per_draw]
+        draws = model_draws(dims, chunk)
+        basis = spectral(draws.h_apparatus)
+        groups = {}
+        for k, values in enumerate(basis.eigenvalues):
+            groups.setdefault(tuple(degenerate_groups(values)), []).append(k)
+        for members in groups.values():
+            points = [(eta, chunk[k], k) for eta in etas for k in members]
+            slots = [e * len(seeds) + lo + k for e in range(len(etas)) for k in members]
+            for b in range(0, len(points), per_batch):
+                batch = _sweep_batch(dims, points[b:b + per_batch], draws, basis, schedule)
+                for slot, row in zip(slots[b:b + per_batch], run_batch(batch), strict=True):
+                    rows[slot] = row
     return rows
 
 

@@ -1,0 +1,218 @@
+"""The batched sweep: every (eta, seed) point of one dims runs as one stack
+through each stage, with the bytes of one scenario at a time.
+
+Golden CSVs were written by the one-point-at-a-time sweep that preceded the
+batch; the sweep must still write them byte for byte.  Each sweep row equals
+run_scenario on the same scenario, field for field; a failure names the point
+it was found at; seeds whose pointers group their eigenvalues differently, or
+points that overflow one batch, run as separate batches, and a sweep whose
+points are large holds about one point at a time; the repeat protocol makes
+no collapse it does not use.
+"""
+
+import tracemalloc
+from itertools import product
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qndsim.measurement
+import qndsim.scenarios
+from qndsim.cli import main as cli_main
+from qndsim.linalg import HermitianOperator, SpectralDecomposition, spectral
+from qndsim.measurement import invert_cdf
+from qndsim.model import (
+    BipartiteModel,
+    ModelDraws,
+    Preparation,
+    interpolate_coupling,
+    model_draws,
+    random_model,
+)
+from qndsim.scenarios import (
+    Scenario,
+    Schedule,
+    _point_bytes,
+    interpolation_sweep,
+    run_measurements,
+    run_scenario,
+)
+
+DATA = Path(__file__).resolve().parent / "data"
+SMALL = Schedule(tau=1.0, delta_tau=0.5, n_repeats=5, n_trials=50)
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("sweep-3x2-seeds0-3.csv", ["--dims", "3,2", "--seeds", "0:3"]),
+    ("sweep-4x4-seeds1-5.csv", ["--dims", "4,4", "--seeds", "1:5"]),
+])
+def test_sweep_bytes_match_golden(tmp_path, name, argv):
+    out = tmp_path / name
+    assert cli_main(["sweep", *argv, "--out", str(out), "--quiet"]) == 0
+    assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+def interp_scenario(dims, eta, seed, schedule, model=None):
+    """The scenario interpolation_sweep runs at (eta, seed), built on its own."""
+    return Scenario.build(
+        f"interp-eta{eta:g}-seed{seed}",
+        model or random_model(dims, "interpolated", seed, eta=eta),
+        Preparation.eigenbasis(0, 0),
+        schedule,
+        seed=seed,
+        eta=eta,
+    )
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.tuples(st.integers(2, 4), st.integers(2, 4)),
+    st.lists(st.sampled_from([0.0, 0.25, 1.0]), min_size=1, max_size=3, unique=True),
+    st.lists(st.integers(0, 2**32), min_size=1, max_size=3),
+    st.integers(2, 6),
+    st.integers(1, 60),
+)
+def test_sweep_rows_equal_one_scenario_runs(dims, etas, seeds, n_repeats, n_trials):
+    schedule = Schedule(n_repeats=n_repeats, n_trials=n_trials)
+    rows = interpolation_sweep(dims, etas, seeds, schedule)
+    assert len(rows) == len(etas) * len(seeds)
+    for (eta, seed), row in zip(product(etas, seeds), rows):
+        assert row == run_scenario(interp_scenario(dims, eta, seed, schedule))
+
+
+def test_failure_names_the_failing_point(monkeypatch):
+    etas, seeds = [0.0, 0.5, 1.0], [3, 4, 5]
+    bad = etas.index(0.5) * len(seeds) + seeds.index(5)
+    unitary = SpectralDecomposition.unitary
+
+    def poisoned(self, t):
+        u = unitary(self, t)
+        if len(u) == len(etas) * len(seeds):  # the batch's propagators
+            u = u.copy()
+            u[bad] = np.nan
+        return u
+
+    monkeypatch.setattr(SpectralDecomposition, "unitary", poisoned)
+    with pytest.raises(RuntimeError, match=r"^scenario 'interp-eta0\.5-seed5' failed: .*not finite"):
+        interpolation_sweep((2, 2), etas, seeds, SMALL)
+
+
+def test_failure_without_an_index_is_found_one_point_at_a_time(monkeypatch):
+    etas, seeds = [0.0, 0.5, 1.0], [3, 4, 5]
+    bad = random_model((2, 2), "interpolated", 5, eta=0.5).h_coupling.matrix
+    check_conditions = qndsim.scenarios.check_conditions
+
+    def failing(m):
+        if any(np.array_equal(h, bad) for h in m.h_coupling.matrix.reshape(-1, 4, 4)):
+            raise np.linalg.LinAlgError("no point index")
+        return check_conditions(m)
+
+    monkeypatch.setattr(qndsim.scenarios, "check_conditions", failing)
+    with pytest.raises(RuntimeError, match=r"^scenario 'interp-eta0\.5-seed5' failed: no point index"):
+        interpolation_sweep((2, 2), etas, seeds, SMALL)
+
+
+def test_failure_of_the_batch_alone_names_its_range(monkeypatch):
+    check_conditions = qndsim.scenarios.check_conditions
+
+    def failing(m):
+        if m.batch and m.batch[0] > 1:
+            raise ValueError("the stack as a whole")
+        return check_conditions(m)
+
+    monkeypatch.setattr(qndsim.scenarios, "check_conditions", failing)
+    with pytest.raises(RuntimeError, match=r"^scenarios 'interp-eta0-seed3' to "
+                                           r"'interp-eta1-seed4' failed as one batch: the stack"):
+        interpolation_sweep((2, 2), [0.0, 1.0], [3, 4], SMALL)
+
+
+def test_seeds_with_other_pointer_groups_run_apart(monkeypatch):
+    dims, etas, seeds = (2, 3), [0.0, 0.5], [0, 1, 2]
+    draws = model_draws(dims, seeds)
+    h_m = draws.h_apparatus.copy()
+    h_m[1] = np.diag([1.0, 1.0, -1.0])  # seed 1's pointer has two outcomes, not three
+    draws = draws._replace(h_apparatus=h_m)
+    rows_of = {seed: j for j, seed in enumerate(seeds)}
+    monkeypatch.setattr(qndsim.scenarios, "model_draws", lambda _, chunk: ModelDraws(
+        *(a[[rows_of[seed] for seed in chunk]] for a in draws)))
+    rows = interpolation_sweep(dims, etas, seeds, SMALL)
+    for (eta, seed), row in zip(product(etas, seeds), rows):
+        j = seeds.index(seed)
+        hc = interpolate_coupling(draws.hc_qnd[j], draws.hc_violating[j], eta)
+        m = BipartiteModel(*dims, HermitianOperator(draws.h_system[j]),
+                           HermitianOperator(h_m[j]), HermitianOperator(hc))
+        assert row == run_scenario(interp_scenario(dims, eta, seed, SMALL, m))
+
+
+@pytest.mark.parametrize("points", [1, 3, 5])
+def test_batches_split_to_bound_memory_give_the_same_rows(monkeypatch, points):
+    etas = [0.0, 0.5, 1.0]
+    whole = interpolation_sweep((3, 3), etas, range(4), SMALL)
+    monkeypatch.setattr(qndsim.scenarios, "BATCH_BYTES", points * _point_bytes((3, 3), SMALL))
+    assert interpolation_sweep((3, 3), etas, range(4), SMALL) == whole
+
+
+def test_sweep_of_large_points_holds_about_one_point():
+    many_trials = Schedule(n_repeats=5, n_trials=100_000)
+    assert _point_bytes((2, 2), many_trials) > qndsim.scenarios.BATCH_BYTES
+
+    def peak(etas, seeds):
+        tracemalloc.start()
+        try:
+            interpolation_sweep((2, 2), etas, seeds, many_trials)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak([0.5], [0])
+    assert peak(np.linspace(0.0, 1.0, 12).tolist(), [0, 1]) < 1.5 * one
+
+
+def test_stacked_spectra_equal_one_matrix_calls():
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+    h = (g + g.conj().swapaxes(1, 2)) / 2
+    h[2] = np.diag([1.0, 1.0, 2.0, 2.0])  # degenerate groups get the Gram-Schmidt basis
+    stack = spectral(h)
+    for n in range(len(h)):
+        one = spectral(h[n])
+        assert np.array_equal(stack.eigenvalues[n], one.eigenvalues)
+        assert np.array_equal(stack.eigenvectors[n], one.eigenvectors)
+
+
+def test_batched_inversion_equals_each_row():
+    rng = np.random.default_rng(4)
+    p = rng.random((5, 4))
+    p[1, 3] = 0.0
+    p /= p.sum(axis=1, keepdims=True)
+    u = rng.random((5, 30))
+    u[1, 0] = np.nextafter(1.0, 0.0)  # past the rounded total: the last p > 0
+    got = invert_cdf(p, u)
+    for n in range(len(p)):
+        assert np.array_equal(got[n], invert_cdf(p[n], u[n]))
+        assert got[n].tolist() == [int(invert_cdf(p[n], x)) for x in u[n]]
+
+
+def test_one_draw_stream_one_born_weight_and_no_unused_collapse(monkeypatch):
+    calls = {"trial_rng": 0, "outcome_distribution": 0, "collapse_after_outcome": 0}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count(qndsim.scenarios, "trial_rng")
+    count(qndsim.scenarios, "outcome_distribution")
+    count(qndsim.measurement, "outcome_distribution")
+    count(qndsim.measurement, "collapse_after_outcome")
+    n_repeats = 5
+    run_measurements(interp_scenario((2, 2), 1.0, 7, Schedule(n_repeats=n_repeats, n_trials=20)))
+    assert calls == {"trial_rng": 1, "outcome_distribution": n_repeats,
+                     "collapse_after_outcome": n_repeats - 1}

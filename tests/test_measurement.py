@@ -316,9 +316,9 @@ class TestDrawTrials:
     def test_first_trials_equal_a_shorter_run(self):
         p = np.array([0.2, 0.0, 0.5, 0.3])
         cal = Calibration(pointer_values=[1.0, 2.0, 3.0, 4.0])
-        long = draw_trials(p, cal, None, 1.0, 1000, 11)
+        long = draw_trials(p, cal, None, 1.0, trial_rng(11).random(1000))
         for k in (1, 7, 999):
-            short = draw_trials(p, cal, None, 1.0, k, 11)
+            short = draw_trials(p, cal, None, 1.0, trial_rng(11).random(k))
             assert np.array_equal(long.lam[:k], short.lam)
             assert np.array_equal(long.reading[:k], short.reading)
 
@@ -326,7 +326,7 @@ class TestDrawTrials:
         p = np.array([0.5, 0.3, 0.0, 0.15, 0.05])
         cal = Calibration(pointer_values=np.arange(5.0))
         n = 10**5
-        counts = np.bincount(draw_trials(p, cal, None, 1.0, n, 2024).lam, minlength=5)
+        counts = np.bincount(draw_trials(p, cal, None, 1.0, trial_rng(2024).random(n)).lam, minlength=5)
         assert counts[2] == 0
         live = p > 0
         chi2 = float(np.sum((counts[live] - n * p[live]) ** 2 / (n * p[live])))
@@ -369,7 +369,7 @@ class TestRecordCsv:
         table = np.array([[0.5, -1.25, 1 / 3], [2e-17, -7.0, np.pi]])
         cal = Calibration([1 / 7, -2.0, 1e300], table)
         tau = 0.1 + 0.2  # 0.30000000000000004 needs all 17 digits
-        rec = draw_trials([0.2, 0.5, 0.3], cal, system_index, tau, 500, 3)
+        rec = draw_trials([0.2, 0.5, 0.3], cal, system_index, tau, trial_rng(3).random(500))
         want = io.StringIO()
         writer = csv.writer(want, lineterminator="\n")
         writer.writerow(["trial", "time", "i", "lambda", "reading"])

@@ -38,6 +38,7 @@ from qndsim.measurement import (
     invert_cdf,
     outcome_distribution,
     sample_outcome,
+    trial_rng,
 )
 from qndsim.model import Preparation, prepare_initial, random_model, total_hamiltonian
 from qndsim.scenario_io import parse_scenario, render_scenario
@@ -108,7 +109,7 @@ def test_evolve_exact_matches_uncached_propagator(m, t, data):
 def test_exact_trajectory_matches_evolve_exact(m, times, block, data):
     w0 = initial_state(m, data)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qndsim.dynamics, "STACK_BLOCK", block)
+        mp.setattr(qndsim.linalg, "STACK_BLOCK", block)
         traj = exact_trajectory(m, w0, times)
     assert np.array_equal(traj.times, times)
     assert not traj.states.flags.writeable
@@ -279,7 +280,7 @@ def test_first_trials_do_not_depend_on_trial_count(weights, n, k, seed):
     p = np.array(weights) / sum(weights)
     cal = Calibration(pointer_values=np.arange(len(p), dtype=float))
     k = min(k, n - 1) + 1
-    long, short = (draw_trials(p, cal, 0, 1.0, count, seed) for count in (n, k))
+    long, short = (draw_trials(p, cal, 0, 1.0, trial_rng(seed).random(count)) for count in (n, k))
     for name in ("trial", "time", "i", "lam", "reading"):
         assert np.array_equal(getattr(long, name)[:k], getattr(short, name))
 

@@ -2,13 +2,13 @@
 
 Subcommands: check, evolve, measure, sweep.  Exit codes are uniform across
 subcommands: 0 success / conditions hold, 1 computed negative result or
-runtime failure, 2 input error.  A bad value or scenario file prints one
-``error:`` line to stderr (an unknown option gets argparse's usage message);
-no input ends in a traceback.  The measure command and the sweep both
-run scenarios.measure_batch, on one scenario or on batches of sweep points.
-All output files are UTF-8 with LF line endings; floats use the dot decimal
-separator at full precision, so repeated runs with identical inputs produce
-identical bytes.
+runtime failure, 2 input error.  Commands raise; main alone maps a failure
+to its exit code and prints it as one ``error:`` line to stderr (an unknown
+option gets argparse's usage message), so no input ends in a traceback.
+The measure command and the sweep both run scenarios.measure_batch, on one
+scenario or on batches of sweep points.  All output files are UTF-8 with LF
+line endings; floats use the dot decimal separator at full precision, so
+repeated runs with identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .linalg import InvariantViolationError
 from .model import check_conditions, prepare_initial
-from .dynamics import IntegrationError, evolve_stepped, exact_trajectory
-from .measurement import ImpossibleOutcomeError
+from .dynamics import evolve_stepped, exact_trajectory
 from .scenarios import (
     DEFAULT_ETA_GRID,
     Schedule,
@@ -31,7 +31,7 @@ from .scenarios import (
     run_measurements,
     write_sweep_csv,
 )
-from .scenario_io import ScenarioFormatError, load_scenario_file
+from .scenario_io import load_scenario_file
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -47,18 +47,8 @@ def _say(args, *parts) -> None:
         print(*parts)
 
 
-def _load(path, args):
-    try:
-        return load_scenario_file(path)
-    except ScenarioFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-
-
 def cmd_check(args) -> int:
-    s = _load(args.scenario, args)
-    if s is None:
-        return EXIT_INPUT
+    s = load_scenario_file(args.scenario)
     report = check_conditions(s.model)
     _say(args, f"eq4_defect = {_fmt(report.eq4_defect)}  holds = {report.eq4_holds}")
     _say(args, f"eq5_defect = {_fmt(report.eq5_defect)}  holds = {report.eq5_holds}")
@@ -78,29 +68,20 @@ def _write_trajectory(path, traj) -> None:
 
 
 def cmd_evolve(args) -> int:
-    s = _load(args.scenario, args)
-    if s is None:
-        return EXIT_INPUT
+    s = load_scenario_file(args.scenario)
     if not (0 <= args.t_end < math.inf and 0 < args.dt < math.inf
             and args.t_end / args.dt < math.inf):
-        print("error: need finite t-end >= 0, dt > 0 and t-end / dt", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("need finite t-end >= 0, dt > 0 and t-end / dt")
     n = int(round(args.t_end / args.dt))
     if args.t_end > 0 and n < 1:
-        print("error: t-end must span at least one step of dt", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("t-end must span at least one step of dt")
+    if n * args.t_end == math.inf:  # the grid's times are k * t-end / n
+        raise ValueError("t-end times its step count overflows")
     w0 = prepare_initial(s.model, s.preparation, pointer_basis=s.pointer.basis)
-    try:
-        if args.stepped and n > 0:
-            traj = evolve_stepped(s.model, w0, args.t_end, args.dt)
-        else:
-            traj = exact_trajectory(s.model, w0, np.arange(n + 1) * args.t_end / max(n, 1))
-    except IntegrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    except MemoryError:
-        print(f"error: a trajectory of {n + 1} states does not fit in memory", file=sys.stderr)
-        return EXIT_INPUT
+    if args.stepped and n > 0:
+        traj = evolve_stepped(s.model, w0, args.t_end, args.dt)
+    else:
+        traj = exact_trajectory(s.model, w0, np.arange(n + 1) * args.t_end / max(n, 1))
     if args.out:
         _write_trajectory(args.out, traj)
     final = traj.states[-1]
@@ -113,28 +94,16 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    s = _load(args.scenario, args)
-    if s is None:
-        return EXIT_INPUT
+    s = load_scenario_file(args.scenario)
     seed = s.seed if args.seed is None else args.seed
-    sched = s.schedule
-    try:
-        if seed < 0:
-            raise ValueError("seed must be non-negative")
-        sched = replace(
-            sched,
-            n_repeats=sched.n_repeats if args.repeats is None else args.repeats,
-            n_trials=sched.n_trials if args.trials is None else args.trials,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    s = replace(s, schedule=sched, seed=seed)
-    try:
-        run = run_measurements(s)
-    except ImpossibleOutcomeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    sched = replace(
+        s.schedule,
+        n_repeats=s.schedule.n_repeats if args.repeats is None else args.repeats,
+        n_trials=s.schedule.n_trials if args.trials is None else args.trials,
+    )
+    run = run_measurements(replace(s, schedule=sched, seed=seed))
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             run.trials.write_csv(fh)
@@ -168,31 +137,27 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        dims = tuple(int(x) for x in args.dims.split(","))
-        eta_grid = _parse_float_list(args.eta_grid)
-        seeds = _parse_int_list(args.seeds)
-        if len(dims) != 2:
-            raise ValueError("dims must be dS,dM")
-        if min(dims) < 2:
-            raise ValueError("dims must be at least 2 on each side")
-        if not seeds:
-            raise ValueError("seed list is empty")
-        if min(seeds) < 0:
-            raise ValueError("seeds must be non-negative")
-        if not eta_grid:
-            raise ValueError("eta grid is empty")
-        if any(not 0.0 <= e <= 1.0 for e in eta_grid):
-            raise ValueError("eta values must lie in [0, 1]")
-        schedule = Schedule(
-            tau=args.tau,
-            delta_tau=args.delta_tau,
-            n_repeats=args.repeats,
-            n_trials=args.trials,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    dims = tuple(int(x) for x in args.dims.split(","))
+    eta_grid = _parse_float_list(args.eta_grid)
+    seeds = _parse_int_list(args.seeds)
+    if len(dims) != 2:
+        raise ValueError("dims must be dS,dM")
+    if min(dims) < 2:
+        raise ValueError("dims must be at least 2 on each side")
+    if not seeds:
+        raise ValueError("seed list is empty")
+    if min(seeds) < 0:
+        raise ValueError("seeds must be non-negative")
+    if not eta_grid:
+        raise ValueError("eta grid is empty")
+    if any(not 0.0 <= e <= 1.0 for e in eta_grid):
+        raise ValueError("eta values must lie in [0, 1]")
+    schedule = Schedule(
+        tau=args.tau,
+        delta_tau=args.delta_tau,
+        n_repeats=args.repeats,
+        n_trials=args.trials,
+    )
     rows = interpolation_sweep(dims, eta_grid, seeds, schedule)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -268,7 +233,19 @@ def main(argv=None) -> int:
     # Built per call: no parser or namespace outlives main holding a command.
     commands = {"check": cmd_check, "evolve": cmd_evolve,
                 "measure": cmd_measure, "sweep": cmd_sweep}
-    return commands[args.command](args)
+    try:
+        return commands[args.command](args)
+    except (RuntimeError, InvariantViolationError) as exc:
+        # a computed failure: a state that left the state space (an E t that
+        # overflows included), an impossible outcome, a failing sweep point
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NEGATIVE
+    except ValueError as exc:  # a bad value or scenario file
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:  # an input too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -5,16 +5,13 @@ experiments) and a classical 4th-order stepped integrator that exercises the
 term-by-term component form of the evolution equation.  The two are
 cross-checked against each other in the test suite.  Both read the model's
 compiled operators, so H is diagonalised once per model, not once per time,
-and both return one (T, d, d) Trajectory, validated once as a stack.  The
-exact path also runs a batch of models at once: (..., d, d) states in,
-(..., T, d, d) trajectories out.
+and both return one (T, d, d) Trajectory, validated once as a stack.
+evolve_exact and state_constancy_check also take a batch of models.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import math
 
 import numpy as np
 
@@ -27,20 +24,19 @@ STEPPED_POS_TOL = 1e-7
 
 
 class IntegrationError(RuntimeError):
-    """A trajectory left the physical state space (trajectory ``index`` of a batch)."""
+    """A trajectory left the physical state space."""
 
-    def __init__(self, time: float, message: str, index: int = 0):
+    def __init__(self, time: float, message: str):
         super().__init__(f"integration failed at t={time:g}: {message}")
         self.time = time
-        self.index = index
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States w(t_k): one read-only (..., T, d, d) array over times (T,), a
-    trajectory per leading batch index, owned (frozen in place, not copied) and
-    checked once as density operators with eigenvalues down to -pos_tol; the
-    first failure, in C order, raises IntegrationError at its time and index."""
+    """States w(t_k): one read-only (T, d, d) array over times (T,), owned
+    (frozen in place, not copied) and checked once as density operators with
+    eigenvalues down to -pos_tol; the first failure raises IntegrationError
+    at its time."""
 
     times: np.ndarray
     states: np.ndarray
@@ -49,22 +45,21 @@ class Trajectory:
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         w = np.asarray(self.states, dtype=complex)
-        if w.ndim < 3 or len(t) != w.shape[-3]:
+        if w.ndim != 3 or len(t) != len(w):
             raise ValueError("need one (d, d) state per time")
         if len(t) == 0 or t[0] != 0.0 or np.any(np.diff(t) <= 0):
             raise ValueError("times must strictly increase from 0")
         try:
             check_operators(w, "state", self.pos_tol)
         except InvariantViolationError as exc:
-            index, k = divmod(exc.index, len(t))
-            raise IntegrationError(float(t[k]), str(exc), index) from exc
+            raise IntegrationError(float(t[exc.index]), str(exc)) from exc
         for name, a in (("times", t), ("states", w)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
     @property
     def final(self) -> DensityOperator:
-        return DensityOperator(self.states[..., -1, :, :], pos_tol=self.pos_tol)
+        return DensityOperator(self.states[-1], pos_tol=self.pos_tol)
 
 
 def rhs_component_form(m: BipartiteModel, w) -> np.ndarray:
@@ -91,17 +86,15 @@ def evolve_exact(m: BipartiteModel, w0: DensityOperator, t: float) -> DensityOpe
 
 
 def exact_trajectory(m: BipartiteModel, w0: DensityOperator, times) -> Trajectory:
-    """w0 at times[0] = 0, then U w0 U^dag, for one model or each model and state
-    of a batch, at most stack_block(d) matrices per stacked product; each state
-    is bitwise equal to evolve_exact at its time."""
+    """w0 at times[0] = 0, then U w0 U^dag, stack_block(d) times per stacked
+    product; each state is bitwise equal to evolve_exact at its time."""
     times = np.asarray(times, dtype=float)
-    w = w0.matrix
-    states = np.empty((*w.shape[:-2], len(times), m.dim, m.dim), dtype=complex)
-    states[..., 0, :, :] = w
-    step = max(1, stack_block(m.dim) // math.prod(w.shape[:-2]))
+    states = np.empty((len(times), m.dim, m.dim), dtype=complex)
+    states[:1] = w0.matrix
+    step = stack_block(m.dim)
     for lo in range(1, len(times), step):
         u = m.spectrum.unitary(times[lo:lo + step])
-        states[..., lo:lo + step, :, :] = u @ w[..., None, :, :] @ u.conj().swapaxes(-1, -2)
+        states[lo:lo + step] = u @ w0.matrix @ u.conj().swapaxes(1, 2)
     return Trajectory(times, states)
 
 
@@ -133,14 +126,14 @@ def state_constancy_check(
     t_grid,
     pointer_basis=None,
 ) -> float:
-    """Max Frobenius deviation of w(t) from w(0) over the grid (exact path): a
-    float for one model, an array for a batch.
+    """Max Frobenius deviation of w(t) = evolve_exact(m, w0, t) from w0 over the
+    grid: a float for one model, an array for a batch.
 
     The density-operator representation makes global-phase cancellation
     automatic, so a genuinely stationary preparation scores ~0.
     """
     w0 = prepare_initial(m, prep, pointer_basis=pointer_basis)
-    traj = exact_trajectory(m, w0, np.union1d([0.0], t_grid))
-    # one time at a time, so no second trajectory-sized array is formed
-    dev = np.max([frobenius(w - w0.matrix) for w in np.moveaxis(traj.states, -3, 0)], axis=0)
+    dev = np.zeros(m.batch)  # w(0) is w0 itself
+    for t in np.setdiff1d(t_grid, [0.0]):
+        dev = np.maximum(dev, frobenius(evolve_exact(m, w0, t).matrix - w0.matrix))
     return float(dev) if dev.ndim == 0 else dev

@@ -195,12 +195,16 @@ class SpectralDecomposition:
 
     def unitary(self, t) -> np.ndarray:
         """U = exp(-i H t) = V exp(-i E t) V^dag, shaped batch + t.shape + (d, d):
-        a time gives one U per decomposition, T times a (..., T, d, d) stack."""
+        a time gives one U per decomposition, T times a (..., T, d, d) stack.
+        An E t that overflows gives a non-finite U, silently: the states it
+        propagates fail their finiteness check."""
         t = np.asarray(t, dtype=float)
         lead = self.eigenvalues.shape[:-1] + (1,) * t.ndim
         e = self.eigenvalues.reshape(*lead, self.dim)
         v = self.eigenvectors.reshape(*lead, self.dim, self.dim)
-        return (v * np.exp(-1j * e * t[..., None])[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase = np.exp(-1j * e * t[..., None])
+        return (v * phase[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------

@@ -37,20 +37,19 @@ from .linalg import (
     spectral,
 )
 from .model import BipartiteModel, Preparation, prepare_initial
-from .dynamics import evolve_exact
+from .dynamics import IntegrationError, evolve_exact
 
 
 class ImpossibleOutcomeError(RuntimeError):
-    """Conditioning on an outcome with zero probability (at ``index`` of a batch)."""
+    """Conditioning on an outcome with zero probability."""
 
-    def __init__(self, pointer_index: int, trial: Optional[int] = None, index: int = 0):
+    def __init__(self, pointer_index: int, trial: Optional[int] = None):
         where = "" if trial is None else f" in trial {trial}"
         super().__init__(
             f"pointer outcome {pointer_index} has zero probability{where}"
         )
         self.pointer_index = pointer_index
         self.trial = trial
-        self.index = index
 
 
 @dataclass(frozen=True)
@@ -127,7 +126,9 @@ NO_INDEX = -1  # the i column of a row without a prepared system index
 @dataclass(frozen=True)
 class MeasurementRecord:
     """Read-only columns, one row per trial or repeat; lam, the CSV's lambda,
-    is the pointer group index."""
+    is the pointer group index.  A column given as a stride-0 broadcast of one
+    value (from_outcomes' trial, time and i where they do not vary) stays a
+    broadcast, over a copy of that value; any other column is copied."""
 
     trial: np.ndarray
     time: np.ndarray
@@ -138,7 +139,12 @@ class MeasurementRecord:
     def __post_init__(self):
         columns = {"trial": int, "time": float, "i": int, "lam": int, "reading": float}
         for name, dtype in columns.items():
-            object.__setattr__(self, name, read_only(getattr(self, name), dtype))
+            a = np.asarray(getattr(self, name))
+            if a.ndim == 1 and a.strides == (0,):
+                a = np.broadcast_to(read_only(a[:1], dtype), a.shape)
+            else:
+                a = read_only(a, dtype)
+            object.__setattr__(self, name, a)
         if self.trial.ndim != 1 or len({getattr(self, n).shape for n in columns}) != 1:
             raise ValueError("record columns must be 1-D and of one length")
 
@@ -189,17 +195,15 @@ def outcome_distribution(
     batch of states and pointers.
 
     Values in [-EPS_POS, 0) are floating noise and clipped to 0, then the
-    distribution is renormalized; larger negatives are an error, raised as
-    an InvariantViolationError at the first such point of the batch.
+    distribution is renormalized; a larger negative, the lowest in a batch, is
+    raised as an InvariantViolationError.
     """
     rho_m = np.einsum("...iaib->...ab", _apparatus_axes(w, pointer, dims))
     v = pointer.basis.eigenvectors
     weights = (v.conj() * (rho_m @ v)).sum(axis=-2).real
     p = np.add.reduceat(weights, pointer.starts, axis=-1)
-    low = p.min(axis=-1).reshape(-1)
-    if (low < -EPS_POS).any():
-        n = int((low < -EPS_POS).argmax())
-        raise InvariantViolationError(f"outcome probability {low[n]:.3e} below -{EPS_POS:g}", n)
+    if p.min() < -EPS_POS:
+        raise InvariantViolationError(f"outcome probability {p.min():.3e} below -{EPS_POS:g}")
     p = np.maximum(p, 0.0)
     return p / p.sum(axis=-1, keepdims=True)
 
@@ -246,10 +250,9 @@ def collapse_after_outcome(
     left = proj @ axes.reshape(*batch, d_s, d_m, -1)
     projected = (left.reshape(*batch, -1, d_s, d_m) @ proj).reshape(*batch, w.dim, w.dim)
     p_lam = np.trace(projected, axis1=-2, axis2=-1).real
-    impossible = (p_lam <= 0.0).reshape(-1)
+    impossible = p_lam <= 0.0
     if impossible.any():
-        n = int(impossible.argmax())
-        raise ImpossibleOutcomeError(int(lam.reshape(-1)[n]), index=n)
+        raise ImpossibleOutcomeError(int(lam[impossible][0]))
     return DensityOperator(projected / p_lam[..., None, None])
 
 
@@ -283,13 +286,18 @@ def repeated_outcomes(
             try:
                 w = collapse_after_outcome(w, pointer, lams[-1], dims)
             except ImpossibleOutcomeError as exc:
-                raise ImpossibleOutcomeError(exc.pointer_index, 0, exc.index) from exc
+                raise ImpossibleOutcomeError(exc.pointer_index, 0) from exc
     return np.stack(lams, axis=-1)
 
 
 def repeat_times(tau: float, delta_tau: float, n_repeats: int) -> np.ndarray:
-    """tau, tau + delta_tau, ...: each time the previous one plus delta_tau."""
-    return np.cumsum([tau] + [delta_tau] * (n_repeats - 1))
+    """tau, tau + delta_tau, ...: each time the previous one plus delta_tau; a
+    last time that overflows raises IntegrationError."""
+    with np.errstate(over="ignore"):
+        times = np.cumsum([tau] + [delta_tau] * (n_repeats - 1))
+    if not np.isfinite(times[-1]):
+        raise IntegrationError(float(times[-1]), "the repeat times overflow")
+    return times
 
 
 def repeatability_protocol(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -125,7 +125,7 @@ class SweepRow:
     def as_csv_fields(self) -> list[str]:
         """Integers as they are, floats at full precision, an absent eta empty."""
         return ["" if v is None else str(v) if isinstance(v, int) else f"{v:.17g}"
-                for v in astuple(self)]
+                for v in (getattr(self, name) for name in SWEEP_HEADER)]
 
 
 SWEEP_HEADER = [f.name for f in fields(SweepRow)]
@@ -184,6 +184,7 @@ def measure_batch(b: Batch) -> list[MeasurementRun]:
     weighted mean.  Trial records, taken one point at a time so that only one
     point's draws are held, and statistics are per point."""
     sched, m, i = b.schedule, b.model, b.preparation.system_index
+    times = repeat_times(sched.tau, sched.delta_tau, sched.n_repeats)
     w0 = prepare_initial(m, b.preparation, pointer_basis=b.pointer.basis)
     w_tau = evolve_exact(m, w0, sched.tau)
     p = outcome_distribution(w_tau, b.pointer, (m.d_system, m.d_apparatus))
@@ -194,7 +195,6 @@ def measure_batch(b: Batch) -> list[MeasurementRun]:
         u_repeats[point] = u[:sched.n_repeats]
         trials.append(draw_trials(p[point], cal, i, sched.tau, u[:sched.n_trials]))
     repeat_lams = repeated_outcomes(m, w_tau, p, b.pointer, sched.delta_tau, u_repeats)
-    times = repeat_times(sched.tau, sched.delta_tau, sched.n_repeats)
     return [
         MeasurementRun(
             repeats=MeasurementRecord.from_outcomes(cal, i, 0, times, repeat_lams[point]),
@@ -214,9 +214,9 @@ def run_measurements(s: Scenario) -> MeasurementRun:
 
 def run_batch(b: Batch) -> list[SweepRow]:
     """The full pipeline, each stage once over the batch, then one result row
-    per point.  A failure raises naming the point it was found at: the first
-    failing point, in C order, of the first stage that fails.  An error that
-    carries no point index reruns the batch one point at a time to find it."""
+    per point.  When a batch of several points fails, its points rerun one at
+    a time (Batch.point) and the first that fails alone is named; every stage
+    computes a point with the bits of the one-point call, so it fails alike."""
     try:
         report = check_conditions(b.model)
         t_grid = np.linspace(0.0, max(b.schedule.tau, 1.0), CONSTANCY_POINTS)[1:]
@@ -224,15 +224,16 @@ def run_batch(b: Batch) -> list[SweepRow]:
             b.model, b.preparation, t_grid, pointer_basis=b.pointer.basis
         )
         runs = measure_batch(b)
+    except MemoryError:
+        raise  # an input too large to allocate, not a failing point
     except Exception as exc:
-        index = getattr(exc, "index", None)
-        if index is None and len(b.names) > 1:
-            for n in range(len(b.names)):
-                run_batch(b.point(n))  # raises naming point n if it fails alone
-            raise RuntimeError(
-                f"scenarios {b.names[0]!r} to {b.names[-1]!r} failed as one batch: {exc}"
-            ) from exc
-        raise RuntimeError(f"scenario {b.names[index or 0]!r} failed: {exc}") from exc
+        if len(b.names) == 1:
+            raise RuntimeError(f"scenario {b.names[0]!r} failed: {exc}") from exc
+        for n in range(len(b.names)):
+            run_batch(b.point(n))  # raises naming point n if it fails alone
+        raise RuntimeError(
+            f"scenarios {b.names[0]!r} to {b.names[-1]!r} failed as one batch: {exc}"
+        ) from exc
     columns = (np.reshape(a, -1).tolist()
                for a in (report.eq4_defect, report.eq5_defect, constancy))
     return [
@@ -257,13 +258,16 @@ def run_scenario(s: Scenario) -> SweepRow:
 
 
 def _point_bytes(dims: tuple[int, int], schedule: Schedule) -> int:
-    """Bytes a sweep point holds while its batch runs: its constancy trajectory
-    and about as many other joint matrices (model terms, H, its eigenvectors,
-    propagators, states), one draw stream, and the five 8-byte columns of its
-    repeat and trial records."""
+    """Bytes a sweep point adds to its batch's peak, so that a batch of
+    BATCH_BYTES // _point_bytes points stays within BATCH_BYTES: about 16 joint
+    matrices (model terms, H, its eigenvectors, propagators, states), its repeat
+    and trial records at 24 B per row (time and i are broadcasts), and, while
+    its trials are drawn, its draw stream and the trial columns before they are
+    copied read-only."""
     matrix = 16 * math.prod(dims) ** 2
-    draws = 8 * max(schedule.n_repeats, schedule.n_trials)
-    return 2 * CONSTANCY_POINTS * matrix + draws + 40 * (schedule.n_repeats + schedule.n_trials)
+    records = 24 * (schedule.n_repeats + schedule.n_trials)
+    drawing = 8 * max(schedule.n_repeats, schedule.n_trials) + 24 * schedule.n_trials
+    return 16 * matrix + records + drawing
 
 
 def _sweep_batch(dims, points, draws, basis, schedule) -> Batch:

@@ -3,8 +3,8 @@ through each stage, with the bytes of one scenario at a time.
 
 Golden CSVs were written by the one-point-at-a-time sweep that preceded the
 batch; the sweep must still write them byte for byte.  Each sweep row equals
-run_scenario on the same scenario, field for field; a failure names the point
-it was found at; seeds whose pointers group their eigenvalues differently, or
+run_scenario on the same scenario, field for field; a failure names the first
+point that fails alone; seeds whose pointers group their eigenvalues differently, or
 points that overflow one batch, run as separate batches, and a sweep whose
 points are large holds about one point at a time; the repeat protocol makes
 no collapse it does not use.
@@ -85,14 +85,16 @@ def test_sweep_rows_equal_one_scenario_runs(dims, etas, seeds, n_repeats, n_tria
 
 def test_failure_names_the_failing_point(monkeypatch):
     etas, seeds = [0.0, 0.5, 1.0], [3, 4, 5]
-    bad = etas.index(0.5) * len(seeds) + seeds.index(5)
+    bad = random_model((2, 2), "interpolated", 5, eta=0.5).spectrum.eigenvalues
     unitary = SpectralDecomposition.unitary
 
     def poisoned(self, t):
+        # the propagators of point (0.5, 5), in the batch and run alone
         u = unitary(self, t)
-        if len(u) == len(etas) * len(seeds):  # the batch's propagators
+        hit = (self.eigenvalues == bad).all(axis=-1)
+        if hit.any():
             u = u.copy()
-            u[bad] = np.nan
+            u[hit] = np.nan
         return u
 
     monkeypatch.setattr(SpectralDecomposition, "unitary", poisoned)

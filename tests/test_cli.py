@@ -275,6 +275,11 @@ BAD_ARGS = {
     "evolve-t-end-inf": ["evolve", QND, "--t-end", "inf"],
     "evolve-dt-nan": ["evolve", QND, "--dt", "nan"],
     "evolve-steps-overflow": ["evolve", QND, "--t-end", "1e300", "--dt", "1e-300"],
+    "evolve-grid-overflow": ["evolve", QND, "--t-end", "1e308", "--dt", "1e307"],
+    # numpy refuses the 7.11 PiB draw stream at once, allocating nothing
+    "measure-trials-unallocatable": ["measure", QND, "--trials", "1000000000000000"],
+    "sweep-trials-unallocatable": ["sweep", "--trials", "1000000000000000",
+                                   "--seeds", "0:1", "--eta-grid", "0"],
 }
 
 
@@ -289,6 +294,24 @@ def _assert_input_error(argv, capsys):
 @pytest.mark.parametrize("argv", BAD_ARGS.values(), ids=BAD_ARGS.keys())
 def test_bad_argument_is_input_error(argv, capsys):
     _assert_input_error(argv, capsys)
+
+
+# Times whose E t or whose repeat times overflow: a computed failure, exit 1.
+OVERFLOWING_TIMES = {
+    "sweep-delta-tau": lambda tmp_path: ["sweep", "--delta-tau", "1e308", "--seeds", "0:2"],
+    "sweep-tau": lambda tmp_path: ["sweep", "--tau", "1.7e308", "--seeds", "0:1"],
+    "measure-file-delta-tau": lambda tmp_path: [
+        "measure", _bad_file(tmp_path, lambda d: d["schedule"].update(delta_tau=1e308))],
+    "evolve-exact": lambda tmp_path: ["evolve", QND, "--t-end", "1e308", "--dt", "1e308"],
+}
+
+
+@pytest.mark.parametrize("argv", OVERFLOWING_TIMES.values(), ids=OVERFLOWING_TIMES.keys())
+def test_overflowing_time_is_a_computed_failure(argv, tmp_path, capsys):
+    # An exception escaping main fails the test, and so does a RuntimeWarning.
+    assert main(argv(tmp_path) + ["--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("mode", ["--exact", "--stepped"])

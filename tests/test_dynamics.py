@@ -13,6 +13,7 @@ from qndsim.model import (
 )
 from qndsim.dynamics import (
     IntegrationError,
+    Trajectory,
     evolve_exact,
     evolve_stepped,
     rhs_component_form,
@@ -203,6 +204,12 @@ class TestEvolveStepped:
         w0 = prepare_initial(m, Preparation.eigenbasis(0, 0))
         with pytest.raises(ValueError):
             evolve_stepped(m, w0, 1.0, 2.0)
+
+
+def test_trajectory_holds_one_shape():
+    states = np.broadcast_to(np.eye(2) / 2, (2, 3, 2, 2))  # a batch of trajectories
+    with pytest.raises(ValueError, match="one \\(d, d\\) state per time"):
+        Trajectory(np.arange(3.0), states)
 
 
 class TestStateConstancy:

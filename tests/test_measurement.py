@@ -364,6 +364,23 @@ class TestRecordCsv:
         assert lines[1].startswith("0,1,,1,")
         assert lines[2].startswith("1,1,2,0,")
 
+    def test_trial_record_broadcasts_its_constant_columns(self):
+        rec = draw_trials([0.5, 0.5], Calibration([1.0, -1.0]), 1, 0.25, trial_rng(5).random(100))
+        for column, value in ((rec.time, 0.25), (rec.i, 1)):
+            assert column.strides == (0,)
+            assert not column.flags.writeable
+            assert column.tolist() == [value] * 100
+
+    def test_columns_copy_the_caller_arrays(self):
+        one_time = np.array([2.0])
+        columns = {"trial": np.arange(3), "time": np.broadcast_to(one_time, 3),
+                   "i": np.zeros(3, dtype=int), "lam": np.zeros(3, dtype=int),
+                   "reading": np.ones(3)}
+        rec = MeasurementRecord(**columns)
+        one_time[0] = columns["reading"][0] = 5.0
+        assert rec.time.tolist() == [2.0] * 3 and rec.reading.tolist() == [1.0] * 3
+        assert one_time.flags.writeable and columns["reading"].flags.writeable
+
     @pytest.mark.parametrize("system_index", [None, 1], ids=["no-index", "index"])
     def test_matches_csv_writer_rendering(self, system_index):
         table = np.array([[0.5, -1.25, 1 / 3], [2e-17, -7.0, np.pi]])

@@ -40,7 +40,6 @@ from .measurement import (
     Calibration,
     MeasurementRecord,
     PointerObservable,
-    PointerStatistics,
     aggregate_sigma,
     collapse_after_outcome,
     dispersion_experiment,

@@ -192,10 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve.add_argument("scenario", type=Path)
     p_evolve.add_argument("--t-end", type=float, default=1.0)
     p_evolve.add_argument("--dt", type=float, default=1e-3)
-    mode = p_evolve.add_mutually_exclusive_group()
-    mode.add_argument("--exact", dest="stepped", action="store_false")
-    mode.add_argument("--stepped", dest="stepped", action="store_true")
-    p_evolve.set_defaults(stepped=False)
+    p_evolve.add_argument(
+        "--stepped", action="store_true", help="RK4 steps instead of the exact propagator"
+    )
     common(p_evolve)
 
     p_measure = sub.add_parser(
@@ -240,7 +239,7 @@ def main(argv=None) -> int:
         # overflows included), an impossible outcome, a failing sweep point
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    except ValueError as exc:  # a bad value or scenario file
+    except (ValueError, OSError) as exc:  # a bad value, scenario file or output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError as exc:  # an input too large to allocate

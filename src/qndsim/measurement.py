@@ -120,42 +120,33 @@ class Calibration:
         return self.pointer_values[pointer_index]
 
 
-NO_INDEX = -1  # the i column of a row without a prepared system index
-
-
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """Read-only columns, one row per trial or repeat; lam, the CSV's lambda,
-    is the pointer group index.  A column given as a stride-0 broadcast of one
-    value (from_outcomes' trial, time and i where they do not vary) stays a
-    broadcast, over a copy of that value; any other column is copied."""
+    """Rows of one run, each a trial or a repeat, at one system index (None
+    without one); lam, the CSV's lambda, is the pointer group index.  trial and
+    time are each one value (0-d) or one per row; lam and reading are 1-D of
+    one length.  Every array is a read-only copy."""
 
+    system_index: Optional[int]
     trial: np.ndarray
     time: np.ndarray
-    i: np.ndarray
     lam: np.ndarray
     reading: np.ndarray
 
     def __post_init__(self):
-        columns = {"trial": int, "time": float, "i": int, "lam": int, "reading": float}
-        for name, dtype in columns.items():
-            a = np.asarray(getattr(self, name))
-            if a.ndim == 1 and a.strides == (0,):
-                a = np.broadcast_to(read_only(a[:1], dtype), a.shape)
-            else:
-                a = read_only(a, dtype)
-            object.__setattr__(self, name, a)
-        if self.trial.ndim != 1 or len({getattr(self, n).shape for n in columns}) != 1:
-            raise ValueError("record columns must be 1-D and of one length")
+        for name, dtype in (("trial", int), ("time", float), ("lam", int), ("reading", float)):
+            object.__setattr__(self, name, read_only(getattr(self, name), dtype))
+        rows = self.lam.shape
+        if (len(rows) != 1 or self.reading.shape != rows
+                or {self.trial.shape, self.time.shape} - {rows, ()}):
+            raise ValueError("lam and reading must be 1-D and of one length, "
+                             "trial and time one value or one per row")
 
     @classmethod
     def from_outcomes(cls, cal: Calibration, system_index: Optional[int], trial, time, lam):
-        """Rows of pointer groups lam at one system index, read through cal;
-        trial and time broadcast against lam."""
+        """Rows of pointer groups lam at one system index, read through cal."""
         lam = np.asarray(lam, dtype=int)
-        i = NO_INDEX if system_index is None else system_index
-        trial, time, i = (np.broadcast_to(c, lam.shape) for c in (trial, time, i))
-        return cls(trial, time, i, lam, cal.readings(system_index, lam))
+        return cls(system_index, trial, time, lam, cal.readings(system_index, lam))
 
     def outcome_changes(self) -> int:
         """Count of consecutive rows whose pointer group changed."""
@@ -163,22 +154,11 @@ class MeasurementRecord:
 
     def write_csv(self, fh) -> None:
         fh.write("trial,time,i,lambda,reading\n")
-        i = ["" if k == NO_INDEX else k for k in self.i.tolist()]
-        rows = zip(self.trial.tolist(), self.time.tolist(), i,
-                   self.lam.tolist(), self.reading.tolist())
+        i = "" if self.system_index is None else "%d" % self.system_index
+        trial, time = (np.broadcast_to(c, self.lam.shape).tolist() for c in (self.trial, self.time))
         # "%.17g" prints what f"{x:.17g}" does, one row per format call.
-        fh.writelines("%d,%.17g,%s,%d,%.17g\n" % row for row in rows)
-
-
-@dataclass(frozen=True)
-class PointerStatistics:
-    probabilities: np.ndarray
-    sigma: float
-    system_index: Optional[int]
-    mode: str  # "analytic" | "empirical"
-
-    def __post_init__(self):
-        object.__setattr__(self, "probabilities", read_only(self.probabilities, float))
+        row = "%d,%.17g," + i + ",%d,%.17g\n"
+        fh.writelines(row % r for r in zip(trial, time, self.lam.tolist(), self.reading.tolist()))
 
 
 def _apparatus_axes(w: DensityOperator, pointer: PointerObservable, dims) -> np.ndarray:
@@ -294,7 +274,7 @@ def repeat_times(tau: float, delta_tau: float, n_repeats: int) -> np.ndarray:
     """tau, tau + delta_tau, ...: each time the previous one plus delta_tau; a
     last time that overflows raises IntegrationError."""
     with np.errstate(over="ignore"):
-        times = np.cumsum([tau] + [delta_tau] * (n_repeats - 1))
+        times = np.cumsum(np.r_[tau, np.full(n_repeats - 1, delta_tau)])
     if not np.isfinite(times[-1]):
         raise IntegrationError(float(times[-1]), "the repeat times overflow")
     return times
@@ -394,7 +374,7 @@ def aggregate_sigma(
     system_index: Optional[int],
     distribution: Optional[Sequence[float]] = None,
     record: Optional[MeasurementRecord] = None,
-) -> PointerStatistics:
+) -> float:
     """Weighted pointer mean sigma_i = sum_lam p_lam * c(i, lam).
 
     Analytic mode takes the Born distribution directly; empirical mode takes
@@ -404,14 +384,9 @@ def aggregate_sigma(
         raise ValueError("pass exactly one of distribution or record")
     if distribution is not None:
         p = np.asarray(distribution, dtype=float)
-        mode = "analytic"
     else:
         if not len(record.lam):
             raise ValueError("empty record set")
         p = np.bincount(record.lam, minlength=len(cal.pointer_values)) / len(record.lam)
-        mode = "empirical"
     # builtin sum, not a dot product: adds in lam order, so sigma keeps its rounding
-    sigma = float(sum(p * cal.readings(system_index, np.arange(len(p)))))
-    return PointerStatistics(
-        probabilities=p, sigma=sigma, system_index=system_index, mode=mode
-    )
+    return float(sum(p * cal.readings(system_index, np.arange(len(p)))))

@@ -36,6 +36,15 @@ class ScenarioFormatError(ValueError):
     """A scenario document failed to parse or validate."""
 
 
+def _int(value, what: str) -> int:
+    """int(value); a value int() refuses (a string, NaN, an infinity) is a
+    ScenarioFormatError that names what."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioFormatError(f"{what}: {exc}") from exc
+
+
 def _parse_matrix(spec, what: str) -> np.ndarray:
     if isinstance(spec, str):
         if spec in PAULI:
@@ -43,15 +52,17 @@ def _parse_matrix(spec, what: str) -> np.ndarray:
         raise ScenarioFormatError(f"{what}: unknown operator name {spec!r}")
     if isinstance(spec, dict):
         if "identity" in spec:
-            return np.eye(int(spec["identity"]), dtype=complex)
+            return np.eye(_int(spec["identity"], f"{what}.identity"), dtype=complex)
         if "zero" in spec:
-            n = int(spec["zero"])
+            n = _int(spec["zero"], f"{what}.zero")
             return np.zeros((n, n), dtype=complex)
         if "diag" in spec:
             return np.diag(np.array(spec["diag"], dtype=float)).astype(complex)
         if "kron" in spec:
-            a, b = spec["kron"]
-            return np.kron(_parse_matrix(a, what), _parse_matrix(b, what))
+            pair = spec["kron"]
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ScenarioFormatError(f"{what}.kron must be [a, b], got {pair!r}")
+            return np.kron(_parse_matrix(pair[0], what), _parse_matrix(pair[1], what))
         raise ScenarioFormatError(f"{what}: unknown operator spec {sorted(spec)}")
     try:
         arr = np.array(spec, dtype=float)
@@ -77,17 +88,17 @@ def _hermitian(spec, what: str) -> HermitianOperator:
 
 def _parse_model(doc: dict) -> tuple[BipartiteModel, Optional[float]]:
     """The model and its eta, which labels an explicit model as well."""
-    try:
-        d_s, d_m = (int(x) for x in doc["dims"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"model.dims: {exc}") from exc
+    dims = doc.get("dims")
+    if not isinstance(dims, (list, tuple)) or len(dims) != 2:
+        raise ScenarioFormatError(f"model.dims must be [dS, dM], got {dims!r}")
+    d_s, d_m = (_int(d, "model.dims") for d in dims)
     try:
         eta = None if doc.get("eta") is None else float(doc["eta"])
     except (TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"model.eta: {exc}") from exc
     if "family" in doc:
+        seed = _int(doc.get("seed", 0), "model.seed")
         try:
-            seed = int(doc.get("seed", 0))
             return random_model((d_s, d_m), doc["family"], seed, eta=eta), eta
         except (TypeError, ValueError) as exc:
             raise ScenarioFormatError(f"model: {exc}") from exc
@@ -113,10 +124,8 @@ def _parse_preparation(doc: dict, model: BipartiteModel) -> Preparation:
         for key in ("system_index", "apparatus_index"):
             if key not in doc:
                 raise ScenarioFormatError(f"preparation.{key} missing")
-        try:
-            i, lam = int(doc["system_index"]), int(doc["apparatus_index"])
-        except (TypeError, ValueError) as exc:
-            raise ScenarioFormatError(f"preparation: {exc}") from exc
+        i = _int(doc["system_index"], "preparation.system_index")
+        lam = _int(doc["apparatus_index"], "preparation.apparatus_index")
         if not (0 <= i < model.d_system and 0 <= lam < model.d_apparatus):
             raise ScenarioFormatError(
                 f"preparation indices ({i}, {lam}) out of range for dims "
@@ -143,8 +152,8 @@ def parse_scenario(doc: dict, name: Optional[str] = None) -> Scenario:
             f"unsupported schema {doc.get('schema')!r}; expected {SCHEMA_VERSION}"
         )
     for key in ("model", "preparation", "schedule"):
-        if key not in doc:
-            raise ScenarioFormatError(f"{key!r} section missing")
+        if not isinstance(doc.get(key), dict):
+            raise ScenarioFormatError(f"{key!r} section missing or not an object")
     model, eta = _parse_model(doc["model"])
     prep = _parse_preparation(doc["preparation"], model)
     sched_doc = doc["schedule"]
@@ -152,8 +161,8 @@ def parse_scenario(doc: dict, name: Optional[str] = None) -> Scenario:
         schedule = Schedule(
             tau=float(sched_doc["tau"]),
             delta_tau=float(sched_doc["delta_tau"]),
-            n_repeats=int(sched_doc["n_repeats"]),
-            n_trials=int(sched_doc["n_trials"]),
+            n_repeats=_int(sched_doc["n_repeats"], "n_repeats"),
+            n_trials=_int(sched_doc["n_trials"], "n_trials"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"schedule: {exc}") from exc
@@ -183,10 +192,7 @@ def parse_scenario(doc: dict, name: Optional[str] = None) -> Scenario:
                 f"calibration: table has {calibration.table.shape[0]} rows, "
                 f"expected d_S = {model.d_system}"
             )
-    try:
-        seed = int(doc.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"seed: {exc}") from exc
+    seed = _int(doc.get("seed", 0), "seed")
     if seed < 0:
         raise ScenarioFormatError(f"seed {seed} is negative")
     return Scenario.build(

@@ -200,8 +200,8 @@ def measure_batch(b: Batch) -> list[MeasurementRun]:
             repeats=MeasurementRecord.from_outcomes(cal, i, 0, times, repeat_lams[point]),
             trials=record,
             reading_variance=reading_variance(record),
-            sigma_analytic=aggregate_sigma(cal, i, distribution=p[point]).sigma,
-            sigma_empirical=aggregate_sigma(cal, i, record=record).sigma,
+            sigma_analytic=aggregate_sigma(cal, i, distribution=p[point]),
+            sigma_empirical=aggregate_sigma(cal, i, record=record),
         )
         for point, cal, record in zip(np.ndindex(m.batch), b.calibrations, trials, strict=True)
     ]
@@ -261,9 +261,9 @@ def _point_bytes(dims: tuple[int, int], schedule: Schedule) -> int:
     """Bytes a sweep point adds to its batch's peak, so that a batch of
     BATCH_BYTES // _point_bytes points stays within BATCH_BYTES: about 16 joint
     matrices (model terms, H, its eigenvectors, propagators, states), its repeat
-    and trial records at 24 B per row (time and i are broadcasts), and, while
-    its trials are drawn, its draw stream and the trial columns before they are
-    copied read-only."""
+    and trial records at 24 B per row (a trial record's time and a repeat
+    record's trial are one value), and, while its trials are drawn, its draw
+    stream and the trial columns before they are copied read-only."""
     matrix = 16 * math.prod(dims) ** 2
     records = 24 * (schedule.n_repeats + schedule.n_trials)
     drawing = 8 * max(schedule.n_repeats, schedule.n_trials) + 24 * schedule.n_trials

@@ -145,7 +145,7 @@ def test_criterion_6_sigma_consistency():
     details = []
     for case_idx, (p, c, sigma_expect) in enumerate(cases):
         cal = Calibration(pointer_values=c)
-        analytic = aggregate_sigma(cal, None, distribution=p).sigma
+        analytic = aggregate_sigma(cal, None, distribution=p)
         rng = np.random.default_rng(600 + case_idx)
         total = 0.0
         for _ in range(n):

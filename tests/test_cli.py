@@ -15,6 +15,7 @@ from qndsim.scenario_io import bundled_scenario_path, load_scenario_file
 from qndsim.scenarios import run_scenario
 
 QND = str(bundled_scenario_path("qubit-qnd"))
+INF = float("inf")
 BUNDLED = sorted(bundled_scenario_path("qubit-qnd").parent.glob("*.json"))
 VIOLATING = str(bundled_scenario_path("qubit-violating"))
 
@@ -64,7 +65,7 @@ class TestEvolve:
         out_e = tmp_path / "exact.csv"
         out_s = tmp_path / "stepped.csv"
         args = ["evolve", VIOLATING, "--t-end", "1", "--dt", "0.001"]
-        assert main(args + ["--exact", "--out", str(out_e)]) == 0
+        assert main(args + ["--out", str(out_e)]) == 0
         assert main(args + ["--stepped", "--out", str(out_s)]) == 0
         last_e = list(csv.reader(out_e.open()))[-1]
         last_s = list(csv.reader(out_s.open()))[-1]
@@ -72,10 +73,10 @@ class TestEvolve:
         b = np.array([float(x) for x in last_s[1:]])
         assert np.linalg.norm(a - b) <= 1e-8
 
-    @pytest.mark.parametrize("mode", ["--exact", "--stepped"])
+    @pytest.mark.parametrize("mode", [[], ["--stepped"]], ids=["exact", "--stepped"])
     def test_t_end_rounding_to_one_step(self, mode, tmp_path):
         out = tmp_path / "traj.csv"
-        argv = ["evolve", QND, "--t-end", "6e-4", mode, "--out", str(out)]
+        argv = ["evolve", QND, "--t-end", "6e-4", *mode, "--out", str(out)]
         assert main(argv) == 0
         rows = list(csv.reader(out.open()))
         assert [float(r[0]) for r in rows[1:]] == [0.0, 6e-4]
@@ -259,6 +260,20 @@ BAD_FILES = {
     "calibration-columns-per-value": lambda d: d.update(
         pointer={"identity": 2}, calibration={"table": [[1, -1], [1, -1]]}
     ),
+    "preparation-not-object": lambda d: d.update(preparation=5),
+    "kron-not-pair": lambda d: d.update(pointer={"kron": 5}),
+    # integers that int() refuses: JSON Infinity, as json.loads also reads 1e400
+    "seed-infinity": lambda d: d.update(seed=INF),
+    "dims-infinity": lambda d: d["model"].update(dims=[2, INF]),
+    "family-seed-infinity": lambda d: d.update(
+        model={"dims": [2, 2], "family": "qnd", "seed": INF}
+    ),
+    "system-index-infinity": lambda d: d["preparation"].update(system_index=INF),
+    "apparatus-index-infinity": lambda d: d["preparation"].update(apparatus_index=INF),
+    "n-repeats-infinity": lambda d: d["schedule"].update(n_repeats=INF),
+    "n-trials-infinity": lambda d: d["schedule"].update(n_trials=-INF),
+    "identity-infinity": lambda d: d.update(pointer={"identity": INF}),
+    "zero-infinity": lambda d: d["model"].update(h_coupling={"zero": INF}),
 }
 
 BAD_ARGS = {
@@ -280,6 +295,10 @@ BAD_ARGS = {
     "measure-trials-unallocatable": ["measure", QND, "--trials", "1000000000000000"],
     "sweep-trials-unallocatable": ["sweep", "--trials", "1000000000000000",
                                    "--seeds", "0:1", "--eta-grid", "0"],
+    # numpy refuses the 7.11 PiB of repeat times, naming the size
+    "measure-repeats-unallocatable": ["measure", QND, "--repeats", "1000000000000000"],
+    "sweep-repeats-unallocatable": ["sweep", "--repeats", "1000000000000000",
+                                    "--seeds", "0:1", "--eta-grid", "0"],
 }
 
 
@@ -288,12 +307,27 @@ def _assert_input_error(argv, capsys):
     assert main(argv + ["--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not err.rstrip().endswith(":"), err  # a message follows every colon
     assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", BAD_ARGS.values(), ids=BAD_ARGS.keys())
 def test_bad_argument_is_input_error(argv, capsys):
     _assert_input_error(argv, capsys)
+
+
+# Output paths in a directory that does not exist.
+UNWRITABLE_OUTPUTS = {
+    "sweep-out": ["sweep", "--seeds", "0:1", "--eta-grid", "0", "--out"],
+    "evolve-out": ["evolve", QND, "--t-end", "0", "--out"],
+    "measure-out": ["measure", QND, "--out"],
+    "measure-repeat-out": ["measure", QND, "--repeat-out"],
+}
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE_OUTPUTS.values(), ids=UNWRITABLE_OUTPUTS.keys())
+def test_unwritable_output_is_input_error(argv, tmp_path, capsys):
+    _assert_input_error(argv + [str(tmp_path / "absent" / "out.csv")], capsys)
 
 
 # Times whose E t or whose repeat times overflow: a computed failure, exit 1.
@@ -314,14 +348,14 @@ def test_overflowing_time_is_a_computed_failure(argv, tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("mode", ["--exact", "--stepped"])
+@pytest.mark.parametrize("mode", [[], ["--stepped"]], ids=["exact", "--stepped"])
 def test_trajectory_beyond_memory_is_input_error(mode, monkeypatch, capsys):
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate")
 
     monkeypatch.setattr(cli, "exact_trajectory", no_memory)
     monkeypatch.setattr(cli, "evolve_stepped", no_memory)
-    _assert_input_error(["evolve", QND, "--t-end", "1", mode], capsys)
+    _assert_input_error(["evolve", QND, "--t-end", "1", *mode], capsys)
 
 
 @pytest.mark.parametrize("command", ["check", "evolve", "measure"])
@@ -352,8 +386,9 @@ def test_seed_beyond_128_bits_runs(tmp_path, capsys):
         ["check", QND, "--out", "x.csv"],
         ["evolve", QND, "--seed", "1"],
         ["sweep", "--seed", "1"],
+        ["evolve", QND, "--exact"],
     ],
-    ids=["check-seed", "check-out", "evolve-seed", "sweep-seed"],
+    ids=["check-seed", "check-out", "evolve-seed", "sweep-seed", "evolve-exact"],
 )
 def test_deleted_options_rejected(argv):
     with pytest.raises(SystemExit) as exc:

@@ -17,7 +17,7 @@ from qndsim.linalg import (
     spectral,
     tensor,
 )
-from qndsim.measurement import Calibration, PointerObservable, PointerStatistics
+from qndsim.measurement import Calibration, PointerObservable
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -277,10 +277,6 @@ CALLER_ARRAYS = {
     ),
     "PointerObservable": (
         lambda: SZ.copy(), lambda a: PointerObservable.from_operator(HermitianOperator(a))
-    ),
-    "PointerStatistics": (
-        lambda: np.array([0.5, 0.5]),
-        lambda a: PointerStatistics(a, 0.5, None, "analytic"),
     ),
 }
 

@@ -9,7 +9,6 @@ from qndsim.dynamics import evolve_exact
 from qndsim.model import Preparation, prepare_initial, random_model
 from qndsim.measurement import (
     Calibration,
-    NO_INDEX,
     ImpossibleOutcomeError,
     MeasurementRecord,
     PointerObservable,
@@ -17,9 +16,11 @@ from qndsim.measurement import (
     collapse_after_outcome,
     dispersion_experiment,
     draw_trials,
+    invert_cdf,
     measurement_trials,
     outcome_distribution,
     reading_variance,
+    repeat_times,
     repeatability_protocol,
     sample_outcome,
     trial_rng,
@@ -219,32 +220,32 @@ class TestRepeatability:
 class TestAggregateSigma:
     def test_symmetric_cancellation(self):
         cal = Calibration(pointer_values=[1.0, -1.0])
-        stats = aggregate_sigma(cal, 0, distribution=[0.5, 0.5])
-        assert stats.sigma == pytest.approx(0.0)
+        sigma = aggregate_sigma(cal, 0, distribution=[0.5, 0.5])
+        assert isinstance(sigma, float) and sigma == pytest.approx(0.0)
 
     def test_deterministic_pointer(self):
         cal = Calibration(pointer_values=[2.5, -3.0])
-        stats = aggregate_sigma(cal, None, distribution=[1.0, 0.0])
-        assert stats.sigma == pytest.approx(2.5)
+        assert aggregate_sigma(cal, None, distribution=[1.0, 0.0]) == pytest.approx(2.5)
 
     def test_linearity_in_calibration(self):
         p = [0.3, 0.7]
         c1 = Calibration(pointer_values=[2.0, -1.0])
         c2 = Calibration(pointer_values=[4.0, -2.0])
-        s1 = aggregate_sigma(c1, None, distribution=p).sigma
-        s2 = aggregate_sigma(c2, None, distribution=p).sigma
+        s1 = aggregate_sigma(c1, None, distribution=p)
+        s2 = aggregate_sigma(c2, None, distribution=p)
         assert s2 == pytest.approx(2 * s1)
 
     def test_empirical_matches_analytic(self):
         p = np.array([0.3, 0.7])
         cal = Calibration(pointer_values=[2.0, -1.0])
-        analytic = aggregate_sigma(cal, None, distribution=p).sigma
+        analytic = aggregate_sigma(cal, None, distribution=p)
         assert analytic == pytest.approx(-0.1)
         rng = np.random.default_rng(77)
         n = 10**5
         lam = [sample_outcome(p, rng) for _ in range(n)]
         rec = MeasurementRecord.from_outcomes(cal, None, np.arange(n), 1.0, lam)
-        empirical = aggregate_sigma(cal, None, record=rec).sigma
+        empirical = aggregate_sigma(cal, None, record=rec)
+        assert isinstance(empirical, float)
         pop_std = np.sqrt(p @ np.array([2.0, -1.0]) ** 2 - analytic**2)
         assert abs(empirical - analytic) <= 3 * pop_std / np.sqrt(n)
 
@@ -342,60 +343,66 @@ class TestDrawTrials:
             rep = run_protocol(m, prep, ptr, cal, 1.0, 0.5, 3, seed)
             trials = measurement_trials(m, prep, ptr, cal, 1.0, 5, seed)
             assert rep.lam[0] == trials.lam[0]
-            assert rep.trial.tolist() == [0, 0, 0]
+            assert rep.trial.shape == () and rep.trial == 0
+            assert rep.time.tolist() == [1.0, 1.5, 2.0]
 
 
 class TestRecordCsv:
     def test_columns_must_share_one_length(self):
         with pytest.raises(ValueError):
-            MeasurementRecord(
-                trial=[0, 1], time=[1.0], i=[0, 0], lam=[0, 1], reading=[1.0, -1.0]
-            )
+            MeasurementRecord(None, trial=[0, 1], time=[1.0], lam=[0, 1], reading=[1.0, -1.0])
+        with pytest.raises(ValueError):
+            MeasurementRecord(None, trial=[0, 1], time=1.0, lam=[0, 1], reading=1.0)
 
     def test_header_and_absent_index(self, tmp_path):
-        rec = MeasurementRecord(
-            trial=[0, 1], time=[1.0, 1.0], i=[NO_INDEX, 2], lam=[1, 0], reading=[-1.0, 1.0]
-        )
+        rec = MeasurementRecord(None, trial=[0, 1], time=1.0, lam=[1, 0], reading=[-1.0, 1.0])
         path = tmp_path / "rec.csv"
         with open(path, "w", newline="\n") as fh:
             rec.write_csv(fh)
         lines = path.read_text().splitlines()
         assert lines[0] == "trial,time,i,lambda,reading"
         assert lines[1].startswith("0,1,,1,")
-        assert lines[2].startswith("1,1,2,0,")
+        assert lines[2].startswith("1,1,,0,")
 
-    def test_trial_record_broadcasts_its_constant_columns(self):
+    def test_trial_record_holds_one_time(self):
         rec = draw_trials([0.5, 0.5], Calibration([1.0, -1.0]), 1, 0.25, trial_rng(5).random(100))
-        for column, value in ((rec.time, 0.25), (rec.i, 1)):
-            assert column.strides == (0,)
+        assert rec.system_index == 1
+        assert rec.time.shape == () and rec.time == 0.25
+        for column in (rec.trial, rec.time, rec.lam, rec.reading):
             assert not column.flags.writeable
-            assert column.tolist() == [value] * 100
 
     def test_columns_copy_the_caller_arrays(self):
-        one_time = np.array([2.0])
-        columns = {"trial": np.arange(3), "time": np.broadcast_to(one_time, 3),
-                   "i": np.zeros(3, dtype=int), "lam": np.zeros(3, dtype=int),
-                   "reading": np.ones(3)}
-        rec = MeasurementRecord(**columns)
-        one_time[0] = columns["reading"][0] = 5.0
-        assert rec.time.tolist() == [2.0] * 3 and rec.reading.tolist() == [1.0] * 3
+        one_time = np.array(2.0)
+        columns = {"trial": np.arange(3), "time": one_time,
+                   "lam": np.zeros(3, dtype=int), "reading": np.ones(3)}
+        rec = MeasurementRecord(None, **columns)
+        one_time[()] = columns["reading"][0] = 5.0
+        assert rec.time == 2.0 and rec.reading.tolist() == [1.0] * 3
         assert one_time.flags.writeable and columns["reading"].flags.writeable
 
-    @pytest.mark.parametrize("system_index", [None, 1], ids=["no-index", "index"])
-    def test_matches_csv_writer_rendering(self, system_index):
+    @pytest.mark.parametrize("system_index, repeat", [(None, False), (1, False), (1, True)],
+                             ids=["no-index", "index", "repeat"])
+    def test_matches_csv_writer_rendering(self, system_index, repeat):
         table = np.array([[0.5, -1.25, 1 / 3], [2e-17, -7.0, np.pi]])
         cal = Calibration([1 / 7, -2.0, 1e300], table)
         tau = 0.1 + 0.2  # 0.30000000000000004 needs all 17 digits
-        rec = draw_trials([0.2, 0.5, 0.3], cal, system_index, tau, trial_rng(3).random(500))
+        p, u = [0.2, 0.5, 0.3], trial_rng(3).random(500)
+        if repeat:  # one trial, 0, and a time per row
+            times = repeat_times(tau, 1 / 3, len(u)).tolist()
+            rec = MeasurementRecord.from_outcomes(cal, system_index, 0, times, invert_cdf(p, u))
+            trials = [0] * len(u)
+        else:  # one time, tau, and a trial per row
+            rec = draw_trials(p, cal, system_index, tau, u)
+            times, trials = [tau] * len(u), range(len(u))
         want = io.StringIO()
         writer = csv.writer(want, lineterminator="\n")
         writer.writerow(["trial", "time", "i", "lambda", "reading"])
-        for trial, lam in enumerate(rec.lam.tolist()):
+        for trial, time, lam in zip(trials, times, rec.lam.tolist(), strict=True):
             if system_index is None:
                 i, c = "", cal.pointer_values[lam]
             else:
                 i, c = system_index, table[system_index, lam]
-            writer.writerow([trial, f"{tau:.17g}", i, lam, f"{c:.17g}"])
+            writer.writerow([trial, f"{time:.17g}", i, lam, f"{c:.17g}"])
         got = io.StringIO()
         rec.write_csv(got)
         assert got.getvalue() == want.getvalue()

@@ -281,8 +281,10 @@ def test_first_trials_do_not_depend_on_trial_count(weights, n, k, seed):
     cal = Calibration(pointer_values=np.arange(len(p), dtype=float))
     k = min(k, n - 1) + 1
     long, short = (draw_trials(p, cal, 0, 1.0, trial_rng(seed).random(count)) for count in (n, k))
-    for name in ("trial", "time", "i", "lam", "reading"):
+    assert long.system_index == short.system_index == 0
+    for name in ("trial", "lam", "reading"):
         assert np.array_equal(getattr(long, name)[:k], getattr(short, name))
+    assert long.time == short.time == 1.0
 
 
 def random_state(d, seed):

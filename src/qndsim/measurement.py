@@ -7,13 +7,13 @@ the eigenspace weights of rho_M = tr_S w, and the update is the Lüders
 projection (I x P_g) w (I x P_g) onto the measured eigenspace.  Randomness is
 one counter-based stream per seed, trial_rng(seed): trial k, and the repeat
 protocol's k-th measurement, take draw k, so the first k trials of an n-trial
-run equal a k-trial run.  A MeasurementRecord holds the results as columns.
-States, pointers and Born distributions may carry leading batch axes: the
-Born weights, CDF inversion, Lüders update and repeated_outcomes then step
-every point of a batch at once.  draw_trials, repeated_outcomes and
-reading_variance are the steps scenarios.measure_batch composes;
-measurement_trials, repeatability_protocol and dispersion_experiment run
-them for one model.
+run equal a k-trial run.  A MeasurementRecord holds the results as columns,
+and writes each distinct row tail (time, index, group, reading) once.  States,
+pointers and Born distributions may carry leading batch axes: the Born
+weights, CDF inversion, Lüders update and repeated_outcomes then step every
+point of a batch at once.  draw_trials, repeated_outcomes and reading_variance
+are the steps scenarios.measure_batch composes; measurement_trials,
+repeatability_protocol and dispersion_experiment run them for one model.
 """
 
 from __future__ import annotations
@@ -125,7 +125,8 @@ class MeasurementRecord:
     """Rows of one run, each a trial or a repeat, at one system index (None
     without one); lam, the CSV's lambda, is the pointer group index.  trial and
     time are each one value (0-d) or one per row; lam and reading are 1-D of
-    one length.  Every array is a read-only copy."""
+    one length.  Every array is read-only: a column passed in is copied unless
+    it is a read-only array that owns its data, as the ones built here are."""
 
     system_index: Optional[int]
     trial: np.ndarray
@@ -135,7 +136,10 @@ class MeasurementRecord:
 
     def __post_init__(self):
         for name, dtype in (("trial", int), ("time", float), ("lam", int), ("reading", float)):
-            object.__setattr__(self, name, read_only(getattr(self, name), dtype))
+            a = getattr(self, name)
+            if not (isinstance(a, np.ndarray) and a.dtype == dtype
+                    and a.flags.owndata and not a.flags.writeable):
+                object.__setattr__(self, name, read_only(a, dtype))
         rows = self.lam.shape
         if (len(rows) != 1 or self.reading.shape != rows
                 or {self.trial.shape, self.time.shape} - {rows, ()}):
@@ -146,19 +150,37 @@ class MeasurementRecord:
     def from_outcomes(cls, cal: Calibration, system_index: Optional[int], trial, time, lam):
         """Rows of pointer groups lam at one system index, read through cal."""
         lam = np.asarray(lam, dtype=int)
-        return cls(system_index, trial, time, lam, cal.readings(system_index, lam))
+        reading = cal.readings(system_index, lam)
+        reading.setflags(write=False)  # built here, so never copied
+        return cls(system_index, trial, time, lam, reading)
 
     def outcome_changes(self) -> int:
         """Count of consecutive rows whose pointer group changed."""
         return int(np.count_nonzero(self.lam[1:] != self.lam[:-1]))
 
     def write_csv(self, fh) -> None:
+        """A row is its trial number and its tail ",time,i,lambda,reading\n";
+        each distinct tail, told apart by bits (0.0 and -0.0 print apart), is
+        formatted once."""
         fh.write("trial,time,i,lambda,reading\n")
         i = "" if self.system_index is None else "%d" % self.system_index
-        trial, time = (np.broadcast_to(c, self.lam.shape).tolist() for c in (self.trial, self.time))
-        # "%.17g" prints what f"{x:.17g}" does, one row per format call.
-        row = "%d,%.17g," + i + ",%d,%.17g\n"
-        fh.writelines(row % r for r in zip(trial, time, self.lam.tolist(), self.reading.tolist()))
+        keys = [c.view(np.int64) if c.dtype == float else c
+                for c in (self.time, self.lam, self.reading) if c.ndim]
+        order = np.lexsort(keys)
+        new = np.ones(len(order), dtype=bool)  # order[k] starts a distinct tail
+        new[1:] = np.any([c[order[1:]] != c[order[:-1]] for c in keys], axis=0)
+        tail_of_row = np.empty(len(order), dtype=np.intp)
+        tail_of_row[order] = np.cumsum(new) - 1
+        first = (np.broadcast_to(c, self.lam.shape)[order[new]].tolist()
+                 for c in (self.time, self.lam, self.reading))
+        # "%.17g" prints what f"{x:.17g}" does.
+        tails = np.array([(",%.17g," + i + ",%d,%.17g\n") % t for t in zip(*first)], dtype=object)
+        trial, block = np.broadcast_to(self.trial, self.lam.shape), 4096  # ~100 kB of text
+        for lo in range(0, len(order), block):
+            numbers = trial[lo:lo + block].tolist()
+            args = [None] * (2 * len(numbers))
+            args[::2], args[1::2] = numbers, tails[tail_of_row[lo:lo + block]].tolist()
+            fh.write(("%d%s" * len(numbers)) % tuple(args))
 
 
 def _apparatus_axes(w: DensityOperator, pointer: PointerObservable, dims) -> np.ndarray:
@@ -336,8 +358,10 @@ def draw_trials(
     """One row per uniform draw at time tau: trial k inverts p at u[k]."""
     if len(u) < 1:
         raise ValueError("need n_trials >= 1")
-    return MeasurementRecord.from_outcomes(
-        cal, system_index, np.arange(len(u)), tau, invert_cdf(p, u))
+    trial, lam = np.arange(len(u)), invert_cdf(p, u)
+    for column in (trial, lam):
+        column.setflags(write=False)  # a record keeps them without a copy
+    return MeasurementRecord.from_outcomes(cal, system_index, trial, tau, lam)
 
 
 def dispersion_experiment(

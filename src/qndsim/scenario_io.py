@@ -51,13 +51,20 @@ def _parse_matrix(spec, what: str) -> np.ndarray:
             return PAULI[spec].copy()
         raise ScenarioFormatError(f"{what}: unknown operator name {spec!r}")
     if isinstance(spec, dict):
-        if "identity" in spec:
-            return np.eye(_int(spec["identity"], f"{what}.identity"), dtype=complex)
-        if "zero" in spec:
-            n = _int(spec["zero"], f"{what}.zero")
-            return np.zeros((n, n), dtype=complex)
+        for key in ("identity", "zero"):
+            if key in spec:
+                n = _int(spec[key], f"{what}.{key}")
+                if n < 0:
+                    raise ScenarioFormatError(f"{what}.{key}: negative size {n}")
+                return np.eye(n, dtype=complex) if key == "identity" else np.zeros((n, n), complex)
         if "diag" in spec:
-            return np.diag(np.array(spec["diag"], dtype=float)).astype(complex)
+            try:
+                diag = np.array(spec["diag"], dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ScenarioFormatError(f"{what}.diag: {exc}") from exc
+            if diag.ndim != 1:
+                raise ScenarioFormatError(f"{what}.diag must be a list of numbers")
+            return np.diag(diag).astype(complex)
         if "kron" in spec:
             pair = spec["kron"]
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:

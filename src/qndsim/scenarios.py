@@ -194,6 +194,7 @@ def measure_batch(b: Batch) -> list[MeasurementRun]:
         u = trial_rng(seed).random(max(sched.n_repeats, sched.n_trials))
         u_repeats[point] = u[:sched.n_repeats]
         trials.append(draw_trials(p[point], cal, i, sched.tau, u[:sched.n_trials]))
+    del u  # the statistics below hold the records, not the last point's draws
     repeat_lams = repeated_outcomes(m, w_tau, p, b.pointer, sched.delta_tau, u_repeats)
     return [
         MeasurementRun(
@@ -262,11 +263,12 @@ def _point_bytes(dims: tuple[int, int], schedule: Schedule) -> int:
     BATCH_BYTES // _point_bytes points stays within BATCH_BYTES: about 16 joint
     matrices (model terms, H, its eigenvectors, propagators, states), its repeat
     and trial records at 24 B per row (a trial record's time and a repeat
-    record's trial are one value), and, while its trials are drawn, its draw
-    stream and the trial columns before they are copied read-only."""
+    record's trial are one value), and 8 B per draw: its draw stream while its
+    trials are drawn, then one temporary column while their statistics are
+    taken.  Under tracemalloc a (2, 2) point peaks at 32 B per trial."""
     matrix = 16 * math.prod(dims) ** 2
     records = 24 * (schedule.n_repeats + schedule.n_trials)
-    drawing = 8 * max(schedule.n_repeats, schedule.n_trials) + 24 * schedule.n_trials
+    drawing = 8 * max(schedule.n_repeats, schedule.n_trials)
     return 16 * matrix + records + drawing
 
 

@@ -20,9 +20,9 @@ from qndsim.measurement import (
     PointerObservable,
     aggregate_sigma,
     dispersion_experiment,
+    invert_cdf,
     measurement_trials,
     repeatability_protocol,
-    sample_outcome,
 )
 from qndsim.scenarios import (
     Schedule,
@@ -147,10 +147,7 @@ def test_criterion_6_sigma_consistency():
         cal = Calibration(pointer_values=c)
         analytic = aggregate_sigma(cal, None, distribution=p)
         rng = np.random.default_rng(600 + case_idx)
-        total = 0.0
-        for _ in range(n):
-            total += c[sample_outcome(p, rng)]
-        empirical = total / n
+        empirical = float(c[invert_cdf(p, rng.random(n))].mean())
         pop_std = float(np.sqrt(p @ c**2 - analytic**2))
         band = 4 * pop_std / np.sqrt(n)
         ok &= abs(analytic - sigma_expect) <= 1e-12

@@ -11,6 +11,7 @@ no collapse it does not use.
 """
 
 import tracemalloc
+from dataclasses import astuple
 from itertools import product
 from pathlib import Path
 
@@ -158,7 +159,7 @@ def test_batches_split_to_bound_memory_give_the_same_rows(monkeypatch, points):
 
 
 def test_sweep_of_large_points_holds_about_one_point():
-    many_trials = Schedule(n_repeats=5, n_trials=100_000)
+    many_trials = Schedule(n_repeats=5, n_trials=150_000)
     assert _point_bytes((2, 2), many_trials) > qndsim.scenarios.BATCH_BYTES
 
     def peak(etas, seeds):
@@ -218,3 +219,19 @@ def test_one_draw_stream_one_born_weight_and_no_unused_collapse(monkeypatch):
     run_measurements(interp_scenario((2, 2), 1.0, 7, Schedule(n_repeats=n_repeats, n_trials=20)))
     assert calls == {"trial_rng": 1, "outcome_distribution": n_repeats,
                      "collapse_after_outcome": n_repeats - 1}
+
+
+def test_trial_columns_are_held_once():
+    """A 100000-trial point holds its three record columns and one more 8-byte
+    column at a time (3.2 MB), not copies of them, with the rows it had when
+    each column was copied twice (5.6 MB)."""
+    interpolation_sweep((2, 2), [0.5], [3], Schedule(n_trials=10))  # lazy set-up
+    tracemalloc.start()
+    try:
+        (row,) = interpolation_sweep((2, 2), [0.5], [3], Schedule(n_trials=100_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0e6
+    assert astuple(row) == (0.5, 3, 0.6761154152012807, 0.592534712959256, 0.8910101351534023, 1,
+                            1.6028594743738414, -1.8863701846256204, -1.8929619813579786)

@@ -274,6 +274,12 @@ BAD_FILES = {
     "n-trials-infinity": lambda d: d["schedule"].update(n_trials=-INF),
     "identity-infinity": lambda d: d.update(pointer={"identity": INF}),
     "zero-infinity": lambda d: d["model"].update(h_coupling={"zero": INF}),
+    # pointer specs whose errors once named neither the file nor the field
+    "identity-negative": lambda d: d.update(pointer={"identity": -1}),
+    "zero-negative": lambda d: d.update(pointer={"zero": -1}),
+    "diag-not-number": lambda d: d.update(pointer={"diag": ["x", 1]}),
+    "diag-nested": lambda d: d.update(pointer={"diag": [[1, 2], [3, 4]]}),
+    "diag-not-list": lambda d: d.update(pointer={"diag": 3}),
 }
 
 BAD_ARGS = {
@@ -370,6 +376,14 @@ def test_bad_operator_is_named_once(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: model.h_system: "), err
     assert "model:" not in err
+
+
+@pytest.mark.parametrize("name", ["identity-negative", "zero-negative", "diag-not-number",
+                                  "diag-nested", "diag-not-list"])
+def test_bad_pointer_spec_names_the_field(name, tmp_path, capsys):
+    path = _bad_file(tmp_path, BAD_FILES[name])
+    assert main(["measure", path, "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: pointer.")
 
 
 def test_seed_beyond_128_bits_runs(tmp_path, capsys):

@@ -2,15 +2,18 @@
 bytes as building them afresh and are computed once; a stacked trajectory and
 its block-wise validation agree bitwise with the one-state routes; sampling
 never picks an outcome of zero weight, and the vectorised CDF inversion picks
-what the one-draw loop picks; Born weights, evolved and collapsed states keep
-their invariants; the apparatus-factor Born/Lüders kernel agrees with explicit
-index loops and kron projectors on degenerate pointers; the Cholesky accept
-test decides positivity as eigvalsh does; non-demolition models read sharply;
-scenario documents round-trip."""
+what the one-draw loop picks; a record writes the bytes of one format call per
+row; Born weights, evolved and collapsed states keep their invariants; the
+apparatus-factor Born/Lüders kernel agrees with explicit index loops and kron
+projectors on degenerate pointers; the Cholesky accept test decides positivity
+as eigvalsh does; non-demolition models read sharply; scenario documents
+round-trip."""
+
+import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qndsim.dynamics
@@ -32,6 +35,7 @@ from qndsim.linalg import (
 )
 from qndsim.measurement import (
     Calibration,
+    MeasurementRecord,
     PointerObservable,
     collapse_after_outcome,
     draw_trials,
@@ -285,6 +289,41 @@ def test_first_trials_do_not_depend_on_trial_count(weights, n, k, seed):
     for name in ("trial", "lam", "reading"):
         assert np.array_equal(getattr(long, name)[:k], getattr(short, name))
     assert long.time == short.time == 1.0
+
+
+# Signed zeros, a subnormal, a huge value and a value that needs 17 digits,
+# drawn often enough to repeat within a record.
+RECORD_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300, 0.1 + 0.2]) | st.floats()
+RECORD_INTS = st.sampled_from([0, 1, -1, 2**62, 2**63 - 1, -2**63]) | st.integers(-2**63, 2**63 - 1)
+
+
+@st.composite
+def records(draw):
+    """A MeasurementRecord with n rows, trial and time each one value or one per row."""
+    n = draw(st.integers(0, 30))
+    lam = draw(st.lists(st.sampled_from([0, 1, 2]) | RECORD_INTS, min_size=n, max_size=n))
+    reading = draw(st.lists(RECORD_FLOATS, min_size=n, max_size=n))
+    trial = draw(RECORD_INTS | st.lists(RECORD_INTS, min_size=n, max_size=n))
+    time = draw(RECORD_FLOATS | st.lists(RECORD_FLOATS, min_size=n, max_size=n))
+    system_index = draw(st.none() | st.integers(-5, 2**64))
+    return MeasurementRecord(system_index, trial, time, lam, reading)
+
+
+@settings(max_examples=100, deadline=None)
+@given(records())
+@example(MeasurementRecord(None, np.arange(0), 1.0, [], []))
+@example(MeasurementRecord(2, [0, 1, 2], -0.0, [1, 1, 1], [0.0, -0.0, 0.0]))
+@example(MeasurementRecord(None, 0, [0.0, -0.0, 5e-324], [0, 0, 0], [1e300, 1e300, 5e-324]))
+@example(MeasurementRecord(1, np.arange(9000), 0.5, np.arange(9000) % 3, np.arange(9000) % 3 / 10))
+def test_record_csv_matches_one_format_per_row(rec):
+    i = "" if rec.system_index is None else rec.system_index
+    trial, time = (np.broadcast_to(c, rec.lam.shape).tolist() for c in (rec.trial, rec.time))
+    want = "trial,time,i,lambda,reading\n" + "".join(
+        "%d,%.17g,%s,%d,%.17g\n" % row
+        for row in zip(trial, time, [i] * len(trial), rec.lam.tolist(), rec.reading.tolist()))
+    got = io.StringIO()
+    rec.write_csv(got)
+    assert got.getvalue() == want
 
 
 def random_state(d, seed):

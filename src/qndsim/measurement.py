@@ -227,7 +227,7 @@ def invert_cdf(p: Sequence[float], u):
     for g in range(p.shape[-1]):
         lam += cdf[..., g] <= u
     last = p.shape[-1] - 1 - np.argmax(p[..., ::-1] > 0, axis=-1)
-    return np.minimum(lam, np.reshape(last, (*p.shape[:-1], *extra)))
+    return np.minimum(lam, np.reshape(last, (*p.shape[:-1], *extra)), out=lam)
 
 
 def sample_outcome(p: Sequence[float], rng: np.random.Generator) -> int:

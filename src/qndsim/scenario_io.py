@@ -54,8 +54,8 @@ def _parse_matrix(spec, what: str) -> np.ndarray:
         for key in ("identity", "zero"):
             if key in spec:
                 n = _int(spec[key], f"{what}.{key}")
-                if n < 0:
-                    raise ScenarioFormatError(f"{what}.{key}: negative size {n}")
+                if n < 1:
+                    raise ScenarioFormatError(f"{what}.{key}: size must be positive, got {n}")
                 return np.eye(n, dtype=complex) if key == "identity" else np.zeros((n, n), complex)
         if "diag" in spec:
             try:
@@ -64,6 +64,8 @@ def _parse_matrix(spec, what: str) -> np.ndarray:
                 raise ScenarioFormatError(f"{what}.diag: {exc}") from exc
             if diag.ndim != 1:
                 raise ScenarioFormatError(f"{what}.diag must be a list of numbers")
+            if diag.size == 0:
+                raise ScenarioFormatError(f"{what}.diag is empty")
             return np.diag(diag).astype(complex)
         if "kron" in spec:
             pair = spec["kron"]

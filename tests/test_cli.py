@@ -1,6 +1,7 @@
 import csv
 import gc
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from qndsim import cli
 from qndsim.cli import main
 from qndsim.dynamics import evolve_stepped, exact_trajectory
-from qndsim.model import prepare_initial
+from qndsim.model import Preparation, prepare_initial, random_model
 from qndsim.scenario_io import bundled_scenario_path, load_scenario_file
 from qndsim.scenarios import run_scenario
 
@@ -280,6 +281,11 @@ BAD_FILES = {
     "diag-not-number": lambda d: d.update(pointer={"diag": ["x", 1]}),
     "diag-nested": lambda d: d.update(pointer={"diag": [[1, 2], [3, 4]]}),
     "diag-not-list": lambda d: d.update(pointer={"diag": 3}),
+    # zero-size operators, which once failed in a reshape naming no field
+    "identity-zero": lambda d: d.update(pointer={"identity": 0}),
+    "zero-zero": lambda d: d.update(pointer={"zero": 0}),
+    "diag-empty": lambda d: d.update(pointer={"diag": []}),
+    "kron-zero-factor": lambda d: d.update(pointer={"kron": [{"zero": 0}, "pauli_x"]}),
 }
 
 BAD_ARGS = {
@@ -379,7 +385,8 @@ def test_bad_operator_is_named_once(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", ["identity-negative", "zero-negative", "diag-not-number",
-                                  "diag-nested", "diag-not-list"])
+                                  "diag-nested", "diag-not-list", "identity-zero",
+                                  "zero-zero", "diag-empty", "kron-zero-factor"])
 def test_bad_pointer_spec_names_the_field(name, tmp_path, capsys):
     path = _bad_file(tmp_path, BAD_FILES[name])
     assert main(["measure", path, "--quiet"]) == 2
@@ -443,3 +450,20 @@ def test_trajectory_writer_matches_cell_by_cell_csv(scenario, stepped, tmp_path)
             cells = [x for z in w.ravel() for x in (z.real, z.imag)]
             writer.writerow([cli._fmt(t)] + [cli._fmt(x) for x in cells])
     assert got.read_bytes() == want.read_bytes()
+
+
+def test_trajectory_writer_memory_is_flat(tmp_path):
+    # The benchmark's trajectory: 5001 rows of 73 cells from a dims-(3,2)
+    # model.  The writer formats a block of rows at a time, so its peak is
+    # that block's temporaries, not the file's 9.5 MB.
+    m = random_model((3, 2), "violating", 1)
+    w0 = prepare_initial(m, Preparation.eigenbasis(0, 0))
+    traj = exact_trajectory(m, w0, np.arange(5001) * 5.0 / 5000)
+    tracemalloc.start()
+    try:
+        cli._write_trajectory(tmp_path / "traj.csv", traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
+    assert len((tmp_path / "traj.csv").read_bytes().splitlines()) == 5002

@@ -1,5 +1,6 @@
 """Property tests: the compiled operators a random model caches give the same
-bytes as building them afresh and are computed once; a stacked trajectory and
+bytes as building them afresh and are computed once; a trajectory table
+writes the bytes of one "%.17g" per cell; a stacked trajectory and
 its block-wise validation agree bitwise with the one-state routes; sampling
 never picks an outcome of zero weight, and the vectorised CDF inversion picks
 what the one-draw loop picks; a record writes the bytes of one format call per
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 import qndsim.dynamics
 import qndsim.linalg
 import qndsim.model
+from qndsim import cli
 from qndsim.dynamics import evolve_exact, exact_trajectory, rhs_component_form
 from qndsim.linalg import (
     EPS_HERM,
@@ -324,6 +326,55 @@ def test_record_csv_matches_one_format_per_row(rec):
     got = io.StringIO()
     rec.write_csv(got)
     assert got.getvalue() == want
+
+
+# Any float64, subnormals, signed zeros, infinities and NaNs included, by
+# its bits, and hypothesis's own float edge cases.
+CELL_FLOATS = (st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
+               | st.floats())
+
+
+@st.composite
+def tables(draw):
+    """Times (n,) and cells (n, c) of a trajectory table."""
+    n, c = draw(st.integers(1, 12)), draw(st.integers(1, 9))
+    flat = draw(st.lists(CELL_FLOATS, min_size=n * (c + 1), max_size=n * (c + 1)))
+    table = np.array(flat, dtype=float).reshape(n, c + 1)
+    return table[:, 0].copy(), table[:, 1:].copy()
+
+
+def one_row(*values):
+    return np.array(values[:1]), np.array([values[1:]])
+
+
+def crossing_block():
+    """A table one row longer than the writer's block, every layout in it."""
+    n = cli._BLOCK_CELLS // 4 + 1
+    j = np.arange(3 * n).reshape(n, 3)
+    cells = np.sin(j) * 10.0 ** (j % 41 - 20)
+    cells[::7, 1] = -0.0
+    cells[::11, 2] = np.arange(0, n, 11) * 1000.0
+    return np.arange(n) * 5.0 / (n - 1), cells
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables())
+@example(one_row(0.0, 1000000000000000.75))  # a tie that rounds half-even up
+@example(one_row(0.0, 1000000000000000.25))
+# |x| * 10**23 lies 2**-52 past a half, nearer than the product's error
+@example(one_row(0.0, 2.2422607587866907e-07, 3.888475069819475e-07))
+@example(one_row(0.0, 9.9999999999999991e-05))  # log10 says -4, the exponent is -5
+@example(one_row(1e-4, 1e16, 1e17, 99999999999999984.0, 0.1, 5e-324))
+@example(one_row(-0.0, 0.0, 20.0, 1234500000000000.0, -12345.678, 1e-5, 1e300, -1e-300))
+@example(one_row(float("nan"), float("inf"), -float("inf"), 2.2250738585072014e-308))
+@example(crossing_block())
+def test_trajectory_rows_match_one_format_per_cell(table):
+    times, cells = table
+    want = "".join(",".join("%.17g" % x for x in row) + "\n"
+                   for row in np.column_stack([times, cells]).tolist())
+    got = io.BytesIO()
+    cli._write_rows(got, times, cells)
+    assert got.getvalue() == want.encode()
 
 
 def random_state(d, seed):

@@ -6,7 +6,8 @@ term-by-term component form of the evolution equation.  The two are
 cross-checked against each other in the test suite.  Both read the model's
 compiled operators, so H is diagonalised once per model, not once per time,
 and both return one (T, d, d) Trajectory, validated once as a stack.
-evolve_exact and state_constancy_check also take a batch of models.
+evolve_exact and state_constancy_check also take a batch of models, and the
+constancy check takes the prepared w(0), so its caller prepares it once.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ import numpy as np
 
 from .linalg import EPS_POS, DensityOperator, InvariantViolationError
 from .linalg import as_matrix, check_operators, frobenius, stack_block
-from .model import BipartiteModel, Preparation, prepare_initial
+from .model import BipartiteModel
 
-DEFAULT_DT = 1e-3
 STEPPED_POS_TOL = 1e-7
 
 
@@ -98,9 +98,7 @@ def exact_trajectory(m: BipartiteModel, w0: DensityOperator, times) -> Trajector
     return Trajectory(times, states)
 
 
-def evolve_stepped(
-    m: BipartiteModel, w0: DensityOperator, t_end: float, dt: float = DEFAULT_DT
-) -> Trajectory:
+def evolve_stepped(m: BipartiteModel, w0: DensityOperator, t_end: float, dt: float) -> Trajectory:
     """RK4 integration of the component-form equation on a uniform grid; the
     states are validated once as a Trajectory with eigenvalues down to -1e-7, and
     a violation or a blown-up (non-finite) step aborts at the first bad time."""
@@ -120,19 +118,13 @@ def evolve_stepped(
     return Trajectory(np.arange(n_steps + 1) * dt, states, pos_tol=STEPPED_POS_TOL)
 
 
-def state_constancy_check(
-    m: BipartiteModel,
-    prep: Preparation,
-    t_grid,
-    pointer_basis=None,
-) -> float:
-    """Max Frobenius deviation of w(t) = evolve_exact(m, w0, t) from w0 over the
-    grid: a float for one model, an array for a batch.
+def state_constancy_check(m: BipartiteModel, w0: DensityOperator, t_grid) -> float:
+    """Max Frobenius deviation of w(t) = evolve_exact(m, w0, t) from the prepared
+    w0 over the grid: a float for one model, an array for a batch.
 
     The density-operator representation makes global-phase cancellation
     automatic, so a genuinely stationary preparation scores ~0.
     """
-    w0 = prepare_initial(m, prep, pointer_basis=pointer_basis)
     dev = np.zeros(m.batch)  # w(0) is w0 itself
     for t in np.setdiff1d(t_grid, [0.0]):
         dev = np.maximum(dev, frobenius(evolve_exact(m, w0, t).matrix - w0.matrix))

@@ -342,8 +342,6 @@ def measurement_trials(
     """Independent prepare -> evolve(tau) -> measure runs, one row per trial."""
     w0 = prepare_initial(m, prep, pointer_basis=pointer.basis)
     w_tau = evolve_exact(m, w0, tau) if tau > 0 else w0
-    if n_trials < 1:
-        raise ValueError("need n_trials >= 1")
     p = outcome_distribution(w_tau, pointer, (m.d_system, m.d_apparatus))
     return draw_trials(p, cal, prep.system_index, tau, trial_rng(seed).random(n_trials))
 

@@ -107,7 +107,6 @@ class ConditionReport:
     eq5_defect: float
     eq4_holds: bool
     eq5_holds: bool
-    threshold: float
 
     @property
     def both_hold(self) -> bool:
@@ -153,23 +152,21 @@ def total_hamiltonian(m: BipartiteModel) -> HermitianOperator:
     return m.hamiltonian
 
 
-def check_conditions(m: BipartiteModel, threshold: float = CONDITION_THRESHOLD) -> ConditionReport:
-    """Measure the two commutation conditions against a relative threshold.
+def check_conditions(m: BipartiteModel) -> ConditionReport:
+    """Measure the two commutation conditions against CONDITION_THRESHOLD, a
+    relative threshold.
 
     The apparatus-side condition is stated as [H_C, H_M x I_S] in operator
     language; under the global system-major index convention the apparatus
     term is realized as tensor(I_S, h_apparatus).
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
     eq4 = commutator_defect(m.system_term, m.h_coupling)
     eq5 = commutator_defect(m.h_coupling, m.apparatus_term)
     return ConditionReport(
         eq4_defect=eq4,
         eq5_defect=eq5,
-        eq4_holds=eq4 <= threshold,
-        eq5_holds=eq5 <= threshold,
-        threshold=threshold,
+        eq4_holds=eq4 <= CONDITION_THRESHOLD,
+        eq5_holds=eq5 <= CONDITION_THRESHOLD,
     )
 
 

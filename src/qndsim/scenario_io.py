@@ -13,6 +13,7 @@ the same scenario.
 from __future__ import annotations
 
 import json
+import operator
 from pathlib import Path
 from typing import Optional
 
@@ -37,12 +38,14 @@ class ScenarioFormatError(ValueError):
 
 
 def _int(value, what: str) -> int:
-    """int(value); a value int() refuses (a string, NaN, an infinity) is a
-    ScenarioFormatError that names what."""
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioFormatError(f"{what}: {exc}") from exc
+    """value as an int when it is one; anything else (a bool, a float such as
+    2.5, NaN or an infinity, a string) is a ScenarioFormatError that names what."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ScenarioFormatError(f"{what}: expected an integer, got {value!r}")
 
 
 def _parse_matrix(spec, what: str) -> np.ndarray:

@@ -3,14 +3,17 @@
 A Scenario bundles a model, a preparation, a pointer observable, a schedule,
 and a calibration.  A Batch is scenarios that share dims, preparation,
 pointer eigenvalue groups and schedule, stacked so that each stage runs once
-over all of them; Batch.of(s) is one scenario as a batch of one.
+over all of them; Batch.of(s) is one scenario as a batch of one, and
+Batch.initial its w(0), prepared and validated once on first use.
 measure_batch is the one measurement pipeline, shared by the CLI measure
-command (run_measurements) and run_batch: w(0) prepared and evolved to
-w(tau) once, its Born distribution once, one draw stream per point, the
-repeat protocol from w(tau), trial record, reading variance, weighted means.
-run_batch adds the condition check and state constancy and emits one result
-row per point; run_scenario is run_batch on one scenario, and
-interpolation_sweep runs the (eta, seed) grid of one dims as a few batches.
+command (run_measurements) and run_batch: w(0) evolved to w(tau) once, its
+Born distribution once, one draw stream per point, the repeat protocol from
+w(tau), trial record, reading variance, weighted means.  run_batch adds the
+condition check and state constancy from the same w(0) and emits one result
+row per point; run_scenario is run_batch on one scenario.
+interpolation_sweep is the one maker of multi-point batches: it runs the
+(eta, seed) grid of one dims as a few batches, and when one fails it reruns
+its points one at a time through the same builder to name the failing point.
 oracle_check re-derives the core numerics through slow, independent routes
 (truncated-series exponential, explicit index loops) and compares them
 against the main implementations.
@@ -21,6 +24,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -60,6 +64,7 @@ DEFAULT_ETA_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
 CONSTANCY_POINTS = 11  # the constancy grid: t = 0 and 10 times up to max(tau, 1)
 # Bytes one sweep batch may hold (4 MiB), which bounds the points it runs at once.
 BATCH_BYTES = 1 << 22
+ORACLE_TOL = 1e-7  # the largest disagreement oracle_check allows between two routes
 
 
 @dataclass(frozen=True)
@@ -162,18 +167,10 @@ class Batch:
         return cls((s.name,), s.model, s.pointer, s.preparation, s.schedule,
                    (s.calibration,), (s.seed,), (s.eta,))
 
-    def point(self, n: int) -> "Batch":
-        """Point n, in C order, as a batch of one."""
-        def row(a, core):
-            return a.reshape(-1, *a.shape[a.ndim - core:])[n]
-
-        m, basis = self.model, self.pointer.basis
-        model = BipartiteModel(m.d_system, m.d_apparatus, *(
-            HermitianOperator(row(h.matrix, 2)) for h in (m.h_system, m.h_apparatus, m.h_coupling)))
-        pointer = PointerObservable(model.h_apparatus, SpectralDecomposition(
-            row(basis.eigenvalues, 1), row(basis.eigenvectors, 2)))
-        return Batch((self.names[n],), model, pointer, self.preparation, self.schedule,
-                     (self.calibrations[n],), (self.seeds[n],), (self.etas[n],))
+    @cached_property
+    def initial(self) -> DensityOperator:
+        """w(0) of every point, prepared in its pointer basis on first use."""
+        return prepare_initial(self.model, self.preparation, pointer_basis=self.pointer.basis)
 
 
 def measure_batch(b: Batch) -> list[MeasurementRun]:
@@ -185,8 +182,7 @@ def measure_batch(b: Batch) -> list[MeasurementRun]:
     point's draws are held, and statistics are per point."""
     sched, m, i = b.schedule, b.model, b.preparation.system_index
     times = repeat_times(sched.tau, sched.delta_tau, sched.n_repeats)
-    w0 = prepare_initial(m, b.preparation, pointer_basis=b.pointer.basis)
-    w_tau = evolve_exact(m, w0, sched.tau)
+    w_tau = evolve_exact(m, b.initial, sched.tau)
     p = outcome_distribution(w_tau, b.pointer, (m.d_system, m.d_apparatus))
     u_repeats = np.empty((*m.batch, sched.n_repeats))
     trials = []
@@ -215,23 +211,18 @@ def run_measurements(s: Scenario) -> MeasurementRun:
 
 def run_batch(b: Batch) -> list[SweepRow]:
     """The full pipeline, each stage once over the batch, then one result row
-    per point.  When a batch of several points fails, its points rerun one at
-    a time (Batch.point) and the first that fails alone is named; every stage
-    computes a point with the bits of the one-point call, so it fails alike."""
+    per point.  A failure is a RuntimeError that names the scenario, or for a
+    batch of several points the range of them."""
     try:
         report = check_conditions(b.model)
         t_grid = np.linspace(0.0, max(b.schedule.tau, 1.0), CONSTANCY_POINTS)[1:]
-        constancy = state_constancy_check(
-            b.model, b.preparation, t_grid, pointer_basis=b.pointer.basis
-        )
+        constancy = state_constancy_check(b.model, b.initial, t_grid)
         runs = measure_batch(b)
     except MemoryError:
         raise  # an input too large to allocate, not a failing point
     except Exception as exc:
         if len(b.names) == 1:
             raise RuntimeError(f"scenario {b.names[0]!r} failed: {exc}") from exc
-        for n in range(len(b.names)):
-            run_batch(b.point(n))  # raises naming point n if it fails alone
         raise RuntimeError(
             f"scenarios {b.names[0]!r} to {b.names[-1]!r} failed as one batch: {exc}"
         ) from exc
@@ -295,19 +286,19 @@ def _sweep_batch(dims, points, draws, basis, schedule) -> Batch:
 
 
 def interpolation_sweep(
-    dims: tuple[int, int],
-    eta_grid,
-    seeds,
-    schedule: Schedule = Schedule(),
+    dims: tuple[int, int], eta_grid, seeds, schedule: Schedule
 ) -> list[SweepRow]:
     """Run the pipeline over an (eta, seed) grid of interpolated models.
 
     Each seed's matrices are drawn once and blended for every eta.  A batch
     holds at most BATCH_BYTES // _point_bytes points, whose pointers share
     eigenvalue groups; seeds are drawn a batch's worth at a time, and a long
-    eta grid is split across batches.  The rows come back in grid order,
-    eta-major.  The output reports the tendency relation between condition
-    defect and reading variance; no strict monotonicity is asserted.
+    eta grid is split across batches.  When a batch of several points fails,
+    its points rerun one at a time and the first that fails alone is named;
+    every stage computes a point with the bits of the one-point call, so it
+    fails alike.  The rows come back in grid order, eta-major.  The output
+    reports the tendency relation between condition defect and reading
+    variance; no strict monotonicity is asserted.
     """
     etas, seeds = list(eta_grid), list(seeds)
     if not etas or not seeds:
@@ -326,8 +317,15 @@ def interpolation_sweep(
             points = [(eta, chunk[k], k) for eta in etas for k in members]
             slots = [e * len(seeds) + lo + k for e in range(len(etas)) for k in members]
             for b in range(0, len(points), per_batch):
-                batch = _sweep_batch(dims, points[b:b + per_batch], draws, basis, schedule)
-                for slot, row in zip(slots[b:b + per_batch], run_batch(batch), strict=True):
+                batch = points[b:b + per_batch]
+                try:
+                    batch_rows = run_batch(_sweep_batch(dims, batch, draws, basis, schedule))
+                except RuntimeError:
+                    if len(batch) > 1:  # a batch of one is named already
+                        for point in batch:  # raises naming the first that fails alone
+                            run_batch(_sweep_batch(dims, [point], draws, basis, schedule))
+                    raise
+                for slot, row in zip(slots[b:b + per_batch], batch_rows, strict=True):
                     rows[slot] = row
     return rows
 
@@ -343,15 +341,15 @@ def write_sweep_csv(rows, fh) -> None:
 # Independent oracles
 
 
-def _expm_series(a: np.ndarray, terms: int = 30) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring over a truncated series."""
+def _expm_series(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling-and-squaring over a 30-term truncated series."""
     norm = float(np.linalg.norm(a, np.inf))
     squarings = max(0, int(np.ceil(np.log2(norm)))) if norm > 1.0 else 0
     b = a / (2**squarings)
     n = a.shape[0]
     acc = np.eye(n, dtype=complex)
     term = np.eye(n, dtype=complex)
-    for k in range(1, terms + 1):
+    for k in range(1, 31):
         term = term @ b / k
         acc = acc + term
     for _ in range(squarings):
@@ -437,17 +435,14 @@ class OracleReport:
 
 
 def oracle_check(
-    dims: tuple[int, int],
-    seed: int,
-    tol: float = 1e-7,
-    swap_index_convention: bool = False,
+    dims: tuple[int, int], seed: int, swap_index_convention: bool = False
 ) -> OracleReport:
     """Cross-check the main numerics against slow independent recomputations.
 
     Recomputes the exact propagation via a truncated-series exponential, the
     outcome distribution via explicit index loops summed per pointer group, and the evolution
     right-hand side via quadruple-indexed loops.  Returns a falsy report with
-    a diff when any route disagrees beyond tol.  swap_index_convention
+    a diff when any route disagrees beyond ORACLE_TOL.  swap_index_convention
     deliberately mis-wires the oracle-side joint index (negative control).
     """
     d_s, d_m = dims
@@ -469,14 +464,14 @@ def oracle_check(
     w_series = u_series @ w0.matrix @ u_series.conj().T
     w_main = evolve_exact(m, w0, t).matrix
     d_evolve = float(np.linalg.norm(w_series - w_main))
-    if d_evolve > tol:
+    if d_evolve > ORACLE_TOL:
         passed = False
         lines.append(f"evolve_exact vs series exponential: |diff| = {d_evolve:.3e}")
 
     rhs_main = rhs_component_form(m, w0.matrix)
     rhs_loops = _rhs_index_loops(m, w0.matrix, swapped=swap_index_convention)
     d_rhs = float(np.linalg.norm(rhs_main - rhs_loops))
-    if d_rhs > tol:
+    if d_rhs > ORACLE_TOL:
         passed = False
         lines.append(f"rhs_component_form vs index loops: |diff| = {d_rhs:.3e}")
 
@@ -485,7 +480,7 @@ def oracle_check(
     p_loops = np.maximum(np.add.reduceat(p_loops, pointer.starts), 0.0)
     p_loops = p_loops / p_loops.sum()
     d_born = float(np.max(np.abs(p_main - p_loops)))
-    if d_born > tol:
+    if d_born > ORACLE_TOL:
         passed = False
         lines.append(f"outcome_distribution vs index loops: |diff| = {d_born:.3e}")
 

@@ -95,7 +95,7 @@ def test_criterion_3_qnd_constancy():
         m = random_model((2, 2), "qnd", seed)
         worst = max(
             worst,
-            state_constancy_check(m, Preparation.eigenbasis(0, 0), t_grid),
+            state_constancy_check(m, prepare_initial(m, Preparation.eigenbasis(0, 0)), t_grid),
         )
     _report(3, f"state constancy under both conditions (worst {worst:.2e})", worst <= 1e-8)
 

@@ -97,4 +97,6 @@ def test_traced_cli_runs_leave_no_call_unwrapped(tmp_path):
     assert report["unpatched"] == []
     assert report["calls"] == report["audit"]
     assert report["calls"]["scenarios.interpolation_sweep"] == 1
+    # one w(0) per command: the sweep's four points run as one batch
+    assert report["calls"]["model.prepare_initial"] == 3
     assert report["calls"]["dynamics.rhs_component_form"] == 4 * 5

@@ -286,6 +286,12 @@ BAD_FILES = {
     "zero-zero": lambda d: d.update(pointer={"zero": 0}),
     "diag-empty": lambda d: d.update(pointer={"diag": []}),
     "kron-zero-factor": lambda d: d.update(pointer={"kron": [{"zero": 0}, "pauli_x"]}),
+    # integers that int() once truncated or coerced into another experiment
+    "system-index-fraction": lambda d: d["preparation"].update(system_index=0.9),
+    "n-trials-fraction": lambda d: d["schedule"].update(n_trials=200.7),
+    "identity-fraction": lambda d: d.update(pointer={"identity": 2.5}),
+    "seed-bool": lambda d: d.update(seed=True),
+    "n-repeats-string": lambda d: d["schedule"].update(n_repeats="5"),
 }
 
 BAD_ARGS = {

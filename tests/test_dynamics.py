@@ -215,19 +215,23 @@ def test_trajectory_holds_one_shape():
 class TestStateConstancy:
     T_GRID = np.linspace(0, 10, 21)[1:]
 
+    @staticmethod
+    def ground(m):
+        return prepare_initial(m, Preparation.eigenbasis(0, 0))
+
     def test_qnd_models_stay_constant(self):
         for seed in range(30):
             m = random_model((2, 2), "qnd", seed)
-            dev = state_constancy_check(m, Preparation.eigenbasis(0, 0), self.T_GRID)
+            dev = state_constancy_check(m, self.ground(m), self.T_GRID)
             assert dev <= 1e-8
 
     def test_fully_diagonal_model_is_stationary(self):
         m = qubit_model(SZ, SZ, np.zeros((4, 4)))
-        dev = state_constancy_check(m, Preparation.eigenbasis(0, 0), self.T_GRID)
+        dev = state_constancy_check(m, self.ground(m), self.T_GRID)
         assert dev <= 1e-12
 
     def test_violating_models_move(self):
         for seed in range(10):
             m = random_model((2, 2), "violating", seed)
-            dev = state_constancy_check(m, Preparation.eigenbasis(0, 0), self.T_GRID)
+            dev = state_constancy_check(m, self.ground(m), self.T_GRID)
             assert dev > 1e-2

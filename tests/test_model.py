@@ -79,10 +79,6 @@ class TestCheckConditions:
         r, r2 = check_conditions(m), check_conditions(m2)
         assert r2.eq4_defect <= 3.0 * r.eq4_defect + 1e-12
 
-    def test_threshold_must_be_positive(self):
-        with pytest.raises(ValueError):
-            check_conditions(qubit_model(SZ, SZ, ZERO4), threshold=0.0)
-
 
 class TestPrepareInitial:
     def test_eigenbasis_preparation_is_rank_one(self):

@@ -5,7 +5,6 @@ status lines.
 """
 
 import numpy as np
-import pytest
 
 from qndsim.linalg import DensityOperator, tensor
 from qndsim.model import Preparation, prepare_initial, random_model, total_hamiltonian
@@ -21,7 +20,6 @@ from qndsim.measurement import (
     aggregate_sigma,
     dispersion_experiment,
     invert_cdf,
-    measurement_trials,
     repeatability_protocol,
 )
 from qndsim.scenarios import (

@@ -99,4 +99,6 @@ def test_traced_cli_runs_leave_no_call_unwrapped(tmp_path):
     assert report["calls"]["scenarios.interpolation_sweep"] == 1
     # one w(0) per command: the sweep's four points run as one batch
     assert report["calls"]["model.prepare_initial"] == 3
-    assert report["calls"]["dynamics.rhs_component_form"] == 4 * 5
+    # the stepped run takes its five RK4 steps as one step polynomial each
+    assert report["calls"]["dynamics.rhs_component_form"] == 0
+    assert report["calls"]["dynamics.evolve_stepped"] == 1

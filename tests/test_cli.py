@@ -74,6 +74,18 @@ class TestEvolve:
         b = np.array([float(x) for x in last_s[1:]])
         assert np.linalg.norm(a - b) <= 1e-8
 
+    @pytest.mark.parametrize("t_end, dt", [("0.7", "0.01"), ("5", "1e-3")])
+    def test_exact_and_stepped_share_time_cells(self, t_end, dt, tmp_path):
+        # both label state k with k * t-end / n, in the same bytes
+        out_e = tmp_path / "exact.csv"
+        out_s = tmp_path / "stepped.csv"
+        args = ["evolve", VIOLATING, "--t-end", t_end, "--dt", dt, "--quiet"]
+        assert main(args + ["--out", str(out_e)]) == 0
+        assert main(args + ["--stepped", "--out", str(out_s)]) == 0
+        times_e = [row[0] for row in csv.reader(out_e.open())]
+        times_s = [row[0] for row in csv.reader(out_s.open())]
+        assert times_s == times_e
+
     @pytest.mark.parametrize("mode", [[], ["--stepped"]], ids=["exact", "--stepped"])
     def test_t_end_rounding_to_one_step(self, mode, tmp_path):
         out = tmp_path / "traj.csv"

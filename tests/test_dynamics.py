@@ -2,8 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qndsim.linalg import DensityOperator, HermitianOperator, tensor
+from qndsim.linalg import DensityOperator, HermitianOperator
 from qndsim.model import (
     BipartiteModel,
     Preparation,
@@ -39,6 +41,21 @@ def random_density(rng, n):
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     m = g @ g.conj().T
     return DensityOperator(m / np.trace(m).real)
+
+
+def _rk4_reference(m, w0, t_end, dt):
+    """The four-stage RK4 loop through rhs_component_form: the (n+1, d, d)
+    states that evolve_stepped's step polynomial is checked against."""
+    n_steps = int(round(t_end / dt))
+    dt = t_end / n_steps
+    states = [w := w0.matrix]
+    for _ in range(n_steps):
+        k1 = rhs_component_form(m, w)
+        k2 = rhs_component_form(m, w + 0.5 * dt * k1)
+        k3 = rhs_component_form(m, w + 0.5 * dt * k2)
+        k4 = rhs_component_form(m, w + dt * k3)
+        states.append(w := w + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+    return np.array(states)
 
 
 class TestRhsComponentForm:
@@ -198,6 +215,40 @@ class TestEvolveStepped:
             with pytest.raises(IntegrationError) as err:
                 evolve_stepped(s.model, w0, 1000.0, 5.0)
         assert err.value.time == 5.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(2, 3), st.integers(2, 3)),
+        family=st.sampled_from(["qnd", "violating"]),
+        seed=st.integers(0, 2**16),
+        dt=st.floats(1e-3, 1e-2),
+        n_steps=st.integers(1, 1000),
+    )
+    def test_matches_four_stage_reference(self, dims, family, seed, dt, n_steps):
+        m = random_model(dims, family, seed)
+        w0 = random_density(np.random.default_rng(seed), m.dim)
+        got = evolve_stepped(m, w0, n_steps * dt, dt).states
+        want = _rk4_reference(m, w0, n_steps * dt, dt)
+        assert np.abs(got - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2)])
+    @pytest.mark.parametrize("family", ["qnd", "violating"])
+    def test_states_exactly_hermitian(self, dims, family):
+        for seed in range(5):
+            m = random_model(dims, family, seed)
+            rng = np.random.default_rng(seed)
+            v = rng.normal(size=m.dim) + 1j * rng.normal(size=m.dim)
+            p = np.outer(v, v.conj()) / np.vdot(v, v).real
+            w0 = DensityOperator((p + p.conj().T) / 2)
+            for w in evolve_stepped(m, w0, 2.0, 1e-3).states:
+                assert np.array_equal(w, w.conj().T)
+
+    def test_trace_holds_over_long_run(self):
+        m = random_model((3, 2), "violating", 12)
+        w0 = prepare_initial(m, Preparation.eigenbasis(0, 0))
+        states = evolve_stepped(m, w0, 40.0, 1e-3).states
+        assert len(states) == 40001
+        assert np.abs(np.trace(states, axis1=1, axis2=2) - 1.0).max() <= 1e-13
 
     def test_rejects_bad_step(self):
         m = random_model((2, 2), "qnd", 0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qndsim.linalg import DensityOperator, HermitianOperator, tensor
+from qndsim.linalg import DensityOperator, HermitianOperator
 from qndsim.model import (
     BipartiteModel,
     Preparation,

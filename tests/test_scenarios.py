@@ -1,13 +1,11 @@
 import io
 import json
 
-import numpy as np
 import pytest
 
 from qndsim.linalg import HermitianOperator
 from qndsim.model import BipartiteModel, Preparation
 from qndsim.scenarios import (
-    DEFAULT_ETA_GRID,
     Scenario,
     Schedule,
     interpolation_sweep,

@@ -3,7 +3,10 @@
 Two propagation paths: an exact spectral propagator (the default for all
 experiments) and a classical 4th-order stepped integrator, which takes each
 RK4 step as its degree-4 step polynomial in the component-summed H and never
-reads the model's eigendecomposition.  The two are cross-checked against each
+reads the model's eigendecomposition.  For d <= 8 that step is one real
+d^2 x d^2 increment map D on the state's real coordinates, and the steps go
+stack_block(d^2) at a time, one matmul per block; larger states step one
+matrix at a time.  The two paths are cross-checked against each
 other in the test suite, and the stepped one against the four-stage RK4 loop
 through the term-by-term rhs_component_form.  Both read the model's compiled
 operators, so H is diagonalised once per model, not once per time, and both
@@ -106,10 +109,16 @@ def evolve_stepped(m: BipartiteModel, w0: DensityOperator, t_end: float, dt: flo
     For dw/dt = -i [H, w], H = terms[0] + terms[1] + terms[2], one RK4 step is
     the degree-4 polynomial sum_{j+k<=4} A_j w A_k^dag, A_j = (-i dt H)^j / j!.
     It is taken as the increment w + (K + K^dag), K = sum_j A_j w C_j, which
-    pairs each (j, k) with its mirror (k, j), so every state is exactly
-    Hermitian when w0 is.  The states are validated once as a Trajectory with
-    eigenvalues down to -1e-7; a violation or a blown-up (non-finite) step
-    aborts at the first bad time."""
+    pairs each (j, k) with its mirror (k, j).  The increment is real-linear on
+    Hermitian w, so in the real coordinates x = (diag w, Re w_upper,
+    Im w_upper) of R^{d^2} a step is x + D x.  While stack_block(d^2) >= 2
+    (d <= 8) the steps go B = stack_block(d^2) at a time: x_{s+j} = x_s + D_j
+    x_s for j = 1..B, one matmul per block, with D_1 = D and D_{j+1} = D_j +
+    (D + D D_j) kept in increment form, and every state after w0 is rebuilt
+    from x, so it is exactly Hermitian.  For larger d the steps run one at a
+    time on matrices, and every state is exactly Hermitian when w0 is.  The
+    states are validated once as a Trajectory with eigenvalues down to -1e-7;
+    a violation or a blown-up (non-finite) step aborts at the first bad time."""
     if not dt > 0 or round(t_end / dt) < 1:
         raise ValueError("need dt > 0 and t_end spanning at least one step")
     n_steps = int(round(t_end / dt))
@@ -123,13 +132,46 @@ def evolve_stepped(m: BipartiteModel, w0: DensityOperator, t_end: float, dt: flo
     left = np.concatenate(a[:3], axis=1)  # the block row [A_0 A_1 A_2]
     c = np.stack([a[1] + a[2] + a[3] + a[4], a[1] / 2 + a[2] + a[3], a[2] / 2])
     c = c.conj().swapaxes(1, 2)
-    states = np.empty((n_steps + 1, d, d), dtype=complex)
-    states[0] = w = w0.matrix
+    times = np.arange(n_steps + 1) * t_end / n_steps
+    block = stack_block(d * d)
+    if block == 1:
+        states = np.empty((n_steps + 1, d, d), dtype=complex)
+        states[0] = w = w0.matrix
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(n_steps):
+                inc = left @ (w @ c).reshape(-1, d)  # K
+                states[k + 1] = w = w + (inc + inc.conj().T)
+        return Trajectory(times, states, pos_tol=STEPPED_POS_TOL)
+    # x[:n_re] = Re w[rows, cols] (diagonal first), x[n_re:] = Im w[r, s]
+    r, s = np.triu_indices(d, 1)
+    rows, cols = np.r_[np.arange(d), r], np.r_[np.arange(d), s]
+    n_re, n = len(rows), d * d
+    basis = np.zeros((n, d, d), dtype=complex)  # w = sum_j x_j basis[j]
+    basis[np.arange(n_re), rows, cols] = basis[np.arange(n_re), cols, rows] = 1
+    basis[np.arange(n_re, n), r, s], basis[np.arange(n_re, n), s, r] = 1j, -1j
+    w = w0.matrix
+    x = np.empty((n_steps + 1, n))
+    x[0, :n_re] = (w.real[rows, cols] + w.real[cols, rows]) / 2  # of (w + w^dag) / 2
+    x[0, n_re:] = (w.imag[r, s] - w.imag[s, r]) / 2
+    increments = np.empty((block, n, n))  # D_1 .. D_B
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            inc = left @ (w @ c).reshape(-1, d)  # K
-            states[k + 1] = w = w + (inc + inc.conj().T)
-    return Trajectory(np.arange(n_steps + 1) * t_end / n_steps, states, pos_tol=STEPPED_POS_TOL)
+        inc = left @ (basis[:, None] @ c).reshape(n, -1, d)
+        inc += inc.conj().swapaxes(1, 2)  # K + K^dag of each basis matrix
+        increments[0] = np.concatenate([inc.real[:, rows, cols], inc.imag[:, r, s]], 1).T
+        d_1 = increments[0]
+        for j in range(1, block):
+            increments[j] = increments[j - 1] + (d_1 + d_1 @ increments[j - 1])
+        increments = increments.reshape(-1, n)
+        for k in range(0, n_steps, block):
+            ahead = x[k + 1:k + 1 + block]
+            np.matmul(increments[:ahead.size], x[k], out=ahead.reshape(-1))
+            ahead += x[k]
+    states = np.zeros((n_steps + 1, d, d), dtype=complex)
+    states.real[:, rows, cols] = states.real[:, cols, rows] = x[:, :n_re]
+    states.imag[:, r, s] = x[:, n_re:]
+    states.imag[:, s, r] = np.negative(x[:, n_re:], out=x[:, n_re:])  # x's last use
+    states[0] = w
+    return Trajectory(times, states, pos_tol=STEPPED_POS_TOL)
 
 
 def state_constancy_check(m: BipartiteModel, w0: DensityOperator, t_grid) -> float:

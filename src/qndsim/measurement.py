@@ -276,12 +276,15 @@ def repeated_outcomes(
     batch in lockstep: measurement k inverts the Born distribution at draw
     u[..., k] and collapses the state, which then evolves by delta_tau to the
     next one.  The first measures w_tau, whose distribution p_tau is given;
-    the state after the last measurement is never needed, so it is not formed."""
+    the state after the last measurement is never needed, so it is not formed.
+    Each step is evolve_exact's U w U^dag, with U = U(delta_tau) formed once."""
     dims = (m.d_system, m.d_apparatus)
     w, p, lams = w_tau, p_tau, []
     for k in range(u.shape[-1]):
+        if k == 1:
+            step = m.spectrum.unitary(delta_tau)
         if k:
-            w = evolve_exact(m, w, delta_tau)
+            w = DensityOperator(step @ w.matrix @ step.conj().swapaxes(-1, -2))
             p = outcome_distribution(w, pointer, dims)
         lams.append(invert_cdf(p, u[..., k]))
         if k + 1 < u.shape[-1]:

@@ -22,7 +22,7 @@ import numpy as np
 from .linalg import DensityOperator, HermitianOperator, InvariantViolationError
 from .model import BipartiteModel, Preparation, random_model
 from .measurement import Calibration, PointerObservable
-from .scenarios import Scenario, Schedule
+from .scenarios import MAX_COUNT, Scenario, Schedule
 
 SCHEMA_VERSION = 1
 
@@ -48,6 +48,14 @@ def _int(value, what: str) -> int:
     raise ScenarioFormatError(f"{what}: expected an integer, got {value!r}")
 
 
+def _count(value, what: str) -> int:
+    """_int(value, what), also refused when no array size can hold it."""
+    n = _int(value, what)
+    if n > MAX_COUNT:
+        raise ScenarioFormatError(f"{what}: {n} exceeds the largest count {MAX_COUNT}")
+    return n
+
+
 def _parse_matrix(spec, what: str) -> np.ndarray:
     if isinstance(spec, str):
         if spec in PAULI:
@@ -56,7 +64,7 @@ def _parse_matrix(spec, what: str) -> np.ndarray:
     if isinstance(spec, dict):
         for key in ("identity", "zero"):
             if key in spec:
-                n = _int(spec[key], f"{what}.{key}")
+                n = _count(spec[key], f"{what}.{key}")
                 if n < 1:
                     raise ScenarioFormatError(f"{what}.{key}: size must be positive, got {n}")
                 return np.eye(n, dtype=complex) if key == "identity" else np.zeros((n, n), complex)
@@ -74,7 +82,11 @@ def _parse_matrix(spec, what: str) -> np.ndarray:
             pair = spec["kron"]
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ScenarioFormatError(f"{what}.kron must be [a, b], got {pair!r}")
-            return np.kron(_parse_matrix(pair[0], what), _parse_matrix(pair[1], what))
+            factors = [_parse_matrix(f, what) for f in pair]
+            for k, f in enumerate(factors):  # a non-finite factor would warn in np.kron
+                if not np.isfinite(f).all():
+                    raise ScenarioFormatError(f"{what}.kron: factor {k} is not finite")
+            return np.kron(*factors)
         raise ScenarioFormatError(f"{what}: unknown operator spec {sorted(spec)}")
     try:
         arr = np.array(spec, dtype=float)
@@ -103,7 +115,7 @@ def _parse_model(doc: dict) -> tuple[BipartiteModel, Optional[float]]:
     dims = doc.get("dims")
     if not isinstance(dims, (list, tuple)) or len(dims) != 2:
         raise ScenarioFormatError(f"model.dims must be [dS, dM], got {dims!r}")
-    d_s, d_m = (_int(d, "model.dims") for d in dims)
+    d_s, d_m = (_count(d, "model.dims") for d in dims)
     try:
         eta = None if doc.get("eta") is None else float(doc["eta"])
     except (TypeError, ValueError) as exc:

@@ -65,6 +65,7 @@ CONSTANCY_POINTS = 11  # the constancy grid: t = 0 and 10 times up to max(tau, 1
 # Bytes one sweep batch may hold (4 MiB), which bounds the points it runs at once.
 BATCH_BYTES = 1 << 22
 ORACLE_TOL = 1e-7  # the largest disagreement oracle_check allows between two routes
+MAX_COUNT = int(np.iinfo(np.intp).max)  # the largest count an array size can take
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,9 @@ class Schedule:
             raise ValueError("schedule needs n_repeats >= 2")
         if self.n_trials < 1:
             raise ValueError("schedule needs n_trials >= 1")
+        for name in ("n_repeats", "n_trials"):
+            if getattr(self, name) > MAX_COUNT:
+                raise ValueError(f"schedule needs {name} <= {MAX_COUNT}")
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from qndsim.scenarios import run_scenario
 
 QND = str(bundled_scenario_path("qubit-qnd"))
 INF = float("inf")
+BEYOND_INTP = 2**70  # a count no array size can take
 BUNDLED = sorted(bundled_scenario_path("qubit-qnd").parent.glob("*.json"))
 VIOLATING = str(bundled_scenario_path("qubit-violating"))
 
@@ -304,6 +305,17 @@ BAD_FILES = {
     "identity-fraction": lambda d: d.update(pointer={"identity": 2.5}),
     "seed-bool": lambda d: d.update(seed=True),
     "n-repeats-string": lambda d: d["schedule"].update(n_repeats="5"),
+    # counts no array size can take, which once failed naming no field
+    "n-trials-beyond-intp": lambda d: d["schedule"].update(n_trials=BEYOND_INTP),
+    "n-repeats-beyond-intp": lambda d: d["schedule"].update(n_repeats=BEYOND_INTP),
+    "dims-beyond-intp": lambda d: d.update(
+        model={"dims": [BEYOND_INTP, 2], "family": "qnd", "seed": 0}
+    ),
+    "identity-beyond-intp": lambda d: d.update(pointer={"identity": BEYOND_INTP}),
+    # a non-finite factor, which np.kron once multiplied with a RuntimeWarning
+    "kron-factor-infinity": lambda d: d.update(
+        pointer={"kron": [{"diag": [1, 0, INF]}, "pauli_x"]}
+    ),
 }
 
 BAD_ARGS = {
@@ -329,6 +341,12 @@ BAD_ARGS = {
     "measure-repeats-unallocatable": ["measure", QND, "--repeats", "1000000000000000"],
     "sweep-repeats-unallocatable": ["sweep", "--repeats", "1000000000000000",
                                     "--seeds", "0:1", "--eta-grid", "0"],
+    # counts no array size can take
+    "measure-trials-beyond-intp": ["measure", QND, "--trials", str(BEYOND_INTP)],
+    "measure-repeats-beyond-intp": ["measure", QND, "--repeats", str(BEYOND_INTP)],
+    "sweep-trials-beyond-intp": ["sweep", "--trials", str(BEYOND_INTP), "--seeds", "0:1"],
+    "sweep-repeats-beyond-intp": ["sweep", "--repeats", str(BEYOND_INTP), "--seeds", "0:1"],
+    "sweep-dims-beyond-intp": ["sweep", "--dims", f"{BEYOND_INTP},2", "--seeds", "0:1"],
 }
 
 
@@ -404,11 +422,29 @@ def test_bad_operator_is_named_once(tmp_path, capsys):
 
 @pytest.mark.parametrize("name", ["identity-negative", "zero-negative", "diag-not-number",
                                   "diag-nested", "diag-not-list", "identity-zero",
-                                  "zero-zero", "diag-empty", "kron-zero-factor"])
+                                  "zero-zero", "diag-empty", "kron-zero-factor",
+                                  "identity-beyond-intp", "kron-factor-infinity"])
 def test_bad_pointer_spec_names_the_field(name, tmp_path, capsys):
     path = _bad_file(tmp_path, BAD_FILES[name])
     assert main(["measure", path, "--quiet"]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: pointer.")
+
+
+@pytest.mark.parametrize("name, field", [
+    ("measure-trials-beyond-intp", "n_trials"),
+    ("measure-repeats-beyond-intp", "n_repeats"),
+    ("sweep-trials-beyond-intp", "n_trials"),
+    ("sweep-repeats-beyond-intp", "n_repeats"),
+    ("sweep-dims-beyond-intp", "dims"),
+    ("n-trials-beyond-intp", "n_trials"),
+    ("n-repeats-beyond-intp", "n_repeats"),
+    ("dims-beyond-intp", "model.dims"),
+])
+def test_oversized_count_names_its_field(name, field, tmp_path, capsys):
+    argv = BAD_ARGS.get(name) or ["measure", _bad_file(tmp_path, BAD_FILES[name])]
+    assert main(argv + ["--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f" {field}" in err, err
 
 
 def test_seed_beyond_128_bits_runs(tmp_path, capsys):

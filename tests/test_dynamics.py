@@ -1,8 +1,9 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qndsim.linalg import DensityOperator, HermitianOperator
@@ -218,12 +219,20 @@ class TestEvolveStepped:
 
     @settings(max_examples=25, deadline=None)
     @given(
-        dims=st.tuples(st.integers(2, 3), st.integers(2, 3)),
+        # d <= 8 steps in blocks of stack_block(d * d), (4, 2) two at a time;
+        # (3, 3) steps one matrix at a time
+        dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (4, 2), (3, 3)]),
         family=st.sampled_from(["qnd", "violating"]),
         seed=st.integers(0, 2**16),
         dt=st.floats(1e-3, 1e-2),
         n_steps=st.integers(1, 1000),
     )
+    # d = 6 steps six at a time: one step, a block less one, one block and
+    # one step more than a block
+    @example(dims=(3, 2), family="violating", seed=13, dt=1e-2, n_steps=1)
+    @example(dims=(3, 2), family="violating", seed=13, dt=1e-2, n_steps=5)
+    @example(dims=(3, 2), family="violating", seed=13, dt=1e-2, n_steps=6)
+    @example(dims=(3, 2), family="violating", seed=13, dt=1e-2, n_steps=7)
     def test_matches_four_stage_reference(self, dims, family, seed, dt, n_steps):
         m = random_model(dims, family, seed)
         w0 = random_density(np.random.default_rng(seed), m.dim)
@@ -231,7 +240,7 @@ class TestEvolveStepped:
         want = _rk4_reference(m, w0, n_steps * dt, dt)
         assert np.abs(got - want).max() <= 1e-13
 
-    @pytest.mark.parametrize("dims", [(2, 2), (3, 2)])
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (4, 2), (3, 3)])
     @pytest.mark.parametrize("family", ["qnd", "violating"])
     def test_states_exactly_hermitian(self, dims, family):
         for seed in range(5):
@@ -244,11 +253,29 @@ class TestEvolveStepped:
                 assert np.array_equal(w, w.conj().T)
 
     def test_trace_holds_over_long_run(self):
-        m = random_model((3, 2), "violating", 12)
+        for dims in [(2, 2), (3, 2)]:  # 32 and 6 steps per block
+            m = random_model(dims, "violating", 12)
+            w0 = prepare_initial(m, Preparation.eigenbasis(0, 0))
+            states = evolve_stepped(m, w0, 40.0, 1e-3).states
+            assert len(states) == 40001
+            assert np.abs(np.trace(states, axis1=1, axis2=2) - 1.0).max() <= 1e-13
+
+    def test_memory_is_states_and_coordinates(self):
+        # The benchmark's stepped trajectory: 5001 states of a dims-(3,2)
+        # model.  Beyond the complex states and their real coordinates, only
+        # block temporaries are held: no full complex temporary, and no
+        # increment stack beyond stack_block(d * d) of d^2 x d^2.
+        m = random_model((3, 2), "violating", 1)
         w0 = prepare_initial(m, Preparation.eigenbasis(0, 0))
-        states = evolve_stepped(m, w0, 40.0, 1e-3).states
-        assert len(states) == 40001
-        assert np.abs(np.trace(states, axis1=1, axis2=2) - 1.0).max() <= 1e-13
+        m.terms  # compiled once, outside the measurement
+        tracemalloc.start()
+        try:
+            states = evolve_stepped(m, w0, 5.0, 1e-3).states
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert states.shape == (5001, 6, 6)
+        assert peak <= states.nbytes + states.nbytes // 2 + 1_000_000
 
     def test_rejects_bad_step(self):
         m = random_model((2, 2), "qnd", 0)

@@ -28,7 +28,7 @@ from .model import check_conditions, prepare_initial
 from .dynamics import evolve_stepped, exact_trajectory
 from .scenarios import (
     DEFAULT_ETA_GRID,
-    MAX_COUNT,
+    MAX_DIM,
     Schedule,
     interpolation_sweep,
     run_measurements,
@@ -272,8 +272,8 @@ def cmd_sweep(args) -> int:
         raise ValueError("dims must be dS,dM")
     if min(dims) < 2:
         raise ValueError("dims must be at least 2 on each side")
-    if max(dims) > MAX_COUNT:
-        raise ValueError(f"dims must be at most {MAX_COUNT} on each side")
+    if math.prod(dims) > MAX_DIM:
+        raise ValueError(f"dims must have dS*dM <= {MAX_DIM}")
     if not seeds:
         raise ValueError("seed list is empty")
     if min(seeds) < 0:

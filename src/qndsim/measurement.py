@@ -242,15 +242,15 @@ def collapse_after_outcome(
     dims: tuple[int, int],
 ) -> DensityOperator:
     """Lüders update onto the eigenspace of group lam: (I x P) w (I x P) / p_lam,
-    P applied on the row and then the column apparatus axis; for a batch, lam
-    holds one group per point and the states are checked as one stack."""
+    P applied on the row and then the column apparatus axis, one matmul each;
+    for a batch, lam holds one group per point, checked as one stack."""
     d_s, d_m = dims
     axes = _apparatus_axes(w, pointer, dims)
     batch = axes.shape[:-4]
     lam = np.broadcast_to(lam, batch)
     proj = np.take_along_axis(pointer.projectors, lam[..., None, None, None], axis=-3)
     left = proj @ axes.reshape(*batch, d_s, d_m, -1)
-    projected = (left.reshape(*batch, -1, d_s, d_m) @ proj).reshape(*batch, w.dim, w.dim)
+    projected = (left.reshape(*batch, -1, d_m) @ proj[..., 0, :, :]).reshape(*batch, w.dim, w.dim)
     p_lam = np.trace(projected, axis1=-2, axis2=-1).real
     impossible = p_lam <= 0.0
     if impossible.any():

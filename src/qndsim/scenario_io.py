@@ -22,7 +22,7 @@ import numpy as np
 from .linalg import DensityOperator, HermitianOperator, InvariantViolationError
 from .model import BipartiteModel, Preparation, random_model
 from .measurement import Calibration, PointerObservable
-from .scenarios import MAX_COUNT, Scenario, Schedule
+from .scenarios import MAX_DIM, Scenario, Schedule
 
 SCHEMA_VERSION = 1
 
@@ -48,11 +48,11 @@ def _int(value, what: str) -> int:
     raise ScenarioFormatError(f"{what}: expected an integer, got {value!r}")
 
 
-def _count(value, what: str) -> int:
-    """_int(value, what), also refused when no array size can hold it."""
+def _dim(value, what: str) -> int:
+    """_int(value, what), also refused when numpy could not size an n x n matrix."""
     n = _int(value, what)
-    if n > MAX_COUNT:
-        raise ScenarioFormatError(f"{what}: {n} exceeds the largest count {MAX_COUNT}")
+    if n > MAX_DIM:
+        raise ScenarioFormatError(f"{what}: {n} exceeds the largest dimension {MAX_DIM}")
     return n
 
 
@@ -64,7 +64,7 @@ def _parse_matrix(spec, what: str) -> np.ndarray:
     if isinstance(spec, dict):
         for key in ("identity", "zero"):
             if key in spec:
-                n = _count(spec[key], f"{what}.{key}")
+                n = _dim(spec[key], f"{what}.{key}")
                 if n < 1:
                     raise ScenarioFormatError(f"{what}.{key}: size must be positive, got {n}")
                 return np.eye(n, dtype=complex) if key == "identity" else np.zeros((n, n), complex)
@@ -115,7 +115,8 @@ def _parse_model(doc: dict) -> tuple[BipartiteModel, Optional[float]]:
     dims = doc.get("dims")
     if not isinstance(dims, (list, tuple)) or len(dims) != 2:
         raise ScenarioFormatError(f"model.dims must be [dS, dM], got {dims!r}")
-    d_s, d_m = (_count(d, "model.dims") for d in dims)
+    d_s, d_m = (_dim(d, "model.dims") for d in dims)
+    _dim(d_s * d_m, "model.dims: the joint dimension")
     try:
         eta = None if doc.get("eta") is None else float(doc["eta"])
     except (TypeError, ValueError) as exc:

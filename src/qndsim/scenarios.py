@@ -7,10 +7,11 @@ over all of them; Batch.of(s) is one scenario as a batch of one, and
 Batch.initial its w(0), prepared and validated once on first use.
 measure_batch is the one measurement pipeline, shared by the CLI measure
 command (run_measurements) and run_batch: w(0) evolved to w(tau) once, its
-Born distribution once, one draw stream per point, the repeat protocol from
-w(tau), trial record, reading variance, weighted means.  run_batch adds the
-condition check and state constancy from the same w(0) and emits one result
-row per point; run_scenario is run_batch on one scenario.
+Born distribution once, one draw stream per seed, one inversion for all the
+trials, the repeat protocol from w(tau), trial record, reading variance,
+weighted means.  run_batch adds the condition check and state constancy from
+the same w(0) and emits one result row per point; run_scenario is run_batch
+on one scenario.
 interpolation_sweep is the one maker of multi-point batches: it runs the
 (eta, seed) grid of one dims as a few batches, and when one fails it reruns
 its points one at a time through the same builder to name the failing point.
@@ -52,7 +53,7 @@ from .measurement import (
     MeasurementRecord,
     PointerObservable,
     aggregate_sigma,
-    draw_trials,
+    invert_cdf,
     outcome_distribution,
     reading_variance,
     repeat_times,
@@ -65,7 +66,10 @@ CONSTANCY_POINTS = 11  # the constancy grid: t = 0 and 10 times up to max(tau, 1
 # Bytes one sweep batch may hold (4 MiB), which bounds the points it runs at once.
 BATCH_BYTES = 1 << 22
 ORACLE_TOL = 1e-7  # the largest disagreement oracle_check allows between two routes
-MAX_COUNT = int(np.iinfo(np.intp).max)  # the largest count an array size can take
+MAX_BYTES = int(np.iinfo(np.intp).max)  # the most bytes numpy can size one array to
+DRAW_BYTES, ROW_BYTES, ENTRY_BYTES = 8, 24, 16  # a draw, a record row, a matrix entry
+MAX_COUNT = MAX_BYTES // (DRAW_BYTES + ROW_BYTES)  # of repeats or trials: a draw and a row each
+MAX_DIM = math.isqrt(MAX_BYTES // ENTRY_BYTES)  # of a d x d matrix: 759250124
 
 
 @dataclass(frozen=True)
@@ -179,23 +183,28 @@ class Batch:
 
 def measure_batch(b: Batch) -> list[MeasurementRun]:
     """One w(tau) and its Born p per point, each stage run once over the batch.
-    Point n draws once, trial_rng(seed).random(max(n_repeats, n_trials)): draw
-    k is both repeat k's and trial k's.  The repeat protocol starts from w(tau);
-    p feeds the repeats' first reading, the n_trials readings and the analytic
-    weighted mean.  Trial records, taken one point at a time so that only one
-    point's draws are held, and statistics are per point."""
+    Each distinct seed draws trial_rng(seed).random(max(n_repeats, n_trials))
+    once, shared by its points: draw k is both repeat k's and trial k's.  The
+    repeat protocol starts from w(tau); p feeds the repeats' first reading, the
+    n_trials readings of every point, inverted in one call, and the analytic
+    weighted mean.  The batch's draws and outcomes go before the statistics."""
     sched, m, i = b.schedule, b.model, b.preparation.system_index
     times = repeat_times(sched.tau, sched.delta_tau, sched.n_repeats)
     w_tau = evolve_exact(m, b.initial, sched.tau)
     p = outcome_distribution(w_tau, b.pointer, (m.d_system, m.d_apparatus))
-    u_repeats = np.empty((*m.batch, sched.n_repeats))
-    trials = []
-    for point, seed, cal in zip(np.ndindex(m.batch), b.seeds, b.calibrations, strict=True):
-        u = trial_rng(seed).random(max(sched.n_repeats, sched.n_trials))
-        u_repeats[point] = u[:sched.n_repeats]
-        trials.append(draw_trials(p[point], cal, i, sched.tau, u[:sched.n_trials]))
-    del u  # the statistics below hold the records, not the last point's draws
-    repeat_lams = repeated_outcomes(m, w_tau, p, b.pointer, sched.delta_tau, u_repeats)
+    n_draws = max(sched.n_repeats, sched.n_trials)
+    streams = {seed: trial_rng(seed).random(n_draws) for seed in dict.fromkeys(b.seeds)}
+    u = np.stack([streams[seed] for seed in b.seeds]).reshape(*m.batch, n_draws)
+    del streams
+    lam = invert_cdf(p, u[..., :sched.n_trials])
+    repeat_lams = repeated_outcomes(m, w_tau, p, b.pointer, sched.delta_tau,
+                                    u[..., :sched.n_repeats])
+    del u
+    trial = np.arange(sched.n_trials)
+    trial.setflags(write=False)  # one column, shared by every point's record
+    trials = [MeasurementRecord.from_outcomes(cal, i, trial, sched.tau, lam[point])
+              for point, cal in zip(np.ndindex(m.batch), b.calibrations, strict=True)]
+    del lam  # each record holds a copy of its row
     return [
         MeasurementRun(
             repeats=MeasurementRecord.from_outcomes(cal, i, 0, times, repeat_lams[point]),
@@ -255,16 +264,17 @@ def run_scenario(s: Scenario) -> SweepRow:
 
 def _point_bytes(dims: tuple[int, int], schedule: Schedule) -> int:
     """Bytes a sweep point adds to its batch's peak, so that a batch of
-    BATCH_BYTES // _point_bytes points stays within BATCH_BYTES: about 16 joint
-    matrices (model terms, H, its eigenvectors, propagators, states), its repeat
-    and trial records at 24 B per row (a trial record's time and a repeat
-    record's trial are one value), and 8 B per draw: its draw stream while its
-    trials are drawn, then one temporary column while their statistics are
-    taken.  Under tracemalloc a (2, 2) point peaks at 32 B per trial."""
-    matrix = 16 * math.prod(dims) ** 2
-    records = 24 * (schedule.n_repeats + schedule.n_trials)
-    drawing = 8 * max(schedule.n_repeats, schedule.n_trials)
-    return 16 * matrix + records + drawing
+    BATCH_BYTES // _point_bytes points stays within BATCH_BYTES: 18 joint
+    matrices (model terms, H, its eigenvectors, states, and at the peak the
+    repeat protocol's propagator, collapses and checks), its repeat and trial
+    records at 24 B per row, and 8 B per draw, all its points' draws being held
+    at once.  Under tracemalloc, full batches of 55 (4, 4) and 3 (8, 8) points
+    peak at 3.88 and 3.38 MB (60 (4, 4) points reached 4.20 MB with 16
+    matrices), a (2, 2) point at 32 B per trial."""
+    matrix = ENTRY_BYTES * math.prod(dims) ** 2
+    records = ROW_BYTES * (schedule.n_repeats + schedule.n_trials)
+    drawing = DRAW_BYTES * max(schedule.n_repeats, schedule.n_trials)
+    return 18 * matrix + records + drawing
 
 
 def _sweep_batch(dims, points, draws, basis, schedule) -> Batch:
@@ -443,8 +453,9 @@ def oracle_check(
 ) -> OracleReport:
     """Cross-check the main numerics against slow independent recomputations.
 
-    Recomputes the exact propagation via a truncated-series exponential, the
-    outcome distribution via explicit index loops summed per pointer group, and the evolution
+    Recomputes the exact propagation and the state constancy over the
+    constancy grid via a truncated-series exponential, the outcome distribution
+    via explicit index loops summed per pointer group, and the evolution
     right-hand side via quadruple-indexed loops.  Returns a falsy report with
     a diff when any route disagrees beyond ORACLE_TOL.  swap_index_convention
     deliberately mis-wires the oracle-side joint index (negative control).
@@ -459,33 +470,29 @@ def oracle_check(
     w0 = DensityOperator(raw / np.trace(raw).real)
     pointer = PointerObservable.from_operator(m.h_apparatus)
     t = 0.7
-
-    lines = []
-    passed = True
+    diffs = {}  # route pair: largest disagreement
 
     h = total_hamiltonian(m).matrix
     u_series = _expm_series(-1j * h * t)
     w_series = u_series @ w0.matrix @ u_series.conj().T
     w_main = evolve_exact(m, w0, t).matrix
-    d_evolve = float(np.linalg.norm(w_series - w_main))
-    if d_evolve > ORACLE_TOL:
-        passed = False
-        lines.append(f"evolve_exact vs series exponential: |diff| = {d_evolve:.3e}")
+    diffs["evolve_exact vs series exponential"] = np.linalg.norm(w_series - w_main)
+
+    t_grid = np.linspace(0.0, 1.0, CONSTANCY_POINTS)[1:]  # the sweep's grid for tau <= 1
+    dev = max(np.linalg.norm(u @ w0.matrix @ u.conj().T - w0.matrix)
+              for u in (_expm_series(-1j * h * t_k) for t_k in t_grid))
+    diffs["state_constancy_check vs series exponential"] = abs(
+        dev - state_constancy_check(m, w0, t_grid))
 
     rhs_main = rhs_component_form(m, w0.matrix)
     rhs_loops = _rhs_index_loops(m, w0.matrix, swapped=swap_index_convention)
-    d_rhs = float(np.linalg.norm(rhs_main - rhs_loops))
-    if d_rhs > ORACLE_TOL:
-        passed = False
-        lines.append(f"rhs_component_form vs index loops: |diff| = {d_rhs:.3e}")
+    diffs["rhs_component_form vs index loops"] = np.linalg.norm(rhs_main - rhs_loops)
 
     p_main = outcome_distribution(w0, pointer, dims)
     p_loops = _born_index_loops(w0.matrix, pointer, d_s, d_m, swapped=swap_index_convention)
     p_loops = np.maximum(np.add.reduceat(p_loops, pointer.starts), 0.0)
     p_loops = p_loops / p_loops.sum()
-    d_born = float(np.max(np.abs(p_main - p_loops)))
-    if d_born > ORACLE_TOL:
-        passed = False
-        lines.append(f"outcome_distribution vs index loops: |diff| = {d_born:.3e}")
+    diffs["outcome_distribution vs index loops"] = np.max(np.abs(p_main - p_loops))
 
-    return OracleReport(passed=passed, lines=lines)
+    lines = [f"{pair}: |diff| = {d:.3e}" for pair, d in diffs.items() if not d <= ORACLE_TOL]
+    return OracleReport(passed=not lines, lines=lines)

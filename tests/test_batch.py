@@ -2,12 +2,13 @@
 through each stage, with the bytes of one scenario at a time.
 
 Golden CSVs were written by the one-point-at-a-time sweep that preceded the
-batch; the sweep must still write them byte for byte.  Each sweep row equals
+batch, and rewritten once when state constancy moved into H's eigenbasis (only
+constancy_dev cells changed); the sweep must still write them byte for byte.  Each sweep row equals
 run_scenario on the same scenario, field for field; a failure names the first
 point that fails alone; seeds whose pointers group their eigenvalues differently, or
 points that overflow one batch, run as separate batches, and a sweep whose
 points are large holds about one point at a time; the repeat protocol makes
-no collapse it does not use.
+no collapse it does not use, and each seed draws one stream for all its points.
 """
 
 import tracemalloc
@@ -23,8 +24,9 @@ from hypothesis import strategies as st
 import qndsim.measurement
 import qndsim.scenarios
 from qndsim.cli import main as cli_main
-from qndsim.linalg import HermitianOperator, SpectralDecomposition, spectral
-from qndsim.measurement import invert_cdf
+from qndsim.linalg import DensityOperator, HermitianOperator, SpectralDecomposition, spectral
+from qndsim.linalg import tensor
+from qndsim.measurement import PointerObservable, collapse_after_outcome, invert_cdf
 from qndsim.model import (
     BipartiteModel,
     ModelDraws,
@@ -221,6 +223,38 @@ def test_one_draw_stream_one_born_weight_and_no_unused_collapse(monkeypatch):
                      "collapse_after_outcome": n_repeats - 1}
 
 
+def test_one_draw_stream_per_seed(monkeypatch):
+    calls, original = [], qndsim.scenarios.trial_rng
+    monkeypatch.setattr(qndsim.scenarios, "trial_rng",
+                        lambda seed: calls.append(seed) or original(seed))
+    assert cli_main(["sweep", "--dims", "4,4", "--seeds", "1:5", "--quiet"]) == 0
+    assert calls == [1, 2, 3, 4]  # 20 points, 5 eta points per seed
+
+
+@pytest.mark.parametrize("dims, pointer_values", [
+    ((2, 2), None), ((3, 2), None), ((2, 4), [-1.0, 0.5, 0.5, 2.0])  # a rank-2 group
+])
+def test_batched_collapse_equals_joint_space_projection(dims, pointer_values):
+    d_s, d_m = dims
+    rng = np.random.default_rng(d_s * 10 + d_m)
+    g = rng.normal(size=(6, d_s * d_m, d_s * d_m, 2)) @ [1, 1j]
+    w = g @ g.conj().swapaxes(1, 2)
+    w = DensityOperator(w / np.trace(w, axis1=1, axis2=2).real[:, None, None])
+    h = rng.normal(size=(6, d_m, d_m, 2)) @ [1, 1j]
+    h = h + h.conj().swapaxes(1, 2)
+    if pointer_values is not None:  # the same spectrum in a random basis per point
+        q = np.linalg.qr(h)[0]
+        h = (q * pointer_values) @ q.conj().swapaxes(1, 2)
+    pointer = PointerObservable.from_operator(HermitianOperator(h))
+    lam = rng.integers(len(pointer.starts), size=6)
+    got = collapse_after_outcome(w, pointer, lam, dims).matrix
+    for n in range(6):
+        lift = tensor(np.eye(d_s), pointer.projectors[n, lam[n]])
+        projected = lift @ w.matrix[n] @ lift
+        want = projected / np.trace(projected).real
+        assert np.abs(got[n] - want).max() <= 1e-14
+
+
 def test_trial_columns_are_held_once():
     """A 100000-trial point holds its three record columns and one more 8-byte
     column at a time (3.2 MB), not copies of them, with the rows it had when
@@ -233,5 +267,5 @@ def test_trial_columns_are_held_once():
     finally:
         tracemalloc.stop()
     assert peak <= 4.0e6
-    assert astuple(row) == (0.5, 3, 0.6761154152012807, 0.592534712959256, 0.8910101351534023, 1,
+    assert astuple(row) == (0.5, 3, 0.6761154152012807, 0.592534712959256, 0.8910101351534024, 1,
                             1.6028594743738414, -1.8863701846256204, -1.8929619813579786)

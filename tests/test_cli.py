@@ -18,6 +18,7 @@ from qndsim.scenarios import run_scenario
 QND = str(bundled_scenario_path("qubit-qnd"))
 INF = float("inf")
 BEYOND_INTP = 2**70  # a count no array size can take
+INTP_MAX = 2**63 - 1  # a count intp holds, but no array of it numpy can size
 BUNDLED = sorted(bundled_scenario_path("qubit-qnd").parent.glob("*.json"))
 VIOLATING = str(bundled_scenario_path("qubit-violating"))
 
@@ -312,6 +313,16 @@ BAD_FILES = {
         model={"dims": [BEYOND_INTP, 2], "family": "qnd", "seed": 0}
     ),
     "identity-beyond-intp": lambda d: d.update(pointer={"identity": BEYOND_INTP}),
+    # counts intp holds, whose arrays numpy once refused as "array is too big"
+    "n-trials-unsizable": lambda d: d["schedule"].update(n_trials=INTP_MAX),
+    "n-repeats-unsizable": lambda d: d["schedule"].update(n_repeats=INTP_MAX),
+    "dims-unsizable": lambda d: d.update(
+        model={"dims": [2**62, 2], "family": "qnd", "seed": 0}
+    ),
+    "joint-dims-unsizable": lambda d: d.update(  # each factor a d x d matrix numpy can size
+        model={"dims": [759250124, 2], "family": "qnd", "seed": 0}
+    ),
+    "identity-unsizable": lambda d: d.update(pointer={"identity": 2**32}),
     # a non-finite factor, which np.kron once multiplied with a RuntimeWarning
     "kron-factor-infinity": lambda d: d.update(
         pointer={"kron": [{"diag": [1, 0, INF]}, "pauli_x"]}
@@ -347,6 +358,13 @@ BAD_ARGS = {
     "sweep-trials-beyond-intp": ["sweep", "--trials", str(BEYOND_INTP), "--seeds", "0:1"],
     "sweep-repeats-beyond-intp": ["sweep", "--repeats", str(BEYOND_INTP), "--seeds", "0:1"],
     "sweep-dims-beyond-intp": ["sweep", "--dims", f"{BEYOND_INTP},2", "--seeds", "0:1"],
+    # counts intp holds, whose arrays numpy cannot size
+    "measure-trials-unsizable": ["measure", QND, "--trials", str(INTP_MAX)],
+    "measure-repeats-unsizable": ["measure", QND, "--repeats", str(INTP_MAX)],
+    "sweep-trials-unsizable": ["sweep", "--trials", str(INTP_MAX), "--seeds", "0:1"],
+    "sweep-repeats-unsizable": ["sweep", "--repeats", str(INTP_MAX), "--seeds", "0:1"],
+    "sweep-dims-unsizable": ["sweep", "--dims", f"{2**62},2", "--seeds", "0:1"],
+    "sweep-joint-dims-unsizable": ["sweep", "--dims", f"{2**31},{2**31}", "--seeds", "0:1"],
 }
 
 
@@ -423,7 +441,8 @@ def test_bad_operator_is_named_once(tmp_path, capsys):
 @pytest.mark.parametrize("name", ["identity-negative", "zero-negative", "diag-not-number",
                                   "diag-nested", "diag-not-list", "identity-zero",
                                   "zero-zero", "diag-empty", "kron-zero-factor",
-                                  "identity-beyond-intp", "kron-factor-infinity"])
+                                  "identity-beyond-intp", "identity-unsizable",
+                                  "kron-factor-infinity"])
 def test_bad_pointer_spec_names_the_field(name, tmp_path, capsys):
     path = _bad_file(tmp_path, BAD_FILES[name])
     assert main(["measure", path, "--quiet"]) == 2
@@ -439,6 +458,16 @@ def test_bad_pointer_spec_names_the_field(name, tmp_path, capsys):
     ("n-trials-beyond-intp", "n_trials"),
     ("n-repeats-beyond-intp", "n_repeats"),
     ("dims-beyond-intp", "model.dims"),
+    ("measure-trials-unsizable", "n_trials"),
+    ("measure-repeats-unsizable", "n_repeats"),
+    ("sweep-trials-unsizable", "n_trials"),
+    ("sweep-repeats-unsizable", "n_repeats"),
+    ("sweep-dims-unsizable", "dims"),
+    ("sweep-joint-dims-unsizable", "dims"),
+    ("n-trials-unsizable", "n_trials"),
+    ("n-repeats-unsizable", "n_repeats"),
+    ("dims-unsizable", "model.dims"),
+    ("joint-dims-unsizable", "model.dims"),
 ])
 def test_oversized_count_names_its_field(name, field, tmp_path, capsys):
     argv = BAD_ARGS.get(name) or ["measure", _bad_file(tmp_path, BAD_FILES[name])]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qndsim.linalg import DensityOperator, HermitianOperator
+from qndsim.linalg import DensityOperator, HermitianOperator, frobenius
 from qndsim.model import (
     BipartiteModel,
     Preparation,
@@ -57,6 +57,19 @@ def _rk4_reference(m, w0, t_end, dt):
         k4 = rhs_component_form(m, w + dt * k3)
         states.append(w := w + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
     return np.array(states)
+
+
+def _constancy_reference(m, w0, t_grid):
+    """The per-time route: max ||evolve_exact(m, w0, t) - w0||_F over the grid,
+    one full evolved state per time, that state_constancy_check is checked against."""
+    return np.max([frobenius(evolve_exact(m, w0, t).matrix - w0.matrix) for t in t_grid], axis=0)
+
+
+def _stacked_model(models):
+    """The models, same dims, as one batch model."""
+    return BipartiteModel(models[0].d_system, models[0].d_apparatus, *(
+        HermitianOperator(np.stack([getattr(m, k).matrix for m in models]))
+        for k in ("h_system", "h_apparatus", "h_coupling")))
 
 
 class TestRhsComponentForm:
@@ -313,3 +326,51 @@ class TestStateConstancy:
             m = random_model((2, 2), "violating", seed)
             dev = state_constancy_check(m, self.ground(m), self.T_GRID)
             assert dev > 1e-2
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        dims=st.sampled_from([(2, 2), (3, 2), (4, 4)]),
+        family=st.sampled_from(["qnd", "violating"]),
+        seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=4, unique=True),
+        mixed=st.booleans(),
+        t_end=st.floats(0.1, 10.0),
+    )
+    def test_matches_per_time_route(self, dims, family, seeds, mixed, t_end):
+        models = [random_model(dims, family, seed) for seed in seeds]
+        batch = _stacked_model(models)
+        if mixed:
+            rng = np.random.default_rng(seeds[0])
+            w0 = DensityOperator(np.stack([random_density(rng, batch.dim).matrix for _ in seeds]))
+        else:
+            w0 = self.ground(batch)
+        grid = np.linspace(0.0, t_end, 11)[1:]
+        got = state_constancy_check(batch, w0, grid)
+        assert np.abs(got - _constancy_reference(batch, w0, grid)).max() <= 1e-14
+        for n, m in enumerate(models):  # each point with the bits of its one-model call
+            one = state_constancy_check(m, DensityOperator(w0.matrix[n]), grid)
+            assert isinstance(one, float) and one == got[n]
+        if family == "qnd" and not mixed:  # a stationary preparation moves by rounding only
+            assert got.max() <= 1e-13
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (4, 4)])
+    def test_near_stationary_deviation_is_resolved(self, dims):
+        """1e-9 away from a stationary state the deviation is ~1e-9; a route
+        through tr(w(t) w0) or 2 - 2 cos would bury it in ~1e-8 of noise."""
+        m = random_model(dims, "qnd", 5)
+        mix = random_density(np.random.default_rng(5), m.dim).matrix
+        w0 = DensityOperator((1 - 1e-9) * self.ground(m).matrix + 1e-9 * mix)
+        got = state_constancy_check(m, w0, self.T_GRID)
+        assert 1e-11 < got < 1e-8
+        assert abs(got - _constancy_reference(m, w0, self.T_GRID)) <= 1e-14
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (4, 4)])
+    def test_exact_eigenstate_deviates_by_rounding_only(self, dims):
+        """A QND model diagonal in the product basis: the prepared state is an
+        exact eigenvector of H, so nothing but rounding can move it."""
+        rng = np.random.default_rng(sum(dims))
+        d_s, d_m = dims
+        m = BipartiteModel(d_s, d_m, *(HermitianOperator(np.diag(rng.normal(size=n)))
+                                       for n in (d_s, d_m, d_s * d_m)))
+        w0 = self.ground(m)
+        assert state_constancy_check(m, w0, self.T_GRID) <= 1e-15
+        assert _constancy_reference(m, w0, self.T_GRID) <= 1e-15

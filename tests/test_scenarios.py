@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import qndsim.scenarios
 from qndsim.linalg import HermitianOperator
 from qndsim.model import BipartiteModel, Preparation
 from qndsim.scenarios import (
@@ -107,6 +108,15 @@ class TestOracle:
         report = oracle_check((2, 2), 3, swap_index_convention=True)
         assert not bool(report)
         assert "diff" in str(report) or "MISMATCH" in str(report)
+
+    def test_constancy_route_detects_a_wrong_deviation(self, monkeypatch):
+        original = qndsim.scenarios.state_constancy_check
+        monkeypatch.setattr(qndsim.scenarios, "state_constancy_check",
+                            lambda m, w0, t_grid: original(m, w0, t_grid[::2]))
+        report = oracle_check((3, 2), 11)
+        assert not bool(report)
+        assert [line.split(":")[0] for line in report.lines] == [
+            "state_constancy_check vs series exponential"]
 
     def test_rejects_large_dims(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,8 @@ scenario or on batches of sweep points.  All output files are UTF-8 with LF
 line endings; floats use the dot decimal separator at full precision, so
 repeated runs with identical inputs produce identical bytes.  A trajectory
 is formatted a block of rows per numpy call (_format_rows), in the bytes of
-one "%.17g" per cell; a cell that call cannot certify goes through "%".
+one "%.17g" per cell; a cell that call cannot certify goes through "%".  Its
+lookup tables, measurement.DIGIT_GROUPS among them, are read-only.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import InvariantViolationError
+from .linalg import InvariantViolationError, read_only
+from .measurement import DIGIT_GROUPS
 from .model import check_conditions, prepare_initial
 from .dynamics import evolve_stepped, exact_trajectory
 from .scenarios import (
@@ -82,16 +84,7 @@ def _pow10():
         hn, hd = h.as_integer_ratio()
         hi.append(h)
         lo.append((num * hd - hn * den) / (den * hd))
-    return np.array(hi), np.array(lo)
-
-
-def _groups():
-    """4 bytes per 4-digit group g: its digits (index g), and its digits with
-    trailing zeros as pads (index 10000 + g), as the last nonzero group prints."""
-    digits = (np.indices((10,) * 4).reshape(4, -1).T + ord("0")).astype(np.uint8, order="C")
-    trailing = np.logical_and.accumulate(digits[:, ::-1] == ord("0"), axis=1)[:, ::-1]
-    stripped = digits * ~trailing
-    return np.concatenate([digits, stripped]).view(np.uint32).ravel()
+    return read_only(hi, float), read_only(lo, float)
 
 
 def _pack(texts) -> np.ndarray:
@@ -99,8 +92,7 @@ def _pack(texts) -> np.ndarray:
 
 
 _P10_HI, _P10_LO = _pow10()
-_P10_HH, _P10_HL = _split(_P10_HI)
-_GROUPS = _groups()
+_P10_HH, _P10_HL = (read_only(a, float) for a in _split(_P10_HI))
 # index ((negative * 5 + m) * 10 + first digit) * 2 + dot: a sign, "0." and
 # m - 1 zeros for -4 <= k <= -1 (m = -k), the first digit (byte 6), a dot
 _HEADS = _pack(s + p.ljust(5, "\0") + d + dot for s in ("\0", "-")
@@ -160,7 +152,7 @@ def _format_rows(rows: np.ndarray) -> bytes:
     zero = np.ones(x.size, bool)
     low_hi, top_hi = low // ten4, top // ten4
     for lane, g in ((5, low - low_hi * ten4), (4, low_hi), (3, top - top_hi * ten4), (2, top_hi)):
-        lanes[:, lane] = _GROUPS.take(g + zero.astype(np.uint32) * ten4)
+        lanes[:, lane] = DIGIT_GROUPS.take(g + zero.astype(np.uint32) * ten4)
         zero &= g == 0
     m = np.where((k < 0) & (k >= -4), -k, 0)
     dot = ~zero & (m == 0)

@@ -21,6 +21,7 @@ BEYOND_INTP = 2**70  # a count no array size can take
 INTP_MAX = 2**63 - 1  # a count intp holds, but no array of it numpy can size
 BUNDLED = sorted(bundled_scenario_path("qubit-qnd").parent.glob("*.json"))
 VIOLATING = str(bundled_scenario_path("qubit-violating"))
+DATA = Path(__file__).parent / "data"
 
 
 class TestCheck:
@@ -550,3 +551,14 @@ def test_trajectory_writer_memory_is_flat(tmp_path):
         tracemalloc.stop()
     assert peak <= 2_000_000
     assert len((tmp_path / "traj.csv").read_bytes().splitlines()) == 5002
+
+
+def test_measure_bytes_match_golden(tmp_path):
+    # Written by the string-formatting record writer that preceded the byte
+    # grid; measure must still write them byte for byte.
+    name = "measure-violating-seed1-2000"
+    records, repeats = tmp_path / "records.csv", tmp_path / "repeats.csv"
+    assert main(["measure", VIOLATING, "--seed", "1", "--trials", "2000", "--out", str(records),
+                 "--repeat-out", str(repeats), "--quiet"]) == 0
+    assert records.read_bytes() == (DATA / f"{name}-records.csv").read_bytes()
+    assert repeats.read_bytes() == (DATA / f"{name}-repeats.csv").read_bytes()

@@ -1,15 +1,22 @@
-"""Every name a module of src/ or tests/ imports is referenced in that module.
+"""Every name a module of src/ or tests/ imports is referenced in that module,
+and every module-level array of qndsim is read-only.
 
 An ast scan stands in for a linter: an imported name counts as used when it
 appears as a name anywhere in the module or is listed in the module's
 __all__.  A package's __init__ is exempt, since its imports are the names it
-exports.
+exports.  The module-level arrays are lookup tables every later CSV reads, so
+a stray write to one would corrupt all of them.
 """
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import qndsim
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -47,3 +54,13 @@ def test_scan_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_module_arrays_are_read_only():
+    arrays = {}
+    for info in pkgutil.iter_modules(qndsim.__path__):
+        module = importlib.import_module(f"qndsim.{info.name}")
+        arrays |= {f"{info.name}.{k}": v for k, v in vars(module).items()
+                   if isinstance(v, np.ndarray)}
+    assert {"cli._HEADS", "measurement.DIGIT_GROUPS"} <= arrays.keys()
+    assert [k for k, v in arrays.items() if v.flags.writeable] == []

@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from qndsim.linalg import DensityOperator, HermitianOperator, tensor
 from qndsim.dynamics import evolve_exact
 from qndsim.model import Preparation, prepare_initial, random_model
 from qndsim.measurement import (
+    _RECORD_BLOCK,
     Calibration,
     ImpossibleOutcomeError,
     MeasurementRecord,
@@ -403,3 +405,21 @@ class TestRecordCsv:
         got = io.StringIO()
         rec.write_csv(got)
         assert got.getvalue() == want.getvalue()
+
+
+def test_record_writer_memory_is_flat(tmp_path):
+    # The benchmark's Born distribution over 200000 trials.  The writer keys,
+    # lays out and writes a block of rows at a time, so its peak is one
+    # block's temporaries, about 100 B a row, not the file's 3.1 MB.
+    rec = draw_trials([0.876, 0.124], Calibration([-1.0, 1.0]), 0, 1.0,
+                      trial_rng(1).random(200_000))
+    path = tmp_path / "records.csv"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        tracemalloc.start()
+        try:
+            rec.write_csv(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 128 * _RECORD_BLOCK
+    assert len(path.read_bytes().splitlines()) == 200_001

@@ -36,6 +36,7 @@ from qndsim.linalg import (
     propagator,
 )
 from qndsim.measurement import (
+    _RECORD_BLOCK as BLOCK,
     Calibration,
     MeasurementRecord,
     PointerObservable,
@@ -317,6 +318,17 @@ def records(draw):
 @example(MeasurementRecord(2, [0, 1, 2], -0.0, [1, 1, 1], [0.0, -0.0, 0.0]))
 @example(MeasurementRecord(None, 0, [0.0, -0.0, 5e-324], [0, 0, 0], [1e300, 1e300, 5e-324]))
 @example(MeasurementRecord(1, np.arange(9000), 0.5, np.arange(9000) % 3, np.arange(9000) % 3 / 10))
+# 4-digit trials up to a block boundary, 5-digit ones after it
+@example(MeasurementRecord(None, np.arange(10000 - BLOCK, 10005), 1.0,
+                           np.zeros(BLOCK + 5, int), np.ones(BLOCK + 5)))
+# an all-negative block from -2**63, then 2**63 - 1 and 0 with no negative
+@example(MeasurementRecord(0, np.r_[-2**63, -np.arange(1, BLOCK), 2**63 - 1, 0], 1.0,
+                           np.zeros(BLOCK + 2, int), np.ones(BLOCK + 2)))
+# the repeat shape: one trial over more than a block, a time per row
+@example(MeasurementRecord(0, 0, np.arange(BLOCK + 8) * 0.5, np.arange(BLOCK + 8) % 2,
+                           np.arange(BLOCK + 8) % 2))
+# an 8-byte tail keyed first, then a 31-byte one
+@example(MeasurementRecord(None, [0, 1, 2], 0.0, [1, 0, 1], [-1e-300, 0.0, -1e-300]))
 def test_record_csv_matches_one_format_per_row(rec):
     i = "" if rec.system_index is None else rec.system_index
     trial, time = (np.broadcast_to(c, rec.lam.shape).tolist() for c in (rec.trial, rec.time))

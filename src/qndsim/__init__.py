@@ -12,9 +12,6 @@ from .linalg import (
     SpectralDecomposition,
     commutator,
     commutator_defect,
-    expectation,
-    partial_trace_apparatus,
-    partial_trace_system,
     propagator,
     spectral,
     tensor,

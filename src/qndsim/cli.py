@@ -248,18 +248,25 @@ def _parse_int_list(text: str) -> list[int]:
         part = part.strip()
         if not part:
             continue
-        if ":" in part:
-            lo, hi = part.split(":")
-            out.extend(range(int(lo), int(hi)))
-        else:
-            out.append(int(part))
+        bounds = [int(b) for b in part.split(":")]
+        if len(bounds) > 2:
+            raise ValueError(f"expected an integer or lo:hi, got {part!r}")
+        out.extend(range(*bounds) if len(bounds) == 2 else bounds)
     return out
 
 
+def _option(name: str, parse, text: str):
+    """parse(text), a ValueError it raises naming the option."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+
+
 def cmd_sweep(args) -> int:
-    dims = tuple(int(x) for x in args.dims.split(","))
-    eta_grid = _parse_float_list(args.eta_grid)
-    seeds = _parse_int_list(args.seeds)
+    dims = _option("--dims", lambda t: tuple(int(x) for x in t.split(",")), args.dims)
+    eta_grid = _option("--eta-grid", _parse_float_list, args.eta_grid)
+    seeds = _option("--seeds", _parse_int_list, args.seeds)
     if len(dims) != 2:
         raise ValueError("dims must be dS,dM")
     if min(dims) < 2:
@@ -284,9 +291,9 @@ def cmd_sweep(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             write_sweep_csv(rows, fh)
-    else:
+        _say(args, f"swept {len(rows)} (eta, seed) points")
+    else:  # stdout carries the table alone
         write_sweep_csv(rows, sys.stdout)
-    _say(args, f"swept {len(rows)} (eta, seed) points")
     return EXIT_OK
 
 

@@ -10,7 +10,8 @@ matrix at a time.  The two paths are cross-checked against each
 other in the test suite, and the stepped one against the four-stage RK4 loop
 through the term-by-term rhs_component_form.  Both read the model's compiled
 operators, so H is diagonalised once per model, not once per time, and both
-return one (T, d, d) Trajectory, validated once as a stack.
+return one (T, d, d) Trajectory, validated once as a stack; its states are
+read as the arrays they are (the last is states[-1]), never revalidated.
 evolve_exact and state_constancy_check also take a batch of models, and the
 constancy check takes the prepared w(0), so its caller prepares it once; it
 forms no state, reading w(0) in H's eigenbasis, so it has nothing to validate.
@@ -62,10 +63,6 @@ class Trajectory:
         for name, a in (("times", t), ("states", w)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-
-    @property
-    def final(self) -> DensityOperator:
-        return DensityOperator(self.states[-1], pos_tol=self.pos_tol)
 
 
 def rhs_component_form(m: BipartiteModel, w) -> np.ndarray:

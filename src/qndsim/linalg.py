@@ -1,7 +1,10 @@
 """Dense complex linear algebra for small bipartite quantum systems.
 
 All operators are plain ``numpy`` complex arrays; the wrapper classes exist
-only to validate physical invariants at construction time.  Operators,
+only to validate physical invariants at construction time, a state's
+positivity down to -EPS_POS.  The module holds only what the pipeline
+reaches: a partial trace or an expectation value is an einsum over
+joint_axes where one is wanted.  Operators,
 states and spectra may carry leading batch axes, (..., d, d): every
 operation then acts on each matrix of the stack, with bits equal to the
 one-matrix call, so a batch of models runs each step once.  Units: hbar = 1,
@@ -12,7 +15,7 @@ system-major: (i, lam) -> i * dM + lam, fixed globally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +23,6 @@ import numpy as np
 EPS_HERM = 1e-10
 EPS_TRACE = 1e-10
 EPS_POS = 1e-9
-EPS_RECON = 1e-8
-EPS_COMM = 1e-10
 
 # Eigenvalues closer than this are treated as one degenerate group.
 DEGENERACY_TOL = 1e-9
@@ -134,41 +135,26 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.matrix.shape[-1]
 
-    @classmethod
-    def zero(cls, dim: int) -> "HermitianOperator":
-        return cls(np.zeros((dim, dim), dtype=complex))
-
 
 @dataclass(frozen=True)
 class DensityOperator:
     """Positive-semidefinite unit-trace operator (quantum state).
 
-    Eigenvalues in [-pos_tol, 0) are accepted as-is, not clipped; anything
-    below -pos_tol fails construction so that integrator bugs surface.  A
+    Eigenvalues in [-EPS_POS, 0) are accepted as-is, not clipped; anything
+    below -EPS_POS fails construction so that integrator bugs surface.  A
     (..., d, d) stack of states is validated as one stack.
     """
 
     matrix: np.ndarray
-    pos_tol: float = field(default=EPS_POS, compare=False, repr=False)
 
     def __post_init__(self):
         m = read_only(as_operators(self.matrix))
-        check_operators(m, "state", self.pos_tol)
+        check_operators(m, "state", EPS_POS)
         object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]
-
-    @classmethod
-    def pure(cls, vec) -> "DensityOperator":
-        v = np.asarray(vec, dtype=complex).reshape(-1)
-        v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()))
-
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityOperator":
-        return cls(np.eye(dim, dtype=complex) / dim)
 
 
 @dataclass(frozen=True)
@@ -188,10 +174,6 @@ class SpectralDecomposition:
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[-1]
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
     def unitary(self, t) -> np.ndarray:
         """U = exp(-i H t) = V exp(-i E t) V^dag, shaped batch + t.shape + (d, d):
@@ -327,24 +309,3 @@ def joint_axes(w, d_system: int, d_apparatus: int) -> np.ndarray:
         raise DimensionMismatchError(f"state dim {m.shape[-1]} does not factor as "
                                      f"{d_system}*{d_apparatus}")
     return m.reshape(*m.shape[:-2], d_system, d_apparatus, d_system, d_apparatus)
-
-
-def partial_trace_apparatus(w, d_system: int, d_apparatus: int) -> DensityOperator:
-    """Trace out the apparatus factor, returning the system marginal."""
-    return DensityOperator(np.einsum("...iaja->...ij", joint_axes(w, d_system, d_apparatus)))
-
-
-def partial_trace_system(w, d_system: int, d_apparatus: int) -> DensityOperator:
-    """Trace out the system factor, returning the apparatus marginal."""
-    return DensityOperator(np.einsum("...iaib->...ab", joint_axes(w, d_system, d_apparatus)))
-
-
-def expectation(o, rho) -> float:
-    """tr(O rho) for a Hermitian observable and a state; real within tolerance."""
-    mo, mr = as_matrix(o), as_matrix(rho)
-    if mo.shape != mr.shape:
-        raise DimensionMismatchError(
-            f"expectation of shapes {mo.shape} and {mr.shape}"
-        )
-    val = complex(np.trace(mo @ mr))
-    return float(val.real)

@@ -48,6 +48,18 @@ def _int(value, what: str) -> int:
     raise ScenarioFormatError(f"{what}: expected an integer, got {value!r}")
 
 
+def _real(value, what: str) -> float:
+    """value as a float when it is a JSON number (an int or a float, NaN and
+    the infinities included); anything else (a bool, a string such as "1.5",
+    an int beyond the float range) is a ScenarioFormatError that names what."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ScenarioFormatError(f"{what}: an integer beyond the float range") from None
+    raise ScenarioFormatError(f"{what}: expected a number, got {value!r}")
+
+
 def _dim(value, what: str) -> int:
     """_int(value, what), also refused when numpy could not size an n x n matrix."""
     n = _int(value, what)
@@ -117,10 +129,7 @@ def _parse_model(doc: dict) -> tuple[BipartiteModel, Optional[float]]:
         raise ScenarioFormatError(f"model.dims must be [dS, dM], got {dims!r}")
     d_s, d_m = (_dim(d, "model.dims") for d in dims)
     _dim(d_s * d_m, "model.dims: the joint dimension")
-    try:
-        eta = None if doc.get("eta") is None else float(doc["eta"])
-    except (TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"model.eta: {exc}") from exc
+    eta = None if doc.get("eta") is None else _real(doc["eta"], "model.eta")
     if "family" in doc:
         seed = _int(doc.get("seed", 0), "model.seed")
         try:
@@ -184,8 +193,8 @@ def parse_scenario(doc: dict, name: Optional[str] = None) -> Scenario:
     sched_doc = doc["schedule"]
     try:
         schedule = Schedule(
-            tau=float(sched_doc["tau"]),
-            delta_tau=float(sched_doc["delta_tau"]),
+            tau=_real(sched_doc["tau"], "tau"),
+            delta_tau=_real(sched_doc["delta_tau"], "delta_tau"),
             n_repeats=_int(sched_doc["n_repeats"], "n_repeats"),
             n_trials=_int(sched_doc["n_trials"], "n_trials"),
         )

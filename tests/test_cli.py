@@ -13,7 +13,7 @@ from qndsim.cli import main
 from qndsim.dynamics import evolve_stepped, exact_trajectory
 from qndsim.model import Preparation, prepare_initial, random_model
 from qndsim.scenario_io import bundled_scenario_path, load_scenario_file
-from qndsim.scenarios import run_scenario
+from qndsim.scenarios import SWEEP_HEADER, run_scenario
 
 QND = str(bundled_scenario_path("qubit-qnd"))
 INF = float("inf")
@@ -236,6 +236,12 @@ class TestSweep:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_stdout_carries_the_table_alone(self, capsys):
+        assert main(["sweep", "--eta-grid", "0,1", "--seeds", "0:3", "--trials", "10"]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert rows[0] == SWEEP_HEADER
+        assert len(rows) == 1 + 2 * 3 and all(len(r) == len(rows[0]) for r in rows)
+
     def test_empty_seed_list_is_input_error(self):
         assert main(["sweep", "--seeds", "", "--quiet"]) == 2
 
@@ -328,6 +334,19 @@ BAD_FILES = {
     "kron-factor-infinity": lambda d: d.update(
         pointer={"kron": [{"diag": [1, 0, INF]}, "pauli_x"]}
     ),
+    # reals that float() once coerced: a bool or a numeric string
+    "tau-bool": lambda d: d["schedule"].update(tau=True),
+    "tau-string": lambda d: d["schedule"].update(tau="1.5"),
+    "delta-tau-bool": lambda d: d["schedule"].update(delta_tau=False),
+    "delta-tau-string": lambda d: d["schedule"].update(delta_tau="0.5"),
+    "eta-bool": lambda d: d.update(
+        model={"dims": [2, 2], "family": "interpolated", "seed": 0, "eta": True}
+    ),
+    "eta-string": lambda d: d.update(
+        model={"dims": [2, 2], "family": "interpolated", "seed": 0, "eta": "0.5"}
+    ),
+    # an integer float() cannot hold, which once escaped as an OverflowError
+    "tau-beyond-float": lambda d: d["schedule"].update(tau=10**400),
 }
 
 BAD_ARGS = {
@@ -366,6 +385,11 @@ BAD_ARGS = {
     "sweep-repeats-unsizable": ["sweep", "--repeats", str(INTP_MAX), "--seeds", "0:1"],
     "sweep-dims-unsizable": ["sweep", "--dims", f"{2**62},2", "--seeds", "0:1"],
     "sweep-joint-dims-unsizable": ["sweep", "--dims", f"{2**31},{2**31}", "--seeds", "0:1"],
+    # list values whose errors once named no option
+    "sweep-seeds-three-bounds": ["sweep", "--seeds", "0:2:3"],
+    "sweep-seeds-open-range": ["sweep", "--seeds", "1:"],
+    "sweep-dims-not-integer": ["sweep", "--dims", "a,b"],
+    "sweep-eta-not-number": ["sweep", "--eta-grid", "x"],
 }
 
 
@@ -469,6 +493,18 @@ def test_bad_pointer_spec_names_the_field(name, tmp_path, capsys):
     ("n-repeats-unsizable", "n_repeats"),
     ("dims-unsizable", "model.dims"),
     ("joint-dims-unsizable", "model.dims"),
+    # values that are not numbers of the kind the field takes
+    ("sweep-seeds-three-bounds", "--seeds"),
+    ("sweep-seeds-open-range", "--seeds"),
+    ("sweep-dims-not-integer", "--dims"),
+    ("sweep-eta-not-number", "--eta-grid"),
+    ("tau-bool", "tau"),
+    ("tau-string", "tau"),
+    ("delta-tau-bool", "delta_tau"),
+    ("delta-tau-string", "delta_tau"),
+    ("eta-bool", "model.eta"),
+    ("eta-string", "model.eta"),
+    ("tau-beyond-float", "tau"),
 ])
 def test_oversized_count_names_its_field(name, field, tmp_path, capsys):
     argv = BAD_ARGS.get(name) or ["measure", _bad_file(tmp_path, BAD_FILES[name])]

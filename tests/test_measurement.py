@@ -71,13 +71,13 @@ class TestPointerObservable:
 
 class TestOutcomeDistribution:
     def test_apparatus_in_pointer_eigenstate(self):
-        rho = DensityOperator.maximally_mixed(2)
+        rho = DensityOperator(np.eye(2) / 2)
         w = DensityOperator(tensor(rho.matrix, pointer_state(0)))
         p = outcome_distribution(w, POINTER_Z, (2, 2))
         assert np.allclose(p, [1.0, 0.0], atol=1e-12)
 
     def test_maximally_mixed_apparatus(self):
-        rho = DensityOperator.pure([1, 0])
+        rho = DensityOperator(np.outer([1, 0], [1, 0]))
         w = DensityOperator(tensor(rho.matrix, np.eye(2) / 2))
         p = outcome_distribution(w, POINTER_Z, (2, 2))
         assert np.allclose(p, [0.5, 0.5])
@@ -87,7 +87,7 @@ class TestOutcomeDistribution:
         v0 = POINTER_Z.basis.eigenvectors[:, 0]
         v1 = POINTER_Z.basis.eigenvectors[:, 1]
         psi = (np.kron([1, 0], v0) + np.kron([0, 1], v1)) / np.sqrt(2)
-        w = DensityOperator.pure(psi)
+        w = DensityOperator(np.outer(psi, psi.conj()))
         p = outcome_distribution(w, POINTER_Z, (2, 2))
         assert np.allclose(p, [0.5, 0.5], atol=1e-12)
 
@@ -132,7 +132,7 @@ class TestSampleOutcome:
 
 class TestCollapse:
     def test_already_in_eigenspace(self):
-        rho = DensityOperator.maximally_mixed(2)
+        rho = DensityOperator(np.eye(2) / 2)
         w = DensityOperator(tensor(rho.matrix, pointer_state(0)))
         out = collapse_after_outcome(w, POINTER_Z, 0, (2, 2))
         assert np.allclose(out.matrix, w.matrix, atol=1e-12)
@@ -141,7 +141,7 @@ class TestCollapse:
         v0 = POINTER_Z.basis.eigenvectors[:, 0]
         v1 = POINTER_Z.basis.eigenvectors[:, 1]
         psi = (np.kron([1, 0], v0) + np.kron([0, 1], v1)) / np.sqrt(2)
-        w = DensityOperator.pure(psi)
+        w = DensityOperator(np.outer(psi, psi.conj()))
         out = collapse_after_outcome(w, POINTER_Z, 0, (2, 2))
         expect = tensor(np.diag([1.0, 0.0]), pointer_state(0))
         assert np.allclose(out.matrix, expect, atol=1e-12)
@@ -151,7 +151,7 @@ class TestCollapse:
         # pointer diag(1, 1, 0) with the apparatus in (e0 + e1)/sqrt(2): reading 1
         # is certain, and the Lüders update onto its eigenspace leaves w as it is
         ptr = PointerObservable.from_operator(HermitianOperator(np.diag([1.0, 1.0, 0.0])))
-        w = DensityOperator(tensor(np.diag([1.0, 0.0]), DensityOperator.pure([1, 1, 0]).matrix))
+        w = DensityOperator(tensor(np.diag([1.0, 0.0]), np.outer([1, 1, 0], [1, 1, 0]) / 2))
         assert ptr.values.tolist() == [0.0, 1.0]
         assert outcome_distribution(w, ptr, (2, 3)).tolist() == [0.0, 1.0]
         out = collapse_after_outcome(w, ptr, 1, (2, 3))
@@ -160,7 +160,7 @@ class TestCollapse:
             collapse_after_outcome(w, ptr, 0, (2, 3))
 
     def test_impossible_outcome(self):
-        rho = DensityOperator.maximally_mixed(2)
+        rho = DensityOperator(np.eye(2) / 2)
         w = DensityOperator(tensor(rho.matrix, pointer_state(0)))
         with pytest.raises(ImpossibleOutcomeError):
             collapse_after_outcome(w, POINTER_Z, 1, (2, 2))
@@ -185,7 +185,7 @@ class TestRepeatability:
             2, 2,
             HermitianOperator(SZ),
             HermitianOperator(SZ),
-            HermitianOperator.zero(4),
+            HermitianOperator(np.zeros((4, 4))),
         )
         ptr = PointerObservable.from_operator(m.h_apparatus)
         cal = Calibration.from_pointer(ptr)
@@ -274,13 +274,13 @@ class TestDispersion:
         m = BipartiteModel(
             2, 2,
             HermitianOperator(SZ),
-            HermitianOperator.zero(2),
-            HermitianOperator.zero(4),
+            HermitianOperator(np.zeros((2, 2))),
+            HermitianOperator(np.zeros((4, 4))),
         )
         ptr = POINTER_Z
         cal = Calibration(pointer_values=[1.0, -1.0])
         prep = Preparation.general(
-            DensityOperator.pure([1, 0]), DensityOperator.maximally_mixed(2)
+            DensityOperator(np.outer([1, 0], [1, 0])), DensityOperator(np.eye(2) / 2)
         )
         n = 10**4
         v = dispersion_experiment(m, prep, ptr, cal, 1.0, n, 5)

@@ -94,7 +94,7 @@ class TestPrepareInitial:
     def test_general_maximally_mixed(self):
         m = qubit_model(SZ, SZ, ZERO4)
         prep = Preparation.general(
-            DensityOperator.maximally_mixed(2), DensityOperator.maximally_mixed(2)
+            DensityOperator(np.eye(2) / 2), DensityOperator(np.eye(2) / 2)
         )
         assert np.allclose(prepare_initial(m, prep).matrix, np.eye(4) / 4)
 
@@ -103,7 +103,7 @@ class TestPrepareInitial:
         for prep in (
             Preparation.eigenbasis(1, 0),
             Preparation.general(
-                DensityOperator.maximally_mixed(2), DensityOperator.pure([1, 0])
+                DensityOperator(np.eye(2) / 2), DensityOperator(np.outer([1, 0], [1, 0]))
             ),
         ):
             w = prepare_initial(m, prep)

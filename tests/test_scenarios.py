@@ -1,6 +1,7 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 import qndsim.scenarios
@@ -50,9 +51,9 @@ class TestRunScenario:
     def test_null_scenario_all_deviations_zero(self):
         m = BipartiteModel(
             2, 2,
-            HermitianOperator.zero(2),
-            HermitianOperator.zero(2),
-            HermitianOperator.zero(4),
+            HermitianOperator(np.zeros((2, 2))),
+            HermitianOperator(np.zeros((2, 2))),
+            HermitianOperator(np.zeros((4, 4))),
         )
         s = Scenario.build(
             "null", m, Preparation.eigenbasis(0, 0), SMALL_SCHEDULE, seed=0

@@ -8,10 +8,8 @@ option gets argparse's usage message), so no input ends in a traceback.
 The measure command and the sweep both run scenarios.measure_batch, on one
 scenario or on batches of sweep points.  All output files are UTF-8 with LF
 line endings; floats use the dot decimal separator at full precision, so
-repeated runs with identical inputs produce identical bytes.  A trajectory
-is formatted a block of rows per numpy call (_format_rows), in the bytes of
-one "%.17g" per cell; a cell that call cannot certify goes through "%".  Its
-lookup tables, measurement.DIGIT_GROUPS among them, are read-only.
+repeated runs with identical inputs produce identical bytes.  csvtext writes
+the trajectory and record files, scenarios the sweep table.
 """
 
 from __future__ import annotations
@@ -24,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import InvariantViolationError, read_only
-from .measurement import DIGIT_GROUPS
+from .csvtext import write_trajectory
+from .linalg import InvariantViolationError
 from .model import check_conditions, prepare_initial
 from .dynamics import evolve_stepped, exact_trajectory
 from .scenarios import (
@@ -43,10 +41,6 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _say(args, *parts) -> None:
     if not args.quiet:
         print(*parts)
@@ -55,136 +49,9 @@ def _say(args, *parts) -> None:
 def cmd_check(args) -> int:
     s = load_scenario_file(args.scenario)
     report = check_conditions(s.model)
-    _say(args, f"eq4_defect = {_fmt(report.eq4_defect)}  holds = {report.eq4_holds}")
-    _say(args, f"eq5_defect = {_fmt(report.eq5_defect)}  holds = {report.eq5_holds}")
+    _say(args, f"eq4_defect = {report.eq4_defect:.17g}  holds = {report.eq4_holds}")
+    _say(args, f"eq5_defect = {report.eq5_defect:.17g}  holds = {report.eq5_holds}")
     return EXIT_OK if report.both_hold else EXIT_NEGATIVE
-
-
-# decimal exponents of 1e-270 <= |x| < 1e270, log10's last bit either way;
-# their double-double products neither overflow nor leave the normal range
-_K_MIN, _K_MAX = -271, 271
-_TIE_EPS = 2.0**-30  # far above the ~1e-14 error of a formed fraction
-_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into two 26-bit halves
-_BLOCK_CELLS = 8192  # cells per _format_rows call, ~160 B of temporaries each
-
-
-def _split(x):
-    c = _SPLIT * x
-    hi = c - (c - x)
-    return hi, x - hi
-
-
-def _pow10():
-    """10**q for q = 16 - k, k from _K_MAX down to _K_MIN, as the nearest
-    double hi and the nearest double lo to the rest."""
-    hi, lo = [], []
-    for q in range(16 - _K_MAX, 17 - _K_MIN):
-        num, den = (10**q, 1) if q >= 0 else (1, 10**-q)
-        h = num / den  # int true division rounds correctly
-        hn, hd = h.as_integer_ratio()
-        hi.append(h)
-        lo.append((num * hd - hn * den) / (den * hd))
-    return read_only(hi, float), read_only(lo, float)
-
-
-def _pack(texts) -> np.ndarray:
-    return np.frombuffer(b"".join(t.encode().ljust(8, b"\0") for t in texts), np.uint64)
-
-
-_P10_HI, _P10_LO = _pow10()
-_P10_HH, _P10_HL = (read_only(a, float) for a in _split(_P10_HI))
-# index ((negative * 5 + m) * 10 + first digit) * 2 + dot: a sign, "0." and
-# m - 1 zeros for -4 <= k <= -1 (m = -k), the first digit (byte 6), a dot
-_HEADS = _pack(s + p.ljust(5, "\0") + d + dot for s in ("\0", "-")
-               for p in ("", "0.", "0.0", "0.00", "0.000")
-               for d in "0123456789" for dot in ("\0", "."))
-# index k - _K_MIN: %g's exponent form for k < -4 or k >= 17, "," last
-_TAILS = _pack(("e%+03d" % k if not -4 <= k < 17 else "").ljust(7, "\0") + ","
-               for k in range(_K_MIN, _K_MAX + 1))
-
-
-def _format_rows(rows: np.ndarray) -> bytes:
-    """The CSV lines of a C-contiguous block: each cell as "%.17g" % x writes
-    it, "," between cells and "\\n" after each row.
-
-    A finite x with 1e-270 <= |x| < 1e270 and k = floor(log10|x|) prints the
-    17 digits of D = round(|x| * 10**(16 - k)).  The product is a
-    double-double (Dekker's two-product against 10**q as hi + lo), within
-    ~1e-14 of exact, so D is certain when 10**16 < D < 10**17 (k was right
-    and rounding did not carry) and its fraction is more than _TIE_EPS from
-    1/2.  Zeros are laid out here too; any other cell, and any cell with
-    10 <= |x| < 1e17 (no state entry, only a time of 10 or more), goes
-    through "%".
-    A cell fills a 32-byte slot: sign, "0.000" prefix, first digit and dot,
-    four 4-digit groups, exponent and separator; the pad bytes, 0, are
-    dropped at the end.
-    """
-    x = rows.ravel()
-    a = np.abs(x)
-    ok = (a >= 1e-270) & (a < 1e270)
-    a[~ok] = 1.0
-    k = np.floor(np.log10(a)).astype(np.int64)
-    i = _K_MAX - k
-    a_hi, a_lo = _split(a)
-    hh, hl = _P10_HH.take(i), _P10_HL.take(i)
-    s = a * _P10_HI.take(i)  # s + t = |x| * 10**(16 - k); s >= 2**53, an integer
-    t = ((a_hi * hh - s) + a_hi * hl + a_lo * hh) + a_lo * hl
-    t += a * _P10_LO.take(i)
-    del a, a_hi, a_lo, hh, hl, i
-    r = np.rint(t)
-    d = s.astype(np.int64) + r.astype(np.int64)
-    t -= r  # the fraction of D, in [-1/2, 1/2]
-    ok &= (np.abs(t) < 0.5 - _TIE_EPS) & (d > 10**16) & (d < 10**17)
-    ok &= (k <= 0) | (k >= 17)  # 10 <= |x| < 1e17 puts the dot inside the digits
-    del s, t, r
-    d[~ok] = 0
-    k[~ok] = 0
-
-    grid = np.empty((x.size, 32), np.uint8)
-    lanes = grid.view(np.uint32)
-    top = d // 10**8
-    low = (d - top * 10**8).astype(np.uint32)
-    top = top.astype(np.uint32)
-    first = top // np.uint32(10**8)
-    top -= first * np.uint32(10**8)
-    # from the last group: a group prints stripped while all after it are 0
-    ten4 = np.uint32(10000)
-    zero = np.ones(x.size, bool)
-    low_hi, top_hi = low // ten4, top // ten4
-    for lane, g in ((5, low - low_hi * ten4), (4, low_hi), (3, top - top_hi * ten4), (2, top_hi)):
-        lanes[:, lane] = DIGIT_GROUPS.take(g + zero.astype(np.uint32) * ten4)
-        zero &= g == 0
-    m = np.where((k < 0) & (k >= -4), -k, 0)
-    dot = ~zero & (m == 0)
-    head = (np.signbit(x).astype(np.int64) * 5 + m) * 10 + first
-    grid.view(np.uint64)[:, 0] = _HEADS[head * 2 + dot]
-    grid.view(np.uint64)[:, 3] = _TAILS[k - _K_MIN]
-    grid.reshape(*rows.shape, 32)[:, -1, 31] = ord("\n")
-
-    for j in np.flatnonzero(~ok & (x != 0)):
-        grid[j, :31] = np.frombuffer((b"%.17g" % x[j]).ljust(31, b"\0"), np.uint8)
-    return grid.tobytes().translate(None, b"\0")
-
-
-def _write_rows(fh, times, cells) -> None:
-    """Row k is times[k] and then cells[k], as _format_rows writes them, a
-    block of rows per call."""
-    step = max(1, _BLOCK_CELLS // (1 + cells.shape[1]))
-    block = np.empty((min(step, len(cells)), 1 + cells.shape[1]))
-    for start in range(0, len(cells), step):
-        rows = block[: len(cells[start:start + step])]
-        rows[:, 0] = times[start:start + step]
-        rows[:, 1:] = cells[start:start + step]
-        fh.write(_format_rows(rows))
-
-
-def _write_trajectory(path, traj) -> None:
-    d = traj.states.shape[1]
-    cols = [f"{p}_{r}_{c}" for r in range(d) for c in range(d) for p in ("re", "im")]
-    with open(path, "wb") as fh:
-        fh.write((",".join(["time"] + cols) + "\n").encode())
-        # the float view interleaves re and im
-        _write_rows(fh, traj.times, traj.states.view(float).reshape(len(traj.times), -1))
 
 
 def cmd_evolve(args) -> int:
@@ -203,13 +70,13 @@ def cmd_evolve(args) -> int:
     else:
         traj = exact_trajectory(s.model, w0, np.arange(n + 1) * args.t_end / max(n, 1))
     if args.out:
-        _write_trajectory(args.out, traj)
+        write_trajectory(args.out, traj)
     final = traj.states[-1]
     trace_dev = abs(float(np.trace(final).real) - 1.0)
     purity0 = float(np.trace(w0.matrix @ w0.matrix).real)
     purity1 = float(np.trace(final @ final).real)
-    _say(args, f"terminal trace deviation = {_fmt(trace_dev)}")
-    _say(args, f"purity drift = {_fmt(abs(purity1 - purity0))}")
+    _say(args, f"terminal trace deviation = {trace_dev:.17g}")
+    _say(args, f"purity drift = {abs(purity1 - purity0):.17g}")
     return EXIT_OK
 
 
@@ -230,10 +97,10 @@ def cmd_measure(args) -> int:
     if args.repeat_out:
         with open(args.repeat_out, "w", encoding="utf-8", newline="\n") as fh:
             run.repeats.write_csv(fh)
-    _say(args, f"sigma_analytic = {_fmt(run.sigma_analytic)}")
-    _say(args, f"sigma_empirical = {_fmt(run.sigma_empirical)}")
+    _say(args, f"sigma_analytic = {run.sigma_analytic:.17g}")
+    _say(args, f"sigma_empirical = {run.sigma_empirical:.17g}")
     degenerate = " (degenerate: single trial)" if sched.n_trials < 2 else ""
-    _say(args, f"reading_variance = {_fmt(run.reading_variance)}{degenerate}")
+    _say(args, f"reading_variance = {run.reading_variance:.17g}{degenerate}")
     _say(args, f"repeat_changes = {run.repeats.outcome_changes()}")
     return EXIT_OK
 

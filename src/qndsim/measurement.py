@@ -7,16 +7,13 @@ the eigenspace weights of rho_M = tr_S w, and the update is the Lüders
 projection (I x P_g) w (I x P_g) onto the measured eigenspace.  Randomness is
 one counter-based stream per seed, trial_rng(seed): trial k, and the repeat
 protocol's k-th measurement, take draw k, so the first k trials of an n-trial
-run equal a k-trial run.  A MeasurementRecord holds the results as columns
-and writes them a block of rows per pass of numpy calls: each distinct row
-tail (time, index, group, reading) of a block is formatted once, and the
-trial numbers are laid out from DIGIT_GROUPS, a read-only table of 4-digit
-groups that the trajectory writer in cli reads too.  States,
-pointers and Born distributions may carry leading batch axes: the Born
-weights, CDF inversion, Lüders update and repeated_outcomes then step every
-point of a batch at once.  draw_trials, repeated_outcomes and reading_variance
-are the steps scenarios.measure_batch composes; measurement_trials,
-repeatability_protocol and dispersion_experiment run them for one model.
+run equal a k-trial run.  A MeasurementRecord holds the results as columns,
+which csvtext.write_record writes.  States, pointers and Born distributions
+may carry leading batch axes: the Born weights, CDF inversion, Lüders update
+and repeated_outcomes then step every point of a batch at once.
+draw_trials, repeated_outcomes and reading_variance are the steps
+scenarios.measure_batch composes; measurement_trials, repeatability_protocol
+and dispersion_experiment run them for one model.
 """
 
 from __future__ import annotations
@@ -39,31 +36,9 @@ from .linalg import (
     read_only,
     spectral,
 )
+from .csvtext import write_record
 from .model import BipartiteModel, Preparation, prepare_initial
 from .dynamics import IntegrationError, evolve_exact
-
-
-def _digit_groups() -> np.ndarray:
-    """4 bytes per 4-digit group g, pad bytes 0: its digits (index g), with
-    trailing zeros as pads (10000 + g: a fraction's last group), with leading
-    zeros as pads but the last digit kept (20000 + g: a number's last group
-    when all before it are 0), and with every leading zero as a pad (30000 +
-    g: an earlier group when all before it are 0, blank for 0)."""
-    digits = (np.indices((10,) * 4).reshape(4, -1).T + ord("0")).astype(np.uint8, order="C")
-    zeros = digits == ord("0")
-    trailing = np.logical_and.accumulate(zeros[:, ::-1], axis=1)[:, ::-1]
-    leading = np.logical_and.accumulate(zeros, axis=1)
-    kept = leading.copy()
-    kept[:, -1] = False
-    table = np.concatenate([digits, digits * ~trailing, digits * ~kept, digits * ~leading])
-    return read_only(table.view(np.uint32).ravel(), np.uint32)
-
-
-# Read by measurement and cli writers alike; see _digit_groups.
-DIGIT_GROUPS = _digit_groups()
-_LAST_LEADING, _LEADING = 20000, 30000
-_MINUS = np.frombuffer(b"\0\0\0-", np.uint32)[0]
-_RECORD_BLOCK = 4096  # rows per write_csv block, ~100 B of temporaries each
 
 
 class ImpossibleOutcomeError(RuntimeError):
@@ -185,88 +160,8 @@ class MeasurementRecord:
         return int(np.count_nonzero(self.lam[1:] != self.lam[:-1]))
 
     def write_csv(self, fh) -> None:
-        """A row is its trial number and its tail ",time,i,lambda,reading\n".
-        Rows are written a block at a time: each distinct tail of the block,
-        told apart by bits (0.0 and -0.0 print apart), is formatted once,
-        _block_text lays the trials and tails into one byte grid, and the
-        pad bytes, 0, are dropped once before the block is written."""
-        fh.write("trial,time,i,lambda,reading\n")
-        i = "" if self.system_index is None else "%d" % self.system_index
-        columns = [np.broadcast_to(c, self.lam.shape)
-                   for c in (self.trial, self.time, self.lam, self.reading)]
-        for lo in range(0, len(self.lam), _RECORD_BLOCK):
-            trial, time, lam, reading = (c[lo:lo + _RECORD_BLOCK] for c in columns)
-            rows, tail_of_row = _distinct_rows(
-                lam, [c.view(np.int64) for c in (time, reading) if c.strides[0]])
-            # "%.17g" prints what f"{x:.17g}" does.
-            tails = [((",%.17g," + i + ",%d,%.17g\n") % t).encode()
-                     for t in zip(*(c[rows].tolist() for c in (time, lam, reading)))]
-            longest = max(map(len, tails))
-            # a power-of-two slot: numpy's take copies those by fixed-size moves
-            width = 1 << (longest - 1).bit_length()
-            slots = np.frombuffer(b"".join(t.ljust(width, b"\0") for t in tails), "V%d" % width)
-            text = _block_text(trial, slots.take(tail_of_row), longest)
-            fh.write(text.translate(None, b"\0").decode())
-
-
-def _block_text(trial: np.ndarray, slots: np.ndarray, longest: int) -> bytearray:
-    """Row k, trial[k] as "%d" prints it and then slots[k], with pad bytes 0.
-
-    A row is a sign lane, only when a trial is negative, ceil(digits / 4)
-    4-byte lanes for the digits of the largest uint64 magnitude, then the
-    slot, whose first longest bytes hold the tail.  Slots are laid first, so
-    a slot's pads past the row's end run on into the next row's lanes, which
-    are laid after it."""
-    sign = int(trial.min() < 0)
-    magnitude = trial.view(np.uint64)  # two's complement: -t is 2**64 - t
-    if sign:
-        negative = trial < 0
-        magnitude = np.where(negative, -magnitude, magnitude)
-    lanes = -(-len(str(magnitude.max())) // 4)
-    head = 4 * (sign + lanes)
-    step = -(-max(head + longest, slots.itemsize) // 4) * 4  # bytes per row, lanes aligned
-    text = bytearray(len(trial) * step + slots.itemsize)
-    np.ndarray(len(trial), slots.dtype, buffer=text, offset=head, strides=(step,))[...] = slots
-    words = np.ndarray((len(trial), sign + lanes), np.uint32, buffer=text, strides=(step, 4))
-    if sign:
-        words[:, 0] = np.where(negative, _MINUS, 0)
-    groups, rest, ten4 = [], magnitude, np.uint64(10000)  # 4-digit groups, the last first
-    for _ in range(lanes - 1):
-        high = rest // ten4  # a scalar divisor is a multiply and shift, not np.divmod's divide
-        groups.append((rest - high * ten4).astype(np.intp))
-        rest = high
-    groups.append(rest.astype(np.intp))
-    # lane j's group leads, its leading zeros pads, when magnitude < 10**(4 * (lanes - j))
-    for j, g in enumerate(groups[::-1]):
-        pads = _LEADING if j < lanes - 1 else _LAST_LEADING
-        lead = (magnitude < np.uint64(10 ** (4 * (lanes - j)))) * pads if j else pads
-        words[:, sign + j] = DIGIT_GROUPS.take(g + lead)
-    return text
-
-
-def _distinct_rows(lam: np.ndarray, others: list) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, index): rows[j] is a row holding the j-th distinct key (lam and
-    the 1-D int64 columns others) and index[k] is row k's j.  When lam spans
-    no more values than there are rows and each other column is one value per
-    lam, as in a trial record, lam alone keys the rows, in O(n); any other
-    rows, such as a repeat record's, are keyed by lexsort."""
-    n, lo, hi = len(lam), int(lam.min()), int(lam.max())
-    if hi - lo < n:
-        slot = lam - lo if lo else lam
-        row = np.full(hi - lo + 1, -1)
-        row[slot] = np.arange(n)  # a row of each value of lam
-        present = row >= 0
-        rows = row[present]
-        index = slot if len(rows) == len(row) else (np.cumsum(present) - 1).take(slot)
-        if all(np.array_equal(c.take(rows).take(index), c) for c in others):
-            return rows, index
-    keys = [*others, lam]
-    order = np.lexsort(keys)
-    new = np.ones(n, dtype=bool)  # order[k] starts a distinct key
-    new[1:] = np.any([c[order[1:]] != c[order[:-1]] for c in keys], axis=0)
-    index = np.empty(n, dtype=np.intp)
-    index[order] = np.cumsum(new) - 1
-    return order[new], index
+        """The rows as CSV to the text file fh (csvtext.write_record)."""
+        write_record(fh, self.system_index, self.trial, self.time, self.lam, self.reading)
 
 
 def _apparatus_axes(w: DensityOperator, pointer: PointerObservable, dims) -> np.ndarray:

@@ -60,6 +60,16 @@ def _real(value, what: str) -> float:
     raise ScenarioFormatError(f"{what}: expected a number, got {value!r}")
 
 
+def _reals(nest, what: str) -> np.ndarray:
+    """A number or a nest of lists as a float array, each element by the
+    _real rule; a nest numpy cannot shape is a ScenarioFormatError too."""
+    try:
+        cells = np.array(nest, dtype=object)
+    except ValueError as exc:
+        raise ScenarioFormatError(f"{what}: {exc}") from exc
+    return np.array([_real(v, what) for v in cells.ravel()], float).reshape(cells.shape)
+
+
 def _dim(value, what: str) -> int:
     """_int(value, what), also refused when numpy could not size an n x n matrix."""
     n = _int(value, what)
@@ -81,10 +91,7 @@ def _parse_matrix(spec, what: str) -> np.ndarray:
                     raise ScenarioFormatError(f"{what}.{key}: size must be positive, got {n}")
                 return np.eye(n, dtype=complex) if key == "identity" else np.zeros((n, n), complex)
         if "diag" in spec:
-            try:
-                diag = np.array(spec["diag"], dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise ScenarioFormatError(f"{what}.diag: {exc}") from exc
+            diag = _reals(spec["diag"], f"{what}.diag")
             if diag.ndim != 1:
                 raise ScenarioFormatError(f"{what}.diag must be a list of numbers")
             if diag.size == 0:
@@ -100,10 +107,7 @@ def _parse_matrix(spec, what: str) -> np.ndarray:
                     raise ScenarioFormatError(f"{what}.kron: factor {k} is not finite")
             return np.kron(*factors)
         raise ScenarioFormatError(f"{what}: unknown operator spec {sorted(spec)}")
-    try:
-        arr = np.array(spec, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"{what}: bad matrix literal: {exc}") from exc
+    arr = _reals(spec, what)
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise ScenarioFormatError(
             f"{what}: matrix literal must be a square nest of [re, im] pairs"
@@ -217,8 +221,10 @@ def parse_scenario(doc: dict, name: Optional[str] = None) -> Scenario:
         try:
             calibration = Calibration(
                 pointer_values=pointer.values,
-                table=np.array(cal_doc["table"], dtype=float),
+                table=_reals(cal_doc["table"], "calibration.table"),
             )
+        except ScenarioFormatError:
+            raise  # already names the field
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioFormatError(f"calibration: {exc}") from exc
         if calibration.table.shape[0] != model.d_system:
@@ -292,6 +298,8 @@ def load_scenario_file(path) -> Scenario:
         raise ScenarioFormatError(
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # a long integer, a deep nest
+        raise ScenarioFormatError(f"{path}: {exc}") from exc
     try:
         return parse_scenario(doc)
     except ScenarioFormatError as exc:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qndsim import cli
+from qndsim import cli, csvtext
 from qndsim.cli import main
 from qndsim.dynamics import evolve_stepped, exact_trajectory
 from qndsim.model import Preparation, prepare_initial, random_model
@@ -22,6 +22,7 @@ INTP_MAX = 2**63 - 1  # a count intp holds, but no array of it numpy can size
 BUNDLED = sorted(bundled_scenario_path("qubit-qnd").parent.glob("*.json"))
 VIOLATING = str(bundled_scenario_path("qubit-violating"))
 DATA = Path(__file__).parent / "data"
+HUGE_DIGITS = "9" * 5000  # an integer longer than json.loads reads
 
 
 class TestCheck:
@@ -253,7 +254,9 @@ def _bad_file(tmp_path, edit):
     doc = json.loads(Path(QND).read_text(encoding="utf-8"))
     edit(doc)
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    # HUGE_DIGITS unquoted: an integer json.dumps cannot write either
+    path.write_text(json.dumps(doc).replace(json.dumps(HUGE_DIGITS), HUGE_DIGITS),
+                    encoding="utf-8")
     return str(path)
 
 
@@ -347,6 +350,16 @@ BAD_FILES = {
     ),
     # an integer float() cannot hold, which once escaped as an OverflowError
     "tau-beyond-float": lambda d: d["schedule"].update(tau=10**400),
+    # array elements that np.array(..., dtype=float) once coerced
+    "diag-string": lambda d: d.update(pointer={"diag": ["1", "0"]}),
+    "diag-bool": lambda d: d.update(pointer={"diag": [True, False]}),
+    "matrix-literal-string": lambda d: d.update(
+        pointer=[[["1", 0], [0, 0]], [[0, 0], [-1, 0]]]
+    ),
+    "calibration-string": lambda d: d.update(calibration={"table": [["1", "-1"]] * 2}),
+    "diag-40-deep": lambda d: d.update(pointer={"diag": json.loads("[" * 40 + "1" + "]" * 40)}),
+    # an integer json.loads refuses, which once named neither file nor field
+    "seed-5000-digits": lambda d: d.update(seed=HUGE_DIGITS),
 }
 
 BAD_ARGS = {
@@ -505,12 +518,29 @@ def test_bad_pointer_spec_names_the_field(name, tmp_path, capsys):
     ("eta-bool", "model.eta"),
     ("eta-string", "model.eta"),
     ("tau-beyond-float", "tau"),
+    ("diag-string", "pointer.diag"),
+    ("diag-bool", "pointer.diag"),
+    ("matrix-literal-string", "pointer"),
+    ("calibration-string", "calibration.table"),
+    ("diag-40-deep", "pointer.diag"),
 ])
 def test_oversized_count_names_its_field(name, field, tmp_path, capsys):
     argv = BAD_ARGS.get(name) or ["measure", _bad_file(tmp_path, BAD_FILES[name])]
     assert main(argv + ["--quiet"]) == 2
     err = capsys.readouterr().err
     assert f" {field}" in err, err
+
+
+@pytest.mark.parametrize("text", [
+    '{"seed": %s}' % HUGE_DIGITS,
+    "[" * 100_000 + "]" * 100_000,  # deeper than json.loads recurses
+], ids=["integer-5000-digits", "nest-100000-deep"])
+def test_unreadable_document_names_the_file(text, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: "), err
 
 
 def test_seed_beyond_128_bits_runs(tmp_path, capsys):
@@ -559,7 +589,7 @@ def test_trajectory_writer_matches_cell_by_cell_csv(scenario, stepped, tmp_path)
     else:
         traj = exact_trajectory(s.model, w0, np.arange(201) * 2.0 / 200)
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    cli._write_trajectory(got, traj)
+    csvtext.write_trajectory(got, traj)
     d = w0.dim
     with open(want, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -568,7 +598,7 @@ def test_trajectory_writer_matches_cell_by_cell_csv(scenario, stepped, tmp_path)
         )
         for t, w in zip(traj.times, traj.states):
             cells = [x for z in w.ravel() for x in (z.real, z.imag)]
-            writer.writerow([cli._fmt(t)] + [cli._fmt(x) for x in cells])
+            writer.writerow([f"{t:.17g}"] + [f"{x:.17g}" for x in cells])
     assert got.read_bytes() == want.read_bytes()
 
 
@@ -581,7 +611,7 @@ def test_trajectory_writer_memory_is_flat(tmp_path):
     traj = exact_trajectory(m, w0, np.arange(5001) * 5.0 / 5000)
     tracemalloc.start()
     try:
-        cli._write_trajectory(tmp_path / "traj.csv", traj)
+        csvtext.write_trajectory(tmp_path / "traj.csv", traj)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -598,3 +628,15 @@ def test_measure_bytes_match_golden(tmp_path):
                  "--repeat-out", str(repeats), "--quiet"]) == 0
     assert records.read_bytes() == (DATA / f"{name}-records.csv").read_bytes()
     assert repeats.read_bytes() == (DATA / f"{name}-repeats.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("t0.5-dt0.05-exact", ["--t-end", "0.5", "--dt", "0.05"]),
+    ("t0.5-dt0.05-stepped", ["--t-end", "0.5", "--dt", "0.05", "--stepped"]),
+    # times of 10 or more go through the block kernel's "%" fallback
+    ("t12-dt1-exact", ["--t-end", "12", "--dt", "1"]),
+])
+def test_evolve_bytes_match_golden(name, argv, tmp_path):
+    out = tmp_path / "traj.csv"
+    assert main(["evolve", VIOLATING, *argv, "--out", str(out), "--quiet"]) == 0
+    assert out.read_bytes() == (DATA / f"evolve-violating-{name}.csv").read_bytes()

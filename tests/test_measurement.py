@@ -8,8 +8,8 @@ import pytest
 from qndsim.linalg import DensityOperator, HermitianOperator, tensor
 from qndsim.dynamics import evolve_exact
 from qndsim.model import Preparation, prepare_initial, random_model
+from qndsim.csvtext import _RECORD_BLOCK
 from qndsim.measurement import (
-    _RECORD_BLOCK,
     Calibration,
     ImpossibleOutcomeError,
     MeasurementRecord,

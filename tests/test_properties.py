@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import qndsim.dynamics
 import qndsim.linalg
 import qndsim.model
-from qndsim import cli
+from qndsim import csvtext
 from qndsim.dynamics import evolve_exact, exact_trajectory, rhs_component_form
 from qndsim.linalg import (
     EPS_HERM,
@@ -34,8 +34,8 @@ from qndsim.linalg import (
     commutator,
     propagator,
 )
+from qndsim.csvtext import _RECORD_BLOCK as BLOCK
 from qndsim.measurement import (
-    _RECORD_BLOCK as BLOCK,
     Calibration,
     MeasurementRecord,
     PointerObservable,
@@ -363,7 +363,7 @@ def one_row(*values):
 
 def crossing_block():
     """A table one row longer than the writer's block, every layout in it."""
-    n = cli._BLOCK_CELLS // 4 + 1
+    n = csvtext._BLOCK_CELLS // 4 + 1
     j = np.arange(3 * n).reshape(n, 3)
     cells = np.sin(j) * 10.0 ** (j % 41 - 20)
     cells[::7, 1] = -0.0
@@ -387,7 +387,7 @@ def test_trajectory_rows_match_one_format_per_cell(table):
     want = "".join(",".join("%.17g" % x for x in row) + "\n"
                    for row in np.column_stack([times, cells]).tolist())
     got = io.BytesIO()
-    cli._write_rows(got, times, cells)
+    csvtext._write_rows(got, times, cells)
     assert got.getvalue() == want.encode()
 
 

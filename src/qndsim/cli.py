@@ -24,7 +24,7 @@ import numpy as np
 
 from .csvtext import write_trajectory
 from .linalg import InvariantViolationError
-from .model import check_conditions, prepare_initial
+from .model import check_conditions, prepare_initial, shown
 from .dynamics import evolve_stepped, exact_trajectory
 from .scenarios import (
     DEFAULT_ETA_GRID,
@@ -106,7 +106,10 @@ def cmd_measure(args) -> int:
 
 
 def _parse_float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+    try:  # float()'s own message would echo the whole text
+        return [float(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise ValueError(f"expected numbers, got {shown(text)}") from None
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -117,7 +120,7 @@ def _parse_int_list(text: str) -> list[int]:
             continue
         bounds = [int(b) for b in part.split(":")]
         if len(bounds) > 2:
-            raise ValueError(f"expected an integer or lo:hi, got {part!r}")
+            raise ValueError(f"expected an integer or lo:hi, got {shown(part)}")
         out.extend(range(*bounds) if len(bounds) == 2 else bounds)
     return out
 

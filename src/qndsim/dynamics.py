@@ -10,11 +10,14 @@ matrix at a time.  The two paths are cross-checked against each
 other in the test suite, and the stepped one against the four-stage RK4 loop
 through the term-by-term rhs_component_form.  Both read the model's compiled
 operators, so H is diagonalised once per model, not once per time, and both
-return one (T, d, d) Trajectory, validated once as a stack; its states are
-read as the arrays they are (the last is states[-1]), never revalidated.
+return one (T, d, d) Trajectory, checked once as a stack; its states are
+read as the arrays they are (the last is states[-1]), never rechecked.
+U w U^dag of a state is a state, so the exact path returns plain arrays
+checked only as finite and Hermitian (an E t that overflows fails there);
+RK4 can leave the state space, so its Trajectory is checked in full.
 evolve_exact and state_constancy_check also take a batch of models, and the
 constancy check takes the prepared w(0), so its caller prepares it once; it
-forms no state, reading w(0) in H's eigenbasis, so it has nothing to validate.
+forms no state, reading w(0) in H's eigenbasis, so it has nothing to check.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import EPS_POS, DensityOperator, InvariantViolationError
-from .linalg import as_matrix, check_operators, frobenius, stack_block
+from .linalg import DensityOperator, InvariantViolationError
+from .linalg import as_matrix, as_operators, check_operators, frobenius, stack_block
 from .model import BipartiteModel
 
 STEPPED_POS_TOL = 1e-7
@@ -41,13 +44,13 @@ class IntegrationError(RuntimeError):
 @dataclass(frozen=True)
 class Trajectory:
     """States w(t_k): one read-only (T, d, d) array over times (T,), owned
-    (frozen in place, not copied) and checked once as density operators with
-    eigenvalues down to -pos_tol; the first failure raises IntegrationError
-    at its time."""
+    (frozen in place, not copied) and checked once as finite and Hermitian,
+    and given pos_tol as density operators with eigenvalues down to -pos_tol;
+    the first failure raises IntegrationError at its time."""
 
     times: np.ndarray
     states: np.ndarray
-    pos_tol: float = field(default=EPS_POS, compare=False, repr=False)
+    pos_tol: float | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -79,18 +82,22 @@ def rhs_component_form(m: BipartiteModel, w) -> np.ndarray:
     return -1j * (c[0] + c[1] + c[2])
 
 
-def evolve_exact(m: BipartiteModel, w0: DensityOperator, t: float) -> DensityOperator:
-    """Propagate via U w U^dag with U = exp(-i H_total t), for one model or each
-    model and state of a batch."""
+def evolve_exact(m: BipartiteModel, w0, t: float) -> np.ndarray:
+    """Propagate a state (a DensityOperator or its array) via U w U^dag with
+    U = exp(-i H_total t), for one model or each model and state of a batch;
+    the result is checked as finite and Hermitian only."""
     if t < 0:
         raise ValueError("time must be nonnegative")
     u = m.spectrum.unitary(t)
-    return DensityOperator(u @ w0.matrix @ u.conj().swapaxes(-1, -2))
+    w = u @ as_operators(w0) @ u.conj().swapaxes(-1, -2)
+    check_operators(w, "state")
+    return w
 
 
 def exact_trajectory(m: BipartiteModel, w0: DensityOperator, times) -> Trajectory:
     """w0 at times[0] = 0, then U w0 U^dag, stack_block(d) times per stacked
-    product; each state is bitwise equal to evolve_exact at its time."""
+    product; each state is bitwise equal to evolve_exact at its time, and
+    checked as evolve_exact checks it."""
     times = np.asarray(times, dtype=float)
     states = np.empty((len(times), m.dim, m.dim), dtype=complex)
     states[:1] = w0.matrix

@@ -1,10 +1,11 @@
 """Dense complex linear algebra for small bipartite quantum systems.
 
 All operators are plain ``numpy`` complex arrays; the wrapper classes exist
-only to validate physical invariants at construction time, a state's
-positivity down to -EPS_POS.  The module holds only what the pipeline
-reaches: a partial trace or an expectation value is an einsum over
-joint_axes where one is wanted.  Operators,
+only to validate physical invariants where a value enters the pipeline (a
+loaded operator or state, a prepared w(0)), a state's positivity down to
+-EPS_POS.  A state computed from a checked one stays a plain array.  The
+module holds only what the pipeline reaches: a partial trace or an
+expectation value is an einsum over joint_axes where one is wanted.  Operators,
 states and spectra may carry leading batch axes, (..., d, d): every
 operation then acts on each matrix of the stack, with bits equal to the
 one-matrix call, so a batch of models runs each step once.  Units: hbar = 1,
@@ -138,12 +139,11 @@ class HermitianOperator:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Positive-semidefinite unit-trace operator (quantum state).
-
+    """Positive-semidefinite unit-trace operator (quantum state), made where
+    a state enters the pipeline: a loaded rho or mu, a prepared w(0).
     Eigenvalues in [-EPS_POS, 0) are accepted as-is, not clipped; anything
-    below -EPS_POS fails construction so that integrator bugs surface.  A
-    (..., d, d) stack of states is validated as one stack.
-    """
+    below -EPS_POS fails construction.  A (..., d, d) stack of states is
+    validated as one stack."""
 
     matrix: np.ndarray
 

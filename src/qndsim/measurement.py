@@ -10,10 +10,13 @@ protocol's k-th measurement, take draw k, so the first k trials of an n-trial
 run equal a k-trial run.  A MeasurementRecord holds the results as columns,
 which csvtext.write_record writes.  States, pointers and Born distributions
 may carry leading batch axes: the Born weights, CDF inversion, Lüders update
-and repeated_outcomes then step every point of a batch at once.
-draw_trials, repeated_outcomes and reading_variance are the steps
-scenarios.measure_batch composes; measurement_trials, repeatability_protocol
-and dispersion_experiment run them for one model.
+and repeated_outcomes then step every point of a batch at once.  A state is
+a DensityOperator or its array: a normalised Lüders projection of a state is
+one, so the update returns an array and checks nothing, and the repeats'
+evolution is evolve_exact's, checked as finite and Hermitian.
+invert_cdf, repeated_outcomes and reading_variance are the steps
+scenarios.measure_batch composes; measurement_trials (through draw_trials),
+repeatability_protocol and dispersion_experiment run them for one model.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import numpy as np
 
 from .linalg import (
     EPS_POS,
-    DensityOperator,
     DimensionMismatchError,
     HermitianOperator,
     InvariantViolationError,
@@ -164,15 +166,13 @@ class MeasurementRecord:
         write_record(fh, self.system_index, self.trial, self.time, self.lam, self.reading)
 
 
-def _apparatus_axes(w: DensityOperator, pointer: PointerObservable, dims) -> np.ndarray:
+def _apparatus_axes(w, pointer: PointerObservable, dims) -> np.ndarray:
     if pointer.dim != dims[1]:
         raise DimensionMismatchError("pointer dimension does not match apparatus")
     return joint_axes(w, *dims)
 
 
-def outcome_distribution(
-    w: DensityOperator, pointer: PointerObservable, dims: tuple[int, int]
-) -> np.ndarray:
+def outcome_distribution(w, pointer: PointerObservable, dims: tuple[int, int]) -> np.ndarray:
     """Born weights p_g = tr(w (I x P_g)): the sum of Re(v_k^dag rho_M v_k) over
     the eigenvectors v_k of group g, with rho_M = tr_S w; (..., groups) for a
     batch of states and pointers.
@@ -216,27 +216,24 @@ def sample_outcome(p: Sequence[float], rng: np.random.Generator) -> int:
     return int(invert_cdf(p, rng.random()))
 
 
-def collapse_after_outcome(
-    w: DensityOperator,
-    pointer: PointerObservable,
-    lam: int,
-    dims: tuple[int, int],
-) -> DensityOperator:
-    """Lüders update onto the eigenspace of group lam: (I x P) w (I x P) / p_lam,
-    P applied on the row and then the column apparatus axis, one matmul each;
-    for a batch, lam holds one group per point, checked as one stack."""
+def collapse_after_outcome(w, pointer: PointerObservable, lam,
+                           dims: tuple[int, int]) -> np.ndarray:
+    """Lüders update of the state w onto the eigenspace of group lam:
+    (I x P) w (I x P) / p_lam, P applied on the row and then the column
+    apparatus axis, one matmul each; for a batch, lam holds one group per
+    point.  A state by construction, so returned as an unchecked array."""
     d_s, d_m = dims
     axes = _apparatus_axes(w, pointer, dims)
-    batch = axes.shape[:-4]
+    batch, d = axes.shape[:-4], d_s * d_m
     lam = np.broadcast_to(lam, batch)
     proj = np.take_along_axis(pointer.projectors, lam[..., None, None, None], axis=-3)
     left = proj @ axes.reshape(*batch, d_s, d_m, -1)
-    projected = (left.reshape(*batch, -1, d_m) @ proj[..., 0, :, :]).reshape(*batch, w.dim, w.dim)
+    projected = (left.reshape(*batch, -1, d_m) @ proj[..., 0, :, :]).reshape(*batch, d, d)
     p_lam = np.trace(projected, axis1=-2, axis2=-1).real
     impossible = p_lam <= 0.0
     if impossible.any():
         raise ImpossibleOutcomeError(int(lam[impossible][0]))
-    return DensityOperator(projected / p_lam[..., None, None])
+    return projected / p_lam[..., None, None]
 
 
 def trial_rng(seed: int) -> np.random.Generator:
@@ -245,27 +242,20 @@ def trial_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def repeated_outcomes(
-    m: BipartiteModel,
-    w_tau: DensityOperator,
-    p_tau,
-    pointer: PointerObservable,
-    delta_tau: float,
-    u,
-) -> np.ndarray:
+def repeated_outcomes(m: BipartiteModel, w_tau, p_tau, pointer: PointerObservable,
+                      delta_tau: float, u) -> np.ndarray:
     """Pointer groups of u.shape[-1] repeated measurements, every point of a
     batch in lockstep: measurement k inverts the Born distribution at draw
     u[..., k] and collapses the state, which then evolves by delta_tau to the
     next one.  The first measures w_tau, whose distribution p_tau is given;
     the state after the last measurement is never needed, so it is not formed.
-    Each step is evolve_exact's U w U^dag, with U = U(delta_tau) formed once."""
+    Each step is evolve_exact(m, w, delta_tau), so U(delta_tau) is the same
+    bits each time and every evolved state is checked as finite there."""
     dims = (m.d_system, m.d_apparatus)
     w, p, lams = w_tau, p_tau, []
     for k in range(u.shape[-1]):
-        if k == 1:
-            step = m.spectrum.unitary(delta_tau)
         if k:
-            w = DensityOperator(step @ w.matrix @ step.conj().swapaxes(-1, -2))
+            w = evolve_exact(m, w, delta_tau)
             p = outcome_distribution(w, pointer, dims)
         lams.append(invert_cdf(p, u[..., k]))
         if k + 1 < u.shape[-1]:
@@ -286,17 +276,9 @@ def repeat_times(tau: float, delta_tau: float, n_repeats: int) -> np.ndarray:
     return times
 
 
-def repeatability_protocol(
-    m: BipartiteModel,
-    w_tau: DensityOperator,
-    pointer: PointerObservable,
-    cal: Calibration,
-    system_index: Optional[int],
-    tau: float,
-    delta_tau: float,
-    n_repeats: int,
-    seed: int,
-) -> MeasurementRecord:
+def repeatability_protocol(m: BipartiteModel, w_tau, pointer: PointerObservable,
+                           cal: Calibration, system_index: Optional[int], tau: float,
+                           delta_tau: float, n_repeats: int, seed: int) -> MeasurementRecord:
     """Measure, then re-evolve and re-measure n_repeats times in one run.
 
     Sample and collapse the state w_tau reached at time tau; then repeatedly

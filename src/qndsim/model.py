@@ -31,6 +31,13 @@ from .linalg import (
 CONDITION_THRESHOLD = 1e-10
 
 
+def shown(value) -> str:
+    """An input value as an error message shows it: its type and at most 60
+    characters of its repr, so that an input of any size makes a short line."""
+    text = repr(value)
+    return f"{type(value).__name__} {text if len(text) <= 60 else text[:57] + '...'}"
+
+
 @dataclass(frozen=True)
 class BipartiteModel:
     """One model, or a batch of models whose three operators share a leading
@@ -273,7 +280,7 @@ def random_model(
         if eta is None:  # interpolate_coupling checks the range
             raise ValueError("interpolated family needs eta in [0, 1]")
     elif family not in ("qnd", "violating"):
-        raise ValueError(f"unknown model family {family!r}")
+        raise ValueError(f"unknown model family {shown(family)}")
     d_s, d_m = dims
     h_s, h_m, hc_qnd, hc_violating = (a[0] for a in model_draws(dims, [seed]))
 

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import DensityOperator, HermitianOperator, InvariantViolationError
-from .model import BipartiteModel, Preparation, random_model
+from .model import BipartiteModel, Preparation, random_model, shown
 from .measurement import Calibration, PointerObservable
 from .scenarios import MAX_DIM, Scenario, Schedule
 
@@ -45,7 +45,7 @@ def _int(value, what: str) -> int:
             return operator.index(value)
         except TypeError:
             pass
-    raise ScenarioFormatError(f"{what}: expected an integer, got {value!r}")
+    raise ScenarioFormatError(f"{what}: expected an integer, got {shown(value)}")
 
 
 def _real(value, what: str) -> float:
@@ -57,7 +57,7 @@ def _real(value, what: str) -> float:
             return float(value)
         except OverflowError:
             raise ScenarioFormatError(f"{what}: an integer beyond the float range") from None
-    raise ScenarioFormatError(f"{what}: expected a number, got {value!r}")
+    raise ScenarioFormatError(f"{what}: expected a number, got {shown(value)}")
 
 
 def _reals(nest, what: str) -> np.ndarray:
@@ -74,7 +74,7 @@ def _dim(value, what: str) -> int:
     """_int(value, what), also refused when numpy could not size an n x n matrix."""
     n = _int(value, what)
     if n > MAX_DIM:
-        raise ScenarioFormatError(f"{what}: {n} exceeds the largest dimension {MAX_DIM}")
+        raise ScenarioFormatError(f"{what}: {shown(n)} exceeds the largest dimension {MAX_DIM}")
     return n
 
 
@@ -82,7 +82,7 @@ def _parse_matrix(spec, what: str) -> np.ndarray:
     if isinstance(spec, str):
         if spec in PAULI:
             return PAULI[spec].copy()
-        raise ScenarioFormatError(f"{what}: unknown operator name {spec!r}")
+        raise ScenarioFormatError(f"{what}: unknown operator name {shown(spec)}")
     if isinstance(spec, dict):
         for key in ("identity", "zero"):
             if key in spec:
@@ -100,13 +100,13 @@ def _parse_matrix(spec, what: str) -> np.ndarray:
         if "kron" in spec:
             pair = spec["kron"]
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ScenarioFormatError(f"{what}.kron must be [a, b], got {pair!r}")
+                raise ScenarioFormatError(f"{what}.kron must be [a, b], got {shown(pair)}")
             factors = [_parse_matrix(f, what) for f in pair]
             for k, f in enumerate(factors):  # a non-finite factor would warn in np.kron
                 if not np.isfinite(f).all():
                     raise ScenarioFormatError(f"{what}.kron: factor {k} is not finite")
             return np.kron(*factors)
-        raise ScenarioFormatError(f"{what}: unknown operator spec {sorted(spec)}")
+        raise ScenarioFormatError(f"{what}: unknown operator spec {shown(sorted(spec))}")
     arr = _reals(spec, what)
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise ScenarioFormatError(
@@ -130,7 +130,7 @@ def _parse_model(doc: dict) -> tuple[BipartiteModel, Optional[float]]:
     """The model and its eta, which labels an explicit model as well."""
     dims = doc.get("dims")
     if not isinstance(dims, (list, tuple)) or len(dims) != 2:
-        raise ScenarioFormatError(f"model.dims must be [dS, dM], got {dims!r}")
+        raise ScenarioFormatError(f"model.dims must be [dS, dM], got {shown(dims)}")
     d_s, d_m = (_dim(d, "model.dims") for d in dims)
     _dim(d_s * d_m, "model.dims: the joint dimension")
     eta = None if doc.get("eta") is None else _real(doc["eta"], "model.eta")
@@ -166,7 +166,7 @@ def _parse_preparation(doc: dict, model: BipartiteModel) -> Preparation:
         lam = _int(doc["apparatus_index"], "preparation.apparatus_index")
         if not (0 <= i < model.d_system and 0 <= lam < model.d_apparatus):
             raise ScenarioFormatError(
-                f"preparation indices ({i}, {lam}) out of range for dims "
+                f"preparation indices ({shown(i)}, {shown(lam)}) out of range for dims "
                 f"({model.d_system}, {model.d_apparatus})"
             )
         return Preparation.eigenbasis(i, lam)
@@ -187,7 +187,7 @@ def parse_scenario(doc: dict, name: Optional[str] = None) -> Scenario:
         raise ScenarioFormatError("scenario document must be an object")
     if doc.get("schema") != SCHEMA_VERSION:
         raise ScenarioFormatError(
-            f"unsupported schema {doc.get('schema')!r}; expected {SCHEMA_VERSION}"
+            f"unsupported schema {shown(doc.get('schema'))}; expected {SCHEMA_VERSION}"
         )
     for key in ("model", "preparation", "schedule"):
         if not isinstance(doc.get(key), dict):
@@ -234,7 +234,7 @@ def parse_scenario(doc: dict, name: Optional[str] = None) -> Scenario:
             )
     seed = _int(doc.get("seed", 0), "seed")
     if seed < 0:
-        raise ScenarioFormatError(f"seed {seed} is negative")
+        raise ScenarioFormatError(f"seed {shown(seed)} is negative")
     return Scenario.build(
         name=name or doc.get("name", "scenario"),
         model=model,

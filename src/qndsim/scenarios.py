@@ -264,17 +264,17 @@ def run_scenario(s: Scenario) -> SweepRow:
 
 def _point_bytes(dims: tuple[int, int], schedule: Schedule) -> int:
     """Bytes a sweep point adds to its batch's peak, so that a batch of
-    BATCH_BYTES // _point_bytes points stays within BATCH_BYTES: 18 joint
+    BATCH_BYTES // _point_bytes points stays within BATCH_BYTES: 16 joint
     matrices (model terms, H, its eigenvectors, states, and at the peak the
-    repeat protocol's propagator, collapses and checks), its repeat and trial
-    records at 24 B per row, and 8 B per draw, all its points' draws being held
-    at once.  Under tracemalloc, full batches of 55 (4, 4) and 3 (8, 8) points
-    peak at 3.88 and 3.38 MB (60 (4, 4) points reached 4.20 MB with 16
-    matrices), a (2, 2) point at 32 B per trial."""
+    repeat protocol's propagator and collapse), its repeat and trial records
+    at 24 B per row, and 8 B per draw, all its points' draws being held at
+    once.  Under tracemalloc, full batches of 62 (4, 4) and 3 (8, 8) points
+    on the default eta grid peak at 3.53 and 2.75 MB (4.09 and 3.01 MB with
+    one eta per seed), a (2, 2) point at 32 B per trial."""
     matrix = ENTRY_BYTES * math.prod(dims) ** 2
     records = ROW_BYTES * (schedule.n_repeats + schedule.n_trials)
     drawing = DRAW_BYTES * max(schedule.n_repeats, schedule.n_trials)
-    return 18 * matrix + records + drawing
+    return 16 * matrix + records + drawing
 
 
 def _sweep_batch(dims, points, draws, basis, schedule) -> Batch:
@@ -475,7 +475,7 @@ def oracle_check(
     h = total_hamiltonian(m).matrix
     u_series = _expm_series(-1j * h * t)
     w_series = u_series @ w0.matrix @ u_series.conj().T
-    w_main = evolve_exact(m, w0, t).matrix
+    w_main = evolve_exact(m, w0, t)
     diffs["evolve_exact vs series exponential"] = np.linalg.norm(w_series - w_main)
 
     t_grid = np.linspace(0.0, 1.0, CONSTANCY_POINTS)[1:]  # the sweep's grid for tau <= 1

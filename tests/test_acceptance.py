@@ -65,7 +65,7 @@ def test_criterion_2_conservation_laws():
         m = random_model(dims, "violating", seed)
         w0 = _random_density(rng, m.dim)
         for t in (0.1, 1.0, 10.0):
-            wt = evolve_exact(m, w0, t).matrix
+            wt = evolve_exact(m, w0, t)
             worst_tr = max(worst_tr, abs(float(np.trace(wt).real) - 1.0))
             worst_herm = max(worst_herm, float(np.linalg.norm(wt - wt.conj().T)))
             worst_spec = max(
@@ -186,7 +186,7 @@ def test_criterion_8_stepped_convergence():
         # positivity boundary while exercising the full dynamics
         raw = 0.9 * tensor(pp, pp) + 0.1 * np.eye(4) / 4
         w0 = DensityOperator(raw)
-        ref = evolve_exact(s.model, w0, 1.0).matrix
+        ref = evolve_exact(s.model, w0, 1.0)
         errs = [
             float(np.linalg.norm(evolve_stepped(s.model, w0, 1.0, dt).states[-1] - ref))
             for dt in (0.02, 0.01)

@@ -247,7 +247,7 @@ def test_batched_collapse_equals_joint_space_projection(dims, pointer_values):
         h = (q * pointer_values) @ q.conj().swapaxes(1, 2)
     pointer = PointerObservable.from_operator(HermitianOperator(h))
     lam = rng.integers(len(pointer.starts), size=6)
-    got = collapse_after_outcome(w, pointer, lam, dims).matrix
+    got = collapse_after_outcome(w, pointer, lam, dims)
     for n in range(6):
         lift = tensor(np.eye(d_s), pointer.projectors[n, lam[n]])
         projected = lift @ w.matrix[n] @ lift

@@ -99,6 +99,9 @@ def test_traced_cli_runs_leave_no_call_unwrapped(tmp_path):
     assert report["calls"]["scenarios.interpolation_sweep"] == 1
     # one w(0) per command: the sweep's four points run as one batch
     assert report["calls"]["model.prepare_initial"] == 3
+    # and w(0) is the only state checked in full: evolved and collapsed states
+    # are states by construction
+    assert report["calls"]["linalg.DensityOperator"] == 3
     # the stepped run takes its five RK4 steps as one step polynomial each
     assert report["calls"]["dynamics.rhs_component_form"] == 0
     assert report["calls"]["dynamics.evolve_stepped"] == 1

@@ -543,6 +543,27 @@ def test_unreadable_document_names_the_file(text, tmp_path, capsys):
     assert err.startswith(f"error: {path}: "), err
 
 
+# Values far longer than an error line should be, and the field each one fills.
+OVERSIZED_VALUES = {
+    "seed-list": ("seed", lambda d: d.update(seed=[0] * 200_000)),
+    "kron-factors": ("pointer.kron", lambda d: d.update(pointer={"kron": ["pauli_x"] * 100_000})),
+    "tau-string": ("tau", lambda d: d["schedule"].update(tau="1" * 300_000)),
+    "seeds-option": ("--seeds", ["sweep", "--seeds", "0:1:" + "2" * 4000]),
+    "eta-grid-option": ("--eta-grid", ["sweep", "--eta-grid", "x" * 300_000]),
+}
+
+
+@pytest.mark.parametrize("field, value", OVERSIZED_VALUES.values(), ids=OVERSIZED_VALUES.keys())
+def test_oversized_value_makes_a_short_error_line(field, value, tmp_path, capsys):
+    path = "" if isinstance(value, list) else _bad_file(tmp_path, value)
+    argv = ["check", path] if path else value
+    assert main(argv + ["--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and err.count("\n") == 1, err[:400]
+    assert f" {field}" in err, err[:400]
+    assert len(err.encode()) <= 300 + len(path.encode()), err[:400]
+
+
 def test_seed_beyond_128_bits_runs(tmp_path, capsys):
     path = _bad_file(tmp_path, lambda d: d.update(seed=2**130 + 5))
     out = tmp_path / "rec.csv"

@@ -62,7 +62,7 @@ def _rk4_reference(m, w0, t_end, dt):
 def _constancy_reference(m, w0, t_grid):
     """The per-time route: max ||evolve_exact(m, w0, t) - w0||_F over the grid,
     one full evolved state per time, that state_constancy_check is checked against."""
-    return np.max([frobenius(evolve_exact(m, w0, t).matrix - w0.matrix) for t in t_grid], axis=0)
+    return np.max([frobenius(evolve_exact(m, w0, t) - w0.matrix) for t in t_grid], axis=0)
 
 
 def _stacked_model(models):
@@ -102,13 +102,13 @@ class TestEvolveExact:
         m = random_model((2, 2), "violating", 1)
         rng = np.random.default_rng(0)
         w0 = random_density(rng, 4)
-        assert np.allclose(evolve_exact(m, w0, 0.0).matrix, w0.matrix, atol=1e-12)
+        assert np.allclose(evolve_exact(m, w0, 0.0), w0.matrix, atol=1e-12)
 
     def test_stationary_diagonal_state(self):
         m = qubit_model(SZ, SZ, np.kron(SZ, SZ))
         w0 = DensityOperator(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
         wt = evolve_exact(m, w0, 3.7)
-        assert np.allclose(wt.matrix, w0.matrix, atol=1e-12)
+        assert np.allclose(wt, w0.matrix, atol=1e-12)
 
     def test_qubit_plus_to_minus(self):
         # lone sz qubit (apparatus dim 1), |+> -> |-> at t = pi/2
@@ -122,7 +122,7 @@ class TestEvolveExact:
         plus = np.array([1, 1]) / np.sqrt(2)
         minus = np.array([1, -1]) / np.sqrt(2)
         wt = evolve_exact(m, DensityOperator(np.outer(plus, plus.conj())), np.pi / 2)
-        assert np.allclose(wt.matrix, np.outer(minus, minus.conj()), atol=1e-12)
+        assert np.allclose(wt, np.outer(minus, minus.conj()), atol=1e-12)
 
     def test_trace_and_spectrum_conserved(self):
         rng = np.random.default_rng(1)
@@ -131,9 +131,9 @@ class TestEvolveExact:
             w0 = random_density(rng, 4)
             for t in (0.1, 1.0, 10.0):
                 wt = evolve_exact(m, w0, t)
-                assert abs(np.trace(wt.matrix).real - 1.0) <= 1e-10
+                assert abs(np.trace(wt).real - 1.0) <= 1e-10
                 assert np.allclose(
-                    np.linalg.eigvalsh(wt.matrix),
+                    np.linalg.eigvalsh(wt),
                     np.linalg.eigvalsh(w0.matrix),
                     atol=1e-8,
                 )
@@ -144,7 +144,7 @@ class TestEvolveExact:
         w0 = random_density(rng, 6)
         lhs = evolve_exact(m, evolve_exact(m, w0, 0.8), 1.3)
         rhs = evolve_exact(m, w0, 2.1)
-        assert np.linalg.norm(lhs.matrix - rhs.matrix) <= 1e-8
+        assert np.linalg.norm(lhs - rhs) <= 1e-8
 
     def test_population_invariance_under_eq4(self):
         # diagonal-in-eigenbasis system populations stay fixed when the
@@ -182,7 +182,7 @@ class TestEvolveStepped:
         m = random_model((2, 2), "violating", 7)
         rng = np.random.default_rng(4)
         w0 = random_density(rng, 4)
-        ref = evolve_exact(m, w0, 1.0).matrix
+        ref = evolve_exact(m, w0, 1.0)
         errs = [
             np.linalg.norm(evolve_stepped(m, w0, 1.0, dt).states[-1] - ref)
             for dt in (0.02, 0.01)
@@ -210,7 +210,7 @@ class TestEvolveStepped:
         rng = np.random.default_rng(7)
         w0 = random_density(rng, 4)
         final = evolve_stepped(m, w0, 1.0, 1e-3).states[-1]
-        assert np.linalg.norm(final - evolve_exact(m, w0, 1.0).matrix) <= 1e-8
+        assert np.linalg.norm(final - evolve_exact(m, w0, 1.0)) <= 1e-8
 
     def test_invariant_violation_reports_time(self):
         # a huge step on a pure state blows past the relaxed positivity band

@@ -4,7 +4,9 @@ writes the bytes of one "%.17g" per cell; a stacked trajectory and
 its block-wise validation agree bitwise with the one-state routes; sampling
 never picks an outcome of zero weight, and the vectorised CDF inversion picks
 what the one-draw loop picks; a record writes the bytes of one format call per
-row; Born weights, evolved and collapsed states keep their invariants; the
+row; Born weights keep their invariants, and so do the states nothing checks
+in full (evolved, exact-trajectory, collapsed, and every state of the repeat
+protocol on a batch); the
 apparatus-factor Born/Lüders kernel agrees with explicit index loops and kron
 projectors on degenerate pointers; the Cholesky accept test decides positivity
 as eigvalsh does; non-demolition models read sharply; scenario documents
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 import qndsim.dynamics
 import qndsim.linalg
+import qndsim.measurement
 import qndsim.model
 from qndsim import csvtext
 from qndsim.dynamics import evolve_exact, exact_trajectory, rhs_component_form
@@ -43,10 +46,17 @@ from qndsim.measurement import (
     draw_trials,
     invert_cdf,
     outcome_distribution,
+    repeated_outcomes,
     sample_outcome,
     trial_rng,
 )
-from qndsim.model import Preparation, prepare_initial, random_model, total_hamiltonian
+from qndsim.model import (
+    BipartiteModel,
+    Preparation,
+    prepare_initial,
+    random_model,
+    total_hamiltonian,
+)
 from qndsim.scenario_io import parse_scenario, render_scenario
 from qndsim.scenarios import Scenario, Schedule, _born_index_loops, run_measurements
 
@@ -110,7 +120,7 @@ def test_evolve_exact_matches_uncached_propagator(m, t, data):
     w0 = initial_state(m, data)
     u = propagator(total_hamiltonian(m).matrix, t)
     expect = u @ w0.matrix @ u.conj().T
-    assert np.array_equal(evolve_exact(m, w0, t).matrix, expect)
+    assert np.array_equal(evolve_exact(m, w0, t), expect)
 
 
 @SETTINGS
@@ -124,7 +134,7 @@ def test_exact_trajectory_matches_evolve_exact(m, times, block, data):
     assert not traj.states.flags.writeable
     assert np.array_equal(traj.states[0], w0.matrix)
     for t, w in zip(times[1:], traj.states[1:]):
-        assert np.array_equal(w, evolve_exact(m, w0, t).matrix)
+        assert np.array_equal(w, evolve_exact(m, w0, t))
 
 
 @SETTINGS
@@ -186,7 +196,7 @@ def test_stacked_check_flags_first_failing_state(m, n, block, bad, data):
 @SETTINGS
 @given(models(), st.floats(0.0, 2.0), st.data())
 def test_rhs_matches_explicit_kron_form(m, t, data):
-    w = evolve_exact(m, initial_state(m, data), t).matrix
+    w = evolve_exact(m, initial_state(m, data), t)
     term_s, term_m = explicit_terms(m)
     hc = as_matrix(m.h_coupling)
     expect = -1j * (commutator(term_s, w) + commutator(hc, w) + commutator(term_m, w))
@@ -407,14 +417,25 @@ def assert_state(w):
 
 
 @SETTINGS
-@given(models(), st.integers(0, 2**32), st.booleans(), st.floats(0.0, 10.0))
-def test_born_weights_and_states_keep_invariants(m, seed, mixed, t):
+@given(models(), st.integers(0, 2**32), st.booleans(), st.floats(0.0, 10.0), time_grids(),
+       st.booleans(), st.data())
+def test_born_weights_and_states_keep_invariants(m, seed, mixed, t, times, degenerate, data):
+    """Evolved states, every state of an exact trajectory and the Lüders
+    collapses, on the model's pointer or on a degenerate one, are states by
+    construction, which nothing checks in full: trace within EPS_TRACE,
+    ||M - M^dag||_F within EPS_HERM * max(1, ||M||_F), lowest eigenvalue
+    >= -EPS_POS."""
     if mixed:
         w0 = DensityOperator(random_state(m.dim, seed))
     else:
         w0 = prepare_initial(m, Preparation.eigenbasis(seed % m.d_system, seed % m.d_apparatus))
-    pointer = PointerObservable.from_operator(m.h_apparatus)
+    if degenerate:
+        pointer = data.draw(degenerate_pointers(m.d_apparatus))[0]
+    else:
+        pointer = PointerObservable.from_operator(m.h_apparatus)
     dims = (m.d_system, m.d_apparatus)
+    for w in exact_trajectory(m, w0, times).states:
+        assert_state(w)
     w = evolve_exact(m, w0, t)
     assert_state(w)
     p = outcome_distribution(w, pointer, dims)
@@ -422,6 +443,38 @@ def test_born_weights_and_states_keep_invariants(m, seed, mixed, t):
     assert abs(p.sum() - 1.0) <= 1e-12
     for lam in np.flatnonzero(p > 1e-6):
         assert_state(collapse_after_outcome(w, pointer, lam, dims))
+
+
+@SETTINGS
+@given(st.sampled_from([(2, 2), (2, 3), (3, 2)]), st.lists(st.integers(0, 2**16), min_size=1,
+       max_size=4), st.floats(0.0, 1.0), st.floats(0.1, 5.0), st.integers(2, 6),
+       st.integers(0, 2**32))
+def test_repeated_outcomes_states_keep_invariants(dims, seeds, eta, delta_tau, n, seed):
+    """Every state repeated_outcomes holds on a batch, each one measured,
+    collapsed or evolved, is a state, which nothing checks in full: trace
+    within EPS_TRACE, ||M - M^dag||_F within EPS_HERM * max(1, ||M||_F),
+    lowest eigenvalue >= -EPS_POS."""
+    models = [random_model(dims, "interpolated", s, eta=eta) for s in seeds]
+    batch = BipartiteModel(*dims, *(
+        HermitianOperator(np.stack([getattr(m, name).matrix for m in models]))
+        for name in ("h_system", "h_apparatus", "h_coupling")))
+    pointer = PointerObservable.from_operator(batch.h_apparatus)
+    w_tau = evolve_exact(batch, prepare_initial(batch, Preparation.eigenbasis(0, 0)), 1.0)
+    p = outcome_distribution(w_tau, pointer, dims)
+    seen = []  # the state argument of each step's call
+
+    def recording(f, at):
+        return lambda *args: seen.append(args[at]) or f(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, at in (("evolve_exact", 1), ("outcome_distribution", 0),
+                         ("collapse_after_outcome", 0)):
+            mp.setattr(qndsim.measurement, name, recording(getattr(qndsim.measurement, name), at))
+        repeated_outcomes(batch, w_tau, p, pointer, delta_tau,
+                          trial_rng(seed).random((len(seeds), n)))
+    assert len(seen) == 3 * (n - 1)
+    for w in np.concatenate(seen):
+        assert_state(w)
 
 
 def random_unitary(d, seed):
@@ -457,9 +510,9 @@ def test_born_kernel_sums_index_loops_per_group(d_s, d_m, seed, data):
         expect = proj @ w @ proj
         expect = expect / np.trace(expect).real
         once = collapse_after_outcome(DensityOperator(w), pointer, g, dims)
-        assert np.allclose(once.matrix, expect, rtol=0, atol=1e-11)
+        assert np.allclose(once, expect, rtol=0, atol=1e-11)
         twice = collapse_after_outcome(once, pointer, g, dims)
-        assert np.allclose(twice.matrix, once.matrix, rtol=0, atol=1e-12)
+        assert np.allclose(twice, once, rtol=0, atol=1e-12)
 
 
 def state_with_min_eigenvalue(d, seed, lowest):

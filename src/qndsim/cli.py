@@ -4,12 +4,13 @@ Subcommands: check, evolve, measure, sweep.  Exit codes are uniform across
 subcommands: 0 success / conditions hold, 1 computed negative result or
 runtime failure, 2 input error.  Commands raise; main alone maps a failure
 to its exit code and prints it as one ``error:`` line to stderr (an unknown
-option gets argparse's usage message), so no input ends in a traceback.
-The measure command and the sweep both run scenarios.measure_batch, on one
-scenario or on batches of sweep points.  All output files are UTF-8 with LF
-line endings; floats use the dot decimal separator at full precision, so
-repeated runs with identical inputs produce identical bytes.  csvtext writes
-the trajectory and record files, scenarios the sweep table.
+option, or a typed option's bad value quoted cut short, gets argparse's usage
+message), so no input ends in a traceback.  The measure command and the sweep
+both run scenarios.measure_batch, on one scenario or on batches of sweep
+points; measure alone makes records of its outcomes.  All output files are
+UTF-8 with LF line endings; floats use the dot decimal separator at full
+precision, so repeated runs with identical inputs produce identical bytes.
+csvtext writes the trajectory and record files, scenarios the sweep table.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 
 from .csvtext import write_trajectory
 from .linalg import InvariantViolationError
+from .measurement import MeasurementRecord
 from .model import check_conditions, prepare_initial, shown
 from .dynamics import evolve_stepped, exact_trajectory
 from .scenarios import (
@@ -91,17 +93,19 @@ def cmd_measure(args) -> int:
         n_trials=s.schedule.n_trials if args.trials is None else args.trials,
     )
     run = run_measurements(replace(s, schedule=sched, seed=seed))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            run.trials.write_csv(fh)
-    if args.repeat_out:
-        with open(args.repeat_out, "w", encoding="utf-8", newline="\n") as fh:
-            run.repeats.write_csv(fh)
+    i = s.preparation.system_index
+    for path, trial, time, lam in [
+        (args.out, np.arange(sched.n_trials), sched.tau, run.trial_lams),
+        (args.repeat_out, 0, run.repeat_times, run.repeat_lams),
+    ]:
+        if path:  # the only records the pipeline's outcomes become
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                MeasurementRecord.from_outcomes(s.calibration, i, trial, time, lam).write_csv(fh)
     _say(args, f"sigma_analytic = {run.sigma_analytic:.17g}")
     _say(args, f"sigma_empirical = {run.sigma_empirical:.17g}")
     degenerate = " (degenerate: single trial)" if sched.n_trials < 2 else ""
     _say(args, f"reading_variance = {run.reading_variance:.17g}{degenerate}")
-    _say(args, f"repeat_changes = {run.repeats.outcome_changes()}")
+    _say(args, f"repeat_changes = {run.repeat_changes}")
     return EXIT_OK
 
 
@@ -167,6 +171,21 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _typed(convert):
+    """An argparse type: convert(text), quoting a value it refuses cut short
+    (argparse's own message quotes the whole value)."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            message = f"invalid {convert.__name__} value: {shown(text)}"
+            raise argparse.ArgumentTypeError(message) from None
+    return parse
+
+
+_int, _float = _typed(int), _typed(float)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qndsim",
@@ -189,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
         "evolve", help="propagate the joint state", allow_abbrev=False
     )
     p_evolve.add_argument("scenario", type=Path)
-    p_evolve.add_argument("--t-end", type=float, default=1.0)
-    p_evolve.add_argument("--dt", type=float, default=1e-3)
+    p_evolve.add_argument("--t-end", type=_float, default=1.0)
+    p_evolve.add_argument("--dt", type=_float, default=1e-3)
     p_evolve.add_argument(
         "--stepped", action="store_true", help="RK4 steps instead of the exact propagator"
     )
@@ -200,9 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
         "measure", help="run measurement protocols", allow_abbrev=False
     )
     p_measure.add_argument("scenario", type=Path)
-    p_measure.add_argument("--repeats", type=int, default=None)
-    p_measure.add_argument("--trials", type=int, default=None)
-    p_measure.add_argument("--seed", type=int, default=None, help="override scenario seed")
+    p_measure.add_argument("--repeats", type=_int, default=None)
+    p_measure.add_argument("--trials", type=_int, default=None)
+    p_measure.add_argument("--seed", type=_int, default=None, help="override scenario seed")
     p_measure.add_argument(
         "--repeat-out", type=Path, default=None,
         help="CSV path for the repeated-measurement sequence",
@@ -217,10 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--eta-grid", default=",".join(str(e) for e in DEFAULT_ETA_GRID)
     )
     p_sweep.add_argument("--seeds", default="0:20", help="comma list or lo:hi range")
-    p_sweep.add_argument("--tau", type=float, default=1.0)
-    p_sweep.add_argument("--delta-tau", type=float, default=0.5)
-    p_sweep.add_argument("--repeats", type=int, default=5)
-    p_sweep.add_argument("--trials", type=int, default=50)
+    p_sweep.add_argument("--tau", type=_float, default=1.0)
+    p_sweep.add_argument("--delta-tau", type=_float, default=0.5)
+    p_sweep.add_argument("--repeats", type=_int, default=5)
+    p_sweep.add_argument("--trials", type=_int, default=50)
     common(p_sweep)
 
     return parser

@@ -10,17 +10,20 @@ protocol's k-th measurement, take draw k, so the first k trials of an n-trial
 run equal a k-trial run.  A MeasurementRecord holds the results as columns,
 which csvtext.write_record writes.  States, pointers and Born distributions
 may carry leading batch axes: the Born weights, CDF inversion, Lüders update
-and repeated_outcomes then step every point of a batch at once.  A state is
+and repeated_outcomes then step every point of a batch at once, and the
+statistics (outcome_changes, outcome_frequencies, reading_variance,
+aggregate_sigma) reduce the last axis of a batch's outcomes.  A state is
 a DensityOperator or its array: a normalised Lüders projection of a state is
 one, so the update returns an array and checks nothing, and the repeats'
 evolution is evolve_exact's, checked as finite and Hermitian.
-invert_cdf, repeated_outcomes and reading_variance are the steps
-scenarios.measure_batch composes; measurement_trials (through draw_trials),
-repeatability_protocol and dispersion_experiment run them for one model.
+invert_cdf, repeated_outcomes and the statistics are the steps
+scenarios.measure_batch composes; measurement_trials, repeatability_protocol
+and dispersion_experiment run them for one model.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -157,10 +160,6 @@ class MeasurementRecord:
         reading.setflags(write=False)  # built here, so never copied
         return cls(system_index, trial, time, lam, reading)
 
-    def outcome_changes(self) -> int:
-        """Count of consecutive rows whose pointer group changed."""
-        return int(np.count_nonzero(self.lam[1:] != self.lam[:-1]))
-
     def write_csv(self, fh) -> None:
         """The rows as CSV to the text file fh (csvtext.write_record)."""
         write_record(fh, self.system_index, self.trial, self.time, self.lam, self.reading)
@@ -296,85 +295,63 @@ def repeatability_protocol(m: BipartiteModel, w_tau, pointer: PointerObservable,
     )
 
 
-def measurement_trials(
-    m: BipartiteModel,
-    prep: Preparation,
-    pointer: PointerObservable,
-    cal: Calibration,
-    tau: float,
-    n_trials: int,
-    seed: int,
-) -> MeasurementRecord:
-    """Independent prepare -> evolve(tau) -> measure runs, one row per trial."""
+def measurement_trials(m: BipartiteModel, prep: Preparation, pointer: PointerObservable,
+                       cal: Calibration, tau: float, n_trials: int, seed: int) -> MeasurementRecord:
+    """Independent prepare -> evolve(tau) -> measure runs, one row per trial:
+    trial k inverts the Born distribution at draw k of trial_rng(seed)."""
+    if n_trials < 1:
+        raise ValueError("need n_trials >= 1")
     w0 = prepare_initial(m, prep, pointer_basis=pointer.basis)
     w_tau = evolve_exact(m, w0, tau) if tau > 0 else w0
     p = outcome_distribution(w_tau, pointer, (m.d_system, m.d_apparatus))
-    return draw_trials(p, cal, prep.system_index, tau, trial_rng(seed).random(n_trials))
+    lam = invert_cdf(p, trial_rng(seed).random(n_trials))
+    return MeasurementRecord.from_outcomes(cal, prep.system_index, np.arange(n_trials), tau, lam)
 
 
-def draw_trials(
-    p: Sequence[float],
-    cal: Calibration,
-    system_index: Optional[int],
-    tau: float,
-    u: np.ndarray,
-) -> MeasurementRecord:
-    """One row per uniform draw at time tau: trial k inverts p at u[k]."""
-    if len(u) < 1:
-        raise ValueError("need n_trials >= 1")
-    trial, lam = np.arange(len(u)), invert_cdf(p, u)
-    for column in (trial, lam):
-        column.setflags(write=False)  # a record keeps them without a copy
-    return MeasurementRecord.from_outcomes(cal, system_index, trial, tau, lam)
+def dispersion_experiment(m: BipartiteModel, prep: Preparation, pointer: PointerObservable,
+                          cal: Calibration, tau: float, n_trials: int, seed: int) -> float:
+    """Population variance of readings over independent trials: zero for
+    non-demolition models with eigenbasis preparations (every trial hits the
+    same pointer state), strictly positive for generic violating models."""
+    record = measurement_trials(m, prep, pointer, cal, tau, n_trials, seed)
+    return float(reading_variance(record.reading))
 
 
-def dispersion_experiment(
-    m: BipartiteModel,
-    prep: Preparation,
-    pointer: PointerObservable,
-    cal: Calibration,
-    tau: float,
-    n_trials: int,
-    seed: int,
-) -> float:
-    """Population variance of readings over independent trials.
-
-    Zero for non-demolition models with eigenbasis preparations (every trial
-    hits the same pointer state); strictly positive for generic violating
-    models.
-    """
-    return reading_variance(
-        measurement_trials(m, prep, pointer, cal, tau, n_trials, seed)
-    )
+def outcome_changes(lam) -> np.ndarray:
+    """Count over the last axis of consecutive pointer groups that differ."""
+    lam = np.asarray(lam)
+    return np.count_nonzero(lam[..., 1:] != lam[..., :-1], axis=-1)
 
 
-def reading_variance(record: MeasurementRecord) -> float:
-    """Population variance of the readings; 0 for a single row (degenerate)."""
-    readings = record.reading
-    # exact zero: identical readings must not pick up summation residue
-    if len(readings) < 2 or np.all(readings == readings[0]):
-        return 0.0
-    return float(np.var(readings))
+def outcome_frequencies(lam, groups: int) -> np.ndarray:
+    """Observed frequency of each of groups pointer groups over the last axis,
+    (..., groups): one bincount of lam, each row offset by its own groups."""
+    lam = np.asarray(lam)
+    offsets = groups * np.arange(math.prod(lam.shape[:-1])).reshape(*lam.shape[:-1], 1)
+    counts = np.bincount((lam + offsets).ravel(), minlength=offsets.size * groups)
+    return counts.reshape(*lam.shape[:-1], groups) / lam.shape[-1]
 
 
-def aggregate_sigma(
-    cal: Calibration,
-    system_index: Optional[int],
-    distribution: Optional[Sequence[float]] = None,
-    record: Optional[MeasurementRecord] = None,
-) -> float:
-    """Weighted pointer mean sigma_i = sum_lam p_lam * c(i, lam).
+def reading_variance(readings) -> np.ndarray:
+    """Population variance over the last axis, exactly 0 where a row's readings
+    are all equal (a single reading included), so identical readings pick up
+    no summation residue.  Elsewhere it is np.var's, inf or nan without a
+    warning where the readings overflow it."""
+    readings = np.asarray(readings, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # rows the 0 rule drops too
+        var = np.var(readings, axis=-1)
+    return np.where((readings == readings[..., :1]).all(axis=-1), 0.0, var)
 
-    Analytic mode takes the Born distribution directly; empirical mode takes
-    observed frequencies from a measurement record.
-    """
-    if (distribution is None) == (record is None):
-        raise ValueError("pass exactly one of distribution or record")
-    if distribution is not None:
-        p = np.asarray(distribution, dtype=float)
-    else:
-        if not len(record.lam):
-            raise ValueError("empty record set")
-        p = np.bincount(record.lam, minlength=len(cal.pointer_values)) / len(record.lam)
-    # builtin sum, not a dot product: adds in lam order, so sigma keeps its rounding
-    return float(sum(p * cal.readings(system_index, np.arange(len(p)))))
+
+def aggregate_sigma(weights, values) -> np.ndarray:
+    """Weighted pointer mean sigma = sum_g weights_g * values_g over the last
+    axis: with Born weights p the analytic sigma, with observed frequencies
+    the empirical one.  The terms are added in group order, as the builtin
+    sum adds them, so sigma keeps its rounding; inf or nan without a warning
+    where the sum overflows."""
+    terms = np.asarray(weights, dtype=float) * values
+    sigma = np.zeros(terms.shape[:-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g in range(terms.shape[-1]):
+            sigma += terms[..., g]
+    return sigma

@@ -7,11 +7,11 @@ over all of them; Batch.of(s) is one scenario as a batch of one, and
 Batch.initial its w(0), prepared and validated once on first use.
 measure_batch is the one measurement pipeline, shared by the CLI measure
 command (run_measurements) and run_batch: w(0) evolved to w(tau) once, its
-Born distribution once, one draw stream per seed, one inversion for all the
-trials, the repeat protocol from w(tau), trial record, reading variance,
-weighted means.  run_batch adds the condition check and state constancy from
-the same w(0) and emits one result row per point; run_scenario is run_batch
-on one scenario.
+Born distribution once, one draw stream per seed, the repeat protocol from
+w(tau), one inversion for all the trials, then each statistic once over the
+batch's outcome arrays; it builds no record.  run_batch adds the condition
+check and state constancy from the same w(0) and emits one result row per
+point; run_scenario is run_batch on one scenario.
 interpolation_sweep is the one maker of multi-point batches: it runs the
 (eta, seed) grid of one dims as a few batches, and when one fails it reruns
 its points one at a time through the same builder to name the failing point.
@@ -50,11 +50,12 @@ from .model import (
 from .dynamics import evolve_exact, rhs_component_form, state_constancy_check
 from .measurement import (
     Calibration,
-    MeasurementRecord,
     PointerObservable,
     aggregate_sigma,
     invert_cdf,
+    outcome_changes,
     outcome_distribution,
+    outcome_frequencies,
     reading_variance,
     repeat_times,
     repeated_outcomes,
@@ -67,7 +68,7 @@ CONSTANCY_POINTS = 11  # the constancy grid: t = 0 and 10 times up to max(tau, 1
 BATCH_BYTES = 1 << 22
 ORACLE_TOL = 1e-7  # the largest disagreement oracle_check allows between two routes
 MAX_BYTES = int(np.iinfo(np.intp).max)  # the most bytes numpy can size one array to
-DRAW_BYTES, ROW_BYTES, ENTRY_BYTES = 8, 24, 16  # a draw, a record row, a matrix entry
+DRAW_BYTES, ROW_BYTES, ENTRY_BYTES = 8, 24, 16  # a draw or outcome, a record row, a matrix entry
 MAX_COUNT = MAX_BYTES // (DRAW_BYTES + ROW_BYTES)  # of repeats or trials: a draw and a row each
 MAX_DIM = math.isqrt(MAX_BYTES // ENTRY_BYTES)  # of a d x d matrix: 759250124
 
@@ -146,34 +147,43 @@ SWEEP_HEADER = [f.name for f in fields(SweepRow)]
 
 @dataclass(frozen=True)
 class MeasurementRun:
-    """Everything one scenario's measurements yield."""
+    """Everything a batch's measurements yield, with the batch's axes first:
+    the read-only pointer groups of each point's trials (*batch, n_trials) and
+    repeats (*batch, n_repeats), the repeat times (n_repeats,), and one
+    statistic per point (*batch)."""
 
-    repeats: MeasurementRecord
-    trials: MeasurementRecord
-    reading_variance: float
-    sigma_analytic: float
-    sigma_empirical: float
+    trial_lams: np.ndarray
+    repeat_lams: np.ndarray
+    repeat_times: np.ndarray
+    repeat_changes: np.ndarray
+    reading_variance: np.ndarray
+    sigma_analytic: np.ndarray
+    sigma_empirical: np.ndarray
 
 
 @dataclass(frozen=True)
 class Batch:
     """Scenarios that share dims, preparation, pointer eigenvalue groups and
-    schedule: model and pointer carry the batch axes, and the per-point fields
-    are tuples in the batch's C order.  Batch.of(s) has no batch axis."""
+    schedule: model and pointer carry the batch axes, and so do readings, the
+    calibrated reading of each pointer group at the prepared system index,
+    (*batch, groups); the other per-point fields are tuples in the batch's C
+    order.  Batch.of(s) has no batch axis."""
 
     names: tuple[str, ...]
     model: BipartiteModel
     pointer: PointerObservable
     preparation: Preparation
     schedule: Schedule
-    calibrations: tuple[Calibration, ...]
+    readings: np.ndarray
     seeds: tuple[int, ...]
     etas: tuple[Optional[float], ...]
 
     @classmethod
     def of(cls, s: Scenario) -> "Batch":
+        readings = s.calibration.readings(s.preparation.system_index,
+                                          np.arange(len(s.pointer.values)))
         return cls((s.name,), s.model, s.pointer, s.preparation, s.schedule,
-                   (s.calibration,), (s.seed,), (s.eta,))
+                   readings, (s.seed,), (s.eta,))
 
     @cached_property
     def initial(self) -> DensityOperator:
@@ -181,14 +191,16 @@ class Batch:
         return prepare_initial(self.model, self.preparation, pointer_basis=self.pointer.basis)
 
 
-def measure_batch(b: Batch) -> list[MeasurementRun]:
+def measure_batch(b: Batch) -> MeasurementRun:
     """One w(tau) and its Born p per point, each stage run once over the batch.
     Each distinct seed draws trial_rng(seed).random(max(n_repeats, n_trials))
     once, shared by its points: draw k is both repeat k's and trial k's.  The
     repeat protocol starts from w(tau); p feeds the repeats' first reading, the
     n_trials readings of every point, inverted in one call, and the analytic
-    weighted mean.  The batch's draws and outcomes go before the statistics."""
-    sched, m, i = b.schedule, b.model, b.preparation.system_index
+    weighted mean.  The draws go before the statistics, each taken once over
+    the last axis of the batch's outcomes; a statistic that is not finite
+    (readings that overflow it) fails the batch."""
+    sched, m = b.schedule, b.model
     times = repeat_times(sched.tau, sched.delta_tau, sched.n_repeats)
     w_tau = evolve_exact(m, b.initial, sched.tau)
     p = outcome_distribution(w_tau, b.pointer, (m.d_system, m.d_apparatus))
@@ -196,30 +208,28 @@ def measure_batch(b: Batch) -> list[MeasurementRun]:
     streams = {seed: trial_rng(seed).random(n_draws) for seed in dict.fromkeys(b.seeds)}
     u = np.stack([streams[seed] for seed in b.seeds]).reshape(*m.batch, n_draws)
     del streams
-    lam = invert_cdf(p, u[..., :sched.n_trials])
     repeat_lams = repeated_outcomes(m, w_tau, p, b.pointer, sched.delta_tau,
                                     u[..., :sched.n_repeats])
-    del u
-    trial = np.arange(sched.n_trials)
-    trial.setflags(write=False)  # one column, shared by every point's record
-    trials = [MeasurementRecord.from_outcomes(cal, i, trial, sched.tau, lam[point])
-              for point, cal in zip(np.ndindex(m.batch), b.calibrations, strict=True)]
-    del lam  # each record holds a copy of its row
-    return [
-        MeasurementRun(
-            repeats=MeasurementRecord.from_outcomes(cal, i, 0, times, repeat_lams[point]),
-            trials=record,
-            reading_variance=reading_variance(record),
-            sigma_analytic=aggregate_sigma(cal, i, distribution=p[point]),
-            sigma_empirical=aggregate_sigma(cal, i, record=record),
-        )
-        for point, cal, record in zip(np.ndindex(m.batch), b.calibrations, trials, strict=True)
-    ]
+    trial_lams = invert_cdf(p, u[..., :sched.n_trials])
+    del u, w_tau
+    stats = {
+        "reading_variance": reading_variance(
+            np.take_along_axis(b.readings, trial_lams, axis=-1)),
+        "sigma_analytic": aggregate_sigma(p, b.readings),
+        "sigma_empirical": aggregate_sigma(
+            outcome_frequencies(trial_lams, p.shape[-1]), b.readings),
+    }
+    for name, value in stats.items():
+        if not np.isfinite(value).all():
+            raise RuntimeError(f"{name} is not finite: the readings overflow it")
+    for lams in (trial_lams, repeat_lams):
+        lams.setflags(write=False)  # a record keeps them without a copy
+    return MeasurementRun(trial_lams, repeat_lams, times, outcome_changes(repeat_lams), **stats)
 
 
 def run_measurements(s: Scenario) -> MeasurementRun:
-    """measure_batch on one scenario."""
-    return measure_batch(Batch.of(s))[0]
+    """measure_batch on one scenario: every array without a batch axis."""
+    return measure_batch(Batch.of(s))
 
 
 def run_batch(b: Batch) -> list[SweepRow]:
@@ -230,7 +240,7 @@ def run_batch(b: Batch) -> list[SweepRow]:
         report = check_conditions(b.model)
         t_grid = np.linspace(0.0, max(b.schedule.tau, 1.0), CONSTANCY_POINTS)[1:]
         constancy = state_constancy_check(b.model, b.initial, t_grid)
-        runs = measure_batch(b)
+        run = measure_batch(b)
     except MemoryError:
         raise  # an input too large to allocate, not a failing point
     except Exception as exc:
@@ -239,22 +249,10 @@ def run_batch(b: Batch) -> list[SweepRow]:
         raise RuntimeError(
             f"scenarios {b.names[0]!r} to {b.names[-1]!r} failed as one batch: {exc}"
         ) from exc
-    columns = (np.reshape(a, -1).tolist()
-               for a in (report.eq4_defect, report.eq5_defect, constancy))
-    return [
-        SweepRow(
-            eta=eta,
-            seed=seed,
-            eq4_defect=eq4,
-            eq5_defect=eq5,
-            constancy_dev=dev,
-            repeat_changes=run.repeats.outcome_changes(),
-            reading_variance=run.reading_variance,
-            sigma_analytic=run.sigma_analytic,
-            sigma_empirical=run.sigma_empirical,
-        )
-        for eta, seed, eq4, eq5, dev, run in zip(b.etas, b.seeds, *columns, runs, strict=True)
-    ]
+    columns = (np.reshape(a, -1).tolist() for a in (
+        report.eq4_defect, report.eq5_defect, constancy, run.repeat_changes,
+        run.reading_variance, run.sigma_analytic, run.sigma_empirical))
+    return [SweepRow(*row) for row in zip(b.etas, b.seeds, *columns, strict=True)]
 
 
 def run_scenario(s: Scenario) -> SweepRow:
@@ -266,15 +264,19 @@ def _point_bytes(dims: tuple[int, int], schedule: Schedule) -> int:
     """Bytes a sweep point adds to its batch's peak, so that a batch of
     BATCH_BYTES // _point_bytes points stays within BATCH_BYTES: 16 joint
     matrices (model terms, H, its eigenvectors, states, and at the peak the
-    repeat protocol's propagator and collapse), its repeat and trial records
-    at 24 B per row, and 8 B per draw, all its points' draws being held at
-    once.  Under tracemalloc, full batches of 62 (4, 4) and 3 (8, 8) points
-    on the default eta grid peak at 3.53 and 2.75 MB (4.09 and 3.01 MB with
-    one eta per seed), a (2, 2) point at 32 B per trial."""
-    matrix = ENTRY_BYTES * math.prod(dims) ** 2
-    records = ROW_BYTES * (schedule.n_repeats + schedule.n_trials)
-    drawing = DRAW_BYTES * max(schedule.n_repeats, schedule.n_trials)
-    return 16 * matrix + records + drawing
+    repeat protocol's propagator and collapse), its seed's two drawn
+    couplings (one seed per point with one eta per seed), its pointer's
+    projectors (at most dM of dM x dM), 8 B for each of its draws, trial
+    outcomes, trial readings and repeat outcomes (np.var's temporary takes
+    the draws' place once they are inverted), and 512 B for its name and its
+    row's fields.  Under tracemalloc, full batches of 646 (2, 2) points with
+    one eta per seed and of 50 (4, 4) and 3 (8, 8) points on the default eta
+    grid peak at 3.46, 2.91 and 2.74 MB (3.53 and 3.01 MB for (4, 4) and
+    (8, 8) with one eta per seed), and a (2, 2) point costs 24 B per trial."""
+    d_s, d_m = dims
+    entries = 18 * (d_s * d_m) ** 2 + d_m ** 3
+    rows = max(schedule.n_repeats, schedule.n_trials) + 2 * schedule.n_trials + schedule.n_repeats
+    return ENTRY_BYTES * entries + DRAW_BYTES * rows + 512
 
 
 def _sweep_batch(dims, points, draws, basis, schedule) -> Batch:
@@ -293,7 +295,7 @@ def _sweep_batch(dims, points, draws, basis, schedule) -> Batch:
         pointer=pointer,
         preparation=Preparation.eigenbasis(0, 0),
         schedule=schedule,
-        calibrations=tuple(Calibration(values) for values in pointer.values),
+        readings=pointer.values,
         seeds=tuple(seed for _, seed, _ in points),
         etas=tuple(eta for eta, _, _ in points),
     )

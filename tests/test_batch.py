@@ -7,8 +7,9 @@ constancy_dev cells changed); the sweep must still write them byte for byte.  Ea
 run_scenario on the same scenario, field for field; a failure names the first
 point that fails alone; seeds whose pointers group their eigenvalues differently, or
 points that overflow one batch, run as separate batches, and a sweep whose
-points are large holds about one point at a time; the repeat protocol makes
-no collapse it does not use, and each seed draws one stream for all its points.
+points are large holds about one point at a time, and a full batch peaks
+within its byte budget; the repeat protocol makes no collapse it does not use,
+each seed draws one stream for all its points, and a sweep builds no record.
 """
 
 import tracemalloc
@@ -26,7 +27,12 @@ import qndsim.scenarios
 from qndsim.cli import main as cli_main
 from qndsim.linalg import DensityOperator, HermitianOperator, SpectralDecomposition, spectral
 from qndsim.linalg import tensor
-from qndsim.measurement import PointerObservable, collapse_after_outcome, invert_cdf
+from qndsim.measurement import (
+    MeasurementRecord,
+    PointerObservable,
+    collapse_after_outcome,
+    invert_cdf,
+)
 from qndsim.model import (
     BipartiteModel,
     ModelDraws,
@@ -36,6 +42,7 @@ from qndsim.model import (
     random_model,
 )
 from qndsim.scenarios import (
+    DEFAULT_ETA_GRID,
     Scenario,
     Schedule,
     _point_bytes,
@@ -161,7 +168,7 @@ def test_batches_split_to_bound_memory_give_the_same_rows(monkeypatch, points):
 
 
 def test_sweep_of_large_points_holds_about_one_point():
-    many_trials = Schedule(n_repeats=5, n_trials=150_000)
+    many_trials = Schedule(n_repeats=5, n_trials=200_000)
     assert _point_bytes((2, 2), many_trials) > qndsim.scenarios.BATCH_BYTES
 
     def peak(etas, seeds):
@@ -256,9 +263,9 @@ def test_batched_collapse_equals_joint_space_projection(dims, pointer_values):
 
 
 def test_trial_columns_are_held_once():
-    """A 100000-trial point holds its three record columns and one more 8-byte
-    column at a time (3.2 MB), not copies of them, with the rows it had when
-    each column was copied twice (5.6 MB)."""
+    """A 100000-trial point holds its draws, then in their place its trial
+    outcomes, trial readings and np.var's one temporary, 8 B per trial each
+    (2.4 MB), and builds no record; its two records' columns took it to 3.2 MB."""
     interpolation_sweep((2, 2), [0.5], [3], Schedule(n_trials=10))  # lazy set-up
     tracemalloc.start()
     try:
@@ -266,6 +273,34 @@ def test_trial_columns_are_held_once():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.0e6
+    assert peak <= 2.7e6
     assert astuple(row) == (0.5, 3, 0.6761154152012807, 0.592534712959256, 0.8910101351534024, 1,
                             1.6028594743738414, -1.8863701846256204, -1.8929619813579786)
+
+
+@pytest.mark.parametrize("dims, etas, n_seeds", [
+    ((2, 2), [0.5], 721),  # one eta per seed: every point draws its own model
+    ((4, 4), DEFAULT_ETA_GRID, None),
+    ((8, 8), DEFAULT_ETA_GRID, None),
+], ids=["2x2-one-eta-721-seeds", "4x4-full-batch", "8x8-full-batch"])
+def test_full_batches_stay_within_the_budget(dims, etas, n_seeds):
+    """A batch of BATCH_BYTES // _point_bytes points peaks within BATCH_BYTES;
+    None is as many seeds as one batch of the eta grid holds."""
+    per_batch = qndsim.scenarios.BATCH_BYTES // _point_bytes(dims, SMALL)
+    seeds = range(n_seeds or max(1, per_batch // len(etas)))
+    interpolation_sweep(dims, etas, seeds[:1], SMALL)  # lazy set-up
+    tracemalloc.start()
+    try:
+        interpolation_sweep(dims, etas, seeds, SMALL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= qndsim.scenarios.BATCH_BYTES
+
+
+def test_sweep_builds_no_record(monkeypatch):
+    def no_record(self):
+        raise AssertionError("a sweep point built a MeasurementRecord")
+
+    monkeypatch.setattr(MeasurementRecord, "__post_init__", no_record)
+    assert len(interpolation_sweep((2, 2), [0.0, 1.0], range(3), SMALL)) == 6

@@ -452,6 +452,24 @@ def test_overflowing_time_is_a_computed_failure(argv, tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("table, code", [
+    ([[1e308, -1e308], [1e308, -1e308]], 1),  # the variance's sums overflow
+    ([[1e308, 1e308], [1e308, 1e308]], 0),  # all readings equal: variance exactly 0
+], ids=["opposite-huge", "equal-huge"])
+def test_overflowing_statistic_is_a_computed_failure(table, code, tmp_path, capsys):
+    # A RuntimeWarning fails the test, so neither case may raise one.
+    doc = json.loads(Path(VIOLATING).read_text(encoding="utf-8"))
+    doc["calibration"] = {"table": table}
+    path = tmp_path / "huge-readings.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["measure", str(path), "--trials", "50"]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err == "error: reading_variance is not finite: the readings overflow it\n"
+    else:
+        assert "reading_variance = 0\n" in out and err == ""
+
+
 @pytest.mark.parametrize("mode", [[], ["--stepped"]], ids=["exact", "--stepped"])
 def test_trajectory_beyond_memory_is_input_error(mode, monkeypatch, capsys):
     def no_memory(*args, **kwargs):
@@ -550,6 +568,16 @@ OVERSIZED_VALUES = {
     "tau-string": ("tau", lambda d: d["schedule"].update(tau="1" * 300_000)),
     "seeds-option": ("--seeds", ["sweep", "--seeds", "0:1:" + "2" * 4000]),
     "eta-grid-option": ("--eta-grid", ["sweep", "--eta-grid", "x" * 300_000]),
+    # every typed option, which argparse converts and refuses itself
+    "t-end-option": ("--t-end", ["evolve", QND, "--t-end", "x" * 300_000]),
+    "dt-option": ("--dt", ["evolve", QND, "--dt", "x" * 300_000]),
+    "measure-repeats-option": ("--repeats", ["measure", QND, "--repeats", "9" * 100_000]),
+    "measure-trials-option": ("--trials", ["measure", QND, "--trials", "9" * 100_000]),
+    "seed-option": ("--seed", ["measure", QND, "--seed", "z" * 50_000]),
+    "sweep-tau-option": ("--tau", ["sweep", "--tau", "x" * 300_000]),
+    "sweep-delta-tau-option": ("--delta-tau", ["sweep", "--delta-tau", "x" * 300_000]),
+    "sweep-repeats-option": ("--repeats", ["sweep", "--repeats", "9" * 100_000]),
+    "sweep-trials-option": ("--trials", ["sweep", "--trials", "9" * 100_000]),
 }
 
 
@@ -557,11 +585,16 @@ OVERSIZED_VALUES = {
 def test_oversized_value_makes_a_short_error_line(field, value, tmp_path, capsys):
     path = "" if isinstance(value, list) else _bad_file(tmp_path, value)
     argv = ["check", path] if path else value
-    assert main(argv + ["--quiet"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}") and err.count("\n") == 1, err[:400]
-    assert f" {field}" in err, err[:400]
-    assert len(err.encode()) <= 300 + len(path.encode()), err[:400]
+    try:
+        code, head = main(argv + ["--quiet"]), f"error: {path}"
+    except SystemExit as exc:  # argparse refused a typed option, after its usage lines
+        code, head = exc.code, f"qndsim {argv[0]}: error: argument"
+    assert code == 2
+    *usage, line = capsys.readouterr().err.splitlines()
+    assert all(u.startswith(("usage: ", " ")) for u in usage) and len(usage) <= 4, usage[:4]
+    assert bool(usage) == head.startswith("qndsim") and line.startswith(head), line[:400]
+    assert f" {field}" in line, line[:400]
+    assert len(line.encode()) <= 300 + len(path.encode()), line[:400]
 
 
 def test_seed_beyond_128_bits_runs(tmp_path, capsys):

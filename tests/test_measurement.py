@@ -17,10 +17,11 @@ from qndsim.measurement import (
     aggregate_sigma,
     collapse_after_outcome,
     dispersion_experiment,
-    draw_trials,
     invert_cdf,
     measurement_trials,
+    outcome_changes,
     outcome_distribution,
+    outcome_frequencies,
     reading_variance,
     repeat_times,
     repeatability_protocol,
@@ -47,6 +48,12 @@ def run_protocol(m, prep, ptr, cal, tau, delta_tau, n_repeats, seed):
     return repeatability_protocol(
         m, w_tau, ptr, cal, prep.system_index, tau, delta_tau, n_repeats, seed
     )
+
+
+def trial_record(p, cal, system_index, tau, u):
+    """One record row per uniform draw at time tau: trial k inverts p at u[k]."""
+    return MeasurementRecord.from_outcomes(cal, system_index, np.arange(len(u)), tau,
+                                           invert_cdf(p, u))
 
 
 def pointer_state(lam):
@@ -175,7 +182,7 @@ class TestRepeatability:
             rec = run_protocol(
                 m, Preparation.eigenbasis(0, 0), ptr, cal, 1.0, 0.5, 5, seed
             )
-            assert rec.outcome_changes() == 0
+            assert outcome_changes(rec.lam) == 0
             assert len(rec.lam) == 5
 
     def test_diagonal_model_trivially_repeats(self):
@@ -192,7 +199,7 @@ class TestRepeatability:
         rec = run_protocol(
             m, Preparation.eigenbasis(0, 0), ptr, cal, 1.0, 0.5, 4, 0
         )
-        assert rec.outcome_changes() == 0
+        assert outcome_changes(rec.lam) == 0
 
     def test_violating_models_sometimes_flip(self):
         flips = 0
@@ -203,7 +210,7 @@ class TestRepeatability:
             rec = run_protocol(
                 m, Preparation.eigenbasis(0, 0), ptr, cal, 1.0, 0.5, 5, seed
             )
-            flips += rec.outcome_changes()
+            flips += outcome_changes(rec.lam)
         assert flips > 0
 
     def test_rejects_degenerate_protocol(self):
@@ -218,41 +225,30 @@ class TestRepeatability:
 
 class TestAggregateSigma:
     def test_symmetric_cancellation(self):
-        cal = Calibration(pointer_values=[1.0, -1.0])
-        sigma = aggregate_sigma(cal, 0, distribution=[0.5, 0.5])
-        assert isinstance(sigma, float) and sigma == pytest.approx(0.0)
+        sigma = aggregate_sigma([0.5, 0.5], [1.0, -1.0])
+        assert sigma.shape == () and sigma == pytest.approx(0.0)
 
     def test_deterministic_pointer(self):
-        cal = Calibration(pointer_values=[2.5, -3.0])
-        assert aggregate_sigma(cal, None, distribution=[1.0, 0.0]) == pytest.approx(2.5)
+        assert aggregate_sigma([1.0, 0.0], [2.5, -3.0]) == pytest.approx(2.5)
 
     def test_linearity_in_calibration(self):
         p = [0.3, 0.7]
-        c1 = Calibration(pointer_values=[2.0, -1.0])
-        c2 = Calibration(pointer_values=[4.0, -2.0])
-        s1 = aggregate_sigma(c1, None, distribution=p)
-        s2 = aggregate_sigma(c2, None, distribution=p)
+        s1 = aggregate_sigma(p, [2.0, -1.0])
+        s2 = aggregate_sigma(p, [4.0, -2.0])
         assert s2 == pytest.approx(2 * s1)
 
     def test_empirical_matches_analytic(self):
         p = np.array([0.3, 0.7])
-        cal = Calibration(pointer_values=[2.0, -1.0])
-        analytic = aggregate_sigma(cal, None, distribution=p)
+        values = np.array([2.0, -1.0])
+        analytic = aggregate_sigma(p, values)
         assert analytic == pytest.approx(-0.1)
         rng = np.random.default_rng(77)
         n = 10**5
         lam = invert_cdf(p, rng.random(n))
-        rec = MeasurementRecord.from_outcomes(cal, None, np.arange(n), 1.0, lam)
-        empirical = aggregate_sigma(cal, None, record=rec)
-        assert isinstance(empirical, float)
-        pop_std = np.sqrt(p @ np.array([2.0, -1.0]) ** 2 - analytic**2)
+        empirical = aggregate_sigma(outcome_frequencies(lam, 2), values)
+        assert empirical.shape == ()
+        pop_std = np.sqrt(p @ values ** 2 - analytic**2)
         assert abs(empirical - analytic) <= 3 * pop_std / np.sqrt(n)
-
-    def test_empty_record_rejected(self):
-        cal = Calibration(pointer_values=[1.0, -1.0])
-        empty = MeasurementRecord.from_outcomes(cal, None, [], [], [])
-        with pytest.raises(ValueError):
-            aggregate_sigma(cal, None, record=empty)
 
 
 class TestDispersion:
@@ -303,7 +299,7 @@ class TestDispersion:
         cal = Calibration.from_pointer(ptr)
         args = (m, Preparation.eigenbasis(1, 0), ptr, cal, 1.0, 200, 9)
         assert dispersion_experiment(*args) == reading_variance(
-            measurement_trials(*args)
+            measurement_trials(*args).reading
         )
 
     def test_trial_seeds_are_order_independent(self):
@@ -316,9 +312,9 @@ class TestDrawTrials:
     def test_first_trials_equal_a_shorter_run(self):
         p = np.array([0.2, 0.0, 0.5, 0.3])
         cal = Calibration(pointer_values=[1.0, 2.0, 3.0, 4.0])
-        long = draw_trials(p, cal, None, 1.0, trial_rng(11).random(1000))
+        long = trial_record(p, cal, None, 1.0, trial_rng(11).random(1000))
         for k in (1, 7, 999):
-            short = draw_trials(p, cal, None, 1.0, trial_rng(11).random(k))
+            short = trial_record(p, cal, None, 1.0, trial_rng(11).random(k))
             assert np.array_equal(long.lam[:k], short.lam)
             assert np.array_equal(long.reading[:k], short.reading)
 
@@ -326,7 +322,7 @@ class TestDrawTrials:
         p = np.array([0.5, 0.3, 0.0, 0.15, 0.05])
         cal = Calibration(pointer_values=np.arange(5.0))
         n = 10**5
-        counts = np.bincount(draw_trials(p, cal, None, 1.0, trial_rng(2024).random(n)).lam, minlength=5)
+        counts = np.bincount(trial_record(p, cal, None, 1.0, trial_rng(2024).random(n)).lam, minlength=5)
         assert counts[2] == 0
         live = p > 0
         chi2 = float(np.sum((counts[live] - n * p[live]) ** 2 / (n * p[live])))
@@ -364,7 +360,7 @@ class TestRecordCsv:
         assert lines[2].startswith("1,1,,0,")
 
     def test_trial_record_holds_one_time(self):
-        rec = draw_trials([0.5, 0.5], Calibration([1.0, -1.0]), 1, 0.25, trial_rng(5).random(100))
+        rec = trial_record([0.5, 0.5], Calibration([1.0, -1.0]), 1, 0.25, trial_rng(5).random(100))
         assert rec.system_index == 1
         assert rec.time.shape == () and rec.time == 0.25
         for column in (rec.trial, rec.time, rec.lam, rec.reading):
@@ -391,7 +387,7 @@ class TestRecordCsv:
             rec = MeasurementRecord.from_outcomes(cal, system_index, 0, times, invert_cdf(p, u))
             trials = [0] * len(u)
         else:  # one time, tau, and a trial per row
-            rec = draw_trials(p, cal, system_index, tau, u)
+            rec = trial_record(p, cal, system_index, tau, u)
             times, trials = [tau] * len(u), range(len(u))
         want = io.StringIO()
         writer = csv.writer(want, lineterminator="\n")
@@ -411,7 +407,7 @@ def test_record_writer_memory_is_flat(tmp_path):
     # The benchmark's Born distribution over 200000 trials.  The writer keys,
     # lays out and writes a block of rows at a time, so its peak is one
     # block's temporaries, about 100 B a row, not the file's 3.1 MB.
-    rec = draw_trials([0.876, 0.124], Calibration([-1.0, 1.0]), 0, 1.0,
+    rec = trial_record([0.876, 0.124], Calibration([-1.0, 1.0]), 0, 1.0,
                       trial_rng(1).random(200_000))
     path = tmp_path / "records.csv"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -3,7 +3,8 @@ bytes as building them afresh and are computed once; a trajectory table
 writes the bytes of one "%.17g" per cell; a stacked trajectory and
 its block-wise validation agree bitwise with the one-state routes; sampling
 never picks an outcome of zero weight, and the vectorised CDF inversion picks
-what the one-draw loop picks; a record writes the bytes of one format call per
+what the one-draw loop picks; the batch statistics equal their row-by-row
+counterparts bit for bit; a record writes the bytes of one format call per
 row; Born weights keep their invariants, and so do the states nothing checks
 in full (evolved, exact-trajectory, collapsed, and every state of the repeat
 protocol on a batch); the
@@ -42,10 +43,13 @@ from qndsim.measurement import (
     Calibration,
     MeasurementRecord,
     PointerObservable,
+    aggregate_sigma,
     collapse_after_outcome,
-    draw_trials,
     invert_cdf,
+    outcome_changes,
     outcome_distribution,
+    outcome_frequencies,
+    reading_variance,
     repeated_outcomes,
     sample_outcome,
     trial_rng,
@@ -299,11 +303,63 @@ def test_first_trials_do_not_depend_on_trial_count(weights, n, k, seed):
     p = np.array(weights) / sum(weights)
     cal = Calibration(pointer_values=np.arange(len(p), dtype=float))
     k = min(k, n - 1) + 1
-    long, short = (draw_trials(p, cal, 0, 1.0, trial_rng(seed).random(count)) for count in (n, k))
+    long, short = (MeasurementRecord.from_outcomes(cal, 0, np.arange(count), 1.0,
+                                                   invert_cdf(p, trial_rng(seed).random(count)))
+                   for count in (n, k))
     assert long.system_index == short.system_index == 0
     for name in ("trial", "lam", "reading"):
         assert np.array_equal(getattr(long, name)[:k], getattr(short, name))
     assert long.time == short.time == 1.0
+
+
+# Readings whose squares stay finite: signed zeros, a subnormal, a value
+# that needs 17 digits, and values drawn often enough to fill a row.
+STAT_FLOATS = (st.sampled_from([0.0, -0.0, 5e-324, 1.0, -1.0, 0.1 + 0.2, 1e150, -1e150])
+               | st.floats(-1e6, 1e6))
+
+
+@st.composite
+def outcome_batches(draw):
+    """lam, a (batch, n) array of pointer groups, some rows all one group; and
+    values, a (batch, groups) array of readings, some rows all one reading."""
+    batch, n = draw(st.integers(1, 5)), draw(st.sampled_from([1, 2, 3]) | st.integers(1, 60))
+    groups = draw(st.sampled_from([1, 2, 9, 12]) | st.integers(1, 16))
+    lam = np.array([draw(st.lists(st.integers(0, groups - 1), min_size=n, max_size=n)
+                         | st.integers(0, groups - 1).map(lambda g: [g] * n))
+                    for _ in range(batch)], dtype=np.intp)
+    values = np.array([draw(st.lists(STAT_FLOATS, min_size=groups, max_size=groups)
+                            | STAT_FLOATS.map(lambda v: [v] * groups))
+                       for _ in range(batch)])
+    return lam, values
+
+
+@settings(max_examples=100, deadline=None)
+@given(outcome_batches(), st.data())
+def test_batch_statistics_equal_their_rows_bit_for_bit(outcomes, data):
+    lam, values = outcomes
+    groups = values.shape[-1]
+    readings = np.take_along_axis(values, lam, axis=-1)
+    weights = np.array([data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0, 1),
+                                           min_size=groups, max_size=groups))
+                        for _ in range(len(lam))])
+    frequencies = outcome_frequencies(lam, groups)
+    rows = {
+        "reading_variance": [0.0 if np.all(r == r[0]) else float(np.var(r)) for r in readings],
+        "outcome_frequencies": [np.bincount(r, minlength=groups) / len(r) for r in lam],
+        "outcome_changes": [int(np.count_nonzero(r[1:] != r[:-1])) for r in lam],
+        "analytic": [float(sum(w * v)) for w, v in zip(weights, values)],
+        "empirical": [float(sum(f * v)) for f, v in zip(frequencies, values)],
+    }
+    got = {
+        "reading_variance": reading_variance(readings),
+        "outcome_frequencies": frequencies,
+        "outcome_changes": outcome_changes(lam),
+        "analytic": aggregate_sigma(weights, values),
+        "empirical": aggregate_sigma(frequencies, values),
+    }
+    for name, want in rows.items():
+        want = np.array(want, dtype=got[name].dtype)
+        assert got[name].shape == want.shape and got[name].tobytes() == want.tobytes(), name
 
 
 # Signed zeros, a subnormal, a huge value and a value that needs 17 digits,
@@ -578,8 +634,8 @@ def test_qnd_models_read_sharply(d_s, d_m, model_seed, seed, n_repeats, n_trials
     schedule = Schedule(n_repeats=n_repeats, n_trials=n_trials)
     run = run_measurements(Scenario.build("qnd", m, prep, schedule, seed=seed))
     assert run.reading_variance == 0.0
-    assert run.repeats.outcome_changes() == 0
-    assert run.trials.outcome_changes() == 0
+    assert run.repeat_changes == 0
+    assert outcome_changes(run.trial_lams) == 0
 
 
 def hermitian(d, seed):

@@ -16,6 +16,7 @@ csvtext writes the trajectory and record files, scenarios the sweep table.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -186,7 +187,11 @@ def _typed(convert):
 _int, _float = _typed(int), _typed(float)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.  It holds only
+    options and plain-value defaults, and each parse_args returns a fresh
+    Namespace, so no call's options reach the next."""
     parser = argparse.ArgumentParser(
         prog="qndsim",
         description="Bipartite system-apparatus measurement simulator",
@@ -247,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # Built per call: no parser or namespace outlives main holding a command.
+    # Built per call, unlike the parser: no object that outlives main holds a command.
     commands = {"check": cmd_check, "evolve": cmd_evolve,
                 "measure": cmd_measure, "sweep": cmd_sweep}
     try:

@@ -14,8 +14,9 @@ and repeated_outcomes then step every point of a batch at once, and the
 statistics (outcome_changes, outcome_frequencies, reading_variance,
 aggregate_sigma) reduce the last axis of a batch's outcomes.  A state is
 a DensityOperator or its array: a normalised Lüders projection of a state is
-one, so the update returns an array and checks nothing, and the repeats'
-evolution is evolve_exact's, checked as finite and Hermitian.
+one, so the update returns an array and checks nothing, and the repeats
+evolve by one U(delta_tau) per batch, each state checked as finite and
+Hermitian as evolve_exact checks it.
 invert_cdf, repeated_outcomes and the statistics are the steps
 scenarios.measure_batch composes; measurement_trials, repeatability_protocol
 and dispersion_experiment run them for one model.
@@ -36,6 +37,7 @@ from .linalg import (
     HermitianOperator,
     InvariantViolationError,
     SpectralDecomposition,
+    check_operators,
     degenerate_groups,
     joint_axes,
     read_only,
@@ -248,13 +250,18 @@ def repeated_outcomes(m: BipartiteModel, w_tau, p_tau, pointer: PointerObservabl
     u[..., k] and collapses the state, which then evolves by delta_tau to the
     next one.  The first measures w_tau, whose distribution p_tau is given;
     the state after the last measurement is never needed, so it is not formed.
-    Each step is evolve_exact(m, w, delta_tau), so U(delta_tau) is the same
-    bits each time and every evolved state is checked as finite there."""
+    U = U(delta_tau) and its adjoint are formed once, and each step is
+    evolve_exact's U w U^dag with its check, so every evolved state has the
+    same bits as evolve_exact(m, w, delta_tau) and is checked as finite and
+    Hermitian."""
     dims = (m.d_system, m.d_apparatus)
     w, p, lams = w_tau, p_tau, []
+    step = m.spectrum.unitary(delta_tau)
+    step_adj = step.conj().swapaxes(-1, -2)
     for k in range(u.shape[-1]):
         if k:
-            w = evolve_exact(m, w, delta_tau)
+            w = step @ w @ step_adj
+            check_operators(w, "state")
             p = outcome_distribution(w, pointer, dims)
         lams.append(invert_cdf(p, u[..., k]))
         if k + 1 < u.shape[-1]:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import gc
 import json
@@ -440,6 +441,12 @@ OVERFLOWING_TIMES = {
     "sweep-tau": lambda tmp_path: ["sweep", "--tau", "1.7e308", "--seeds", "0:1"],
     "measure-file-delta-tau": lambda tmp_path: [
         "measure", _bad_file(tmp_path, lambda d: d["schedule"].update(delta_tau=1e308))],
+    # finite repeat times, but E delta_tau overflows in the repeats' propagator
+    "measure-file-repeat-propagator": lambda tmp_path: [
+        "measure", _bad_file(tmp_path, lambda d: d["schedule"].update(
+            {"delta_tau": 1e308, "n_repeats": 2}))],
+    "sweep-repeat-propagator": lambda tmp_path: [
+        "sweep", "--delta-tau", "1e308", "--repeats", "2", "--seeds", "0:2"],
     "evolve-exact": lambda tmp_path: ["evolve", QND, "--t-end", "1e308", "--dt", "1e308"],
 }
 
@@ -631,6 +638,61 @@ def test_dispatch_leaves_no_reference_to_commands():
     finally:
         gc.enable()
     assert referrers == [vars(cli)]
+
+
+def test_second_call_builds_no_parser(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    assert main(["check", QND, "--quiet"]) == 0
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["check", VIOLATING, "--quiet"]) == 1
+    assert built == []
+
+
+# Each call leaves out options that the call before it sets, so a parser or
+# namespace that kept one call's values would change the next call's output.
+SEQUENCE = [
+    ["check", QND, "--quiet"],
+    ["check", VIOLATING],
+    ["evolve", VIOLATING, "--stepped", "--t-end", "0.5", "--dt", "0.05", "--out", "{}/a.csv"],
+    ["evolve", VIOLATING, "--t-end", "0.2", "--out", "{}/b.csv"],
+    ["measure", VIOLATING, "--seed", "3", "--trials", "300", "--repeats", "7",
+     "--out", "{}/c.csv", "--repeat-out", "{}/d.csv"],
+    ["measure", VIOLATING, "--trials", "x"],  # a usage error between two runs
+    ["measure", VIOLATING, "--out", "{}/e.csv"],
+    ["sweep", "--dims", "3,3", "--tau", "2", "--seeds", "0:2", "--out", "{}/f.csv", "--quiet"],
+    ["sweep"],
+]
+
+
+def _run(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr()
+
+
+def test_a_sequence_of_calls_equals_each_call_alone(tmp_path, capsys):
+    together, alone = tmp_path / "together", tmp_path / "alone"
+    together.mkdir()
+    alone.mkdir()
+    got = [_run([a.format(together) for a in argv], capsys) for argv in SEQUENCE]
+    want = []
+    for argv in SEQUENCE:
+        cli.build_parser.cache_clear()  # the parser of a fresh process
+        want.append(_run([a.format(alone) for a in argv], capsys))
+    assert got == want
+    assert [code for code, _ in got] == [0, 1, 0, 0, 0, 2, 0, 0, 0]
+    files = sorted(p.name for p in alone.iterdir())
+    assert files == sorted(p.name for p in together.iterdir()) == [f"{c}.csv" for c in "abcdef"]
+    for name in files:
+        assert (together / name).read_bytes() == (alone / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("scenario", BUNDLED, ids=[p.stem for p in BUNDLED])

@@ -7,12 +7,14 @@ what the one-draw loop picks; the batch statistics equal their row-by-row
 counterparts bit for bit; a record writes the bytes of one format call per
 row; Born weights keep their invariants, and so do the states nothing checks
 in full (evolved, exact-trajectory, collapsed, and every state of the repeat
-protocol on a batch); the
+protocol on a batch); the repeat protocol's one propagator per batch gives
+the bits of an evolve_exact per step; the
 apparatus-factor Born/Lüders kernel agrees with explicit index loops and kron
 projectors on degenerate pointers; the Cholesky accept test decides positivity
 as eigvalsh does; non-demolition models read sharply; scenario documents
 round-trip."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -24,6 +26,7 @@ import qndsim.dynamics
 import qndsim.linalg
 import qndsim.measurement
 import qndsim.model
+import qndsim.scenarios
 from qndsim import csvtext
 from qndsim.dynamics import evolve_exact, exact_trajectory, rhs_component_form
 from qndsim.linalg import (
@@ -62,7 +65,15 @@ from qndsim.model import (
     total_hamiltonian,
 )
 from qndsim.scenario_io import parse_scenario, render_scenario
-from qndsim.scenarios import Scenario, Schedule, _born_index_loops, run_measurements
+from qndsim.scenarios import (
+    Batch,
+    MeasurementRun,
+    Scenario,
+    Schedule,
+    _born_index_loops,
+    measure_batch,
+    run_measurements,
+)
 
 SETTINGS = settings(max_examples=25, deadline=None)
 # V diag(E) V^dag rebuilds H within this, relative to max(1, ||H||_F).
@@ -517,20 +528,89 @@ def test_repeated_outcomes_states_keep_invariants(dims, seeds, eta, delta_tau, n
     pointer = PointerObservable.from_operator(batch.h_apparatus)
     w_tau = evolve_exact(batch, prepare_initial(batch, Preparation.eigenbasis(0, 0)), 1.0)
     p = outcome_distribution(w_tau, pointer, dims)
-    seen = []  # the state argument of each step's call
+    seen = []  # each step's measured, collapsed and evolved state
 
-    def recording(f, at):
-        return lambda *args: seen.append(args[at]) or f(*args)
+    def measured(w, *args):
+        seen.append(w)
+        collapsed = collapse(w, *args)
+        seen.append(collapsed)
+        return collapsed
 
+    def evolved(w, *args):
+        seen.append(w)
+        return born(w, *args)
+
+    collapse = qndsim.measurement.collapse_after_outcome
+    born = qndsim.measurement.outcome_distribution
     with pytest.MonkeyPatch.context() as mp:
-        for name, at in (("evolve_exact", 1), ("outcome_distribution", 0),
-                         ("collapse_after_outcome", 0)):
-            mp.setattr(qndsim.measurement, name, recording(getattr(qndsim.measurement, name), at))
+        mp.setattr(qndsim.measurement, "collapse_after_outcome", measured)
+        mp.setattr(qndsim.measurement, "outcome_distribution", evolved)
         repeated_outcomes(batch, w_tau, p, pointer, delta_tau,
                           trial_rng(seed).random((len(seeds), n)))
     assert len(seen) == 3 * (n - 1)
     for w in np.concatenate(seen):
         assert_state(w)
+
+
+def repeated_outcomes_per_step(m, w_tau, p_tau, pointer, delta_tau, u, evolved):
+    """The repeat protocol with each step through evolve_exact, which forms
+    U(delta_tau) again on every call; appends each evolved state to evolved."""
+    dims = (m.d_system, m.d_apparatus)
+    w, p, lams = w_tau, p_tau, []
+    for k in range(u.shape[-1]):
+        if k:
+            w = evolve_exact(m, w, delta_tau)
+            evolved.append(w)
+            p = outcome_distribution(w, pointer, dims)
+        lams.append(invert_cdf(p, u[..., k]))
+        if k + 1 < u.shape[-1]:
+            w = collapse_after_outcome(w, pointer, lams[-1], dims)
+    return np.stack(lams, axis=-1)
+
+
+@SETTINGS
+@given(st.integers(2, 3), st.integers(2, 3), st.sampled_from(["qnd", "violating", "interpolated"]),
+       st.floats(0.0, 1.0), st.lists(st.integers(0, 2**16), min_size=1, max_size=4),
+       st.booleans(), st.floats(0.1, 3.0), st.floats(0.1, 5.0), st.integers(2, 6),
+       st.integers(1, 40))
+def test_repeated_outcomes_equal_per_step_evolution_bitwise(
+        d_s, d_m, family, eta, seeds, stacked, tau, delta_tau, n_repeats, n_trials):
+    """One U(delta_tau) per batch gives the bits of an evolve_exact per step:
+    the same evolved states, outcomes and MeasurementRun fields, on one point
+    and on a stacked batch, with the draws of trial_rng(seed)."""
+    eta = eta if family == "interpolated" else None
+    models = [random_model((d_s, d_m), family, s, eta=eta) for s in seeds]
+    if stacked:
+        m = BipartiteModel(d_s, d_m, *(
+            HermitianOperator(np.stack([getattr(x, name).matrix for x in models]))
+            for name in ("h_system", "h_apparatus", "h_coupling")))
+    else:
+        m, seeds = models[0], seeds[:1]
+    pointer = PointerObservable.from_operator(m.h_apparatus)
+    batch = Batch(tuple(map(str, seeds)), m, pointer, Preparation.eigenbasis(0, 0),
+                  Schedule(tau, delta_tau, n_repeats, n_trials), pointer.values,
+                  tuple(seeds), (eta,) * len(seeds))
+    got_states, want_states = [], []
+
+    def recording(w, *args):
+        got_states.append(w)
+        return born(w, *args)
+
+    born = qndsim.measurement.outcome_distribution
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qndsim.measurement, "outcome_distribution", recording)
+        got = measure_batch(batch)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qndsim.scenarios, "repeated_outcomes",
+                   lambda *args: repeated_outcomes_per_step(*args, want_states))
+        want = measure_batch(batch)
+    assert len(got_states) == len(want_states) == n_repeats - 1
+    for a, b in zip(got_states, want_states, strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    for f in dataclasses.fields(MeasurementRun):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+    assert got.repeat_lams.shape == (*m.batch, n_repeats)
 
 
 def random_unitary(d, seed):

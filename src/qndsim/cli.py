@@ -5,9 +5,10 @@ subcommands: 0 success / conditions hold, 1 computed negative result or
 runtime failure, 2 input error.  Commands raise; main alone maps a failure
 to its exit code and prints it as one ``error:`` line to stderr (an unknown
 option, or a typed option's bad value quoted cut short, gets argparse's usage
-message), so no input ends in a traceback.  The measure command and the sweep
-both run scenarios.measure_batch, on one scenario or on batches of sweep
-points; measure alone makes records of its outcomes.  All output files are
+message), so no input ends in a traceback.  A scenario file loads as a
+one-point Scenario: evolve starts from its w(0), Scenario.initial, and
+measure runs scenarios.measure_batch on it, as the sweep does on its batches
+of points; measure alone makes records of its outcomes.  All output files are
 UTF-8 with LF line endings; floats use the dot decimal separator at full
 precision, so repeated runs with identical inputs produce identical bytes.
 csvtext writes the trajectory and record files, scenarios the sweep table.
@@ -27,14 +28,14 @@ import numpy as np
 from .csvtext import write_trajectory
 from .linalg import InvariantViolationError
 from .measurement import MeasurementRecord
-from .model import check_conditions, prepare_initial, shown
+from .model import check_conditions, shown
 from .dynamics import evolve_stepped, exact_trajectory
 from .scenarios import (
     DEFAULT_ETA_GRID,
     MAX_DIM,
     Schedule,
     interpolation_sweep,
-    run_measurements,
+    measure_batch,
     write_sweep_csv,
 )
 from .scenario_io import load_scenario_file
@@ -67,7 +68,7 @@ def cmd_evolve(args) -> int:
         raise ValueError("t-end must span at least one step of dt")
     if n * args.t_end == math.inf:  # the grid's times are k * t-end / n
         raise ValueError("t-end times its step count overflows")
-    w0 = prepare_initial(s.model, s.preparation, pointer_basis=s.pointer.basis)
+    w0 = s.initial
     if args.stepped and n > 0:
         traj = evolve_stepped(s.model, w0, args.t_end, args.dt)
     else:
@@ -85,7 +86,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_measure(args) -> int:
     s = load_scenario_file(args.scenario)
-    seed = s.seed if args.seed is None else args.seed
+    seed = s.seeds[0] if args.seed is None else args.seed
     if seed < 0:
         raise ValueError("seed must be non-negative")
     sched = replace(
@@ -93,7 +94,7 @@ def cmd_measure(args) -> int:
         n_repeats=s.schedule.n_repeats if args.repeats is None else args.repeats,
         n_trials=s.schedule.n_trials if args.trials is None else args.trials,
     )
-    run = run_measurements(replace(s, schedule=sched, seed=seed))
+    run = measure_batch(replace(s, schedule=sched, seeds=(seed,)))
     i = s.preparation.system_index
     for path, trial, time, lam in [
         (args.out, np.arange(sched.n_trials), sched.tau, run.trial_lams),

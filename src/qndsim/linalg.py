@@ -289,10 +289,12 @@ def spectral(h) -> SpectralDecomposition:
     stack, ascending eigenvalues.
 
     Degenerate subspaces get a deterministic orthonormal basis so that
-    pointer bases are reproducible across runs.
+    pointer bases are reproducible across runs.  Only a raw array is
+    checked: an operator wrapper was checked when it was built.
     """
     m = as_operators(h)
-    check_operators(m, "spectral input")
+    if not isinstance(h, (HermitianOperator, DensityOperator)):
+        check_operators(m, "spectral input")
     w, v = np.linalg.eigh(m)
     return SpectralDecomposition(w, _deterministic_basis(w, v))
 

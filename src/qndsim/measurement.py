@@ -12,7 +12,8 @@ which csvtext.write_record writes.  States, pointers and Born distributions
 may carry leading batch axes: the Born weights, CDF inversion, Lüders update
 and repeated_outcomes then step every point of a batch at once, and the
 statistics (outcome_changes, outcome_frequencies, reading_variance,
-aggregate_sigma) reduce the last axis of a batch's outcomes.  A state is
+aggregate_sigma) reduce the last axis of a batch's outcomes; a Calibration's
+pointer values may carry the batch axes too, read on their last.  A state is
 a DensityOperator or its array: a normalised Lüders projection of a state is
 one, so the update returns an array and checks nothing, and the repeats
 evolve by one U(delta_tau) per batch, each state checked as finite and
@@ -99,8 +100,9 @@ class PointerObservable:
 class Calibration:
     """Maps (prepared system index i, pointer group lam) to a real reading.
 
-    Default reading is the pointer value, independent of i; a full (i, lam)
-    table, one column per distinct pointer value, may be supplied instead.
+    Default reading is the pointer value, independent of i, read on the last
+    axis of pointer values that may carry batch axes; a full (i, lam) table,
+    one column per distinct pointer value, may be supplied for one pointer.
     """
 
     pointer_values: np.ndarray
@@ -117,15 +119,11 @@ class Calibration:
                 raise ValueError(f"calibration table must be a finite (dS, {len(vals)}) array")
             object.__setattr__(self, "table", tab)
 
-    @classmethod
-    def from_pointer(cls, pointer: PointerObservable) -> "Calibration":
-        return cls(pointer_values=pointer.values)
-
     def readings(self, system_index: Optional[int], pointer_index) -> np.ndarray:
         """c(i, lam) for a pointer group or an array of them."""
         if self.table is not None and system_index is not None:
             return self.table[system_index, pointer_index]
-        return self.pointer_values[pointer_index]
+        return self.pointer_values[..., pointer_index]
 
 
 @dataclass(frozen=True)

@@ -182,7 +182,9 @@ def _parse_preparation(doc: dict, model: BipartiteModel) -> Preparation:
     )
 
 
-def parse_scenario(doc: dict, name: Optional[str] = None) -> Scenario:
+def parse_scenario(doc: dict) -> Scenario:
+    """A one-point Scenario.  The pointer defaults to the eigenbasis of h_M,
+    and the calibration to the pointer values."""
     if not isinstance(doc, dict):
         raise ScenarioFormatError("scenario document must be an object")
     if doc.get("schema") != SCHEMA_VERSION:
@@ -204,60 +206,46 @@ def parse_scenario(doc: dict, name: Optional[str] = None) -> Scenario:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"schedule: {exc}") from exc
-    pointer = None
-    if doc.get("pointer") is not None:
-        pointer = PointerObservable.from_operator(
-            _hermitian(doc["pointer"], "pointer")
-        )
+    if doc.get("pointer") is None:
+        pointer = PointerObservable.from_operator(model.h_apparatus)
+    else:
+        pointer = PointerObservable.from_operator(_hermitian(doc["pointer"], "pointer"))
         if pointer.dim != model.d_apparatus:
             raise ScenarioFormatError(
                 f"pointer: dimension {pointer.dim}, expected d_M = {model.d_apparatus}"
             )
-    calibration = None
-    cal_doc = doc.get("calibration")
-    if cal_doc is not None:
-        if pointer is None:
-            pointer = PointerObservable.from_operator(model.h_apparatus)
-        try:
-            calibration = Calibration(
-                pointer_values=pointer.values,
-                table=_reals(cal_doc["table"], "calibration.table"),
-            )
-        except ScenarioFormatError:
-            raise  # already names the field
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioFormatError(f"calibration: {exc}") from exc
-        if calibration.table.shape[0] != model.d_system:
-            raise ScenarioFormatError(
-                f"calibration: table has {calibration.table.shape[0]} rows, "
-                f"expected d_S = {model.d_system}"
-            )
+    table = doc.get("calibration")
+    try:
+        if table is not None:
+            table = _reals(table["table"], "calibration.table")
+        calibration = Calibration(pointer.values, table)
+    except ScenarioFormatError:
+        raise  # already names the field
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ScenarioFormatError(f"calibration: {exc}") from exc
+    if table is not None and calibration.table.shape[0] != model.d_system:
+        raise ScenarioFormatError(
+            f"calibration: table has {calibration.table.shape[0]} rows, "
+            f"expected d_S = {model.d_system}"
+        )
     seed = _int(doc.get("seed", 0), "seed")
     if seed < 0:
         raise ScenarioFormatError(f"seed {shown(seed)} is negative")
-    return Scenario.build(
-        name=name or doc.get("name", "scenario"),
-        model=model,
-        preparation=prep,
-        schedule=schedule,
-        pointer=pointer,
-        calibration=calibration,
-        seed=seed,
-        eta=eta,
-    )
+    return Scenario((doc.get("name", "scenario"),), model, prep, pointer, schedule,
+                    calibration, (seed,), (eta,))
 
 
 def render_scenario(s: Scenario) -> dict:
-    """Canonical explicit document for a scenario (matrices as [re, im])."""
+    """Canonical explicit document for a one-point scenario (matrices as [re, im])."""
     return {
         "schema": SCHEMA_VERSION,
-        "name": s.name,
+        "name": s.names[0],
         "model": {
             "dims": [s.model.d_system, s.model.d_apparatus],
             "h_system": _render_matrix(s.model.h_system.matrix),
             "h_apparatus": _render_matrix(s.model.h_apparatus.matrix),
             "h_coupling": _render_matrix(s.model.h_coupling.matrix),
-            **({} if s.eta is None else {"eta": s.eta}),
+            **({} if s.etas[0] is None else {"eta": s.etas[0]}),
         },
         "preparation": (
             {
@@ -282,7 +270,7 @@ def render_scenario(s: Scenario) -> dict:
             if s.calibration.table is None
             else {"table": [[float(c) for c in row] for row in s.calibration.table]}
         ),
-        "seed": s.seed,
+        "seed": s.seeds[0],
     }
 
 

@@ -1,18 +1,17 @@
 """Curated experiment definitions, sweeps, and brute-force oracle checks.
 
 A Scenario bundles a model, a preparation, a pointer observable, a schedule,
-and a calibration.  A Batch is scenarios that share dims, preparation,
-pointer eigenvalue groups and schedule, stacked so that each stage runs once
-over all of them; Batch.of(s) is one scenario as a batch of one, and
-Batch.initial its w(0), prepared and validated once on first use.
-measure_batch is the one measurement pipeline, shared by the CLI measure
-command (run_measurements) and run_batch: w(0) evolved to w(tau) once, its
-Born distribution once, one draw stream per seed, the repeat protocol from
-w(tau), one inversion for all the trials, then each statistic once over the
-batch's outcome arrays; it builds no record.  run_batch adds the condition
-check and state constancy from the same w(0) and emits one result row per
-point; run_scenario is run_batch on one scenario.
-interpolation_sweep is the one maker of multi-point batches: it runs the
+and a calibration: one point, as a scenario file loads it, or a batch of
+points that share dims, preparation, pointer eigenvalue groups and schedule,
+stacked so that each stage runs once over all of them.  Its readings and
+w(0) are computed once, on first use.  measure_batch is the one measurement
+pipeline, shared by the CLI measure command and run_batch: w(0) evolved to
+w(tau) once, its Born distribution once, one draw stream per seed, the
+repeat protocol from w(tau), one inversion for all the trials, then each
+statistic once over the batch's outcome arrays; it builds no record.
+run_batch adds the condition check and state constancy from the same w(0)
+and emits one result row per point; run_scenario is its first row.
+interpolation_sweep is the one maker of multi-point scenarios: it runs the
 (eta, seed) grid of one dims as a few batches, and when one fails it reruns
 its points one at a time through the same builder to name the failing point.
 oracle_check re-derives the core numerics through slow, independent routes
@@ -96,32 +95,30 @@ class Schedule:
 
 @dataclass(frozen=True)
 class Scenario:
-    name: str
+    """One point, or a batch of points: model, pointer and calibration carry
+    the batch axes, and the per-point names, seeds and etas are tuples in the
+    batch's C order."""
+
+    names: tuple[str, ...]
     model: BipartiteModel
     preparation: Preparation
     pointer: PointerObservable
     schedule: Schedule
     calibration: Calibration
-    seed: int = 0
-    eta: Optional[float] = None
+    seeds: tuple[int, ...]
+    etas: tuple[Optional[float], ...]
 
-    @classmethod
-    def build(
-        cls,
-        name: str,
-        model: BipartiteModel,
-        preparation: Preparation,
-        schedule: Schedule = Schedule(),
-        pointer: Optional[PointerObservable] = None,
-        calibration: Optional[Calibration] = None,
-        seed: int = 0,
-        eta: Optional[float] = None,
-    ) -> "Scenario":
-        if pointer is None:
-            pointer = PointerObservable.from_operator(model.h_apparatus)
-        if calibration is None:
-            calibration = Calibration.from_pointer(pointer)
-        return cls(name, model, preparation, pointer, schedule, calibration, seed, eta)
+    @cached_property
+    def readings(self) -> np.ndarray:
+        """The calibrated reading of each pointer group at the prepared
+        system index, (*batch, groups)."""
+        return self.calibration.readings(self.preparation.system_index,
+                                         np.arange(len(self.pointer.starts)))
+
+    @cached_property
+    def initial(self) -> DensityOperator:
+        """w(0) of every point, prepared in its pointer basis."""
+        return prepare_initial(self.model, self.preparation, pointer_basis=self.pointer.basis)
 
 
 @dataclass(frozen=True)
@@ -161,37 +158,7 @@ class MeasurementRun:
     sigma_empirical: np.ndarray
 
 
-@dataclass(frozen=True)
-class Batch:
-    """Scenarios that share dims, preparation, pointer eigenvalue groups and
-    schedule: model and pointer carry the batch axes, and so do readings, the
-    calibrated reading of each pointer group at the prepared system index,
-    (*batch, groups); the other per-point fields are tuples in the batch's C
-    order.  Batch.of(s) has no batch axis."""
-
-    names: tuple[str, ...]
-    model: BipartiteModel
-    pointer: PointerObservable
-    preparation: Preparation
-    schedule: Schedule
-    readings: np.ndarray
-    seeds: tuple[int, ...]
-    etas: tuple[Optional[float], ...]
-
-    @classmethod
-    def of(cls, s: Scenario) -> "Batch":
-        readings = s.calibration.readings(s.preparation.system_index,
-                                          np.arange(len(s.pointer.values)))
-        return cls((s.name,), s.model, s.pointer, s.preparation, s.schedule,
-                   readings, (s.seed,), (s.eta,))
-
-    @cached_property
-    def initial(self) -> DensityOperator:
-        """w(0) of every point, prepared in its pointer basis on first use."""
-        return prepare_initial(self.model, self.preparation, pointer_basis=self.pointer.basis)
-
-
-def measure_batch(b: Batch) -> MeasurementRun:
+def measure_batch(s: Scenario) -> MeasurementRun:
     """One w(tau) and its Born p per point, each stage run once over the batch.
     Each distinct seed draws trial_rng(seed).random(max(n_repeats, n_trials))
     once, shared by its points: draw k is both repeat k's and trial k's.  The
@@ -200,24 +167,24 @@ def measure_batch(b: Batch) -> MeasurementRun:
     weighted mean.  The draws go before the statistics, each taken once over
     the last axis of the batch's outcomes; a statistic that is not finite
     (readings that overflow it) fails the batch."""
-    sched, m = b.schedule, b.model
+    sched, m = s.schedule, s.model
     times = repeat_times(sched.tau, sched.delta_tau, sched.n_repeats)
-    w_tau = evolve_exact(m, b.initial, sched.tau)
-    p = outcome_distribution(w_tau, b.pointer, (m.d_system, m.d_apparatus))
+    w_tau = evolve_exact(m, s.initial, sched.tau)
+    p = outcome_distribution(w_tau, s.pointer, (m.d_system, m.d_apparatus))
     n_draws = max(sched.n_repeats, sched.n_trials)
-    streams = {seed: trial_rng(seed).random(n_draws) for seed in dict.fromkeys(b.seeds)}
-    u = np.stack([streams[seed] for seed in b.seeds]).reshape(*m.batch, n_draws)
+    streams = {seed: trial_rng(seed).random(n_draws) for seed in dict.fromkeys(s.seeds)}
+    u = np.stack([streams[seed] for seed in s.seeds]).reshape(*m.batch, n_draws)
     del streams
-    repeat_lams = repeated_outcomes(m, w_tau, p, b.pointer, sched.delta_tau,
+    repeat_lams = repeated_outcomes(m, w_tau, p, s.pointer, sched.delta_tau,
                                     u[..., :sched.n_repeats])
     trial_lams = invert_cdf(p, u[..., :sched.n_trials])
     del u, w_tau
     stats = {
         "reading_variance": reading_variance(
-            np.take_along_axis(b.readings, trial_lams, axis=-1)),
-        "sigma_analytic": aggregate_sigma(p, b.readings),
+            np.take_along_axis(s.readings, trial_lams, axis=-1)),
+        "sigma_analytic": aggregate_sigma(p, s.readings),
         "sigma_empirical": aggregate_sigma(
-            outcome_frequencies(trial_lams, p.shape[-1]), b.readings),
+            outcome_frequencies(trial_lams, p.shape[-1]), s.readings),
     }
     for name, value in stats.items():
         if not np.isfinite(value).all():
@@ -227,37 +194,32 @@ def measure_batch(b: Batch) -> MeasurementRun:
     return MeasurementRun(trial_lams, repeat_lams, times, outcome_changes(repeat_lams), **stats)
 
 
-def run_measurements(s: Scenario) -> MeasurementRun:
-    """measure_batch on one scenario: every array without a batch axis."""
-    return measure_batch(Batch.of(s))
-
-
-def run_batch(b: Batch) -> list[SweepRow]:
+def run_batch(s: Scenario) -> list[SweepRow]:
     """The full pipeline, each stage once over the batch, then one result row
     per point.  A failure is a RuntimeError that names the scenario, or for a
     batch of several points the range of them."""
     try:
-        report = check_conditions(b.model)
-        t_grid = np.linspace(0.0, max(b.schedule.tau, 1.0), CONSTANCY_POINTS)[1:]
-        constancy = state_constancy_check(b.model, b.initial, t_grid)
-        run = measure_batch(b)
+        report = check_conditions(s.model)
+        t_grid = np.linspace(0.0, max(s.schedule.tau, 1.0), CONSTANCY_POINTS)[1:]
+        constancy = state_constancy_check(s.model, s.initial, t_grid)
+        run = measure_batch(s)
     except MemoryError:
         raise  # an input too large to allocate, not a failing point
     except Exception as exc:
-        if len(b.names) == 1:
-            raise RuntimeError(f"scenario {b.names[0]!r} failed: {exc}") from exc
+        if len(s.names) == 1:
+            raise RuntimeError(f"scenario {s.names[0]!r} failed: {exc}") from exc
         raise RuntimeError(
-            f"scenarios {b.names[0]!r} to {b.names[-1]!r} failed as one batch: {exc}"
+            f"scenarios {s.names[0]!r} to {s.names[-1]!r} failed as one batch: {exc}"
         ) from exc
     columns = (np.reshape(a, -1).tolist() for a in (
         report.eq4_defect, report.eq5_defect, constancy, run.repeat_changes,
         run.reading_variance, run.sigma_analytic, run.sigma_empirical))
-    return [SweepRow(*row) for row in zip(b.etas, b.seeds, *columns, strict=True)]
+    return [SweepRow(*row) for row in zip(s.etas, s.seeds, *columns, strict=True)]
 
 
 def run_scenario(s: Scenario) -> SweepRow:
     """Full pipeline for one scenario, assembled into a single result row."""
-    return run_batch(Batch.of(s))[0]
+    return run_batch(s)[0]
 
 
 def _point_bytes(dims: tuple[int, int], schedule: Schedule) -> int:
@@ -279,7 +241,7 @@ def _point_bytes(dims: tuple[int, int], schedule: Schedule) -> int:
     return ENTRY_BYTES * entries + DRAW_BYTES * rows + 512
 
 
-def _sweep_batch(dims, points, draws, basis, schedule) -> Batch:
+def _sweep_batch(dims, points, draws, basis, schedule) -> Scenario:
     """The interpolated models of points, (eta, seed, k) with k the seed's row
     in draws and basis (the spectra of the drawn h_M, the pointers)."""
     k = [k for _, _, k in points]
@@ -289,13 +251,13 @@ def _sweep_batch(dims, points, draws, basis, schedule) -> Batch:
                            HermitianOperator(draws.h_apparatus[k]), HermitianOperator(hc))
     pointer = PointerObservable(model.h_apparatus, SpectralDecomposition(
         basis.eigenvalues[k], basis.eigenvectors[k]))
-    return Batch(
+    return Scenario(
         names=tuple(f"interp-eta{eta:g}-seed{seed}" for eta, seed, _ in points),
         model=model,
-        pointer=pointer,
         preparation=Preparation.eigenbasis(0, 0),
+        pointer=pointer,
         schedule=schedule,
-        readings=pointer.values,
+        calibration=Calibration(pointer.values),
         seeds=tuple(seed for _, seed, _ in points),
         etas=tuple(eta for eta, _, _ in points),
     )

@@ -104,7 +104,7 @@ def test_criterion_4_repeatability():
     for seed in range(100):
         m = random_model((2, 2), "qnd", seed)
         ptr = PointerObservable.from_operator(m.h_apparatus)
-        cal = Calibration.from_pointer(ptr)
+        cal = Calibration(ptr.values)
         w_tau = evolve_exact(m, prepare_initial(m, Preparation.eigenbasis(0, 0)), 1.0)
         rec = repeatability_protocol(m, w_tau, ptr, cal, 0, 1.0, 0.5, 5, seed)
         changes += outcome_changes(rec.lam)
@@ -117,7 +117,7 @@ def test_criterion_5_dichotomy():
     for seed in seeds:
         m = random_model((2, 2), "violating", seed)
         ptr = PointerObservable.from_operator(m.h_apparatus)
-        cal = Calibration.from_pointer(ptr)
+        cal = Calibration(ptr.values)
         v = dispersion_experiment(
             m, Preparation.eigenbasis(0, 0), ptr, cal, 1.0, 50, seed
         )
@@ -162,7 +162,7 @@ def test_criterion_7_oracle_equivalence():
         ("qutrit-system", (3, 2)),
     ):
         s = load_scenario_file(bundled_scenario_path(name))
-        ok &= bool(oracle_check(dims, s.seed))
+        ok &= bool(oracle_check(dims, s.seeds[0]))
     for seed in range(100):
         ok &= bool(oracle_check((2, 2), seed))
     negative_control_detected = not bool(

@@ -28,6 +28,7 @@ from qndsim.cli import main as cli_main
 from qndsim.linalg import DensityOperator, HermitianOperator, SpectralDecomposition, spectral
 from qndsim.linalg import tensor
 from qndsim.measurement import (
+    Calibration,
     MeasurementRecord,
     PointerObservable,
     collapse_after_outcome,
@@ -47,7 +48,7 @@ from qndsim.scenarios import (
     Schedule,
     _point_bytes,
     interpolation_sweep,
-    run_measurements,
+    measure_batch,
     run_scenario,
 )
 
@@ -67,14 +68,10 @@ def test_sweep_bytes_match_golden(tmp_path, name, argv):
 
 def interp_scenario(dims, eta, seed, schedule, model=None):
     """The scenario interpolation_sweep runs at (eta, seed), built on its own."""
-    return Scenario.build(
-        f"interp-eta{eta:g}-seed{seed}",
-        model or random_model(dims, "interpolated", seed, eta=eta),
-        Preparation.eigenbasis(0, 0),
-        schedule,
-        seed=seed,
-        eta=eta,
-    )
+    model = model or random_model(dims, "interpolated", seed, eta=eta)
+    pointer = PointerObservable.from_operator(model.h_apparatus)
+    return Scenario((f"interp-eta{eta:g}-seed{seed}",), model, Preparation.eigenbasis(0, 0),
+                    pointer, schedule, Calibration(pointer.values), (seed,), (eta,))
 
 
 @settings(max_examples=12, deadline=None)
@@ -225,7 +222,7 @@ def test_one_draw_stream_one_born_weight_and_no_unused_collapse(monkeypatch):
     count(qndsim.measurement, "outcome_distribution")
     count(qndsim.measurement, "collapse_after_outcome")
     n_repeats = 5
-    run_measurements(interp_scenario((2, 2), 1.0, 7, Schedule(n_repeats=n_repeats, n_trials=20)))
+    measure_batch(interp_scenario((2, 2), 1.0, 7, Schedule(n_repeats=n_repeats, n_trials=20)))
     assert calls == {"trial_rng": 1, "outcome_distribution": n_repeats,
                      "collapse_after_outcome": n_repeats - 1}
 

@@ -1,5 +1,6 @@
 """Every function the benchmark's tracer wraps exists under the name it uses,
-and a traced run of the CLI leaves no call path outside the wrappers.
+and a traced run of the CLI leaves no call path outside the wrappers and
+makes a pinned number of check_operators calls.
 
 The tracer's TARGETS list is read from bench/tracer.py as a literal, without
 importing or editing the benchmark, so a rename in qndsim that would crash a
@@ -52,6 +53,7 @@ spec = importlib.util.spec_from_file_location("bench_tracer", sys.argv[1])
 tracer = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracer)
 import qndsim.cli
+import qndsim.linalg
 
 scenario, out = sys.argv[2], sys.argv[3]
 runs = [
@@ -62,6 +64,8 @@ runs = [
 t = tracer.Tracer()
 t.install()
 codes = {fn.__code__: 0 for fn in t.originals.values()}
+checks = qndsim.linalg.check_operators.__code__
+codes[checks] = 0
 
 def profile(frame, event, arg):
     if event == "call" and frame.f_code in codes:
@@ -76,6 +80,7 @@ print(json.dumps({
     "unpatched": t.unpatched(),
     "calls": t.calls,
     "audit": {key: codes[fn.__code__] for key, fn in t.originals.items()},
+    "check_operators": codes[checks],
 }))
 """
 
@@ -105,3 +110,6 @@ def test_traced_cli_runs_leave_no_call_unwrapped(tmp_path):
     # the stepped run takes its five RK4 steps as one step polynomial each
     assert report["calls"]["dynamics.rhs_component_form"] == 0
     assert report["calls"]["dynamics.evolve_stepped"] == 1
+    # each operator or state is checked once, where it enters the pipeline or
+    # is computed, and spectral does not check a wrapper again
+    assert report["check_operators"] == 30

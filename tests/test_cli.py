@@ -1,6 +1,7 @@
 import argparse
 import csv
 import gc
+import io
 import json
 import tracemalloc
 from dataclasses import replace
@@ -152,7 +153,7 @@ class TestMeasure:
         )
         s = load_scenario_file(path)
         row = run_scenario(
-            replace(s, seed=3, schedule=replace(s.schedule, n_trials=300))
+            replace(s, seeds=(3,), schedule=replace(s.schedule, n_trials=300))
         )
         assert float(summary["sigma_analytic"]) == row.sigma_analytic
         assert float(summary["sigma_empirical"]) == row.sigma_empirical
@@ -201,6 +202,34 @@ def test_measure_on_degenerate_pointer(preparation, readings, tmp_path, capsys):
     for r in trials:
         assert float(r["reading"]) == readings[int(r["lambda"])]
     assert len({r["lambda"] for r in csv.DictReader(rep.open())}) == 1
+
+
+PAULI_X = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
+CALIBRATED = {
+    "schema": 1,
+    "name": "calibrated",
+    "model": {"dims": [2, 2], "h_system": "pauli_z", "h_apparatus": PAULI_X,
+              "h_coupling": {"kron": ["pauli_x", "pauli_z"]}},
+    "preparation": {"system_index": 1, "apparatus_index": 0},
+    "schedule": {"tau": 1.0, "delta_tau": 0.5, "n_repeats": 6, "n_trials": 300},
+    "calibration": {"table": [[-5.0, 7.0], [3.0, 9.0]]},
+    "seed": 5,
+}
+
+
+def test_calibrated_measure_without_pointer_reads_h_apparatus(tmp_path, capsys):
+    """A calibrated document without a pointer key measures h_apparatus: its
+    records, repeats and summary equal those of the same document with the
+    pointer spelled out as its h_apparatus matrix."""
+    outputs = []
+    for name, doc in [("implicit", CALIBRATED), ("explicit", dict(CALIBRATED, pointer=PAULI_X))]:
+        path, out, rep = (tmp_path / f"{name}.{ext}" for ext in ("json", "rec.csv", "rep.csv"))
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["measure", str(path), "--out", str(out), "--repeat-out", str(rep)]) == 0
+        outputs.append((out.read_bytes(), rep.read_bytes(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    readings = {float(r["reading"]) for r in csv.DictReader(io.StringIO(outputs[0][0].decode()))}
+    assert readings == {3.0, 9.0}  # the table's row 1, both pointer values read
 
 
 class TestSweep:

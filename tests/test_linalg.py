@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qndsim.linalg
 from qndsim.linalg import (
     DensityOperator,
     DimensionMismatchError,
@@ -163,6 +164,24 @@ class TestSpectral:
     def test_rejects_nonhermitian(self):
         with pytest.raises(InvariantViolationError):
             spectral(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_checks_only_a_raw_array(self, monkeypatch):
+        """A wrapper was checked when it was built, so spectral checks it no
+        more; its decomposition has the bits of the same raw array's."""
+        calls = []
+        original = qndsim.linalg.check_operators
+        monkeypatch.setattr(qndsim.linalg, "check_operators",
+                            lambda *args: calls.append(args[1]) or original(*args))
+        h = HermitianOperator(SX + SZ)
+        w = DensityOperator(np.diag([0.25, 0.75]))
+        calls.clear()
+        got = [spectral(h), spectral(w)]
+        assert calls == []
+        want = [spectral(h.matrix), spectral(w.matrix)]
+        assert calls == ["spectral input"] * 2
+        for a, b in zip(got, want):
+            assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+            assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
 
     def test_degenerate_basis_is_deterministic(self):
         m = np.eye(3, dtype=complex) * 2.0

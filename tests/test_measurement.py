@@ -178,7 +178,7 @@ class TestRepeatability:
         for seed in range(30):
             m = random_model((2, 2), "qnd", seed)
             ptr = PointerObservable.from_operator(m.h_apparatus)
-            cal = Calibration.from_pointer(ptr)
+            cal = Calibration(ptr.values)
             rec = run_protocol(
                 m, Preparation.eigenbasis(0, 0), ptr, cal, 1.0, 0.5, 5, seed
             )
@@ -195,7 +195,7 @@ class TestRepeatability:
             HermitianOperator(np.zeros((4, 4))),
         )
         ptr = PointerObservable.from_operator(m.h_apparatus)
-        cal = Calibration.from_pointer(ptr)
+        cal = Calibration(ptr.values)
         rec = run_protocol(
             m, Preparation.eigenbasis(0, 0), ptr, cal, 1.0, 0.5, 4, 0
         )
@@ -206,7 +206,7 @@ class TestRepeatability:
         for seed in range(20):
             m = random_model((2, 2), "violating", seed)
             ptr = PointerObservable.from_operator(m.h_apparatus)
-            cal = Calibration.from_pointer(ptr)
+            cal = Calibration(ptr.values)
             rec = run_protocol(
                 m, Preparation.eigenbasis(0, 0), ptr, cal, 1.0, 0.5, 5, seed
             )
@@ -216,7 +216,7 @@ class TestRepeatability:
     def test_rejects_degenerate_protocol(self):
         m = random_model((2, 2), "qnd", 0)
         ptr = PointerObservable.from_operator(m.h_apparatus)
-        cal = Calibration.from_pointer(ptr)
+        cal = Calibration(ptr.values)
         with pytest.raises(ValueError):
             run_protocol(
                 m, Preparation.eigenbasis(0, 0), ptr, cal, 1.0, 0.5, 1, 0
@@ -256,7 +256,7 @@ class TestDispersion:
         for seed in range(20):
             m = random_model((2, 2), "qnd", seed)
             ptr = PointerObservable.from_operator(m.h_apparatus)
-            cal = Calibration.from_pointer(ptr)
+            cal = Calibration(ptr.values)
             v = dispersion_experiment(
                 m, Preparation.eigenbasis(0, 0), ptr, cal, 1.0, 50, seed
             )
@@ -286,7 +286,7 @@ class TestDispersion:
     def test_single_trial_degenerate(self):
         m = random_model((2, 2), "violating", 3)
         ptr = PointerObservable.from_operator(m.h_apparatus)
-        cal = Calibration.from_pointer(ptr)
+        cal = Calibration(ptr.values)
         v = dispersion_experiment(
             m, Preparation.eigenbasis(0, 0), ptr, cal, 1.0, 1, 0
         )
@@ -296,7 +296,7 @@ class TestDispersion:
     def test_is_variance_of_trial_record(self, family):
         m = random_model((3, 2), family, 4)
         ptr = PointerObservable.from_operator(m.h_apparatus)
-        cal = Calibration.from_pointer(ptr)
+        cal = Calibration(ptr.values)
         args = (m, Preparation.eigenbasis(1, 0), ptr, cal, 1.0, 200, 9)
         assert dispersion_experiment(*args) == reading_variance(
             measurement_trials(*args).reading
@@ -333,7 +333,7 @@ class TestDrawTrials:
         for seed in range(10):
             m = random_model((2, 2), "violating", seed)
             ptr = PointerObservable.from_operator(m.h_apparatus)
-            cal = Calibration.from_pointer(ptr)
+            cal = Calibration(ptr.values)
             prep = Preparation.eigenbasis(0, 0)
             rep = run_protocol(m, prep, ptr, cal, 1.0, 0.5, 3, seed)
             trials = measurement_trials(m, prep, ptr, cal, 1.0, 5, seed)

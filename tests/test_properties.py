@@ -66,13 +66,11 @@ from qndsim.model import (
 )
 from qndsim.scenario_io import parse_scenario, render_scenario
 from qndsim.scenarios import (
-    Batch,
     MeasurementRun,
     Scenario,
     Schedule,
     _born_index_loops,
     measure_batch,
-    run_measurements,
 )
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -587,9 +585,9 @@ def test_repeated_outcomes_equal_per_step_evolution_bitwise(
     else:
         m, seeds = models[0], seeds[:1]
     pointer = PointerObservable.from_operator(m.h_apparatus)
-    batch = Batch(tuple(map(str, seeds)), m, pointer, Preparation.eigenbasis(0, 0),
-                  Schedule(tau, delta_tau, n_repeats, n_trials), pointer.values,
-                  tuple(seeds), (eta,) * len(seeds))
+    batch = Scenario(tuple(map(str, seeds)), m, Preparation.eigenbasis(0, 0), pointer,
+                     Schedule(tau, delta_tau, n_repeats, n_trials), Calibration(pointer.values),
+                     tuple(seeds), (eta,) * len(seeds))
     got_states, want_states = [], []
 
     def recording(w, *args):
@@ -712,7 +710,9 @@ def test_qnd_models_read_sharply(d_s, d_m, model_seed, seed, n_repeats, n_trials
     prep = Preparation.eigenbasis(data.draw(st.integers(0, d_s - 1)),
                                   data.draw(st.integers(0, d_m - 1)))
     schedule = Schedule(n_repeats=n_repeats, n_trials=n_trials)
-    run = run_measurements(Scenario.build("qnd", m, prep, schedule, seed=seed))
+    pointer = PointerObservable.from_operator(m.h_apparatus)
+    run = measure_batch(Scenario(("qnd",), m, prep, pointer, schedule,
+                                 Calibration(pointer.values), (seed,), (None,)))
     assert run.reading_variance == 0.0
     assert run.repeat_changes == 0
     assert outcome_changes(run.trial_lams) == 0
@@ -736,14 +736,13 @@ def scenarios(draw):
             DensityOperator(random_state(m.d_system, draw(st.integers(0, 2**32)))),
             DensityOperator(random_state(m.d_apparatus, draw(st.integers(0, 2**32)))),
         )
-    pointer = None
+    pointer = PointerObservable.from_operator(m.h_apparatus)
     if draw(st.booleans()):
         pointer = PointerObservable.from_operator(
             hermitian(m.d_apparatus, draw(st.integers(0, 2**32)))
         )
-    calibration = None
+    calibration = Calibration(pointer.values)
     if draw(st.booleans()):
-        pointer = pointer or PointerObservable.from_operator(m.h_apparatus)
         table = draw(st.lists(st.floats(-1e3, 1e3), min_size=m.dim, max_size=m.dim))
         calibration = Calibration(pointer.values, np.reshape(table, (m.d_system, m.d_apparatus)))
     schedule = Schedule(
@@ -753,9 +752,8 @@ def scenarios(draw):
         n_trials=draw(st.integers(1, 10**4)),
     )
     name = draw(st.text(min_size=1, max_size=12))
-    return Scenario.build(name, m, prep, schedule, pointer, calibration,
-                          seed=draw(st.integers(0, 2**140)),
-                          eta=draw(st.none() | st.floats(0.0, 1.0)))
+    return Scenario((name,), m, prep, pointer, schedule, calibration,
+                    (draw(st.integers(0, 2**140)),), (draw(st.none() | st.floats(0.0, 1.0)),))
 
 
 def scenario_fields(s):
@@ -766,7 +764,7 @@ def scenario_fields(s):
 
     m, prep, cal = s.model, s.preparation, s.calibration
     return (
-        s.name, s.seed, s.eta, s.schedule,
+        s.names, s.seeds, s.etas, s.schedule,
         m.d_system, m.d_apparatus,
         arr(m.h_system), arr(m.h_apparatus), arr(m.h_coupling),
         prep.system_index, prep.apparatus_index,

@@ -6,6 +6,7 @@ import pytest
 
 import qndsim.scenarios
 from qndsim.linalg import HermitianOperator
+from qndsim.measurement import Calibration, PointerObservable
 from qndsim.model import BipartiteModel, Preparation
 from qndsim.scenarios import (
     Scenario,
@@ -55,9 +56,9 @@ class TestRunScenario:
             HermitianOperator(np.zeros((2, 2))),
             HermitianOperator(np.zeros((4, 4))),
         )
-        s = Scenario.build(
-            "null", m, Preparation.eigenbasis(0, 0), SMALL_SCHEDULE, seed=0
-        )
+        pointer = PointerObservable.from_operator(m.h_apparatus)
+        s = Scenario(("null",), m, Preparation.eigenbasis(0, 0), pointer, SMALL_SCHEDULE,
+                     Calibration(pointer.values), (0,), (None,))
         row = run_scenario(s)
         assert row.eq4_defect == 0.0 and row.eq5_defect == 0.0
         assert row.constancy_dev <= 1e-12

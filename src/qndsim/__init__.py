@@ -34,7 +34,6 @@ from .dynamics import (
     state_constancy_check,
 )
 from .measurement import (
-    Calibration,
     MeasurementRecord,
     PointerObservable,
     aggregate_sigma,

@@ -102,7 +102,7 @@ def cmd_measure(args) -> int:
     ]:
         if path:  # the only records the pipeline's outcomes become
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                MeasurementRecord.from_outcomes(s.calibration, i, trial, time, lam).write_csv(fh)
+                MeasurementRecord.from_outcomes(s.readings, i, trial, time, lam).write_csv(fh)
     _say(args, f"sigma_analytic = {run.sigma_analytic:.17g}")
     _say(args, f"sigma_empirical = {run.sigma_empirical:.17g}")
     degenerate = " (degenerate: single trial)" if sched.n_trials < 2 else ""

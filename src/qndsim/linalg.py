@@ -78,7 +78,7 @@ def read_only(a, dtype=complex) -> np.ndarray:
 
 def check_operators(m: np.ndarray, what: str, pos_tol: float | None = None) -> None:
     """Raise unless each M in the (..., d, d) stack m has a finite ||M||_F (so no
-    NaN, inf or overflowing entry), ||M - M^dag||_F <= EPS_HERM * max(1, ||M||_F)
+    NaN, inf or overflowing entry), ||M - M^dag||_F <= EPS_HERM * ||M||_F
     and, given pos_tol, is a state (unit trace, no eigenvalue below -pos_tol);
     ``index`` is the first failure, in C order.  A block whose (M + M^dag)/2 +
     pos_tol*I all have a Cholesky factor is positive; otherwise eigvalsh decides."""
@@ -97,7 +97,7 @@ def check_operators(m: np.ndarray, what: str, pos_tol: float | None = None) -> N
                 msg = f"{what} is not finite: ||M||_F = {scale[n]}"
             b = b[:n]
             defect = np.linalg.norm(b - b.conj().swapaxes(1, 2), axis=(1, 2))
-            bad = defect > EPS_HERM * np.maximum(1.0, scale[:n])
+            bad = defect > EPS_HERM * scale[:n]
             if bad.any():
                 n = int(bad.argmax())
                 msg = f"{what} is not Hermitian: ||M - M^dag||_F = {defect[n]:.3e}"

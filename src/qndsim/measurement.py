@@ -7,20 +7,21 @@ the eigenspace weights of rho_M = tr_S w, and the update is the Lüders
 projection (I x P_g) w (I x P_g) onto the measured eigenspace.  Randomness is
 one counter-based stream per seed, trial_rng(seed): trial k, and the repeat
 protocol's k-th measurement, take draw k, so the first k trials of an n-trial
-run equal a k-trial run.  A MeasurementRecord holds the results as columns,
-which csvtext.write_record writes.  States, pointers and Born distributions
-may carry leading batch axes: the Born weights, CDF inversion, Lüders update
-and repeated_outcomes then step every point of a batch at once, and the
-statistics (outcome_changes, outcome_frequencies, reading_variance,
-aggregate_sigma) reduce the last axis of a batch's outcomes; a Calibration's
-pointer values may carry the batch axes too, read on their last.  A state is
-a DensityOperator or its array: a normalised Lüders projection of a state is
-one, so the update returns an array and checks nothing, and the repeats
-evolve by one U(delta_tau) per batch, each state checked as finite and
-Hermitian as evolve_exact checks it.
+run equal a k-trial run.  A reading is the entry of group lam in a readings
+vector, which scenarios.Scenario.readings alone decides; a MeasurementRecord
+holds the results as columns, which csvtext.write_record writes.  States,
+pointers and Born distributions may carry leading batch axes: the Born
+weights, CDF inversion, Lüders update and repeated_outcomes then step every
+point of a batch at once, and the statistics (outcome_changes,
+outcome_frequencies, reading_variance, aggregate_sigma) reduce the last axis
+of a batch's outcomes and readings.  A state is a DensityOperator or its
+array: a normalised Lüders projection of a state is one, so the update
+returns an array and checks nothing, and the repeats evolve by one
+U(delta_tau) per batch, each state checked as finite and Hermitian as
+evolve_exact checks it.
 invert_cdf, repeated_outcomes and the statistics are the steps
 scenarios.measure_batch composes; measurement_trials, repeatability_protocol
-and dispersion_experiment run them for one model.
+and dispersion_experiment run them for one model, given its readings vector.
 """
 
 from __future__ import annotations
@@ -97,36 +98,6 @@ class PointerObservable:
 
 
 @dataclass(frozen=True)
-class Calibration:
-    """Maps (prepared system index i, pointer group lam) to a real reading.
-
-    Default reading is the pointer value, independent of i, read on the last
-    axis of pointer values that may carry batch axes; a full (i, lam) table,
-    one column per distinct pointer value, may be supplied for one pointer.
-    """
-
-    pointer_values: np.ndarray
-    table: Optional[np.ndarray] = None  # shape (dS, number of pointer values)
-
-    def __post_init__(self):
-        vals = read_only(self.pointer_values, float)
-        if not np.isfinite(vals).all():
-            raise ValueError("calibration pointer values must be finite")
-        object.__setattr__(self, "pointer_values", vals)
-        if self.table is not None:
-            tab = read_only(self.table, float)
-            if tab.ndim != 2 or tab.shape[1] != len(vals) or not np.isfinite(tab).all():
-                raise ValueError(f"calibration table must be a finite (dS, {len(vals)}) array")
-            object.__setattr__(self, "table", tab)
-
-    def readings(self, system_index: Optional[int], pointer_index) -> np.ndarray:
-        """c(i, lam) for a pointer group or an array of them."""
-        if self.table is not None and system_index is not None:
-            return self.table[system_index, pointer_index]
-        return self.pointer_values[..., pointer_index]
-
-
-@dataclass(frozen=True)
 class MeasurementRecord:
     """Rows of one run, each a trial or a repeat, at one system index (None
     without one); lam, the CSV's lambda, is the pointer group index.  trial and
@@ -153,10 +124,10 @@ class MeasurementRecord:
                              "trial and time one value or one per row")
 
     @classmethod
-    def from_outcomes(cls, cal: Calibration, system_index: Optional[int], trial, time, lam):
-        """Rows of pointer groups lam at one system index, read through cal."""
+    def from_outcomes(cls, readings, system_index: Optional[int], trial, time, lam):
+        """Rows of pointer groups lam at one system index, reading readings[lam]."""
         lam = np.asarray(lam, dtype=int)
-        reading = cal.readings(system_index, lam)
+        reading = np.asarray(readings, dtype=float)[lam]
         reading.setflags(write=False)  # built here, so never copied
         return cls(system_index, trial, time, lam, reading)
 
@@ -281,7 +252,7 @@ def repeat_times(tau: float, delta_tau: float, n_repeats: int) -> np.ndarray:
 
 
 def repeatability_protocol(m: BipartiteModel, w_tau, pointer: PointerObservable,
-                           cal: Calibration, system_index: Optional[int], tau: float,
+                           readings, system_index: Optional[int], tau: float,
                            delta_tau: float, n_repeats: int, seed: int) -> MeasurementRecord:
     """Measure, then re-evolve and re-measure n_repeats times in one run.
 
@@ -296,12 +267,12 @@ def repeatability_protocol(m: BipartiteModel, w_tau, pointer: PointerObservable,
     p = outcome_distribution(w_tau, pointer, (m.d_system, m.d_apparatus))
     lams = repeated_outcomes(m, w_tau, p, pointer, delta_tau, trial_rng(seed).random(n_repeats))
     return MeasurementRecord.from_outcomes(
-        cal, system_index, 0, repeat_times(tau, delta_tau, n_repeats), lams
+        readings, system_index, 0, repeat_times(tau, delta_tau, n_repeats), lams
     )
 
 
 def measurement_trials(m: BipartiteModel, prep: Preparation, pointer: PointerObservable,
-                       cal: Calibration, tau: float, n_trials: int, seed: int) -> MeasurementRecord:
+                       readings, tau: float, n_trials: int, seed: int) -> MeasurementRecord:
     """Independent prepare -> evolve(tau) -> measure runs, one row per trial:
     trial k inverts the Born distribution at draw k of trial_rng(seed)."""
     if n_trials < 1:
@@ -310,15 +281,16 @@ def measurement_trials(m: BipartiteModel, prep: Preparation, pointer: PointerObs
     w_tau = evolve_exact(m, w0, tau) if tau > 0 else w0
     p = outcome_distribution(w_tau, pointer, (m.d_system, m.d_apparatus))
     lam = invert_cdf(p, trial_rng(seed).random(n_trials))
-    return MeasurementRecord.from_outcomes(cal, prep.system_index, np.arange(n_trials), tau, lam)
+    return MeasurementRecord.from_outcomes(readings, prep.system_index, np.arange(n_trials),
+                                           tau, lam)
 
 
 def dispersion_experiment(m: BipartiteModel, prep: Preparation, pointer: PointerObservable,
-                          cal: Calibration, tau: float, n_trials: int, seed: int) -> float:
+                          readings, tau: float, n_trials: int, seed: int) -> float:
     """Population variance of readings over independent trials: zero for
     non-demolition models with eigenbasis preparations (every trial hits the
     same pointer state), strictly positive for generic violating models."""
-    record = measurement_trials(m, prep, pointer, cal, tau, n_trials, seed)
+    record = measurement_trials(m, prep, pointer, readings, tau, n_trials, seed)
     return float(reading_variance(record.reading))
 
 

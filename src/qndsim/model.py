@@ -217,12 +217,14 @@ def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 class ModelDraws(NamedTuple):
-    """A random model's seeded matrices, stacked over seeds: (seeds, d, d) each."""
+    """A random model's seeded matrices, stacked over seeds: (seeds, d, d) each,
+    and the spectra of the h_M stack, which the qnd coupling is built from."""
 
     h_system: np.ndarray
     h_apparatus: np.ndarray
     hc_qnd: np.ndarray
     hc_violating: np.ndarray
+    apparatus_basis: SpectralDecomposition
 
 
 def model_draws(dims: tuple[int, int], seeds: Sequence[int]) -> ModelDraws:
@@ -236,7 +238,8 @@ def model_draws(dims: tuple[int, int], seeds: Sequence[int]) -> ModelDraws:
     h_s = np.array([_random_hermitian(rng, d_s) for rng in rngs])
     h_m = np.array([_random_hermitian(rng, d_m) for rng in rngs])
     v_s = spectral(h_s).eigenvectors
-    v_m = spectral(h_m).eigenvectors
+    basis_m = spectral(h_m)
+    v_m = basis_m.eigenvectors
     n_terms = min(d_s, d_m)
     ab = [[(rng.uniform(-1.0, 1.0, size=d_s), rng.uniform(-1.0, 1.0, size=d_m))
            for _ in range(n_terms)] for rng in rngs]
@@ -251,7 +254,7 @@ def model_draws(dims: tuple[int, int], seeds: Sequence[int]) -> ModelDraws:
         term_b = (v_m * b) @ v_m.conj().swapaxes(-1, -2)
         hc_qnd += tensor(term_a, term_b)
     hc_qnd = (hc_qnd + hc_qnd.conj().swapaxes(-1, -2)) / 2
-    return ModelDraws(h_s, h_m, hc_qnd, hc_violating)
+    return ModelDraws(h_s, h_m, hc_qnd, hc_violating, basis_m)
 
 
 def interpolate_coupling(hc_qnd, hc_violating, eta):
@@ -282,7 +285,7 @@ def random_model(
     elif family not in ("qnd", "violating"):
         raise ValueError(f"unknown model family {shown(family)}")
     d_s, d_m = dims
-    h_s, h_m, hc_qnd, hc_violating = (a[0] for a in model_draws(dims, [seed]))
+    h_s, h_m, hc_qnd, hc_violating = (a[0] for a in model_draws(dims, [seed])[:4])
 
     if family == "qnd":
         hc = hc_qnd

@@ -4,10 +4,12 @@ Complex entries are two-element [re, im] arrays; operators may also be given
 by name (pauli_x, pauli_y, pauli_z, {"identity": n}, {"zero": n},
 {"diag": [...]}, {"kron": [a, b]}).  Models are either explicit
 (h_system / h_apparatus / h_coupling) or generated ({"family": ..., "seed":
-..., "eta": ...}).  The document carries a versioned "schema" field.
+..., "eta": ...}), each operator Hermitian to within EPS_HERM * ||M||_F.
+An optional calibration {"table": [[...], ...]} gives each pointer group's
+reading per system level.  The document carries a versioned "schema" field.
 
-render_scenario produces a canonical explicit form; parse(render(s)) yields
-the same scenario.
+render_scenario produces a canonical explicit form, the table and a rho/mu
+preparation included; parse(render(s)) yields the same scenario.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .linalg import DensityOperator, HermitianOperator, InvariantViolationError
 from .model import BipartiteModel, Preparation, random_model, shown
-from .measurement import Calibration, PointerObservable
+from .measurement import PointerObservable
 from .scenarios import MAX_DIM, Scenario, Schedule
 
 SCHEMA_VERSION = 1
@@ -183,8 +185,9 @@ def _parse_preparation(doc: dict, model: BipartiteModel) -> Preparation:
 
 
 def parse_scenario(doc: dict) -> Scenario:
-    """A one-point Scenario.  The pointer defaults to the eigenbasis of h_M,
-    and the calibration to the pointer values."""
+    """A one-point Scenario.  The pointer defaults to the eigenbasis of h_M.
+    A calibration table, if given, is checked here: finite, one row per
+    system level and one column per distinct pointer value."""
     if not isinstance(doc, dict):
         raise ScenarioFormatError("scenario document must be an object")
     if doc.get("schema") != SCHEMA_VERSION:
@@ -215,24 +218,24 @@ def parse_scenario(doc: dict) -> Scenario:
                 f"pointer: dimension {pointer.dim}, expected d_M = {model.d_apparatus}"
             )
     table = doc.get("calibration")
-    try:
-        if table is not None:
+    if table is not None:
+        try:
             table = _reals(table["table"], "calibration.table")
-        calibration = Calibration(pointer.values, table)
-    except ScenarioFormatError:
-        raise  # already names the field
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"calibration: {exc}") from exc
-    if table is not None and calibration.table.shape[0] != model.d_system:
-        raise ScenarioFormatError(
-            f"calibration: table has {calibration.table.shape[0]} rows, "
-            f"expected d_S = {model.d_system}"
-        )
+        except (KeyError, TypeError) as exc:
+            raise ScenarioFormatError(f"calibration: {exc}") from exc
+        groups = len(pointer.values)
+        if table.ndim != 2 or table.shape[1] != groups or not np.isfinite(table).all():
+            raise ScenarioFormatError(
+                f"calibration: calibration table must be a finite (dS, {groups}) array")
+        if table.shape[0] != model.d_system:
+            raise ScenarioFormatError(f"calibration: table has {table.shape[0]} rows, "
+                                      f"expected d_S = {model.d_system}")
+        table.setflags(write=False)
     seed = _int(doc.get("seed", 0), "seed")
     if seed < 0:
         raise ScenarioFormatError(f"seed {shown(seed)} is negative")
     return Scenario((doc.get("name", "scenario"),), model, prep, pointer, schedule,
-                    calibration, (seed,), (eta,))
+                    table, (seed,), (eta,))
 
 
 def render_scenario(s: Scenario) -> dict:
@@ -265,11 +268,7 @@ def render_scenario(s: Scenario) -> dict:
             "n_repeats": s.schedule.n_repeats,
             "n_trials": s.schedule.n_trials,
         },
-        "calibration": (
-            None
-            if s.calibration.table is None
-            else {"table": [[float(c) for c in row] for row in s.calibration.table]}
-        ),
+        "calibration": None if s.table is None else {"table": s.table.tolist()},
         "seed": s.seeds[0],
     }
 

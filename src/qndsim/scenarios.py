@@ -1,16 +1,17 @@
 """Curated experiment definitions, sweeps, and brute-force oracle checks.
 
 A Scenario bundles a model, a preparation, a pointer observable, a schedule,
-and a calibration: one point, as a scenario file loads it, or a batch of
-points that share dims, preparation, pointer eigenvalue groups and schedule,
-stacked so that each stage runs once over all of them.  Its readings and
-w(0) are computed once, on first use.  measure_batch is the one measurement
-pipeline, shared by the CLI measure command and run_batch: w(0) evolved to
-w(tau) once, its Born distribution once, one draw stream per seed, the
-repeat protocol from w(tau), one inversion for all the trials, then each
-statistic once over the batch's outcome arrays; it builds no record.
-run_batch adds the condition check and state constancy from the same w(0)
-and emits one result row per point; run_scenario is its first row.
+and a scenario file's calibration table, if it gives one: one point, as a
+scenario file loads it, or a batch of points that share dims, preparation,
+pointer eigenvalue groups and schedule, stacked so that each stage runs once
+over all of them.  Its readings, the one place a pointer group's reading is
+decided, and its w(0) are computed once, on first use.  measure_batch is the
+one measurement pipeline, shared by the CLI measure command and run_batch:
+w(0) evolved to w(tau) once, its Born distribution once, one draw stream per
+seed, the repeat protocol from w(tau), one inversion for all the trials,
+then each statistic once over the batch's outcome arrays; it builds no
+record.  run_batch adds the condition check and state constancy from the
+same w(0) and emits one result row per point; run_scenario is its first row.
 interpolation_sweep is the one maker of multi-point scenarios: it runs the
 (eta, seed) grid of one dims as a few batches, and when one fails it reruns
 its points one at a time through the same builder to name the failing point.
@@ -34,7 +35,6 @@ from .linalg import (
     HermitianOperator,
     SpectralDecomposition,
     degenerate_groups,
-    spectral,
 )
 from .model import (
     BipartiteModel,
@@ -48,7 +48,6 @@ from .model import (
 )
 from .dynamics import evolve_exact, rhs_component_form, state_constancy_check
 from .measurement import (
-    Calibration,
     PointerObservable,
     aggregate_sigma,
     invert_cdf,
@@ -95,25 +94,27 @@ class Schedule:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One point, or a batch of points: model, pointer and calibration carry
-    the batch axes, and the per-point names, seeds and etas are tuples in the
-    batch's C order."""
+    """One point, or a batch of points: model and pointer carry the batch
+    axes, and the per-point names, seeds and etas are tuples in the batch's C
+    order.  table is a scenario file's read-only (dS, groups) calibration
+    table, or None."""
 
     names: tuple[str, ...]
     model: BipartiteModel
     preparation: Preparation
     pointer: PointerObservable
     schedule: Schedule
-    calibration: Calibration
+    table: Optional[np.ndarray]
     seeds: tuple[int, ...]
     etas: tuple[Optional[float], ...]
 
     @cached_property
     def readings(self) -> np.ndarray:
-        """The calibrated reading of each pointer group at the prepared
-        system index, (*batch, groups)."""
-        return self.calibration.readings(self.preparation.system_index,
-                                         np.arange(len(self.pointer.starts)))
+        """The reading of each pointer group, (*batch, groups): the table's row
+        at the prepared system index, or the pointer values when there is no
+        table or no index."""
+        i = self.preparation.system_index
+        return self.pointer.values if self.table is None or i is None else self.table[i]
 
     @cached_property
     def initial(self) -> DensityOperator:
@@ -241,10 +242,10 @@ def _point_bytes(dims: tuple[int, int], schedule: Schedule) -> int:
     return ENTRY_BYTES * entries + DRAW_BYTES * rows + 512
 
 
-def _sweep_batch(dims, points, draws, basis, schedule) -> Scenario:
+def _sweep_batch(dims, points, draws, schedule) -> Scenario:
     """The interpolated models of points, (eta, seed, k) with k the seed's row
-    in draws and basis (the spectra of the drawn h_M, the pointers)."""
-    k = [k for _, _, k in points]
+    in draws, whose h_M spectra are the pointers."""
+    k, basis = [k for _, _, k in points], draws.apparatus_basis
     hc = interpolate_coupling(draws.hc_qnd[k], draws.hc_violating[k],
                               np.array([eta for eta, _, _ in points])[:, None, None])
     model = BipartiteModel(*dims, HermitianOperator(draws.h_system[k]),
@@ -257,7 +258,7 @@ def _sweep_batch(dims, points, draws, basis, schedule) -> Scenario:
         preparation=Preparation.eigenbasis(0, 0),
         pointer=pointer,
         schedule=schedule,
-        calibration=Calibration(pointer.values),
+        table=None,
         seeds=tuple(seed for _, seed, _ in points),
         etas=tuple(eta for eta, _, _ in points),
     )
@@ -287,9 +288,8 @@ def interpolation_sweep(
     for lo in range(0, len(seeds), per_draw):
         chunk = seeds[lo:lo + per_draw]
         draws = model_draws(dims, chunk)
-        basis = spectral(draws.h_apparatus)
         groups = {}
-        for k, values in enumerate(basis.eigenvalues):
+        for k, values in enumerate(draws.apparatus_basis.eigenvalues):
             groups.setdefault(tuple(degenerate_groups(values)), []).append(k)
         for members in groups.values():
             points = [(eta, chunk[k], k) for eta in etas for k in members]
@@ -297,11 +297,11 @@ def interpolation_sweep(
             for b in range(0, len(points), per_batch):
                 batch = points[b:b + per_batch]
                 try:
-                    batch_rows = run_batch(_sweep_batch(dims, batch, draws, basis, schedule))
+                    batch_rows = run_batch(_sweep_batch(dims, batch, draws, schedule))
                 except RuntimeError:
                     if len(batch) > 1:  # a batch of one is named already
                         for point in batch:  # raises naming the first that fails alone
-                            run_batch(_sweep_batch(dims, [point], draws, basis, schedule))
+                            run_batch(_sweep_batch(dims, [point], draws, schedule))
                     raise
                 for slot, row in zip(slots[b:b + per_batch], batch_rows, strict=True):
                     rows[slot] = row

@@ -15,7 +15,6 @@ from qndsim.dynamics import (
     state_constancy_check,
 )
 from qndsim.measurement import (
-    Calibration,
     PointerObservable,
     aggregate_sigma,
     dispersion_experiment,
@@ -104,9 +103,8 @@ def test_criterion_4_repeatability():
     for seed in range(100):
         m = random_model((2, 2), "qnd", seed)
         ptr = PointerObservable.from_operator(m.h_apparatus)
-        cal = Calibration(ptr.values)
         w_tau = evolve_exact(m, prepare_initial(m, Preparation.eigenbasis(0, 0)), 1.0)
-        rec = repeatability_protocol(m, w_tau, ptr, cal, 0, 1.0, 0.5, 5, seed)
+        rec = repeatability_protocol(m, w_tau, ptr, ptr.values, 0, 1.0, 0.5, 5, seed)
         changes += outcome_changes(rec.lam)
     _report(4, f"repeatability, 5 measurements x 100 models ({changes} changes)", changes == 0)
 
@@ -117,9 +115,8 @@ def test_criterion_5_dichotomy():
     for seed in seeds:
         m = random_model((2, 2), "violating", seed)
         ptr = PointerObservable.from_operator(m.h_apparatus)
-        cal = Calibration(ptr.values)
         v = dispersion_experiment(
-            m, Preparation.eigenbasis(0, 0), ptr, cal, 1.0, 50, seed
+            m, Preparation.eigenbasis(0, 0), ptr, ptr.values, 1.0, 50, seed
         )
         positive += v > 0
     sched = Schedule(n_trials=50)

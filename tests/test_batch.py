@@ -28,7 +28,6 @@ from qndsim.cli import main as cli_main
 from qndsim.linalg import DensityOperator, HermitianOperator, SpectralDecomposition, spectral
 from qndsim.linalg import tensor
 from qndsim.measurement import (
-    Calibration,
     MeasurementRecord,
     PointerObservable,
     collapse_after_outcome,
@@ -71,7 +70,7 @@ def interp_scenario(dims, eta, seed, schedule, model=None):
     model = model or random_model(dims, "interpolated", seed, eta=eta)
     pointer = PointerObservable.from_operator(model.h_apparatus)
     return Scenario((f"interp-eta{eta:g}-seed{seed}",), model, Preparation.eigenbasis(0, 0),
-                    pointer, schedule, Calibration(pointer.values), (seed,), (eta,))
+                    pointer, schedule, None, (seed,), (eta,))
 
 
 @settings(max_examples=12, deadline=None)
@@ -143,10 +142,16 @@ def test_seeds_with_other_pointer_groups_run_apart(monkeypatch):
     draws = model_draws(dims, seeds)
     h_m = draws.h_apparatus.copy()
     h_m[1] = np.diag([1.0, 1.0, -1.0])  # seed 1's pointer has two outcomes, not three
-    draws = draws._replace(h_apparatus=h_m)
+    basis = spectral(h_m)  # the draws carry h_M's spectra along with it
+    draws = draws._replace(h_apparatus=h_m, apparatus_basis=basis)
     rows_of = {seed: j for j, seed in enumerate(seeds)}
-    monkeypatch.setattr(qndsim.scenarios, "model_draws", lambda _, chunk: ModelDraws(
-        *(a[[rows_of[seed] for seed in chunk]] for a in draws)))
+
+    def rows(chunk):
+        k = [rows_of[seed] for seed in chunk]
+        return ModelDraws(*(a[k] for a in draws[:-1]), SpectralDecomposition(
+            basis.eigenvalues[k], basis.eigenvectors[k]))
+
+    monkeypatch.setattr(qndsim.scenarios, "model_draws", lambda _, chunk: rows(chunk))
     rows = interpolation_sweep(dims, etas, seeds, SMALL)
     for (eta, seed), row in zip(product(etas, seeds), rows):
         j = seeds.index(seed)

@@ -111,5 +111,6 @@ def test_traced_cli_runs_leave_no_call_unwrapped(tmp_path):
     assert report["calls"]["dynamics.rhs_component_form"] == 0
     assert report["calls"]["dynamics.evolve_stepped"] == 1
     # each operator or state is checked once, where it enters the pipeline or
-    # is computed, and spectral does not check a wrapper again
-    assert report["check_operators"] == 30
+    # is computed, spectral does not check a wrapper again, and the sweep
+    # decomposes its drawn h_M stack once
+    assert report["check_operators"] == 29

@@ -14,7 +14,12 @@ from qndsim import cli, csvtext
 from qndsim.cli import main
 from qndsim.dynamics import evolve_stepped, exact_trajectory
 from qndsim.model import Preparation, prepare_initial, random_model
-from qndsim.scenario_io import bundled_scenario_path, load_scenario_file
+from qndsim.scenario_io import (
+    bundled_scenario_path,
+    load_scenario_file,
+    parse_scenario,
+    render_scenario,
+)
 from qndsim.scenarios import SWEEP_HEADER, run_scenario
 
 QND = str(bundled_scenario_path("qubit-qnd"))
@@ -25,6 +30,9 @@ BUNDLED = sorted(bundled_scenario_path("qubit-qnd").parent.glob("*.json"))
 VIOLATING = str(bundled_scenario_path("qubit-violating"))
 DATA = Path(__file__).parent / "data"
 HUGE_DIGITS = "9" * 5000  # an integer longer than json.loads reads
+# 1e-11 at (0, 3) and (1, 2) alone: eigh reads only the lower triangle, all zero
+UPPER_ONLY = [[[1e-11 if (r, c) in ((0, 3), (1, 2)) else 0, 0] for c in range(4)]
+              for r in range(4)]
 
 
 class TestCheck:
@@ -232,6 +240,24 @@ def test_calibrated_measure_without_pointer_reads_h_apparatus(tmp_path, capsys):
     assert readings == {3.0, 9.0}  # the table's row 1, both pointer values read
 
 
+# Readings: the table's row at the prepared index, or without an index the pointer values.
+@pytest.mark.parametrize("doc, readings", [
+    (CALIBRATED, [3.0, 9.0]),
+    (dict(DEGENERATE_POINTER, preparation={"rho": {"diag": [1, 0]},
+                                           "mu": {"diag": [0.5, 0, 0.5]}}), [0.0, 1.0]),
+], ids=["calibrated", "degenerate-pointer-rho-mu"])
+def test_rendered_document_parses_back(doc, readings):
+    s = parse_scenario(doc)
+    rendered = render_scenario(s)
+    assert rendered["calibration"] == doc["calibration"]
+    assert ("rho" in rendered["preparation"]) == ("rho" in doc["preparation"])
+    again = parse_scenario(json.loads(json.dumps(rendered)))
+    assert render_scenario(again) == rendered
+    for t in (s, again):
+        assert t.readings.tolist() == readings
+        assert not t.table.flags.writeable
+
+
 class TestSweep:
     def test_eta_zero_all_sharp(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -390,6 +416,8 @@ BAD_FILES = {
     "diag-40-deep": lambda d: d.update(pointer={"diag": json.loads("[" * 40 + "1" + "]" * 40)}),
     # an integer json.loads refuses, which once named neither file nor field
     "seed-5000-digits": lambda d: d.update(seed=HUGE_DIGITS),
+    # a small non-Hermitian coupling, once within EPS_HERM * max(1, ||M||_F)
+    "coupling-upper-triangle": lambda d: d["model"].update(h_coupling=UPPER_ONLY),
 }
 
 BAD_ARGS = {
@@ -577,6 +605,7 @@ def test_bad_pointer_spec_names_the_field(name, tmp_path, capsys):
     ("matrix-literal-string", "pointer"),
     ("calibration-string", "calibration.table"),
     ("diag-40-deep", "pointer.diag"),
+    ("coupling-upper-triangle", "model.h_coupling"),
 ])
 def test_oversized_count_names_its_field(name, field, tmp_path, capsys):
     argv = BAD_ARGS.get(name) or ["measure", _bad_file(tmp_path, BAD_FILES[name])]

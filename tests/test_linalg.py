@@ -15,7 +15,7 @@ from qndsim.linalg import (
     spectral,
     tensor,
 )
-from qndsim.measurement import Calibration, PointerObservable
+from qndsim.measurement import PointerObservable
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -276,10 +276,6 @@ CALLER_ARRAYS = {
     ),
     "SpectralDecomposition.eigenvectors": (
         lambda: I2.copy(), lambda a: SpectralDecomposition(np.array([0.0, 1.0]), a)
-    ),
-    "Calibration.pointer_values": (lambda: np.array([1.0, -1.0]), Calibration),
-    "Calibration.table": (
-        lambda: np.ones((2, 2)), lambda a: Calibration(np.array([1.0, -1.0]), a)
     ),
     "PointerObservable": (
         lambda: SZ.copy(), lambda a: PointerObservable.from_operator(HermitianOperator(a))

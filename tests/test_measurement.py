@@ -10,7 +10,6 @@ from qndsim.dynamics import evolve_exact
 from qndsim.model import Preparation, prepare_initial, random_model
 from qndsim.csvtext import _RECORD_BLOCK
 from qndsim.measurement import (
-    Calibration,
     ImpossibleOutcomeError,
     MeasurementRecord,
     PointerObservable,
@@ -42,17 +41,17 @@ class FixedRng:
         return self.u
 
 
-def run_protocol(m, prep, ptr, cal, tau, delta_tau, n_repeats, seed):
+def run_protocol(m, prep, ptr, readings, tau, delta_tau, n_repeats, seed):
     """The repeat protocol from the prepared state evolved to tau."""
     w_tau = evolve_exact(m, prepare_initial(m, prep, pointer_basis=ptr.basis), tau)
     return repeatability_protocol(
-        m, w_tau, ptr, cal, prep.system_index, tau, delta_tau, n_repeats, seed
+        m, w_tau, ptr, readings, prep.system_index, tau, delta_tau, n_repeats, seed
     )
 
 
-def trial_record(p, cal, system_index, tau, u):
+def trial_record(p, readings, system_index, tau, u):
     """One record row per uniform draw at time tau: trial k inverts p at u[k]."""
-    return MeasurementRecord.from_outcomes(cal, system_index, np.arange(len(u)), tau,
+    return MeasurementRecord.from_outcomes(readings, system_index, np.arange(len(u)), tau,
                                            invert_cdf(p, u))
 
 
@@ -178,9 +177,9 @@ class TestRepeatability:
         for seed in range(30):
             m = random_model((2, 2), "qnd", seed)
             ptr = PointerObservable.from_operator(m.h_apparatus)
-            cal = Calibration(ptr.values)
+            readings = ptr.values
             rec = run_protocol(
-                m, Preparation.eigenbasis(0, 0), ptr, cal, 1.0, 0.5, 5, seed
+                m, Preparation.eigenbasis(0, 0), ptr, readings, 1.0, 0.5, 5, seed
             )
             assert outcome_changes(rec.lam) == 0
             assert len(rec.lam) == 5
@@ -195,9 +194,9 @@ class TestRepeatability:
             HermitianOperator(np.zeros((4, 4))),
         )
         ptr = PointerObservable.from_operator(m.h_apparatus)
-        cal = Calibration(ptr.values)
+        readings = ptr.values
         rec = run_protocol(
-            m, Preparation.eigenbasis(0, 0), ptr, cal, 1.0, 0.5, 4, 0
+            m, Preparation.eigenbasis(0, 0), ptr, readings, 1.0, 0.5, 4, 0
         )
         assert outcome_changes(rec.lam) == 0
 
@@ -206,9 +205,9 @@ class TestRepeatability:
         for seed in range(20):
             m = random_model((2, 2), "violating", seed)
             ptr = PointerObservable.from_operator(m.h_apparatus)
-            cal = Calibration(ptr.values)
+            readings = ptr.values
             rec = run_protocol(
-                m, Preparation.eigenbasis(0, 0), ptr, cal, 1.0, 0.5, 5, seed
+                m, Preparation.eigenbasis(0, 0), ptr, readings, 1.0, 0.5, 5, seed
             )
             flips += outcome_changes(rec.lam)
         assert flips > 0
@@ -216,10 +215,10 @@ class TestRepeatability:
     def test_rejects_degenerate_protocol(self):
         m = random_model((2, 2), "qnd", 0)
         ptr = PointerObservable.from_operator(m.h_apparatus)
-        cal = Calibration(ptr.values)
+        readings = ptr.values
         with pytest.raises(ValueError):
             run_protocol(
-                m, Preparation.eigenbasis(0, 0), ptr, cal, 1.0, 0.5, 1, 0
+                m, Preparation.eigenbasis(0, 0), ptr, readings, 1.0, 0.5, 1, 0
             )
 
 
@@ -256,9 +255,9 @@ class TestDispersion:
         for seed in range(20):
             m = random_model((2, 2), "qnd", seed)
             ptr = PointerObservable.from_operator(m.h_apparatus)
-            cal = Calibration(ptr.values)
+            readings = ptr.values
             v = dispersion_experiment(
-                m, Preparation.eigenbasis(0, 0), ptr, cal, 1.0, 50, seed
+                m, Preparation.eigenbasis(0, 0), ptr, readings, 1.0, 50, seed
             )
             assert v == 0.0
 
@@ -274,21 +273,21 @@ class TestDispersion:
             HermitianOperator(np.zeros((4, 4))),
         )
         ptr = POINTER_Z
-        cal = Calibration(pointer_values=[1.0, -1.0])
+        readings = np.array([1.0, -1.0])
         prep = Preparation.general(
             DensityOperator(np.outer([1, 0], [1, 0])), DensityOperator(np.eye(2) / 2)
         )
         n = 10**4
-        v = dispersion_experiment(m, prep, ptr, cal, 1.0, n, 5)
+        v = dispersion_experiment(m, prep, ptr, readings, 1.0, n, 5)
         # closed form: sum p c^2 - (sum p c)^2 = 1
         assert v == pytest.approx(1.0, abs=4 / np.sqrt(n))
 
     def test_single_trial_degenerate(self):
         m = random_model((2, 2), "violating", 3)
         ptr = PointerObservable.from_operator(m.h_apparatus)
-        cal = Calibration(ptr.values)
+        readings = ptr.values
         v = dispersion_experiment(
-            m, Preparation.eigenbasis(0, 0), ptr, cal, 1.0, 1, 0
+            m, Preparation.eigenbasis(0, 0), ptr, readings, 1.0, 1, 0
         )
         assert v == 0.0
 
@@ -296,8 +295,8 @@ class TestDispersion:
     def test_is_variance_of_trial_record(self, family):
         m = random_model((3, 2), family, 4)
         ptr = PointerObservable.from_operator(m.h_apparatus)
-        cal = Calibration(ptr.values)
-        args = (m, Preparation.eigenbasis(1, 0), ptr, cal, 1.0, 200, 9)
+        readings = ptr.values
+        args = (m, Preparation.eigenbasis(1, 0), ptr, readings, 1.0, 200, 9)
         assert dispersion_experiment(*args) == reading_variance(
             measurement_trials(*args).reading
         )
@@ -311,18 +310,18 @@ class TestDispersion:
 class TestDrawTrials:
     def test_first_trials_equal_a_shorter_run(self):
         p = np.array([0.2, 0.0, 0.5, 0.3])
-        cal = Calibration(pointer_values=[1.0, 2.0, 3.0, 4.0])
-        long = trial_record(p, cal, None, 1.0, trial_rng(11).random(1000))
+        readings = np.array([1.0, 2.0, 3.0, 4.0])
+        long = trial_record(p, readings, None, 1.0, trial_rng(11).random(1000))
         for k in (1, 7, 999):
-            short = trial_record(p, cal, None, 1.0, trial_rng(11).random(k))
+            short = trial_record(p, readings, None, 1.0, trial_rng(11).random(k))
             assert np.array_equal(long.lam[:k], short.lam)
             assert np.array_equal(long.reading[:k], short.reading)
 
     def test_chi_square_against_born_weights(self):
         p = np.array([0.5, 0.3, 0.0, 0.15, 0.05])
-        cal = Calibration(pointer_values=np.arange(5.0))
+        readings = np.arange(5.0)
         n = 10**5
-        counts = np.bincount(trial_record(p, cal, None, 1.0, trial_rng(2024).random(n)).lam, minlength=5)
+        counts = np.bincount(trial_record(p, readings, None, 1.0, trial_rng(2024).random(n)).lam, minlength=5)
         assert counts[2] == 0
         live = p > 0
         chi2 = float(np.sum((counts[live] - n * p[live]) ** 2 / (n * p[live])))
@@ -333,10 +332,10 @@ class TestDrawTrials:
         for seed in range(10):
             m = random_model((2, 2), "violating", seed)
             ptr = PointerObservable.from_operator(m.h_apparatus)
-            cal = Calibration(ptr.values)
+            readings = ptr.values
             prep = Preparation.eigenbasis(0, 0)
-            rep = run_protocol(m, prep, ptr, cal, 1.0, 0.5, 3, seed)
-            trials = measurement_trials(m, prep, ptr, cal, 1.0, 5, seed)
+            rep = run_protocol(m, prep, ptr, readings, 1.0, 0.5, 3, seed)
+            trials = measurement_trials(m, prep, ptr, readings, 1.0, 5, seed)
             assert rep.lam[0] == trials.lam[0]
             assert rep.trial.shape == () and rep.trial == 0
             assert rep.time.tolist() == [1.0, 1.5, 2.0]
@@ -360,7 +359,7 @@ class TestRecordCsv:
         assert lines[2].startswith("1,1,,0,")
 
     def test_trial_record_holds_one_time(self):
-        rec = trial_record([0.5, 0.5], Calibration([1.0, -1.0]), 1, 0.25, trial_rng(5).random(100))
+        rec = trial_record([0.5, 0.5], np.array([1.0, -1.0]), 1, 0.25, trial_rng(5).random(100))
         assert rec.system_index == 1
         assert rec.time.shape == () and rec.time == 0.25
         for column in (rec.trial, rec.time, rec.lam, rec.reading):
@@ -379,22 +378,23 @@ class TestRecordCsv:
                              ids=["no-index", "index", "repeat"])
     def test_matches_csv_writer_rendering(self, system_index, repeat):
         table = np.array([[0.5, -1.25, 1 / 3], [2e-17, -7.0, np.pi]])
-        cal = Calibration([1 / 7, -2.0, 1e300], table)
+        values = np.array([1 / 7, -2.0, 1e300])
+        readings = values if system_index is None else table[system_index]
         tau = 0.1 + 0.2  # 0.30000000000000004 needs all 17 digits
         p, u = [0.2, 0.5, 0.3], trial_rng(3).random(500)
         if repeat:  # one trial, 0, and a time per row
             times = repeat_times(tau, 1 / 3, len(u)).tolist()
-            rec = MeasurementRecord.from_outcomes(cal, system_index, 0, times, invert_cdf(p, u))
+            rec = MeasurementRecord.from_outcomes(readings, system_index, 0, times, invert_cdf(p, u))
             trials = [0] * len(u)
         else:  # one time, tau, and a trial per row
-            rec = trial_record(p, cal, system_index, tau, u)
+            rec = trial_record(p, readings, system_index, tau, u)
             times, trials = [tau] * len(u), range(len(u))
         want = io.StringIO()
         writer = csv.writer(want, lineterminator="\n")
         writer.writerow(["trial", "time", "i", "lambda", "reading"])
         for trial, time, lam in zip(trials, times, rec.lam.tolist(), strict=True):
             if system_index is None:
-                i, c = "", cal.pointer_values[lam]
+                i, c = "", values[lam]
             else:
                 i, c = system_index, table[system_index, lam]
             writer.writerow([trial, f"{time:.17g}", i, lam, f"{c:.17g}"])
@@ -407,7 +407,7 @@ def test_record_writer_memory_is_flat(tmp_path):
     # The benchmark's Born distribution over 200000 trials.  The writer keys,
     # lays out and writes a block of rows at a time, so its peak is one
     # block's temporaries, about 100 B a row, not the file's 3.1 MB.
-    rec = trial_record([0.876, 0.124], Calibration([-1.0, 1.0]), 0, 1.0,
+    rec = trial_record([0.876, 0.124], np.array([-1.0, 1.0]), 0, 1.0,
                       trial_rng(1).random(200_000))
     path = tmp_path / "records.csv"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

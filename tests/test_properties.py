@@ -43,7 +43,6 @@ from qndsim.linalg import (
 )
 from qndsim.csvtext import _RECORD_BLOCK as BLOCK
 from qndsim.measurement import (
-    Calibration,
     MeasurementRecord,
     PointerObservable,
     aggregate_sigma,
@@ -310,9 +309,9 @@ def test_vectorised_inversion_matches_one_draw(weights, draws, data):
 @given(weight_lists(), st.integers(1, 300), st.integers(0, 300), st.integers(0, 2**140))
 def test_first_trials_do_not_depend_on_trial_count(weights, n, k, seed):
     p = np.array(weights) / sum(weights)
-    cal = Calibration(pointer_values=np.arange(len(p), dtype=float))
+    readings = np.arange(len(p), dtype=float)
     k = min(k, n - 1) + 1
-    long, short = (MeasurementRecord.from_outcomes(cal, 0, np.arange(count), 1.0,
+    long, short = (MeasurementRecord.from_outcomes(readings, 0, np.arange(count), 1.0,
                                                    invert_cdf(p, trial_rng(seed).random(count)))
                    for count in (n, k))
     assert long.system_index == short.system_index == 0
@@ -586,7 +585,7 @@ def test_repeated_outcomes_equal_per_step_evolution_bitwise(
         m, seeds = models[0], seeds[:1]
     pointer = PointerObservable.from_operator(m.h_apparatus)
     batch = Scenario(tuple(map(str, seeds)), m, Preparation.eigenbasis(0, 0), pointer,
-                     Schedule(tau, delta_tau, n_repeats, n_trials), Calibration(pointer.values),
+                     Schedule(tau, delta_tau, n_repeats, n_trials), None,
                      tuple(seeds), (eta,) * len(seeds))
     got_states, want_states = [], []
 
@@ -712,7 +711,7 @@ def test_qnd_models_read_sharply(d_s, d_m, model_seed, seed, n_repeats, n_trials
     schedule = Schedule(n_repeats=n_repeats, n_trials=n_trials)
     pointer = PointerObservable.from_operator(m.h_apparatus)
     run = measure_batch(Scenario(("qnd",), m, prep, pointer, schedule,
-                                 Calibration(pointer.values), (seed,), (None,)))
+                                 None, (seed,), (None,)))
     assert run.reading_variance == 0.0
     assert run.repeat_changes == 0
     assert outcome_changes(run.trial_lams) == 0
@@ -741,10 +740,10 @@ def scenarios(draw):
         pointer = PointerObservable.from_operator(
             hermitian(m.d_apparatus, draw(st.integers(0, 2**32)))
         )
-    calibration = Calibration(pointer.values)
+    table = None
     if draw(st.booleans()):
         table = draw(st.lists(st.floats(-1e3, 1e3), min_size=m.dim, max_size=m.dim))
-        calibration = Calibration(pointer.values, np.reshape(table, (m.d_system, m.d_apparatus)))
+        table = np.reshape(table, (m.d_system, m.d_apparatus))
     schedule = Schedule(
         tau=draw(st.floats(1e-3, 10.0)),
         delta_tau=draw(st.floats(1e-3, 10.0)),
@@ -752,7 +751,7 @@ def scenarios(draw):
         n_trials=draw(st.integers(1, 10**4)),
     )
     name = draw(st.text(min_size=1, max_size=12))
-    return Scenario((name,), m, prep, pointer, schedule, calibration,
+    return Scenario((name,), m, prep, pointer, schedule, table,
                     (draw(st.integers(0, 2**140)),), (draw(st.none() | st.floats(0.0, 1.0)),))
 
 
@@ -762,7 +761,7 @@ def scenario_fields(s):
         a = as_matrix(a) if not isinstance(a, np.ndarray) else a
         return a.shape, a.dtype.str, a.tobytes()
 
-    m, prep, cal = s.model, s.preparation, s.calibration
+    m, prep = s.model, s.preparation
     return (
         s.names, s.seeds, s.etas, s.schedule,
         m.d_system, m.d_apparatus,
@@ -771,7 +770,7 @@ def scenario_fields(s):
         None if prep.rho_system is None else arr(prep.rho_system),
         None if prep.mu_apparatus is None else arr(prep.mu_apparatus),
         arr(s.pointer.operator), arr(s.pointer.values),
-        arr(cal.pointer_values), None if cal.table is None else arr(cal.table),
+        arr(s.readings), None if s.table is None else arr(s.table),
     )
 
 

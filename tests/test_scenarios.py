@@ -6,7 +6,7 @@ import pytest
 
 import qndsim.scenarios
 from qndsim.linalg import HermitianOperator
-from qndsim.measurement import Calibration, PointerObservable
+from qndsim.measurement import PointerObservable
 from qndsim.model import BipartiteModel, Preparation
 from qndsim.scenarios import (
     Scenario,
@@ -58,7 +58,7 @@ class TestRunScenario:
         )
         pointer = PointerObservable.from_operator(m.h_apparatus)
         s = Scenario(("null",), m, Preparation.eigenbasis(0, 0), pointer, SMALL_SCHEDULE,
-                     Calibration(pointer.values), (0,), (None,))
+                     None, (0,), (None,))
         row = run_scenario(s)
         assert row.eq4_defect == 0.0 and row.eq5_defect == 0.0
         assert row.constancy_dev <= 1e-12

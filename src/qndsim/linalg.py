@@ -9,9 +9,10 @@ expectation value is an einsum over joint_axes where one is wanted.  Operators,
 states and spectra may carry leading batch axes, (..., d, d): every
 operation then acts on each matrix of the stack, with bits equal to the
 one-matrix call, so a batch of models runs each step once.  Units: hbar = 1,
-so time and energy are dimensionless reciprocal pairs.  The joint index
-convention for a system (dim dS) coupled to an apparatus (dim dM) is
-system-major: (i, lam) -> i * dM + lam, fixed globally.
+so time and energy are dimensionless reciprocal pairs; every tolerance is
+relative to its operator's scale, so H -> c H with t -> t / c changes no
+verdict or outcome.  The joint index convention for a system (dim dS) coupled
+to an apparatus (dim dM) is system-major: (i, lam) -> i * dM + lam, fixed.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ EPS_HERM = 1e-10
 EPS_TRACE = 1e-10
 EPS_POS = 1e-9
 
-# Eigenvalues closer than this are treated as one degenerate group.
+# Eigenvalues closer than this, times the largest |eigenvalue|, are one degenerate group.
 DEGENERACY_TOL = 1e-9
 
 # Matrices validated or propagated at once, so stack temporaries stay small:
@@ -223,7 +224,8 @@ def frobenius(m: np.ndarray) -> np.ndarray:
 
 
 def commutator_defect(a, b):
-    """Normalized commutator size: ||[A,B]||_F / max(1, ||A||_F ||B||_F).
+    """Relative commutator size: ||[A,B]||_F / (||A||_F ||B||_F), and 0 when
+    either operator is 0, so scaling A or B leaves it unchanged.
 
     Zero (within floating arithmetic) iff the operators commute.  A float for
     two matrices; an array over the batch for (..., d, d) stacks.
@@ -233,15 +235,21 @@ def commutator_defect(a, b):
         raise DimensionMismatchError(
             f"commutator_defect of shapes {ma.shape} and {mb.shape}"
         )
-    defect = frobenius(ma @ mb - mb @ ma) / np.maximum(1.0, frobenius(ma) * frobenius(mb))
+    scale = frobenius(ma) * frobenius(mb)  # 0 when A or B is, and then so is [A,B]
+    defect = frobenius(ma @ mb - mb @ ma) / np.where(scale > 0, scale, 1.0)
     return float(defect) if defect.ndim == 0 else defect
+
+
+def _group_starts(w: np.ndarray) -> np.ndarray:
+    """Where ascending eigenvalues w (..., d) start a group: more than DEGENERACY_TOL
+    times the row's largest |eigenvalue| above the one below (zeros are one group)."""
+    return np.diff(w, axis=-1, prepend=-np.inf) > DEGENERACY_TOL * abs(w).max(-1, keepdims=True)
 
 
 def degenerate_groups(w: np.ndarray) -> np.ndarray:
     """Group start indices of ascending eigenvalues w (..., d), which every row of
-    a stack must share; neighbours within DEGENERACY_TOL share a group."""
-    w = np.asarray(w)
-    gaps = (np.diff(w, axis=-1, prepend=-np.inf) > DEGENERACY_TOL).reshape(-1, w.shape[-1])
+    a stack must share (see _group_starts)."""
+    gaps = _group_starts(np.asarray(w)).reshape(-1, np.shape(w)[-1])
     if (gaps != gaps[:1]).any():
         raise ValueError("eigenvalues of the stack fall into different degenerate groups")
     return np.flatnonzero(gaps[0])
@@ -277,7 +285,7 @@ def _deterministic_basis(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     v = v.copy()
     flat_w, flat_v = w.reshape(-1, w.shape[-1]), v.reshape(-1, *v.shape[-2:])
-    for n in np.flatnonzero((np.diff(flat_w, axis=-1) <= DEGENERACY_TOL).any(axis=-1)):
+    for n in np.flatnonzero(~_group_starts(flat_w).all(axis=-1)):
         _orthonormalise_groups(flat_w[n], flat_v[n])
     k = np.argmax(np.abs(v), axis=-2)[..., None, :]
     top = np.take_along_axis(v, k, axis=-2)

@@ -1,7 +1,7 @@
 """Pointer-basis readout: Born-rule sampling, repeated measurement, statistics.
 
-An outcome is a distinct pointer value: one group of eigenvalues within
-DEGENERACY_TOL, and its eigenspace.  Both steps act on the apparatus axes of
+An outcome is a distinct pointer value: a group of eigenvalues (relative
+DEGENERACY_TOL), and its eigenspace.  Both steps act on the apparatus axes of
 w viewed as (dS, dM, dS, dM), with no joint-space projector: Born weights are
 the eigenspace weights of rho_M = tr_S w, and the update is the Lüders
 projection (I x P_g) w (I x P_g) onto the measured eigenspace.  Randomness is

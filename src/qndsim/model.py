@@ -7,7 +7,8 @@ check_conditions quantifies how far a model is from satisfying them.
 A model compiles its joint-space operators once, on first use, and every
 caller reads them: lifted terms, total H, its spectrum, the h_S eigenbasis.
 A model may also be a batch: operators with one shared leading batch shape,
-compiled, checked and prepared as stacks by the same code.
+compiled, checked and prepared as stacks by the same code.  drawn_model alone
+builds a model from model_draws: every random family is an eta of one blend.
 """
 
 from __future__ import annotations
@@ -257,47 +258,35 @@ def model_draws(dims: tuple[int, int], seeds: Sequence[int]) -> ModelDraws:
     return ModelDraws(h_s, h_m, hc_qnd, hc_violating, basis_m)
 
 
-def interpolate_coupling(hc_qnd, hc_violating, eta):
-    """(1 - eta) * qnd + eta * violating for eta in [0, 1]; eta may be an array
-    broadcasting against the couplings' leading axes."""
-    if not np.all((np.asarray(eta) >= 0.0) & (np.asarray(eta) <= 1.0)):  # NaN fails
+def drawn_model(dims: tuple[int, int], draws: ModelDraws, k, eta) -> BipartiteModel:
+    """The model of row k of draws, or the batch of rows k (a list), coupled by
+    (1 - eta) * hc_qnd + eta * hc_violating; eta is one value in [0, 1] or one
+    per row.  eta = 0 is the qnd coupling and eta = 1 the violating one, bit for
+    bit, since 1 * x = x and 0 * y = +-0."""
+    eta = np.asarray(eta)
+    if not np.all((eta >= 0.0) & (eta <= 1.0)):  # NaN fails
         raise ValueError("interpolated family needs eta in [0, 1]")
-    return (1.0 - eta) * hc_qnd + eta * hc_violating
+    eta = eta[..., None, None]
+    hc = (1.0 - eta) * draws.hc_qnd[k] + eta * draws.hc_violating[k]
+    return BipartiteModel(*dims, HermitianOperator(draws.h_system[k]),
+                          HermitianOperator(draws.h_apparatus[k]), HermitianOperator(hc))
 
 
-def random_model(
-    dims: tuple[int, int],
-    family: str,
-    seed: int,
-    eta: Optional[float] = None,
-) -> BipartiteModel:
+def random_model(dims: tuple[int, int], family: str, seed: int,
+                 eta: Optional[float] = None) -> BipartiteModel:
     """Draw a seeded random model from one of three coupling families.
 
     ``qnd``: every coupling term is diagonal in the system and apparatus
     Hamiltonian eigenbases, so both commutation conditions hold by
     construction.  ``violating``: dense random Hermitian coupling.
     ``interpolated``: (1 - eta) * qnd + eta * violating, sharing the same
-    seeded draws, so eta=0 reproduces the qnd model exactly.
+    seeded draws; qnd is its eta = 0 endpoint and violating its eta = 1 one.
     """
     if family == "interpolated":
-        if eta is None:  # interpolate_coupling checks the range
+        if eta is None:  # drawn_model checks the range
             raise ValueError("interpolated family needs eta in [0, 1]")
-    elif family not in ("qnd", "violating"):
-        raise ValueError(f"unknown model family {shown(family)}")
-    d_s, d_m = dims
-    h_s, h_m, hc_qnd, hc_violating = (a[0] for a in model_draws(dims, [seed])[:4])
-
-    if family == "qnd":
-        hc = hc_qnd
-    elif family == "violating":
-        hc = hc_violating
+    elif family in ("qnd", "violating"):
+        eta = 0.0 if family == "qnd" else 1.0
     else:
-        hc = interpolate_coupling(hc_qnd, hc_violating, eta)
-
-    return BipartiteModel(
-        d_system=d_s,
-        d_apparatus=d_m,
-        h_system=HermitianOperator(h_s),
-        h_apparatus=HermitianOperator(h_m),
-        h_coupling=HermitianOperator(hc),
-    )
+        raise ValueError(f"unknown model family {shown(family)}")
+    return drawn_model(dims, model_draws(dims, [seed]), 0, eta)

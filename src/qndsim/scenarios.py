@@ -32,7 +32,6 @@ import numpy as np
 
 from .linalg import (
     DensityOperator,
-    HermitianOperator,
     SpectralDecomposition,
     degenerate_groups,
 )
@@ -40,7 +39,7 @@ from .model import (
     BipartiteModel,
     Preparation,
     check_conditions,
-    interpolate_coupling,
+    drawn_model,
     model_draws,
     prepare_initial,
     random_model,
@@ -246,10 +245,7 @@ def _sweep_batch(dims, points, draws, schedule) -> Scenario:
     """The interpolated models of points, (eta, seed, k) with k the seed's row
     in draws, whose h_M spectra are the pointers."""
     k, basis = [k for _, _, k in points], draws.apparatus_basis
-    hc = interpolate_coupling(draws.hc_qnd[k], draws.hc_violating[k],
-                              np.array([eta for eta, _, _ in points])[:, None, None])
-    model = BipartiteModel(*dims, HermitianOperator(draws.h_system[k]),
-                           HermitianOperator(draws.h_apparatus[k]), HermitianOperator(hc))
+    model = drawn_model(dims, draws, k, [eta for eta, _, _ in points])
     pointer = PointerObservable(model.h_apparatus, SpectralDecomposition(
         basis.eigenvalues[k], basis.eigenvectors[k]))
     return Scenario(

@@ -37,7 +37,6 @@ from qndsim.model import (
     BipartiteModel,
     ModelDraws,
     Preparation,
-    interpolate_coupling,
     model_draws,
     random_model,
 )
@@ -155,7 +154,7 @@ def test_seeds_with_other_pointer_groups_run_apart(monkeypatch):
     rows = interpolation_sweep(dims, etas, seeds, SMALL)
     for (eta, seed), row in zip(product(etas, seeds), rows):
         j = seeds.index(seed)
-        hc = interpolate_coupling(draws.hc_qnd[j], draws.hc_violating[j], eta)
+        hc = (1.0 - eta) * draws.hc_qnd[j] + eta * draws.hc_violating[j]
         m = BipartiteModel(*dims, HermitianOperator(draws.h_system[j]),
                            HermitianOperator(h_m[j]), HermitianOperator(hc))
         assert row == run_scenario(interp_scenario(dims, eta, seed, SMALL, m))

@@ -44,6 +44,21 @@ class TestCheck:
     def test_violating_fails(self):
         assert main(["check", VIOLATING]) == 1
 
+    def test_scaled_violating_fails_alike(self, tmp_path, capsys):
+        """qubit-violating.json with every Hamiltonian scaled by 1e-7 and every
+        time by 1e7 has the defects of the unscaled file, and fails as it does."""
+        doc = json.loads(Path(VIOLATING).read_text())
+        z = [[[1e-7, 0], [0, 0]], [[0, 0], [-1e-7, 0]]]
+        x = [[[0, 0], [1e-7, 0]], [[1e-7, 0], [0, 0]]]
+        doc["model"].update(h_system=z, h_apparatus=z, h_coupling={"kron": [x, "pauli_x"]})
+        doc["schedule"].update(tau=1e7, delta_tau=5e6)
+        scaled = tmp_path / "scaled.json"
+        scaled.write_text(json.dumps(doc))
+        assert main(["check", VIOLATING]) == 1
+        unscaled = capsys.readouterr().out
+        assert main(["check", str(scaled)]) == 1
+        assert capsys.readouterr().out == unscaled
+
     def test_truncated_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema": 1,')

@@ -10,6 +10,7 @@ from qndsim.linalg import (
     SpectralDecomposition,
     commutator,
     commutator_defect,
+    degenerate_groups,
     joint_axes,
     propagator,
     spectral,
@@ -129,8 +130,21 @@ class TestCommutator:
             b = random_hermitian(rng, 3)
             defect = commutator_defect(a, b)
             comm_norm = np.linalg.norm(a @ b - b @ a)
-            bound = EPS_COMM * max(1.0, np.linalg.norm(a) * np.linalg.norm(b))
+            bound = EPS_COMM * np.linalg.norm(a) * np.linalg.norm(b)
             assert (defect <= EPS_COMM) == (comm_norm <= bound)
+
+    @pytest.mark.parametrize("k", [-60, -20, 0, 20])
+    def test_defect_is_scale_free(self, k):
+        """||[cA, cB]|| / (||cA|| ||cB||) keeps its bits for c = 2^k, also below
+        unit scale, where a floor of 1 on the denominator would shrink it."""
+        rng = np.random.default_rng(5)
+        a, b = random_hermitian(rng, 3), random_hermitian(rng, 3)
+        assert commutator_defect(2.0**k * a, 2.0**k * b) == commutator_defect(a, b)
+
+    def test_defect_with_a_zero_operator_is_zero(self):
+        assert commutator_defect(np.zeros((2, 2)), SX) == 0.0
+        assert commutator_defect(SZ, np.zeros((2, 2))) == 0.0
+        assert commutator_defect(np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
 
 
 class TestSpectral:
@@ -189,6 +203,18 @@ class TestSpectral:
         dec2 = spectral(m)
         assert np.array_equal(dec1.eigenvectors, dec2.eigenvectors)
         assert np.allclose(dec1.eigenvectors, np.eye(3))
+
+    @pytest.mark.parametrize("k", [-60, -40, 0, 40])
+    def test_degenerate_groups_are_scale_free(self, k):
+        """The degeneracy tolerance is relative to a row's largest |eigenvalue|:
+        a gap of 1e-8 of it splits a group and one of 1e-10 does not, at any
+        scale; a row of zeros is one group."""
+        c = 2.0**k
+        assert degenerate_groups(c * np.array([-1.0, 1.0 - 1e-8, 1.0])).tolist() == [0, 1, 2]
+        assert degenerate_groups(c * np.array([-1.0, 1.0 - 1e-10, 1.0])).tolist() == [0, 1]
+        assert degenerate_groups(np.zeros(3)).tolist() == [0]
+        dec, scaled = spectral(np.diag([1.0, 1.0, 2.0])), spectral(c * np.diag([1.0, 1.0, 2.0]))
+        assert dec.eigenvectors.tobytes() == scaled.eigenvectors.tobytes()
 
 
 class TestPropagator:

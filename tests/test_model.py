@@ -6,6 +6,7 @@ from qndsim.model import (
     BipartiteModel,
     Preparation,
     check_conditions,
+    model_draws,
     prepare_initial,
     random_model,
     total_hamiltonian,
@@ -133,10 +134,18 @@ class TestRandomModel:
             assert r.both_hold
 
     def test_interpolated_zero_equals_qnd_draw(self):
-        a = random_model((2, 2), "qnd", 5)
-        b = random_model((2, 2), "interpolated", 5, eta=0.0)
-        assert np.allclose(a.h_coupling.matrix, b.h_coupling.matrix)
-        assert np.allclose(a.h_system.matrix, b.h_system.matrix)
+        """qnd is the eta = 0 endpoint and violating the eta = 1 one: either way
+        every operator carries the seed's draws bit for bit."""
+        for dims in [(2, 2), (3, 2), (2, 3), (3, 3), (4, 4)]:
+            for seed in range(4):
+                draws = model_draws(dims, [seed])
+                for family, eta, hc in [("qnd", 0.0, draws.hc_qnd[0]),
+                                        ("violating", 1.0, draws.hc_violating[0])]:
+                    for m in (random_model(dims, family, seed),
+                              random_model(dims, "interpolated", seed, eta=eta)):
+                        assert np.array_equal(m.h_coupling.matrix, hc)
+                        assert np.array_equal(m.h_system.matrix, draws.h_system[0])
+                        assert np.array_equal(m.h_apparatus.matrix, draws.h_apparatus[0])
 
     def test_violating_family_has_positive_defect(self):
         for seed in range(20):

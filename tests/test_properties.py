@@ -11,8 +11,9 @@ protocol on a batch); the repeat protocol's one propagator per batch gives
 the bits of an evolve_exact per step; the
 apparatus-factor Born/Lüders kernel agrees with explicit index loops and kron
 projectors on degenerate pointers; the Cholesky accept test decides positivity
-as eigvalsh does; non-demolition models read sharply; scenario documents
-round-trip."""
+as eigvalsh does; non-demolition models read sharply; scaling every
+Hamiltonian by 2^k and every time by 2^-k keeps every verdict, defect and
+outcome bit for bit; scenario documents round-trip."""
 
 import dataclasses
 import io
@@ -59,6 +60,7 @@ from qndsim.measurement import (
 from qndsim.model import (
     BipartiteModel,
     Preparation,
+    check_conditions,
     prepare_initial,
     random_model,
     total_hamiltonian,
@@ -715,6 +717,36 @@ def test_qnd_models_read_sharply(d_s, d_m, model_seed, seed, n_repeats, n_trials
     assert run.reading_variance == 0.0
     assert run.repeat_changes == 0
     assert outcome_changes(run.trial_lams) == 0
+
+
+@SETTINGS
+@given(
+    st.integers(2, 4), st.integers(2, 4), st.sampled_from(["qnd", "violating", "interpolated"]),
+    st.floats(0.0, 1.0), st.integers(0, 2**16), st.sampled_from([-60, -40, -20, 20, 40]),
+    st.floats(0.1, 3.0), st.floats(0.1, 3.0), st.data(),
+)
+def test_scaled_models_keep_every_verdict_and_outcome(
+        d_s, d_m, family, eta, seed, k, tau, delta_tau, data):
+    """The dynamics depend on E t alone: with every Hamiltonian scaled by
+    c = 2^k and every time by 1/c (both exact in floating point), the
+    condition verdicts and defects, the trial and repeat outcomes, sigma / c
+    and the variance / c^2 equal the unscaled run's bit for bit, since every
+    tolerance is relative to its operator's scale."""
+    m = random_model((d_s, d_m), family, seed, eta=eta if family == "interpolated" else None)
+    prep = Preparation.eigenbasis(data.draw(st.integers(0, d_s - 1)),
+                                  data.draw(st.integers(0, d_m - 1)))
+    got = []
+    for c in (1.0, 2.0**k):
+        scaled = BipartiteModel(d_s, d_m, *(HermitianOperator(c * getattr(m, name).matrix)
+                                            for name in ("h_system", "h_apparatus", "h_coupling")))
+        report = check_conditions(scaled)
+        run = measure_batch(Scenario(
+            ("scaled",), scaled, prep, PointerObservable.from_operator(scaled.h_apparatus),
+            Schedule(tau / c, delta_tau / c, 5, 50), None, (seed,), (None,)))
+        got.append([np.asarray(a).tobytes() for a in (
+            *dataclasses.astuple(report), run.trial_lams, run.repeat_lams,
+            run.sigma_analytic / c, run.sigma_empirical / c, run.reading_variance / c**2)])
+    assert got[0] == got[1]
 
 
 def hermitian(d, seed):

@@ -29,7 +29,7 @@ from .csvtext import write_trajectory
 from .linalg import InvariantViolationError
 from .measurement import MeasurementRecord
 from .model import check_conditions, shown
-from .dynamics import evolve_stepped, exact_trajectory
+from .dynamics import evolve_stepped, exact_trajectory, time_grid
 from .scenarios import (
     DEFAULT_ETA_GRID,
     MAX_DIM,
@@ -60,19 +60,12 @@ def cmd_check(args) -> int:
 
 def cmd_evolve(args) -> int:
     s = load_scenario_file(args.scenario)
-    if not (0 <= args.t_end < math.inf and 0 < args.dt < math.inf
-            and args.t_end / args.dt < math.inf):
-        raise ValueError("need finite t-end >= 0, dt > 0 and t-end / dt")
-    n = int(round(args.t_end / args.dt))
-    if args.t_end > 0 and n < 1:
-        raise ValueError("t-end must span at least one step of dt")
-    if n * args.t_end == math.inf:  # the grid's times are k * t-end / n
-        raise ValueError("t-end times its step count overflows")
+    times = time_grid(args.t_end, args.dt)
     w0 = s.initial
-    if args.stepped and n > 0:
+    if args.stepped and len(times) > 1:
         traj = evolve_stepped(s.model, w0, args.t_end, args.dt)
     else:
-        traj = exact_trajectory(s.model, w0, np.arange(n + 1) * args.t_end / max(n, 1))
+        traj = exact_trajectory(s.model, w0, times)
     if args.out:
         write_trajectory(args.out, traj)
     final = traj.states[-1]
@@ -102,7 +95,7 @@ def cmd_measure(args) -> int:
     ]:
         if path:  # the only records the pipeline's outcomes become
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                MeasurementRecord.from_outcomes(s.readings, i, trial, time, lam).write_csv(fh)
+                MeasurementRecord(i, trial, time, lam, s.readings).write_csv(fh)
     _say(args, f"sigma_analytic = {run.sigma_analytic:.17g}")
     _say(args, f"sigma_empirical = {run.sigma_empirical:.17g}")
     degenerate = " (degenerate: single trial)" if sched.n_trials < 2 else ""

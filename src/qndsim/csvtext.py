@@ -1,7 +1,10 @@
 """CSV text: trajectory and measurement-record rows in the bytes of "%.17g"
 and "%d", a block of rows per pass of numpy calls.  Cells are laid into one
 byte grid with pad bytes 0, their digits taken from DIGIT_GROUPS by _groups,
-and the pads dropped once per block.  Every module-level table is read-only.
+and the pads dropped once per block.  A record row's text after its trial
+is formatted by "%", once per pointer group when the record has one time and
+once per row when it has a time per row.  Every module-level table is
+read-only.
 """
 
 from __future__ import annotations
@@ -165,28 +168,38 @@ def write_trajectory(path, traj) -> None:
         _write_rows(fh, traj.times, traj.states.view(float).reshape(len(traj.times), -1))
 
 
-def write_record(fh, system_index, trial, time, lam, reading) -> None:
+def write_record(fh, system_index, trial, time, lam, readings) -> None:
     """A measurement record's columns (measurement.MeasurementRecord) to the
     text file fh.  A row is its trial number and its tail
-    ",time,i,lambda,reading\\n".  Each distinct tail of a block, told apart
-    by bits (0.0 and -0.0 print apart), is formatted once, and _block_text
-    lays the trials and tails into one byte grid."""
+    ",time,i,lambda,reading\n", its reading readings[lambda].  With one time,
+    as in a trial record, each pointer group's tail is formatted once per
+    record; with one time per row, as in a repeat record, each row of a block
+    gets its own.  _block_text lays the trials and tails into one byte grid."""
     fh.write("trial,time,i,lambda,reading\n")
-    i = "" if system_index is None else "%d" % system_index
-    columns = [np.broadcast_to(c, lam.shape) for c in (trial, time, lam, reading)]
+    if not len(lam):
+        return
+    # "%.17g" prints what f"{x:.17g}" does.
+    tail = ",%.17g," + ("" if system_index is None else "%d" % system_index) + ",%d,%.17g\n"
+    trial = np.broadcast_to(trial, lam.shape)
+    if not time.ndim:
+        groups = np.arange(len(readings))
+        slots, longest = _tail_slots(tail, np.broadcast_to(time, groups.shape), groups, readings)
     for lo in range(0, len(lam), _RECORD_BLOCK):
-        trial, time, lam, reading = (c[lo:lo + _RECORD_BLOCK] for c in columns)
-        rows, tail_of_row = _distinct_rows(
-            lam, [c.view(np.int64) for c in (time, reading) if c.strides[0]])
-        # "%.17g" prints what f"{x:.17g}" does.
-        tails = [((",%.17g," + i + ",%d,%.17g\n") % t).encode()
-                 for t in zip(*(c[rows].tolist() for c in (time, lam, reading)))]
-        longest = max(map(len, tails))
-        # a power-of-two slot: numpy's take copies those by fixed-size moves
-        width = 1 << (longest - 1).bit_length()
-        slots = np.frombuffer(b"".join(t.ljust(width, b"\0") for t in tails), "V%d" % width)
-        text = _block_text(trial, slots.take(tail_of_row), longest)
+        rows = slice(lo, lo + _RECORD_BLOCK)
+        if time.ndim:
+            slots, longest = _tail_slots(tail, time[rows], lam[rows], readings.take(lam[rows]))
+        text = _block_text(trial[rows], slots if time.ndim else slots.take(lam[rows]), longest)
         fh.write(text.translate(None, b"\0").decode())
+
+
+def _tail_slots(tail: str, *columns) -> tuple[np.ndarray, int]:
+    """The tail formatted at each row of columns, each padded with 0 bytes to
+    one power-of-two width, and the longest one's length."""
+    tails = [(tail % row).encode() for row in zip(*(c.tolist() for c in columns))]
+    longest = max(map(len, tails))
+    # a power-of-two slot: numpy's take copies those by fixed-size moves
+    width = 1 << (longest - 1).bit_length()
+    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in tails), "V%d" % width), longest
 
 
 def _block_text(trial: np.ndarray, slots: np.ndarray, longest: int) -> bytearray:
@@ -216,23 +229,3 @@ def _block_text(trial: np.ndarray, slots: np.ndarray, longest: int) -> bytearray
         lead = (magnitude < np.uint64(10 ** (4 * (lanes - j)))) * pads if j else pads
         words[:, sign + j] = DIGIT_GROUPS.take(g + lead)
     return text
-
-
-def _distinct_rows(lam: np.ndarray, others: list) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, index): rows[j] is a row holding the j-th distinct key (lam and
-    the 1-D int64 columns others) and index[k] is row k's j.  When lam spans
-    no more values than there are rows and each other column is one value per
-    lam, as in a trial record, lam alone keys the rows, in O(n); any other
-    row, such as a repeat record's, gets its own tail."""
-    n, lo, hi = len(lam), int(lam.min()), int(lam.max())
-    if hi - lo < n:
-        slot = lam - lo if lo else lam
-        row = np.full(hi - lo + 1, -1)
-        row[slot] = np.arange(n)  # a row of each value of lam
-        present = row >= 0
-        rows = row[present]
-        index = slot if len(rows) == len(row) else (np.cumsum(present) - 1).take(slot)
-        if all(np.array_equal(c.take(rows).take(index), c) for c in others):
-            return rows, index
-    every = np.arange(n)
-    return every, every

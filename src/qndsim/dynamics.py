@@ -22,6 +22,7 @@ forms no state, reading w(0) in H's eigenbasis, so it has nothing to check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,6 +95,19 @@ def evolve_exact(m: BipartiteModel, w0, t: float) -> np.ndarray:
     return w
 
 
+def time_grid(t_end: float, dt: float) -> np.ndarray:
+    """The uniform grid k * t_end / n, k = 0..n, n = round(t_end / dt), on
+    which both evolve paths lay a trajectory; t_end = 0 is the one time 0."""
+    if not (0 <= t_end < math.inf and 0 < dt < math.inf and t_end / dt < math.inf):
+        raise ValueError("need finite t-end >= 0, dt > 0 and t-end / dt")
+    n = int(round(t_end / dt))
+    if t_end > 0 and n < 1:
+        raise ValueError("t-end must span at least one step of dt")
+    if n * t_end == math.inf:  # the grid's times are k * t-end / n
+        raise ValueError("t-end times its step count overflows")
+    return np.arange(n + 1) * t_end / max(n, 1)
+
+
 def exact_trajectory(m: BipartiteModel, w0: DensityOperator, times) -> Trajectory:
     """w0 at times[0] = 0, then U w0 U^dag, stack_block(d) times per stacked
     product; each state is bitwise equal to evolve_exact at its time, and
@@ -109,7 +123,7 @@ def exact_trajectory(m: BipartiteModel, w0: DensityOperator, times) -> Trajector
 
 
 def evolve_stepped(m: BipartiteModel, w0: DensityOperator, t_end: float, dt: float) -> Trajectory:
-    """Classical RK4 on the uniform grid k * t_end / n, n = round(t_end / dt).
+    """Classical RK4 on time_grid(t_end, dt), which must hold more than one time.
 
     For dw/dt = -i [H, w], H = terms[0] + terms[1] + terms[2], one RK4 step is
     the degree-4 polynomial sum_{j+k<=4} A_j w A_k^dag, A_j = (-i dt H)^j / j!.
@@ -124,9 +138,10 @@ def evolve_stepped(m: BipartiteModel, w0: DensityOperator, t_end: float, dt: flo
     time on matrices, and every state is exactly Hermitian when w0 is.  The
     states are validated once as a Trajectory with eigenvalues down to -1e-7;
     a violation or a blown-up (non-finite) step aborts at the first bad time."""
-    if not dt > 0 or round(t_end / dt) < 1:
-        raise ValueError("need dt > 0 and t_end spanning at least one step")
-    n_steps = int(round(t_end / dt))
+    times = time_grid(t_end, dt)
+    if len(times) < 2:
+        raise ValueError("t-end must span at least one step of dt")
+    n_steps = len(times) - 1
     dt, d = t_end / n_steps, m.dim
     h = m.terms[0] + m.terms[1] + m.terms[2]
     a = [np.eye(d, dtype=complex)]
@@ -137,7 +152,6 @@ def evolve_stepped(m: BipartiteModel, w0: DensityOperator, t_end: float, dt: flo
     left = np.concatenate(a[:3], axis=1)  # the block row [A_0 A_1 A_2]
     c = np.stack([a[1] + a[2] + a[3] + a[4], a[1] / 2 + a[2] + a[3], a[2] / 2])
     c = c.conj().swapaxes(1, 2)
-    times = np.arange(n_steps + 1) * t_end / n_steps
     block = stack_block(d * d)
     if block == 1:
         states = np.empty((n_steps + 1, d, d), dtype=complex)

@@ -79,7 +79,8 @@ def read_only(a, dtype=complex) -> np.ndarray:
 
 def check_operators(m: np.ndarray, what: str, pos_tol: float | None = None) -> None:
     """Raise unless each M in the (..., d, d) stack m has a finite ||M||_F (so no
-    NaN, inf or overflowing entry), ||M - M^dag||_F <= EPS_HERM * ||M||_F
+    NaN or inf entry, and none so large, above ~1e154, that ||M||_F overflows;
+    the message tells the two apart), ||M - M^dag||_F <= EPS_HERM * ||M||_F
     and, given pos_tol, is a state (unit trace, no eigenvalue below -pos_tol);
     ``index`` is the first failure, in C order.  A block whose (M + M^dag)/2 +
     pos_tol*I all have a Cholesky factor is positive; otherwise eigvalsh decides."""
@@ -95,7 +96,9 @@ def check_operators(m: np.ndarray, what: str, pos_tol: float | None = None) -> N
             bad = ~np.isfinite(scale)
             if bad.any():
                 n = int(bad.argmax())
-                msg = f"{what} is not finite: ||M||_F = {scale[n]}"
+                msg = (f"{what} is not finite: ||M||_F = {scale[n]}"
+                       if not np.isfinite(b[n]).all() else
+                       f"{what} has entries too large for ||M||_F, which overflows")
             b = b[:n]
             defect = np.linalg.norm(b - b.conj().swapaxes(1, 2), axis=(1, 2))
             bad = defect > EPS_HERM * scale[:n]

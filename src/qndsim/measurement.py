@@ -9,10 +9,11 @@ one counter-based stream per seed, trial_rng(seed): trial k, and the repeat
 protocol's k-th measurement, take draw k, so the first k trials of an n-trial
 run equal a k-trial run.  A reading is the entry of group lam in a readings
 vector, which scenarios.Scenario.readings alone decides; a MeasurementRecord
-holds the results as columns, which csvtext.write_record writes.  States,
-pointers and Born distributions may carry leading batch axes: the Born
-weights, CDF inversion, Lüders update and repeated_outcomes then step every
-point of a batch at once, and the statistics (outcome_changes,
+holds a run's trial, time and lam columns with that vector, not a reading
+per row, and csvtext.write_record writes it.  States, pointers and Born
+distributions may carry leading batch axes: the Born weights, CDF
+inversion, Lüders update and repeated_outcomes then step every point of a
+batch at once, and the statistics (outcome_changes,
 outcome_frequencies, reading_variance, aggregate_sigma) reduce the last axis
 of a batch's outcomes and readings.  A state is a DensityOperator or its
 array: a normalised Lüders projection of a state is one, so the update
@@ -100,40 +101,37 @@ class PointerObservable:
 @dataclass(frozen=True)
 class MeasurementRecord:
     """Rows of one run, each a trial or a repeat, at one system index (None
-    without one); lam, the CSV's lambda, is the pointer group index.  trial and
-    time are each one value (0-d) or one per row; lam and reading are 1-D of
-    one length.  Every array is read-only: a column passed in is copied unless
-    it is a read-only array that owns its data, as the ones built here are."""
+    without one); lam, the CSV's lambda, is each row's pointer group index,
+    and readings (Scenario.readings) holds one reading per group, so a row
+    reads readings[lam].  trial and time are each one value (0-d) or one per
+    row; lam and readings are 1-D, every lam in [0, len(readings)).  Every
+    column is stored as a read-only copy."""
 
     system_index: Optional[int]
     trial: np.ndarray
     time: np.ndarray
     lam: np.ndarray
-    reading: np.ndarray
+    readings: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("trial", int), ("time", float), ("lam", int), ("reading", float)):
-            a = getattr(self, name)
-            if not (isinstance(a, np.ndarray) and a.dtype == dtype
-                    and a.flags.owndata and not a.flags.writeable):
-                object.__setattr__(self, name, read_only(a, dtype))
+        for name, dtype in (("trial", int), ("time", float), ("lam", int), ("readings", float)):
+            object.__setattr__(self, name, read_only(getattr(self, name), dtype))
         rows = self.lam.shape
-        if (len(rows) != 1 or self.reading.shape != rows
+        if (len(rows) != 1 or self.readings.ndim != 1
                 or {self.trial.shape, self.time.shape} - {rows, ()}):
-            raise ValueError("lam and reading must be 1-D and of one length, "
+            raise ValueError("lam and readings must be 1-D, "
                              "trial and time one value or one per row")
+        if rows[0] and not 0 <= self.lam.min() <= self.lam.max() < len(self.readings):
+            raise ValueError("lam must index readings: 0 <= lam < len(readings)")
 
-    @classmethod
-    def from_outcomes(cls, readings, system_index: Optional[int], trial, time, lam):
-        """Rows of pointer groups lam at one system index, reading readings[lam]."""
-        lam = np.asarray(lam, dtype=int)
-        reading = np.asarray(readings, dtype=float)[lam]
-        reading.setflags(write=False)  # built here, so never copied
-        return cls(system_index, trial, time, lam, reading)
+    @property
+    def reading(self) -> np.ndarray:
+        """Each row's reading, readings[lam]."""
+        return self.readings[self.lam]
 
     def write_csv(self, fh) -> None:
         """The rows as CSV to the text file fh (csvtext.write_record)."""
-        write_record(fh, self.system_index, self.trial, self.time, self.lam, self.reading)
+        write_record(fh, self.system_index, self.trial, self.time, self.lam, self.readings)
 
 
 def _apparatus_axes(w, pointer: PointerObservable, dims) -> np.ndarray:
@@ -266,9 +264,8 @@ def repeatability_protocol(m: BipartiteModel, w_tau, pointer: PointerObservable,
         raise ValueError("tau and delta_tau must be positive")
     p = outcome_distribution(w_tau, pointer, (m.d_system, m.d_apparatus))
     lams = repeated_outcomes(m, w_tau, p, pointer, delta_tau, trial_rng(seed).random(n_repeats))
-    return MeasurementRecord.from_outcomes(
-        readings, system_index, 0, repeat_times(tau, delta_tau, n_repeats), lams
-    )
+    return MeasurementRecord(system_index, 0, repeat_times(tau, delta_tau, n_repeats), lams,
+                             readings)
 
 
 def measurement_trials(m: BipartiteModel, prep: Preparation, pointer: PointerObservable,
@@ -281,8 +278,7 @@ def measurement_trials(m: BipartiteModel, prep: Preparation, pointer: PointerObs
     w_tau = evolve_exact(m, w0, tau) if tau > 0 else w0
     p = outcome_distribution(w_tau, pointer, (m.d_system, m.d_apparatus))
     lam = invert_cdf(p, trial_rng(seed).random(n_trials))
-    return MeasurementRecord.from_outcomes(readings, prep.system_index, np.arange(n_trials),
-                                           tau, lam)
+    return MeasurementRecord(prep.system_index, np.arange(n_trials), tau, lam, readings)
 
 
 def dispersion_experiment(m: BipartiteModel, prep: Preparation, pointer: PointerObservable,

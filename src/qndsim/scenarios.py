@@ -145,9 +145,9 @@ SWEEP_HEADER = [f.name for f in fields(SweepRow)]
 @dataclass(frozen=True)
 class MeasurementRun:
     """Everything a batch's measurements yield, with the batch's axes first:
-    the read-only pointer groups of each point's trials (*batch, n_trials) and
-    repeats (*batch, n_repeats), the repeat times (n_repeats,), and one
-    statistic per point (*batch)."""
+    the pointer groups of each point's trials (*batch, n_trials) and repeats
+    (*batch, n_repeats), the repeat times (n_repeats,), and one statistic per
+    point (*batch).  A MeasurementRecord made from them copies what it keeps."""
 
     trial_lams: np.ndarray
     repeat_lams: np.ndarray
@@ -189,8 +189,6 @@ def measure_batch(s: Scenario) -> MeasurementRun:
     for name, value in stats.items():
         if not np.isfinite(value).all():
             raise RuntimeError(f"{name} is not finite: the readings overflow it")
-    for lams in (trial_lams, repeat_lams):
-        lams.setflags(write=False)  # a record keeps them without a copy
     return MeasurementRun(trial_lams, repeat_lams, times, outcome_changes(repeat_lams), **stats)
 
 

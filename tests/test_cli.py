@@ -549,6 +549,21 @@ def test_overflowing_statistic_is_a_computed_failure(table, code, tmp_path, caps
         assert "reading_variance = 0\n" in out and err == ""
 
 
+# A finite entry above ~1e154 overflows ||M||_F; a NaN or inf entry is not finite.
+@pytest.mark.parametrize("entry, message", [
+    (1e170, "matrix has entries too large for ||M||_F, which overflows"),
+    (float("nan"), "matrix is not finite: ||M||_F = nan"),
+    (float("inf"), "matrix is not finite: ||M||_F = inf"),
+], ids=["1e170", "nan", "inf"])
+def test_operator_beyond_the_norm_is_input_error(entry, message, tmp_path, capsys):
+    doc = json.loads(Path(VIOLATING).read_text(encoding="utf-8"))
+    doc["model"]["h_system"] = [[[entry, 0], [0, 0]], [[0, 0], [-entry, 0]]]
+    path = tmp_path / "huge-operator.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: model.h_system: {message}\n"
+
+
 @pytest.mark.parametrize("mode", [[], ["--stepped"]], ids=["exact", "--stepped"])
 def test_trajectory_beyond_memory_is_input_error(mode, monkeypatch, capsys):
     def no_memory(*args, **kwargs):

@@ -21,6 +21,7 @@ from qndsim.dynamics import (
     evolve_stepped,
     rhs_component_form,
     state_constancy_check,
+    time_grid,
 )
 from qndsim.scenario_io import bundled_scenario_path, load_scenario_file
 
@@ -296,6 +297,32 @@ class TestEvolveStepped:
         w0 = prepare_initial(m, Preparation.eigenbasis(0, 0))
         with pytest.raises(ValueError):
             evolve_stepped(m, w0, 1.0, 2.0)
+
+    def test_rejects_a_single_time(self):
+        m = random_model((2, 2), "qnd", 0)
+        w0 = prepare_initial(m, Preparation.eigenbasis(0, 0))
+        with pytest.raises(ValueError, match="^t-end must span at least one step of dt$"):
+            evolve_stepped(m, w0, 0.0, 0.1)  # the grid of t_end 0 is the one time 0
+
+
+class TestTimeGrid:
+    @pytest.mark.parametrize("t_end, dt, message", [
+        (-1.0, 0.1, "need finite t-end >= 0, dt > 0 and t-end / dt"),
+        (np.inf, 0.1, "need finite t-end >= 0, dt > 0 and t-end / dt"),
+        (np.nan, 0.1, "need finite t-end >= 0, dt > 0 and t-end / dt"),
+        (1.0, 0.0, "need finite t-end >= 0, dt > 0 and t-end / dt"),
+        (1e300, 1e-300, "need finite t-end >= 0, dt > 0 and t-end / dt"),
+        (1e-4, 1e-3, "t-end must span at least one step of dt"),
+        (1e308, 1e307, "t-end times its step count overflows"),
+    ])
+    def test_refuses_a_grid_it_cannot_lay(self, t_end, dt, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            time_grid(t_end, dt)
+
+    def test_is_k_t_end_over_n(self):
+        assert time_grid(0.0, 0.1).tolist() == [0.0]
+        assert time_grid(6e-4, 1e-3).tolist() == [0.0, 6e-4]  # n rounds up to 1
+        assert time_grid(0.7, 0.01).tolist() == (np.arange(71) * 0.7 / 70).tolist()
 
 
 def test_trajectory_holds_one_shape():

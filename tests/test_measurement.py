@@ -51,8 +51,7 @@ def run_protocol(m, prep, ptr, readings, tau, delta_tau, n_repeats, seed):
 
 def trial_record(p, readings, system_index, tau, u):
     """One record row per uniform draw at time tau: trial k inverts p at u[k]."""
-    return MeasurementRecord.from_outcomes(readings, system_index, np.arange(len(u)), tau,
-                                           invert_cdf(p, u))
+    return MeasurementRecord(system_index, np.arange(len(u)), tau, invert_cdf(p, u), readings)
 
 
 def pointer_state(lam):
@@ -344,12 +343,24 @@ class TestDrawTrials:
 class TestRecordCsv:
     def test_columns_must_share_one_length(self):
         with pytest.raises(ValueError):
-            MeasurementRecord(None, trial=[0, 1], time=[1.0], lam=[0, 1], reading=[1.0, -1.0])
+            MeasurementRecord(None, trial=[0, 1], time=[1.0], lam=[0, 1], readings=[1.0, -1.0])
         with pytest.raises(ValueError):
-            MeasurementRecord(None, trial=[0, 1], time=1.0, lam=[0, 1], reading=1.0)
+            MeasurementRecord(None, trial=[0, 1], time=1.0, lam=[0, 0], readings=1.0)
+        with pytest.raises(ValueError):
+            MeasurementRecord(None, trial=[0, 1], time=1.0, lam=[0, 0], readings=[[1.0]])
+
+    @pytest.mark.parametrize("lam", [[0, -1], [2, 0], [-2**63, 0], [2**63 - 1]])
+    def test_lam_must_index_readings(self, lam):
+        with pytest.raises(ValueError, match="lam must index readings"):
+            MeasurementRecord(None, trial=0, time=1.0, lam=lam, readings=[1.0, -1.0])
+
+    def test_reading_is_the_group_entry_of_readings(self):
+        rec = MeasurementRecord(None, trial=0, time=1.0, lam=[1, 0, 1], readings=[-0.0, 0.0])
+        assert rec.reading.tolist() == [0.0, -0.0, 0.0]
+        assert np.signbit(rec.reading).tolist() == [False, True, False]
 
     def test_header_and_absent_index(self, tmp_path):
-        rec = MeasurementRecord(None, trial=[0, 1], time=1.0, lam=[1, 0], reading=[-1.0, 1.0])
+        rec = MeasurementRecord(None, trial=[0, 1], time=1.0, lam=[1, 0], readings=[1.0, -1.0])
         path = tmp_path / "rec.csv"
         with open(path, "w", newline="\n") as fh:
             rec.write_csv(fh)
@@ -362,17 +373,25 @@ class TestRecordCsv:
         rec = trial_record([0.5, 0.5], np.array([1.0, -1.0]), 1, 0.25, trial_rng(5).random(100))
         assert rec.system_index == 1
         assert rec.time.shape == () and rec.time == 0.25
-        for column in (rec.trial, rec.time, rec.lam, rec.reading):
+        for column in (rec.trial, rec.time, rec.lam, rec.readings):
             assert not column.flags.writeable
 
     def test_columns_copy_the_caller_arrays(self):
         one_time = np.array(2.0)
         columns = {"trial": np.arange(3), "time": one_time,
-                   "lam": np.zeros(3, dtype=int), "reading": np.ones(3)}
+                   "lam": np.zeros(3, dtype=int), "readings": np.ones(2)}
         rec = MeasurementRecord(None, **columns)
-        one_time[()] = columns["reading"][0] = 5.0
+        one_time[()] = columns["readings"][0] = 5.0
+        columns["lam"][0] = 1
         assert rec.time == 2.0 and rec.reading.tolist() == [1.0] * 3
-        assert one_time.flags.writeable and columns["reading"].flags.writeable
+        assert rec.lam.tolist() == [0] * 3
+        assert one_time.flags.writeable and columns["readings"].flags.writeable
+
+    def test_read_only_columns_are_copied_too(self):
+        lam = np.zeros(3, dtype=int)
+        lam.setflags(write=False)
+        rec = MeasurementRecord(None, trial=0, time=1.0, lam=lam, readings=[1.0])
+        assert not np.shares_memory(rec.lam, lam)
 
     @pytest.mark.parametrize("system_index, repeat", [(None, False), (1, False), (1, True)],
                              ids=["no-index", "index", "repeat"])
@@ -384,7 +403,7 @@ class TestRecordCsv:
         p, u = [0.2, 0.5, 0.3], trial_rng(3).random(500)
         if repeat:  # one trial, 0, and a time per row
             times = repeat_times(tau, 1 / 3, len(u)).tolist()
-            rec = MeasurementRecord.from_outcomes(readings, system_index, 0, times, invert_cdf(p, u))
+            rec = MeasurementRecord(system_index, 0, times, invert_cdf(p, u), readings)
             trials = [0] * len(u)
         else:  # one time, tau, and a trial per row
             rec = trial_record(p, readings, system_index, tau, u)
@@ -404,9 +423,9 @@ class TestRecordCsv:
 
 
 def test_record_writer_memory_is_flat(tmp_path):
-    # The benchmark's Born distribution over 200000 trials.  The writer keys,
-    # lays out and writes a block of rows at a time, so its peak is one
-    # block's temporaries, about 100 B a row, not the file's 3.1 MB.
+    # The benchmark's Born distribution over 200000 trials.  The writer lays
+    # out and writes a block of rows at a time, so its peak is one block's
+    # temporaries, about 100 B a row, not the file's 3.1 MB.
     rec = trial_record([0.876, 0.124], np.array([-1.0, 1.0]), 0, 1.0,
                       trial_rng(1).random(200_000))
     path = tmp_path / "records.csv"

@@ -4,9 +4,10 @@ tests/data/outputs.json maps each entry's argv to the SHA-256 of each output
 file, of its stdout and of its stderr, and to its exit code.  Each entry runs
 in-process through cli.main, with its outputs in a fresh directory.  An argv
 cell may hold "{work}", that directory, "{data}", the bundled scenario
-directory, or "{benchN}", a scenario file the entry writes there first: the
+directory, or a scenario file the entry writes there first: "{benchN}", the
 dims-(3,2) violating model of seed N, the document bench/workloads.py writes
-for the evolve workloads at benchmark seed N.
+for the evolve workloads at benchmark seed N, or a name in DOCUMENTS, a
+document of test_cli.py.
 
 A change that moves bytes on purpose regenerates the manifest by running
 this module as a script (PYTHONPATH=src python tests/test_outputs.py), and
@@ -33,12 +34,19 @@ import pytest
 
 from qndsim.cli import main
 from qndsim.scenario_io import bundled_scenario_path
+from test_cli import CALIBRATED, DEGENERATE_POINTER
 
 MANIFEST = Path(__file__).parent / "data" / "outputs.json"
 DATA = bundled_scenario_path("qubit-qnd").parent
 BUNDLED = sorted(p.stem for p in DATA.glob("*.json"))
 BENCH_SCENARIO = "scenario.json"
 STREAMS = ("stdout", "stderr")
+# a calibration table's row, and the pointer values of a preparation with no index
+DOCUMENTS = {
+    "calibrated": CALIBRATED,
+    "degenerate_rho_mu": dict(DEGENERATE_POINTER, preparation={"rho": {"diag": [1, 0]},
+                                                                "mu": {"diag": [0.5, 0, 0.5]}}),
+}
 EVOLVE = ["--t-end", "5.0", "--dt", "0.001", "--out", "{work}/trajectory.csv", "--quiet"]
 
 
@@ -69,14 +77,16 @@ def _entries() -> dict[str, list[str]]:
         entries[f"bench-evolve-exact-seed{seed}"] = ["evolve", f"{{bench{seed}}}", *EVOLVE]
         entries[f"bench-evolve-stepped-seed{seed}"] = ["evolve", f"{{bench{seed}}}",
                                                        "--stepped", *EVOLVE]
+    for name in DOCUMENTS:
+        entries[f"measure-{name}"] = ["measure", f"{{{name}}}", *records]
     return entries
 
 
 ENTRIES = _entries()
 
 
-def _write_bench_scenario(work: Path, seed: int) -> Path:
-    doc = {
+def _bench_document(seed: int) -> dict:
+    return {
         "schema": 1,
         "name": f"bench-violating-{seed}",
         "model": {"dims": [3, 2], "family": "violating", "seed": seed},
@@ -84,6 +94,9 @@ def _write_bench_scenario(work: Path, seed: int) -> Path:
         "schedule": {"tau": 1.0, "delta_tau": 0.5, "n_repeats": 5, "n_trials": 200},
         "seed": seed,
     }
+
+
+def _write_scenario(work: Path, doc: dict) -> Path:
     path = work / BENCH_SCENARIO
     path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return path
@@ -99,7 +112,9 @@ def run_in(argv: list[str], work: Path) -> int:
     fields = {"work": str(work), "data": str(DATA)}
     for a in argv:
         if a.startswith("{bench"):
-            fields[a[1:-1]] = str(_write_bench_scenario(work, int(a[6:-1])))
+            fields[a[1:-1]] = str(_write_scenario(work, _bench_document(int(a[6:-1]))))
+        elif a[1:-1] in DOCUMENTS:
+            fields[a[1:-1]] = str(_write_scenario(work, DOCUMENTS[a[1:-1]]))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([a.format(**fields) for a in argv])

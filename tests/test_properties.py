@@ -313,8 +313,8 @@ def test_first_trials_do_not_depend_on_trial_count(weights, n, k, seed):
     p = np.array(weights) / sum(weights)
     readings = np.arange(len(p), dtype=float)
     k = min(k, n - 1) + 1
-    long, short = (MeasurementRecord.from_outcomes(readings, 0, np.arange(count), 1.0,
-                                                   invert_cdf(p, trial_rng(seed).random(count)))
+    long, short = (MeasurementRecord(0, np.arange(count), 1.0,
+                                     invert_cdf(p, trial_rng(seed).random(count)), readings)
                    for count in (n, k))
     assert long.system_index == short.system_index == 0
     for name in ("trial", "lam", "reading"):
@@ -380,33 +380,35 @@ RECORD_INTS = st.sampled_from([0, 1, -1, 2**62, 2**63 - 1, -2**63]) | st.integer
 
 @st.composite
 def records(draw):
-    """A MeasurementRecord with n rows, trial and time each one value or one per row."""
-    n = draw(st.integers(0, 30))
-    lam = draw(st.lists(st.sampled_from([0, 1, 2]) | RECORD_INTS, min_size=n, max_size=n))
-    reading = draw(st.lists(RECORD_FLOATS, min_size=n, max_size=n))
+    """A MeasurementRecord with n rows reading a vector of 1 to 5 groups,
+    trial and time each one value or one per row."""
+    n, groups = draw(st.integers(0, 30)), draw(st.integers(1, 5))
+    readings = draw(st.lists(RECORD_FLOATS, min_size=groups, max_size=groups))
+    lam = draw(st.lists(st.integers(0, groups - 1), min_size=n, max_size=n))
     trial = draw(RECORD_INTS | st.lists(RECORD_INTS, min_size=n, max_size=n))
     time = draw(RECORD_FLOATS | st.lists(RECORD_FLOATS, min_size=n, max_size=n))
     system_index = draw(st.none() | st.integers(-5, 2**64))
-    return MeasurementRecord(system_index, trial, time, lam, reading)
+    return MeasurementRecord(system_index, trial, time, lam, readings)
 
 
 @settings(max_examples=100, deadline=None)
 @given(records())
 @example(MeasurementRecord(None, np.arange(0), 1.0, [], []))
-@example(MeasurementRecord(2, [0, 1, 2], -0.0, [1, 1, 1], [0.0, -0.0, 0.0]))
-@example(MeasurementRecord(None, 0, [0.0, -0.0, 5e-324], [0, 0, 0], [1e300, 1e300, 5e-324]))
-@example(MeasurementRecord(1, np.arange(9000), 0.5, np.arange(9000) % 3, np.arange(9000) % 3 / 10))
+# signed zeros, as readings of two groups and as the times of a row each
+@example(MeasurementRecord(2, [0, 1, 2], -0.0, [1, 0, 1], [0.0, -0.0]))
+@example(MeasurementRecord(None, 0, [0.0, -0.0, 5e-324], [0, 1, 0], [1e300, 5e-324]))
+@example(MeasurementRecord(1, np.arange(9000), 0.5, np.arange(9000) % 3, np.arange(3) / 10))
 # 4-digit trials up to a block boundary, 5-digit ones after it
 @example(MeasurementRecord(None, np.arange(10000 - BLOCK, 10005), 1.0,
-                           np.zeros(BLOCK + 5, int), np.ones(BLOCK + 5)))
+                           np.zeros(BLOCK + 5, int), [1.0]))
 # an all-negative block from -2**63, then 2**63 - 1 and 0 with no negative
 @example(MeasurementRecord(0, np.r_[-2**63, -np.arange(1, BLOCK), 2**63 - 1, 0], 1.0,
-                           np.zeros(BLOCK + 2, int), np.ones(BLOCK + 2)))
+                           np.zeros(BLOCK + 2, int), [1.0]))
 # the repeat shape: one trial over more than a block, a time per row
 @example(MeasurementRecord(0, 0, np.arange(BLOCK + 8) * 0.5, np.arange(BLOCK + 8) % 2,
-                           np.arange(BLOCK + 8) % 2))
-# an 8-byte tail keyed first, then a 31-byte one
-@example(MeasurementRecord(None, [0, 1, 2], 0.0, [1, 0, 1], [-1e-300, 0.0, -1e-300]))
+                           [0.0, 1.0]))
+# an 8-byte tail and a 31-byte one, the longer group first
+@example(MeasurementRecord(None, [0, 1, 2], 0.0, [1, 0, 1], [-1e-300, 0.0]))
 def test_record_csv_matches_one_format_per_row(rec):
     i = "" if rec.system_index is None else rec.system_index
     trial, time = (np.broadcast_to(c, rec.lam.shape).tolist() for c in (rec.trial, rec.time))

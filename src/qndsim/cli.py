@@ -6,8 +6,8 @@ runtime failure, 2 input error.  Commands raise; main alone maps a failure
 to its exit code and prints it as one ``error:`` line to stderr (an unknown
 option, or a typed option's bad value quoted cut short, gets argparse's usage
 message), so no input ends in a traceback.  A scenario file loads as a
-one-point Scenario: evolve starts from its w(0), Scenario.initial, and
-measure runs scenarios.measure_batch on it, as the sweep does on its batches
+one-point Scenario: evolve starts from its w(0) matrix, model.prepare_initial,
+and measure runs scenarios.measure_batch on it, as the sweep does on its batches
 of points; measure alone makes records of its outcomes.  All output files are
 UTF-8 with LF line endings; floats use the dot decimal separator at full
 precision, so repeated runs with identical inputs produce identical bytes.
@@ -28,7 +28,7 @@ import numpy as np
 from .csvtext import write_trajectory
 from .linalg import InvariantViolationError
 from .measurement import MeasurementRecord
-from .model import check_conditions, shown
+from .model import check_conditions, prepare_initial, shown
 from .dynamics import evolve_stepped, exact_trajectory, time_grid
 from .scenarios import (
     DEFAULT_ETA_GRID,
@@ -61,7 +61,7 @@ def cmd_check(args) -> int:
 def cmd_evolve(args) -> int:
     s = load_scenario_file(args.scenario)
     times = time_grid(args.t_end, args.dt)
-    w0 = s.initial
+    w0 = prepare_initial(s.model, s.preparation, pointer_basis=s.pointer.basis)
     if args.stepped and len(times) > 1:
         traj = evolve_stepped(s.model, w0, args.t_end, args.dt)
     else:
@@ -150,12 +150,8 @@ def cmd_sweep(args) -> int:
         raise ValueError("eta grid is empty")
     if any(not 0.0 <= e <= 1.0 for e in eta_grid):
         raise ValueError("eta values must lie in [0, 1]")
-    schedule = Schedule(
-        tau=args.tau,
-        delta_tau=args.delta_tau,
-        n_repeats=args.repeats,
-        n_trials=args.trials,
-    )
+    schedule = Schedule(tau=args.tau, delta_tau=args.delta_tau, n_repeats=args.repeats,
+                        n_trials=args.trials)
     rows = interpolation_sweep(dims, eta_grid, seeds, schedule)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -187,9 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     options and plain-value defaults, and each parse_args returns a fresh
     Namespace, so no call's options reach the next."""
     parser = argparse.ArgumentParser(
-        prog="qndsim",
-        description="Bipartite system-apparatus measurement simulator",
-    )
+        prog="qndsim", description="Bipartite system-apparatus measurement simulator")
     sub = parser.add_subparsers(dest="command", required=True)
     # Options are matched in full, so "--seed" cannot stand for sweep's "--seeds".
 
@@ -197,43 +191,32 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quiet", action="store_true", help="suppress stdout summary")
         p.add_argument("--out", type=Path, default=None, help="output CSV path")
 
-    p_check = sub.add_parser(
-        "check", help="evaluate the commutation conditions", allow_abbrev=False
-    )
+    p_check = sub.add_parser("check", help="evaluate the commutation conditions",
+                             allow_abbrev=False)
     p_check.add_argument("scenario", type=Path)
     p_check.add_argument("--quiet", action="store_true", help="suppress stdout summary")
 
-    p_evolve = sub.add_parser(
-        "evolve", help="propagate the joint state", allow_abbrev=False
-    )
+    p_evolve = sub.add_parser("evolve", help="propagate the joint state", allow_abbrev=False)
     p_evolve.add_argument("scenario", type=Path)
     p_evolve.add_argument("--t-end", type=_float, default=1.0)
     p_evolve.add_argument("--dt", type=_float, default=1e-3)
-    p_evolve.add_argument(
-        "--stepped", action="store_true", help="RK4 steps instead of the exact propagator"
-    )
+    p_evolve.add_argument("--stepped", action="store_true",
+                          help="RK4 steps instead of the exact propagator")
     common(p_evolve)
 
-    p_measure = sub.add_parser(
-        "measure", help="run measurement protocols", allow_abbrev=False
-    )
+    p_measure = sub.add_parser("measure", help="run measurement protocols", allow_abbrev=False)
     p_measure.add_argument("scenario", type=Path)
     p_measure.add_argument("--repeats", type=_int, default=None)
     p_measure.add_argument("--trials", type=_int, default=None)
     p_measure.add_argument("--seed", type=_int, default=None, help="override scenario seed")
-    p_measure.add_argument(
-        "--repeat-out", type=Path, default=None,
-        help="CSV path for the repeated-measurement sequence",
-    )
+    p_measure.add_argument("--repeat-out", type=Path, default=None,
+                           help="CSV path for the repeated-measurement sequence")
     common(p_measure)
 
-    p_sweep = sub.add_parser(
-        "sweep", help="interpolation sweep over (eta, seed)", allow_abbrev=False
-    )
+    p_sweep = sub.add_parser("sweep", help="interpolation sweep over (eta, seed)",
+                             allow_abbrev=False)
     p_sweep.add_argument("--dims", default="2,2", help="dS,dM")
-    p_sweep.add_argument(
-        "--eta-grid", default=",".join(str(e) for e in DEFAULT_ETA_GRID)
-    )
+    p_sweep.add_argument("--eta-grid", default=",".join(str(e) for e in DEFAULT_ETA_GRID))
     p_sweep.add_argument("--seeds", default="0:20", help="comma list or lo:hi range")
     p_sweep.add_argument("--tau", type=_float, default=1.0)
     p_sweep.add_argument("--delta-tau", type=_float, default=0.5)

@@ -1,23 +1,20 @@
 """Unitary time evolution of the joint system-apparatus state.
 
-Two propagation paths: an exact spectral propagator (the default for all
-experiments) and a classical 4th-order stepped integrator, which takes each
-RK4 step as its degree-4 step polynomial in the component-summed H and never
-reads the model's eigendecomposition.  For d <= 8 that step is one real
-d^2 x d^2 increment map D on the state's real coordinates, and the steps go
+Two propagation paths for a state matrix: an exact spectral propagator and a
+classical 4th-order stepped integrator, which takes each RK4 step as its
+degree-4 step polynomial in the component-summed H and never reads the
+model's eigendecomposition.  For d <= 8 that step is one real d^2 x d^2
+increment map D on the state's real coordinates, and the steps go
 stack_block(d^2) at a time, one matmul per block; larger states step one
-matrix at a time.  The two paths are cross-checked against each
-other in the test suite, and the stepped one against the four-stage RK4 loop
-through the term-by-term rhs_component_form.  Both read the model's compiled
-operators, so H is diagonalised once per model, not once per time, and both
-return one (T, d, d) Trajectory, checked once as a stack; its states are
-read as the arrays they are (the last is states[-1]), never rechecked.
-U w U^dag of a state is a state, so the exact path returns plain arrays
-checked only as finite and Hermitian (an E t that overflows fails there);
-RK4 can leave the state space, so its Trajectory is checked in full.
-evolve_exact and state_constancy_check also take a batch of models, and the
-constancy check takes the prepared w(0), so its caller prepares it once; it
-forms no state, reading w(0) in H's eigenbasis, so it has nothing to check.
+matrix at a time.  The paths are cross-checked against each other in the
+test suite, and the stepped one against the four-stage RK4 loop through the
+term-by-term rhs_component_form.  Both return one (T, d, d) Trajectory,
+checked once as a stack: as finite and Hermitian on the exact path, since
+U w U^dag of a state is a state (an E t that overflows fails there), and in
+full for RK4, which can leave the state space.  The measurement pipeline
+evolves kets instead (kets_at) and reads state constancy as the grid-free L
+(state_constancy_check); H is diagonalised once per model, and both, like
+evolve_exact, also take a batch of models.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DensityOperator, InvariantViolationError
+from .linalg import EPS_TRACE, DensityOperator, InvariantViolationError, _group_starts
 from .linalg import as_matrix, as_operators, check_operators, frobenius, stack_block
 from .model import BipartiteModel
 
@@ -193,17 +190,35 @@ def evolve_stepped(m: BipartiteModel, w0: DensityOperator, t_end: float, dt: flo
     return Trajectory(times, states, pos_tol=STEPPED_POS_TOL)
 
 
-def state_constancy_check(m: BipartiteModel, w0: DensityOperator, t_grid) -> float:
-    """Max over the grid of ||w(t) - w0||_F, w(t) = U w0 U^dag: a float for one
-    model, an array for a batch.  The norm is unitarily invariant, so with w~ =
-    V^dag w0 V and Omega_ab = E_a - E_b it is 2 ||w~ o sin(Omega t / 2)||_F, and
-    no state is formed; 2 - 2 cos or tr(w(t) w0) would cancel, leaving ~1e-8 of
-    noise where the state stays put."""
-    v, e = m.spectrum.eigenvectors, m.spectrum.eigenvalues
-    w = v.conj().swapaxes(-1, -2) @ w0.matrix @ v
-    half_omega = (e[..., :, None] - e[..., None, :]) / 2
-    dev = np.zeros(m.batch)  # w(0) is w0 itself
-    with np.errstate(over="ignore", invalid="ignore"):  # an Omega t that overflows gives NaN
-        for t in np.setdiff1d(t_grid, [0.0]):
-            dev = np.maximum(dev, 2 * frobenius(w * np.sin(half_omega * t)))
+def kets_at(m: BipartiteModel, c, t: float) -> np.ndarray:
+    """Kets V (exp(-i E t) o c) at time t from their coordinates c (..., r, d)
+    in H's eigenbasis, with no U(t); each is checked finite with unit norm,
+    |phi|^2 within EPS_TRACE of 1 (an E t that overflows fails there)."""
+    s = m.spectrum
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = (c * s.phases(t)[..., None, :]) @ s.eigenvectors.swapaxes(-1, -2)
+        norm2 = (phi.real ** 2 + phi.imag ** 2).sum(axis=-1)
+        bad = ~(abs(norm2 - 1.0) <= EPS_TRACE)
+    if bad.any():
+        raise InvariantViolationError(f"state ket is not finite with unit norm: "
+                                      f"|phi|^2 = {norm2[bad][0]!r}")
+    return phi
+
+
+def energy_coherence(m: BipartiteModel, w) -> float:
+    """sqrt(2) ||w - sum_g P_g w P_g||_F of a state w in H's eigenbasis, P_g on
+    H's g-th degenerate eigenvalue group (per row of a batch): the norm of the
+    entries that join two groups, summed directly.  A float for one model, an
+    array for a batch."""
+    g = np.cumsum(_group_starts(m.spectrum.eigenvalues), axis=-1)
+    dev = math.sqrt(2.0) * frobenius(np.where(g[..., :, None] == g[..., None, :], 0.0, w))
     return float(dev) if dev.ndim == 0 else dev
+
+
+def state_constancy_check(m: BipartiteModel, w0) -> float:
+    """L = energy_coherence of w~ = V^dag w0 V, w0 a DensityOperator or its
+    array: how far w0 is from stationary, grid-free and scale-free.  It is 0
+    exactly when w0 commutes with H, it is the long-time RMS of
+    ||w(t) - w0||_F, and ||w(t) - w0||_F <= sqrt(2) L at every time."""
+    v = m.spectrum.eigenvectors
+    return energy_coherence(m, v.conj().swapaxes(-1, -2) @ as_operators(w0) @ v)

@@ -179,18 +179,22 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return self.eigenvalues.shape[-1]
 
+    def phases(self, t) -> np.ndarray:
+        """exp(-i E t), shaped batch + t.shape + (d,): a time gives one row per
+        decomposition.  An E t that overflows gives a non-finite phase,
+        silently: the states it propagates fail their finiteness check."""
+        t = np.asarray(t, dtype=float)
+        e = self.eigenvalues.reshape(*self.eigenvalues.shape[:-1], *(1,) * t.ndim, self.dim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.exp(-1j * e * t[..., None])
+
     def unitary(self, t) -> np.ndarray:
         """U = exp(-i H t) = V exp(-i E t) V^dag, shaped batch + t.shape + (d, d):
-        a time gives one U per decomposition, T times a (..., T, d, d) stack.
-        An E t that overflows gives a non-finite U, silently: the states it
-        propagates fail their finiteness check."""
+        a time gives one U per decomposition, T times a (..., T, d, d) stack."""
         t = np.asarray(t, dtype=float)
-        lead = self.eigenvalues.shape[:-1] + (1,) * t.ndim
-        e = self.eigenvalues.reshape(*lead, self.dim)
-        v = self.eigenvectors.reshape(*lead, self.dim, self.dim)
-        with np.errstate(over="ignore", invalid="ignore"):
-            phase = np.exp(-1j * e * t[..., None])
-        return (v * phase[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        v = self.eigenvectors.reshape(*self.eigenvalues.shape[:-1], *(1,) * t.ndim,
+                                      self.dim, self.dim)
+        return (v * self.phases(t)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +242,10 @@ def commutator_defect(a, b):
         raise DimensionMismatchError(
             f"commutator_defect of shapes {ma.shape} and {mb.shape}"
         )
+    # each operand times 2^-e, e the exponent of its largest |entry|: exact, and
+    # it keeps the norms' squares out of underflow and overflow
+    ma, mb = (m * np.ldexp(1.0, -np.frexp(abs(m).max(axis=(-2, -1)))[1])[..., None, None]
+              for m in (ma, mb))
     scale = frobenius(ma) * frobenius(mb)  # 0 when A or B is, and then so is [A,B]
     defect = frobenius(ma @ mb - mb @ ma) / np.where(scale > 0, scale, 1.0)
     return float(defect) if defect.ndim == 0 else defect

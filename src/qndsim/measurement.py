@@ -1,26 +1,21 @@
 """Pointer-basis readout: Born-rule sampling, repeated measurement, statistics.
 
 An outcome is a distinct pointer value: a group of eigenvalues (relative
-DEGENERACY_TOL), and its eigenspace.  Both steps act on the apparatus axes of
-w viewed as (dS, dM, dS, dM), with no joint-space projector: Born weights are
-the eigenspace weights of rho_M = tr_S w, and the update is the Lüders
-projection (I x P_g) w (I x P_g) onto the measured eigenspace.  Randomness is
+DEGENERACY_TOL), and its eigenspace.  The pipeline measures an ensemble of
+weights q (..., r) and unit kets phi (..., r, d), model.prepare_kets's
+w = sum_k q_k |phi_k><phi_k|: Born weights from each ket's coefficients in
+the pointer basis, and the Lüders update (I x P_g) phi_k, renormalised and
+reweighted, acting on the apparatus axis alone.  outcome_distribution and
+collapse_after_outcome are their forms on a d x d state matrix.  Randomness is
 one counter-based stream per seed, trial_rng(seed): trial k, and the repeat
 protocol's k-th measurement, take draw k, so the first k trials of an n-trial
 run equal a k-trial run.  A reading is the entry of group lam in a readings
 vector, which scenarios.Scenario.readings alone decides; a MeasurementRecord
-holds a run's trial, time and lam columns with that vector, not a reading
-per row, and csvtext.write_record writes it.  States, pointers and Born
-distributions may carry leading batch axes: the Born weights, CDF
-inversion, Lüders update and repeated_outcomes then step every point of a
-batch at once, and the statistics (outcome_changes,
-outcome_frequencies, reading_variance, aggregate_sigma) reduce the last axis
-of a batch's outcomes and readings.  A state is a DensityOperator or its
-array: a normalised Lüders projection of a state is one, so the update
-returns an array and checks nothing, and the repeats evolve by one
-U(delta_tau) per batch, each state checked as finite and Hermitian as
-evolve_exact checks it.
-invert_cdf, repeated_outcomes and the statistics are the steps
+holds a run's trial, time and lam columns with that vector, and
+csvtext.write_record writes it.  Ensembles, pointers and Born distributions
+may carry leading batch axes: each stage then steps every point of a batch
+at once, and the statistics reduce the last axis of a batch's outcomes and
+readings.  invert_cdf, repeated_outcomes and the statistics are the steps
 scenarios.measure_batch composes; measurement_trials, repeatability_protocol
 and dispersion_experiment run them for one model, given its readings vector.
 """
@@ -34,21 +29,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import (
-    EPS_POS,
-    DimensionMismatchError,
-    HermitianOperator,
-    InvariantViolationError,
-    SpectralDecomposition,
-    check_operators,
-    degenerate_groups,
-    joint_axes,
-    read_only,
-    spectral,
-)
+from .linalg import (EPS_POS, DimensionMismatchError, HermitianOperator, InvariantViolationError,
+                     SpectralDecomposition, as_operators, degenerate_groups, joint_axes,
+                     read_only, spectral)
 from .csvtext import write_record
-from .model import BipartiteModel, Preparation, prepare_initial
-from .dynamics import IntegrationError, evolve_exact
+from .model import BipartiteModel, Preparation, prepare_kets
+from .dynamics import IntegrationError, kets_at
 
 
 class ImpossibleOutcomeError(RuntimeError):
@@ -140,23 +126,34 @@ def _apparatus_axes(w, pointer: PointerObservable, dims) -> np.ndarray:
     return joint_axes(w, *dims)
 
 
-def outcome_distribution(w, pointer: PointerObservable, dims: tuple[int, int]) -> np.ndarray:
-    """Born weights p_g = tr(w (I x P_g)): the sum of Re(v_k^dag rho_M v_k) over
-    the eigenvectors v_k of group g, with rho_M = tr_S w; (..., groups) for a
-    batch of states and pointers.
-
-    Values in [-EPS_POS, 0) are floating noise and clipped to 0, then the
-    distribution is renormalized; a larger negative, the lowest in a batch, is
-    raised as an InvariantViolationError.
-    """
-    rho_m = np.einsum("...iaib->...ab", _apparatus_axes(w, pointer, dims))
-    v = pointer.basis.eigenvectors
-    weights = (v.conj() * (rho_m @ v)).sum(axis=-2).real
+def _born(weights, pointer: PointerObservable) -> np.ndarray:
+    """Born weights per group from weights (..., dM) per pointer eigenvector:
+    summed per group, values in [-EPS_POS, 0) (floating noise) clipped to 0
+    and the distribution renormalized; a larger negative, the lowest in a
+    batch, is raised as an InvariantViolationError."""
     p = np.add.reduceat(weights, pointer.starts, axis=-1)
     if p.min() < -EPS_POS:
         raise InvariantViolationError(f"outcome probability {p.min():.3e} below -{EPS_POS:g}")
     p = np.maximum(p, 0.0)
     return p / p.sum(axis=-1, keepdims=True)
+
+
+def outcome_distribution(w, pointer: PointerObservable, dims: tuple[int, int]) -> np.ndarray:
+    """Born weights p_g = tr(w (I x P_g)) of a state matrix: the sum of
+    Re(v_k^dag rho_M v_k) over the eigenvectors v_k of group g, with rho_M =
+    tr_S w (_born); (..., groups) for a batch of states and pointers."""
+    rho_m = np.einsum("...iaib->...ab", _apparatus_axes(w, pointer, dims))
+    v = pointer.basis.eigenvectors
+    return _born((v.conj() * (rho_m @ v)).sum(axis=-2).real, pointer)
+
+
+def ket_distribution(q, phi, pointer: PointerObservable, dims: tuple[int, int]) -> np.ndarray:
+    """Born weights p_g = sum_k q_k ||(I x P_g) phi_k||^2 of weights q (..., r)
+    and kets phi (..., r, d): each ket's squared coefficients in the pointer
+    basis, summed over the system index and the kets, then per group (_born)."""
+    kets = np.reshape(phi, (*np.shape(phi)[:-1], *dims))  # (..., r, dS, dM)
+    b = kets @ pointer.basis.eigenvectors.conj()[..., None, :, :]
+    return _born((q[..., None] * (b.real ** 2 + b.imag ** 2).sum(axis=-2)).sum(axis=-2), pointer)
 
 
 def invert_cdf(p: Sequence[float], u):
@@ -210,32 +207,41 @@ def trial_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def repeated_outcomes(m: BipartiteModel, w_tau, p_tau, pointer: PointerObservable,
+def _collapse_kets(q, phi, pointer: PointerObservable, lam, dims):
+    """Lüders update of (q, phi) onto group lam's eigenspace, one lam per point:
+    each ket (I x P) phi_k renormalised, at weight q_k ||(I x P) phi_k||^2 /
+    p_lam; a ket with no part in the eigenspace keeps its old ket at weight 0."""
+    kets = np.reshape(phi, (*np.shape(phi)[:-1], *dims))  # (..., r, dS, dM)
+    lam = np.broadcast_to(lam, np.shape(q)[:-1])
+    proj = np.take_along_axis(pointer.projectors, lam[..., None, None, None], axis=-3)
+    kept = kets @ proj.swapaxes(-1, -2)
+    n2 = (kept.real ** 2 + kept.imag ** 2).sum(axis=(-2, -1))
+    p_lam = (q * n2).sum(axis=-1)
+    if (p_lam <= 0.0).any():
+        raise ImpossibleOutcomeError(int(lam[p_lam <= 0.0][0]), 0)
+    n = np.sqrt(n2)[..., None, None]
+    kets = np.where(n > 0.0, kept / np.where(n > 0.0, n, 1.0), kets)
+    return q * n2 / p_lam[..., None], kets.reshape(np.shape(phi))
+
+
+def repeated_outcomes(m: BipartiteModel, q, phi_tau, p_tau, pointer: PointerObservable,
                       delta_tau: float, u) -> np.ndarray:
     """Pointer groups of u.shape[-1] repeated measurements, every point of a
     batch in lockstep: measurement k inverts the Born distribution at draw
-    u[..., k] and collapses the state, which then evolves by delta_tau to the
-    next one.  The first measures w_tau, whose distribution p_tau is given;
-    the state after the last measurement is never needed, so it is not formed.
-    U = U(delta_tau) and its adjoint are formed once, and each step is
-    evolve_exact's U w U^dag with its check, so every evolved state has the
-    same bits as evolve_exact(m, w, delta_tau) and is checked as finite and
-    Hermitian."""
+    u[..., k] and collapses the ensemble, whose kets then evolve by delta_tau
+    as kets_at(m, V^dag phi, delta_tau), each checked; U is never formed.  The
+    first measures (q, phi_tau), whose distribution p_tau is given; the
+    ensemble after the last measurement is never needed, so it is not formed."""
     dims = (m.d_system, m.d_apparatus)
-    w, p, lams = w_tau, p_tau, []
-    step = m.spectrum.unitary(delta_tau)
-    step_adj = step.conj().swapaxes(-1, -2)
+    v_adj = m.spectrum.eigenvectors.conj()
+    phi, p, lams = phi_tau, p_tau, []
     for k in range(u.shape[-1]):
         if k:
-            w = step @ w @ step_adj
-            check_operators(w, "state")
-            p = outcome_distribution(w, pointer, dims)
+            phi = kets_at(m, phi @ v_adj, delta_tau)
+            p = ket_distribution(q, phi, pointer, dims)
         lams.append(invert_cdf(p, u[..., k]))
         if k + 1 < u.shape[-1]:
-            try:
-                w = collapse_after_outcome(w, pointer, lams[-1], dims)
-            except ImpossibleOutcomeError as exc:
-                raise ImpossibleOutcomeError(exc.pointer_index, 0) from exc
+            q, phi = _collapse_kets(q, phi, pointer, lams[-1], dims)
     return np.stack(lams, axis=-1)
 
 
@@ -263,9 +269,11 @@ def repeatability_protocol(m: BipartiteModel, w_tau, pointer: PointerObservable,
     if tau <= 0 or delta_tau <= 0:
         raise ValueError("tau and delta_tau must be positive")
     p = outcome_distribution(w_tau, pointer, (m.d_system, m.d_apparatus))
-    lams = repeated_outcomes(m, w_tau, p, pointer, delta_tau, trial_rng(seed).random(n_repeats))
-    return MeasurementRecord(system_index, 0, repeat_times(tau, delta_tau, n_repeats), lams,
-                             readings)
+    e, v = np.linalg.eigh(as_operators(w_tau))  # w_tau as the ensemble of its eigenvectors
+    lams = repeated_outcomes(m, np.maximum(e, 0.0), v.swapaxes(-1, -2), p, pointer, delta_tau,
+                             trial_rng(seed).random(n_repeats))
+    times = repeat_times(tau, delta_tau, n_repeats)
+    return MeasurementRecord(system_index, 0, times, lams, readings)
 
 
 def measurement_trials(m: BipartiteModel, prep: Preparation, pointer: PointerObservable,
@@ -274,9 +282,9 @@ def measurement_trials(m: BipartiteModel, prep: Preparation, pointer: PointerObs
     trial k inverts the Born distribution at draw k of trial_rng(seed)."""
     if n_trials < 1:
         raise ValueError("need n_trials >= 1")
-    w0 = prepare_initial(m, prep, pointer_basis=pointer.basis)
-    w_tau = evolve_exact(m, w0, tau) if tau > 0 else w0
-    p = outcome_distribution(w_tau, pointer, (m.d_system, m.d_apparatus))
+    q, phi = prepare_kets(m, prep, pointer_basis=pointer.basis)
+    phi_tau = kets_at(m, phi @ m.spectrum.eigenvectors.conj(), tau)
+    p = ket_distribution(q, phi_tau, pointer, (m.d_system, m.d_apparatus))
     lam = invert_cdf(p, trial_rng(seed).random(n_trials))
     return MeasurementRecord(prep.system_index, np.arange(n_trials), tau, lam, readings)
 

@@ -7,7 +7,9 @@ check_conditions quantifies how far a model is from satisfying them.
 A model compiles its joint-space operators once, on first use, and every
 caller reads them: lifted terms, total H, its spectrum, the h_S eigenbasis.
 A model may also be a batch: operators with one shared leading batch shape,
-compiled, checked and prepared as stacks by the same code.  drawn_model alone
+compiled, checked and prepared as stacks by the same code.  A preparation
+becomes a state matrix (prepare_initial) or an ensemble of weighted unit kets
+(prepare_kets), which the measurement pipeline runs on.  drawn_model alone
 builds a model from model_draws: every random family is an eta of one blend.
 """
 
@@ -19,15 +21,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .linalg import (
-    DensityOperator,
-    HermitianOperator,
-    SpectralDecomposition,
-    commutator_defect,
-    read_only,
-    spectral,
-    tensor,
-)
+from .linalg import (DensityOperator, HermitianOperator, SpectralDecomposition,
+                     commutator_defect, read_only, spectral, tensor)
 
 CONDITION_THRESHOLD = 1e-10
 
@@ -178,38 +173,54 @@ def check_conditions(m: BipartiteModel) -> ConditionReport:
     )
 
 
-def prepare_initial(
-    m: BipartiteModel,
-    prep: Preparation,
-    pointer_basis: Optional[SpectralDecomposition] = None,
-) -> DensityOperator:
-    """Build the initial joint state for a preparation.
-
-    Index preparations project onto the system-Hamiltonian eigenvector and
-    the pointer-basis vector; pointer_basis defaults to the eigenbasis of
-    h_apparatus.  A batch of models gets one state per model, checked as a stack.
-    """
-    if prep.is_indexed:
-        i, lam = prep.system_index, prep.apparatus_index
-        if not 0 <= i < m.d_system:
-            raise IndexError(f"system index {i} out of range [0, {m.d_system})")
-        if not 0 <= lam < m.d_apparatus:
-            raise IndexError(
-                f"apparatus index {lam} out of range [0, {m.d_apparatus})"
-            )
-        if pointer_basis is None:
-            pointer_basis = spectral(m.h_apparatus)
-        sys_vec = m.system_basis.eigenvectors[..., :, i]
-        app_vec = pointer_basis.eigenvectors[..., :, lam]
-        # the products np.outer(v, v.conj()) forms, for each vector of a stack
-        rho = sys_vec[..., :, None] * sys_vec.conj()[..., None, :]
-        mu = app_vec[..., :, None] * app_vec.conj()[..., None, :]
-    else:
+def _prepared_vectors(m: BipartiteModel, prep: Preparation, pointer_basis):
+    """Check that prep fits m; for an index preparation, its system-Hamiltonian
+    eigenvector and pointer-basis vector (pointer_basis defaults to the
+    eigenbasis of h_apparatus), and None for a general one."""
+    if not prep.is_indexed:
         if prep.rho_system.dim != m.d_system or prep.mu_apparatus.dim != m.d_apparatus:
             raise ValueError("preparation dimensions do not match the model")
-        rho = prep.rho_system.matrix
-        mu = prep.mu_apparatus.matrix
+        return None
+    i, lam = prep.system_index, prep.apparatus_index
+    if not 0 <= i < m.d_system:
+        raise IndexError(f"system index {i} out of range [0, {m.d_system})")
+    if not 0 <= lam < m.d_apparatus:
+        raise IndexError(f"apparatus index {lam} out of range [0, {m.d_apparatus})")
+    if pointer_basis is None:
+        pointer_basis = spectral(m.h_apparatus)
+    return m.system_basis.eigenvectors[..., :, i], pointer_basis.eigenvectors[..., :, lam]
+
+
+def prepare_initial(m: BipartiteModel, prep: Preparation,
+                    pointer_basis: Optional[SpectralDecomposition] = None) -> DensityOperator:
+    """The initial joint state rho x mu of a preparation, as a matrix: an index
+    preparation's rho and mu project onto its two vectors (_prepared_vectors).
+    A batch of models gets one state per model, checked as a stack."""
+    vectors = _prepared_vectors(m, prep, pointer_basis)
+    if vectors is None:
+        rho, mu = prep.rho_system.matrix, prep.mu_apparatus.matrix
+    else:  # the products np.outer(v, v.conj()) forms, for each vector of a stack
+        rho, mu = (v[..., :, None] * v.conj()[..., None, :] for v in vectors)
     return DensityOperator(np.broadcast_to(tensor(rho, mu), (*m.batch, m.dim, m.dim)))
+
+
+def prepare_kets(m: BipartiteModel, prep: Preparation, pointer_basis: SpectralDecomposition):
+    """The initial joint state as an ensemble w(0) = sum_k q_k |phi_k><phi_k|:
+    weights q (*batch, r) and unit kets phi (*batch, r, d), plain arrays.  An
+    index preparation is its one product ket, r = 1; a general one takes each
+    product of an eigenvector of rho and one of mu whose eigenvalues are both
+    positive, weighted by their product.  Unit kets need no further check."""
+    vectors = _prepared_vectors(m, prep, pointer_basis)
+    if vectors is None:
+        factors = [(w[w > 0], v.T[w > 0]) for w, v in (
+            np.linalg.eigh(x.matrix) for x in (prep.rho_system, prep.mu_apparatus))]
+    else:
+        factors = [(np.ones(1), v[..., None, :]) for v in vectors]
+    (q_s, phi_s), (q_m, phi_m) = factors
+    q = (q_s[:, None] * q_m).ravel()
+    phi = np.broadcast_to(phi_s[..., :, None, :, None] * phi_m[..., None, :, None, :],
+                          (*m.batch, len(q_s), len(q_m), m.d_system, m.d_apparatus))
+    return np.broadcast_to(q, (*m.batch, len(q))), phi.reshape(*m.batch, len(q), m.dim)
 
 
 def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -250,24 +250,13 @@ def render_scenario(s: Scenario) -> dict:
             "h_coupling": _render_matrix(s.model.h_coupling.matrix),
             **({} if s.etas[0] is None else {"eta": s.etas[0]}),
         },
-        "preparation": (
-            {
-                "system_index": s.preparation.system_index,
-                "apparatus_index": s.preparation.apparatus_index,
-            }
-            if s.preparation.is_indexed
-            else {
-                "rho": _render_matrix(s.preparation.rho_system.matrix),
-                "mu": _render_matrix(s.preparation.mu_apparatus.matrix),
-            }
-        ),
+        "preparation": ({"system_index": s.preparation.system_index,
+                         "apparatus_index": s.preparation.apparatus_index}
+                        if s.preparation.is_indexed else
+                        {"rho": _render_matrix(s.preparation.rho_system.matrix),
+                         "mu": _render_matrix(s.preparation.mu_apparatus.matrix)}),
         "pointer": _render_matrix(s.pointer.operator.matrix),
-        "schedule": {
-            "tau": s.schedule.tau,
-            "delta_tau": s.schedule.delta_tau,
-            "n_repeats": s.schedule.n_repeats,
-            "n_trials": s.schedule.n_trials,
-        },
+        "schedule": dict(vars(s.schedule)),  # tau, delta_tau, n_repeats, n_trials
         "calibration": None if s.table is None else {"table": s.table.tolist()},
         "seed": s.seeds[0],
     }

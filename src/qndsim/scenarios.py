@@ -5,62 +5,41 @@ and a scenario file's calibration table, if it gives one: one point, as a
 scenario file loads it, or a batch of points that share dims, preparation,
 pointer eigenvalue groups and schedule, stacked so that each stage runs once
 over all of them.  Its readings, the one place a pointer group's reading is
-decided, and its w(0) are computed once, on first use.  measure_batch is the
-one measurement pipeline, shared by the CLI measure command and run_batch:
-w(0) evolved to w(tau) once, its Born distribution once, one draw stream per
-seed, the repeat protocol from w(tau), one inversion for all the trials,
-then each statistic once over the batch's outcome arrays; it builds no
-record.  run_batch adds the condition check and state constancy from the
-same w(0) and emits one result row per point; run_scenario is its first row.
+decided, and its prepared ensemble of kets are computed once, on first use.
+measure_batch, the one measurement pipeline (CLI measure and run_batch),
+runs on kets, never on d x d states: the kets at tau, their Born weights,
+one draw stream per seed, the ket repeat protocol, one inversion for all the
+trials, then each statistic once over the batch.  run_batch adds the
+condition check and the constancy L of the same ensemble, and emits one
+result row per point; run_scenario is its first row.
 interpolation_sweep is the one maker of multi-point scenarios: it runs the
 (eta, seed) grid of one dims as a few batches, and when one fails it reruns
 its points one at a time through the same builder to name the failing point.
 oracle_check re-derives the core numerics through slow, independent routes
-(truncated-series exponential, explicit index loops) and compares them
-against the main implementations.
+(truncated-series exponential, np.linalg.eig projectors, explicit index
+loops) and compares them against the main implementations.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .linalg import (
-    DensityOperator,
-    SpectralDecomposition,
-    degenerate_groups,
-)
-from .model import (
-    BipartiteModel,
-    Preparation,
-    check_conditions,
-    drawn_model,
-    model_draws,
-    prepare_initial,
-    random_model,
-    total_hamiltonian,
-)
-from .dynamics import evolve_exact, rhs_component_form, state_constancy_check
-from .measurement import (
-    PointerObservable,
-    aggregate_sigma,
-    invert_cdf,
-    outcome_changes,
-    outcome_distribution,
-    outcome_frequencies,
-    reading_variance,
-    repeat_times,
-    repeated_outcomes,
-    trial_rng,
-)
+from .linalg import DEGENERACY_TOL, DensityOperator, SpectralDecomposition, degenerate_groups
+from .model import (BipartiteModel, Preparation, check_conditions, drawn_model, model_draws,
+                    prepare_kets, random_model, total_hamiltonian)
+from .dynamics import (energy_coherence, evolve_exact, kets_at, rhs_component_form,
+                       state_constancy_check)
+from .measurement import (PointerObservable, aggregate_sigma, invert_cdf, ket_distribution,
+                          outcome_changes, outcome_distribution, outcome_frequencies,
+                          reading_variance, repeat_times, repeated_outcomes, trial_rng)
 
 DEFAULT_ETA_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
-CONSTANCY_POINTS = 11  # the constancy grid: t = 0 and 10 times up to max(tau, 1)
 # Bytes one sweep batch may hold (4 MiB), which bounds the points it runs at once.
 BATCH_BYTES = 1 << 22
 ORACLE_TOL = 1e-7  # the largest disagreement oracle_check allows between two routes
@@ -116,9 +95,12 @@ class Scenario:
         return self.pointer.values if self.table is None or i is None else self.table[i]
 
     @cached_property
-    def initial(self) -> DensityOperator:
-        """w(0) of every point, prepared in its pointer basis."""
-        return prepare_initial(self.model, self.preparation, pointer_basis=self.pointer.basis)
+    def ensemble(self) -> tuple[np.ndarray, np.ndarray]:
+        """w(0) of every point, prepared in its pointer basis, as prepare_kets's
+        ensemble: weights q and the coordinates C = V^dag phi of its kets in
+        H's eigenbasis."""
+        q, phi = prepare_kets(self.model, self.preparation, pointer_basis=self.pointer.basis)
+        return q, phi @ self.model.spectrum.eigenvectors.conj()
 
 
 @dataclass(frozen=True)
@@ -142,12 +124,12 @@ class SweepRow:
 SWEEP_HEADER = [f.name for f in fields(SweepRow)]
 
 
-@dataclass(frozen=True)
-class MeasurementRun:
+class MeasurementRun(NamedTuple):
     """Everything a batch's measurements yield, with the batch's axes first:
     the pointer groups of each point's trials (*batch, n_trials) and repeats
     (*batch, n_repeats), the repeat times (n_repeats,), and one statistic per
-    point (*batch).  A MeasurementRecord made from them copies what it keeps."""
+    point (*batch).  A MeasurementRecord made from them copies what it keeps.
+    A NamedTuple, like OracleReport: cheaper to define at import than a dataclass."""
 
     trial_lams: np.ndarray
     repeat_lams: np.ndarray
@@ -159,26 +141,27 @@ class MeasurementRun:
 
 
 def measure_batch(s: Scenario) -> MeasurementRun:
-    """One w(tau) and its Born p per point, each stage run once over the batch.
-    Each distinct seed draws trial_rng(seed).random(max(n_repeats, n_trials))
-    once, shared by its points: draw k is both repeat k's and trial k's.  The
-    repeat protocol starts from w(tau); p feeds the repeats' first reading, the
-    n_trials readings of every point, inverted in one call, and the analytic
-    weighted mean.  The draws go before the statistics, each taken once over
-    the last axis of the batch's outcomes; a statistic that is not finite
-    (readings that overflow it) fails the batch."""
+    """The kets at tau and their Born p per point, each stage run once over the
+    batch.  Each distinct seed draws trial_rng(seed).random(max(n_repeats,
+    n_trials)) once, shared by its points: draw k is both repeat k's and trial
+    k's.  The repeats start from the kets at tau; p feeds the repeats' first
+    reading, the n_trials readings of every point, inverted in one call, and
+    the analytic weighted mean.  The draws go before the statistics, each
+    taken once over the last axis of the batch's outcomes; a statistic that
+    is not finite (readings that overflow it) fails the batch."""
     sched, m = s.schedule, s.model
     times = repeat_times(sched.tau, sched.delta_tau, sched.n_repeats)
-    w_tau = evolve_exact(m, s.initial, sched.tau)
-    p = outcome_distribution(w_tau, s.pointer, (m.d_system, m.d_apparatus))
+    q, c = s.ensemble
+    phi_tau = kets_at(m, c, sched.tau)
+    p = ket_distribution(q, phi_tau, s.pointer, (m.d_system, m.d_apparatus))
     n_draws = max(sched.n_repeats, sched.n_trials)
     streams = {seed: trial_rng(seed).random(n_draws) for seed in dict.fromkeys(s.seeds)}
     u = np.stack([streams[seed] for seed in s.seeds]).reshape(*m.batch, n_draws)
     del streams
-    repeat_lams = repeated_outcomes(m, w_tau, p, s.pointer, sched.delta_tau,
+    repeat_lams = repeated_outcomes(m, q, phi_tau, p, s.pointer, sched.delta_tau,
                                     u[..., :sched.n_repeats])
     trial_lams = invert_cdf(p, u[..., :sched.n_trials])
-    del u, w_tau
+    del u, phi_tau
     stats = {
         "reading_variance": reading_variance(
             np.take_along_axis(s.readings, trial_lams, axis=-1)),
@@ -198,8 +181,8 @@ def run_batch(s: Scenario) -> list[SweepRow]:
     batch of several points the range of them."""
     try:
         report = check_conditions(s.model)
-        t_grid = np.linspace(0.0, max(s.schedule.tau, 1.0), CONSTANCY_POINTS)[1:]
-        constancy = state_constancy_check(s.model, s.initial, t_grid)
+        q, c = s.ensemble  # the state in H's eigenbasis, sum_k q_k c_k c_k^dag
+        constancy = energy_coherence(s.model, (q[..., None] * c).swapaxes(-1, -2) @ c.conj())
         run = measure_batch(s)
     except MemoryError:
         raise  # an input too large to allocate, not a failing point
@@ -222,19 +205,18 @@ def run_scenario(s: Scenario) -> SweepRow:
 
 def _point_bytes(dims: tuple[int, int], schedule: Schedule) -> int:
     """Bytes a sweep point adds to its batch's peak, so that a batch of
-    BATCH_BYTES // _point_bytes points stays within BATCH_BYTES: 16 joint
-    matrices (model terms, H, its eigenvectors, states, and at the peak the
-    repeat protocol's propagator and collapse), its seed's two drawn
-    couplings (one seed per point with one eta per seed), its pointer's
-    projectors (at most dM of dM x dM), 8 B for each of its draws, trial
-    outcomes, trial readings and repeat outcomes (np.var's temporary takes
-    the draws' place once they are inverted), and 512 B for its name and its
-    row's fields.  Under tracemalloc, full batches of 646 (2, 2) points with
-    one eta per seed and of 50 (4, 4) and 3 (8, 8) points on the default eta
-    grid peak at 3.46, 2.91 and 2.74 MB (3.53 and 3.01 MB for (4, 4) and
-    (8, 8) with one eta per seed), and a (2, 2) point costs 24 B per trial."""
+    BATCH_BYTES // _point_bytes points stays within BATCH_BYTES: 9 joint
+    matrices (the model's coupling and terms, H, its eigenvectors, and at the
+    peak the commutators, eigh's work or the constancy's state; kets are
+    vectors), its seed's two drawn couplings, its pointer's projectors (at
+    most dM of dM x dM), 8 B for each of its draws, trial outcomes, trial
+    readings and repeat outcomes (np.var's temporary takes the draws' place),
+    and 512 B for its name and its row's fields.  Under tracemalloc, full batches of 893
+    (2, 2), 87 (4, 4) and 5 (8, 8) points with one eta per seed peak at 4.06,
+    3.98 and 3.48 MB (3.33, 3.27 and 2.94 MB on the default eta grid), and a
+    (2, 2) point costs 24 B per trial."""
     d_s, d_m = dims
-    entries = 18 * (d_s * d_m) ** 2 + d_m ** 3
+    entries = 11 * (d_s * d_m) ** 2 + d_m ** 3
     rows = max(schedule.n_repeats, schedule.n_trials) + 2 * schedule.n_trials + schedule.n_repeats
     return ENTRY_BYTES * entries + DRAW_BYTES * rows + 512
 
@@ -318,9 +300,7 @@ def _expm_series(a: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(a, np.inf))
     squarings = max(0, int(np.ceil(np.log2(norm)))) if norm > 1.0 else 0
     b = a / (2**squarings)
-    n = a.shape[0]
-    acc = np.eye(n, dtype=complex)
-    term = np.eye(n, dtype=complex)
+    acc = term = np.eye(a.shape[0], dtype=complex)
     for k in range(1, 31):
         term = term @ b / k
         acc = acc + term
@@ -335,14 +315,10 @@ def _joint_index(i: int, lam: int, d_s: int, d_m: int, swapped: bool) -> int:
     return lam * d_s + i if swapped else i * d_m + lam
 
 
-def _rhs_index_loops(
-    m: BipartiteModel, w: np.ndarray, swapped: bool = False
-) -> np.ndarray:
+def _rhs_index_loops(m: BipartiteModel, w: np.ndarray, swapped: bool = False) -> np.ndarray:
     """Component-wise evolution equation via quadruple-indexed loops."""
     d_s, d_m = m.d_system, m.d_apparatus
-    hs = m.h_system.matrix
-    hm = m.h_apparatus.matrix
-    hc = m.h_coupling.matrix
+    hs, hm, hc = m.h_system.matrix, m.h_apparatus.matrix, m.h_coupling.matrix
     out = np.zeros_like(w)
 
     def jx(i, lam):
@@ -370,13 +346,8 @@ def _rhs_index_loops(
     return out
 
 
-def _born_index_loops(
-    w: np.ndarray,
-    pointer: PointerObservable,
-    d_s: int,
-    d_m: int,
-    swapped: bool = False,
-) -> np.ndarray:
+def _born_index_loops(w: np.ndarray, pointer: PointerObservable, d_s: int, d_m: int,
+                      swapped: bool = False) -> np.ndarray:
     """Weight of each pointer eigenvector (not group) via explicit index-loop traces."""
     p = np.zeros(d_m)
     basis = pointer.basis.eigenvectors
@@ -393,10 +364,9 @@ def _born_index_loops(
     return p
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     passed: bool
-    lines: list[str] = field(default_factory=list)
+    lines: list[str]
 
     def __bool__(self) -> bool:
         return self.passed
@@ -406,14 +376,15 @@ class OracleReport:
         return "\n".join([f"oracle check: {status}"] + self.lines)
 
 
-def oracle_check(
-    dims: tuple[int, int], seed: int, swap_index_convention: bool = False
-) -> OracleReport:
+def oracle_check(dims: tuple[int, int], seed: int,
+                 swap_index_convention: bool = False) -> OracleReport:
     """Cross-check the main numerics against slow independent recomputations.
 
-    Recomputes the exact propagation and the state constancy over the
-    constancy grid via a truncated-series exponential, the outcome distribution
-    via explicit index loops summed per pointer group, and the evolution
+    Recomputes the exact propagation via a truncated-series exponential, the
+    state constancy L via projectors onto np.linalg.eig's eigenvectors,
+    orthonormalised per eigenvalue group (and checks that L bounds the
+    series-exponential state's deviation), the outcome distribution via
+    explicit index loops summed per pointer group, and the evolution
     right-hand side via quadruple-indexed loops.  Returns a falsy report with
     a diff when any route disagrees beyond ORACLE_TOL.  swap_index_convention
     deliberately mis-wires the oracle-side joint index (negative control).
@@ -436,11 +407,16 @@ def oracle_check(
     w_main = evolve_exact(m, w0, t)
     diffs["evolve_exact vs series exponential"] = np.linalg.norm(w_series - w_main)
 
-    t_grid = np.linspace(0.0, 1.0, CONSTANCY_POINTS)[1:]  # the sweep's grid for tau <= 1
-    dev = max(np.linalg.norm(u @ w0.matrix @ u.conj().T - w0.matrix)
-              for u in (_expm_series(-1j * h * t_k) for t_k in t_grid))
-    diffs["state_constancy_check vs series exponential"] = abs(
-        dev - state_constancy_check(m, w0, t_grid))
+    e, v = np.linalg.eig(h)
+    order = np.argsort(e.real)  # groups split where the gap exceeds the relative DEGENERACY_TOL
+    e, v = e.real[order], v[:, order]
+    cuts = np.flatnonzero(np.diff(e) > DEGENERACY_TOL * abs(e).max()) + 1
+    projectors = [q @ q.conj().T for q in (np.linalg.qr(b)[0] for b in np.split(v, cuts, 1))]
+    dev = math.sqrt(2.0) * np.linalg.norm(w0.matrix - sum(p @ w0.matrix @ p for p in projectors))
+    main_dev = state_constancy_check(m, w0)
+    diffs["state_constancy_check vs eig projectors"] = abs(dev - main_dev)
+    diffs["series exponential past sqrt(2) state_constancy_check"] = max(
+        0.0, np.linalg.norm(w_series - w0.matrix) - math.sqrt(2.0) * main_dev)
 
     rhs_main = rhs_component_form(m, w0.matrix)
     rhs_loops = _rhs_index_loops(m, w0.matrix, swapped=swap_index_convention)

@@ -2,8 +2,10 @@
 through each stage, with the bytes of one scenario at a time.
 
 Golden CSVs were written by the one-point-at-a-time sweep that preceded the
-batch, and rewritten once when state constancy moved into H's eigenbasis (only
-constancy_dev cells changed); the sweep must still write them byte for byte.  Each sweep row equals
+batch, rewritten when state constancy moved into H's eigenbasis (only
+constancy_dev cells changed), and again when the pipeline moved to kets and
+constancy became the grid-free L (constancy_dev cells, and sigma_analytic in
+its last digits); the sweep must still write them byte for byte.  Each sweep row equals
 run_scenario on the same scenario, field for field; a failure names the first
 point that fails alone; seeds whose pointers group their eigenvalues differently, or
 points that overflow one batch, run as separate batches, and a sweep whose
@@ -27,17 +29,22 @@ import qndsim.scenarios
 from qndsim.cli import main as cli_main
 from qndsim.linalg import DensityOperator, HermitianOperator, SpectralDecomposition, spectral
 from qndsim.linalg import tensor
+from qndsim.dynamics import energy_coherence, kets_at
 from qndsim.measurement import (
     MeasurementRecord,
     PointerObservable,
+    _collapse_kets,
     collapse_after_outcome,
     invert_cdf,
+    ket_distribution,
+    repeated_outcomes,
 )
 from qndsim.model import (
     BipartiteModel,
     ModelDraws,
     Preparation,
     model_draws,
+    prepare_kets,
     random_model,
 )
 from qndsim.scenarios import (
@@ -91,18 +98,18 @@ def test_sweep_rows_equal_one_scenario_runs(dims, etas, seeds, n_repeats, n_tria
 def test_failure_names_the_failing_point(monkeypatch):
     etas, seeds = [0.0, 0.5, 1.0], [3, 4, 5]
     bad = random_model((2, 2), "interpolated", 5, eta=0.5).spectrum.eigenvalues
-    unitary = SpectralDecomposition.unitary
+    phases = SpectralDecomposition.phases
 
     def poisoned(self, t):
-        # the propagators of point (0.5, 5), in the batch and run alone
-        u = unitary(self, t)
+        # the phases exp(-i E t) of point (0.5, 5), in the batch and run alone
+        u = phases(self, t)
         hit = (self.eigenvalues == bad).all(axis=-1)
         if hit.any():
             u = u.copy()
             u[hit] = np.nan
         return u
 
-    monkeypatch.setattr(SpectralDecomposition, "unitary", poisoned)
+    monkeypatch.setattr(SpectralDecomposition, "phases", poisoned)
     with pytest.raises(RuntimeError, match=r"^scenario 'interp-eta0\.5-seed5' failed: .*not finite"):
         interpolation_sweep((2, 2), etas, seeds, SMALL)
 
@@ -210,7 +217,7 @@ def test_batched_inversion_equals_each_row():
 
 
 def test_one_draw_stream_one_born_weight_and_no_unused_collapse(monkeypatch):
-    calls = {"trial_rng": 0, "outcome_distribution": 0, "collapse_after_outcome": 0}
+    calls = {"trial_rng": 0, "ket_distribution": 0, "_collapse_kets": 0}
 
     def count(module, name):
         original = getattr(module, name)
@@ -222,13 +229,13 @@ def test_one_draw_stream_one_born_weight_and_no_unused_collapse(monkeypatch):
         monkeypatch.setattr(module, name, counting)
 
     count(qndsim.scenarios, "trial_rng")
-    count(qndsim.scenarios, "outcome_distribution")
-    count(qndsim.measurement, "outcome_distribution")
-    count(qndsim.measurement, "collapse_after_outcome")
+    count(qndsim.scenarios, "ket_distribution")
+    count(qndsim.measurement, "ket_distribution")
+    count(qndsim.measurement, "_collapse_kets")
     n_repeats = 5
     measure_batch(interp_scenario((2, 2), 1.0, 7, Schedule(n_repeats=n_repeats, n_trials=20)))
-    assert calls == {"trial_rng": 1, "outcome_distribution": n_repeats,
-                     "collapse_after_outcome": n_repeats - 1}
+    assert calls == {"trial_rng": 1, "ket_distribution": n_repeats,
+                     "_collapse_kets": n_repeats - 1}
 
 
 def test_one_draw_stream_per_seed(monkeypatch):
@@ -263,6 +270,50 @@ def test_batched_collapse_equals_joint_space_projection(dims, pointer_values):
         assert np.abs(got[n] - want).max() <= 1e-14
 
 
+def _ket_stages(m, prep, pointer, lam, u):
+    """Each ket stage of the pipeline on one model or a batch, in order: the
+    prepared ensemble, its coordinates in H's eigenbasis, the kets at tau, their
+    Born weights, a collapse onto group lam, the repeats and the constancy L."""
+    dims = (m.d_system, m.d_apparatus)
+    q, phi = prepare_kets(m, prep, pointer_basis=pointer.basis)
+    _, c = Scenario(("s",), m, prep, pointer, SMALL, None, (0,), (None,)).ensemble
+    phi_tau = kets_at(m, c, 0.7)
+    p = ket_distribution(q, phi_tau, pointer, dims)
+    collapsed = _collapse_kets(q, phi_tau, pointer, lam, dims)
+    lams = repeated_outcomes(m, q, phi_tau, p, pointer, 0.4, u)
+    constancy = energy_coherence(m, (q[..., None] * c).swapaxes(-1, -2) @ c.conj())
+    return [q, phi, c, phi_tau, p, *collapsed, lams, np.asarray(constancy)]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.sampled_from([(2, 2), (3, 2), (2, 3)]),
+    st.lists(st.integers(0, 2**16), min_size=2, max_size=4, unique=True),
+    st.floats(0.0, 1.0),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_ket_stages_give_each_point_its_one_point_bits(dims, seeds, eta, general, seed):
+    models = [random_model(dims, "interpolated", s, eta=eta) for s in seeds]
+    batch = BipartiteModel(*dims, *(
+        HermitianOperator(np.stack([getattr(m, name).matrix for m in models]))
+        for name in ("h_system", "h_apparatus", "h_coupling")))
+    rng = np.random.default_rng(seed)
+    if general:  # mixed rho and mu: several kets per point
+        states = [x @ x.conj().T for x in (rng.normal(size=(d, d, 2)) @ [1, 1j] for d in dims)]
+        prep = Preparation.general(*(DensityOperator(w / np.trace(w).real) for w in states))
+    else:
+        prep = Preparation.eigenbasis(1, 0)
+    lam = rng.integers(dims[1], size=len(seeds))
+    u = rng.random((len(seeds), 6))
+    pointer = PointerObservable.from_operator(batch.h_apparatus)
+    got = _ket_stages(batch, prep, pointer, lam, u)
+    for n, m in enumerate(models):
+        one = _ket_stages(m, prep, PointerObservable.from_operator(m.h_apparatus), lam[n], u[n])
+        for k, (a, b) in enumerate(zip(got, one, strict=True)):
+            assert a[n].shape == b.shape and a[n].tobytes() == b.tobytes(), k
+
+
 def test_trial_columns_are_held_once():
     """A 100000-trial point holds its draws, then in their place its trial
     outcomes, trial readings and np.var's one temporary, 8 B per trial each
@@ -275,8 +326,10 @@ def test_trial_columns_are_held_once():
     finally:
         tracemalloc.stop()
     assert peak <= 2.7e6
-    assert astuple(row) == (0.5, 3, 0.6761154152012807, 0.592534712959256, 0.8910101351534024, 1,
-                            1.6028594743738414, -1.8863701846256204, -1.8929619813579786)
+    # constancy_dev is the grid-free L, and sigma_analytic sums the ket route's
+    # Born weights, one rounding apart from the density-matrix route's
+    assert astuple(row) == (0.5, 3, 0.6761154152012807, 0.592534712959256, 0.6382726182053092, 1,
+                            1.6028594743738414, -1.8863701846256207, -1.8929619813579786)
 
 
 @pytest.mark.parametrize("dims, etas, n_seeds", [

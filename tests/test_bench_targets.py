@@ -102,15 +102,19 @@ def test_traced_cli_runs_leave_no_call_unwrapped(tmp_path):
     assert report["unpatched"] == []
     assert report["calls"] == report["audit"]
     assert report["calls"]["scenarios.interpolation_sweep"] == 1
-    # one w(0) per command: the sweep's four points run as one batch
-    assert report["calls"]["model.prepare_initial"] == 3
-    # and w(0) is the only state checked in full: evolved and collapsed states
-    # are states by construction
-    assert report["calls"]["linalg.DensityOperator"] == 3
+    # only evolve forms w(0) as a matrix: the sweep's four points (one batch)
+    # and measure prepare kets through prepare_kets instead
+    assert report["calls"]["model.prepare_initial"] == 1
+    # and that w(0) is the only state checked in full: the kets are unit
+    # vectors, each evolved ket is checked for its norm alone, and evolved
+    # states are states by construction
+    assert report["calls"]["linalg.DensityOperator"] == 1
     # the stepped run takes its five RK4 steps as one step polynomial each
     assert report["calls"]["dynamics.rhs_component_form"] == 0
     assert report["calls"]["dynamics.evolve_stepped"] == 1
     # each operator or state is checked once, where it enters the pipeline or
     # is computed, spectral does not check a wrapper again, and the sweep
-    # decomposes its drawn h_M stack once
-    assert report["check_operators"] == 29
+    # decomposes its drawn h_M stack once; the ket pipeline checks no matrix
+    # (12 fewer than the density-matrix one: sweep and measure each dropped
+    # w(0), w(tau) and the four evolved repeat states)
+    assert report["check_operators"] == 17

@@ -59,6 +59,20 @@ class TestCheck:
         assert main(["check", str(scaled)]) == 1
         assert capsys.readouterr().out == unscaled
 
+    def test_tiny_violating_fails_with_both_defects_one(self, tmp_path, capsys):
+        """qubit-violating.json with every Hamiltonian scaled by 1e-170, where
+        the squares of the entries underflow: each operand of a defect is
+        rescaled by a power of two first, so both defects read 1, as unscaled."""
+        doc = json.loads(Path(VIOLATING).read_text())
+        z = [[[1e-170, 0], [0, 0]], [[0, 0], [-1e-170, 0]]]
+        x = [[[0, 0], [1e-170, 0]], [[1e-170, 0], [0, 0]]]
+        doc["model"].update(h_system=z, h_apparatus=z, h_coupling={"kron": [x, "pauli_x"]})
+        tiny = tmp_path / "tiny.json"
+        tiny.write_text(json.dumps(doc))
+        assert main(["check", str(tiny)]) == 1
+        assert capsys.readouterr().out == ("eq4_defect = 1  holds = False\n"
+                                           "eq5_defect = 1  holds = False\n")
+
     def test_truncated_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema": 1,')

@@ -6,14 +6,14 @@ never picks an outcome of zero weight, and the vectorised CDF inversion picks
 what the one-draw loop picks; the batch statistics equal their row-by-row
 counterparts bit for bit; a record writes the bytes of one format call per
 row; Born weights keep their invariants, and so do the states nothing checks
-in full (evolved, exact-trajectory, collapsed, and every state of the repeat
-protocol on a batch); the repeat protocol's one propagator per batch gives
-the bits of an evolve_exact per step; the
+in full (evolved, exact-trajectory, collapsed, and every ensemble of the ket
+repeat protocol on a batch); the ket pipeline reads the Born weights of the
+density-matrix route it replaced within 1e-12 and its outcomes exactly; the
 apparatus-factor Born/Lüders kernel agrees with explicit index loops and kron
 projectors on degenerate pointers; the Cholesky accept test decides positivity
 as eigvalsh does; non-demolition models read sharply; scaling every
-Hamiltonian by 2^k and every time by 2^-k keeps every verdict, defect and
-outcome bit for bit; scenario documents round-trip."""
+Hamiltonian by 2^k and every time by 2^-k keeps every verdict, defect,
+constancy and outcome bit for bit; scenario documents round-trip."""
 
 import dataclasses
 import io
@@ -29,7 +29,7 @@ import qndsim.measurement
 import qndsim.model
 import qndsim.scenarios
 from qndsim import csvtext
-from qndsim.dynamics import evolve_exact, exact_trajectory, rhs_component_form
+from qndsim.dynamics import evolve_exact, exact_trajectory, kets_at, rhs_component_form
 from qndsim.linalg import (
     EPS_HERM,
     EPS_POS,
@@ -49,6 +49,7 @@ from qndsim.measurement import (
     aggregate_sigma,
     collapse_after_outcome,
     invert_cdf,
+    ket_distribution,
     outcome_changes,
     outcome_distribution,
     outcome_frequencies,
@@ -62,16 +63,17 @@ from qndsim.model import (
     Preparation,
     check_conditions,
     prepare_initial,
+    prepare_kets,
     random_model,
     total_hamiltonian,
 )
 from qndsim.scenario_io import parse_scenario, render_scenario
 from qndsim.scenarios import (
-    MeasurementRun,
     Scenario,
     Schedule,
     _born_index_loops,
     measure_batch,
+    run_scenario,
 )
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -513,56 +515,66 @@ def test_born_weights_and_states_keep_invariants(m, seed, mixed, t, times, degen
         assert_state(collapse_after_outcome(w, pointer, lam, dims))
 
 
+def assert_ensemble(q, phi):
+    """Weights >= 0 summing to 1, kets of unit norm, and sum_k q_k phi_k phi_k^dag a state."""
+    assert q.min() >= 0.0 and np.abs(q.sum(axis=-1) - 1.0).max() <= 1e-12
+    assert np.abs(np.linalg.norm(phi, axis=-1) ** 2 - 1.0).max() <= EPS_TRACE
+    for w in ((q[..., None] * phi).swapaxes(-1, -2) @ phi.conj()).reshape(-1, *phi.shape[-1:] * 2):
+        assert_state(w)
+
+
 @SETTINGS
 @given(st.sampled_from([(2, 2), (2, 3), (3, 2)]), st.lists(st.integers(0, 2**16), min_size=1,
        max_size=4), st.floats(0.0, 1.0), st.floats(0.1, 5.0), st.integers(2, 6),
        st.integers(0, 2**32))
 def test_repeated_outcomes_states_keep_invariants(dims, seeds, eta, delta_tau, n, seed):
-    """Every state repeated_outcomes holds on a batch, each one measured,
-    collapsed or evolved, is a state, which nothing checks in full: trace
-    within EPS_TRACE, ||M - M^dag||_F within EPS_HERM * max(1, ||M||_F),
-    lowest eigenvalue >= -EPS_POS."""
+    """Every ensemble repeated_outcomes holds on a batch, each one measured,
+    collapsed or evolved, is a state, which nothing checks in full: weights
+    >= 0 summing to 1, unit kets, and its density matrix within the state
+    rules (assert_state)."""
     models = [random_model(dims, "interpolated", s, eta=eta) for s in seeds]
     batch = BipartiteModel(*dims, *(
         HermitianOperator(np.stack([getattr(m, name).matrix for m in models]))
         for name in ("h_system", "h_apparatus", "h_coupling")))
     pointer = PointerObservable.from_operator(batch.h_apparatus)
-    w_tau = evolve_exact(batch, prepare_initial(batch, Preparation.eigenbasis(0, 0)), 1.0)
-    p = outcome_distribution(w_tau, pointer, dims)
-    seen = []  # each step's measured, collapsed and evolved state
+    q, phi = prepare_kets(batch, Preparation.eigenbasis(0, 0), pointer_basis=pointer.basis)
+    phi_tau = kets_at(batch, phi @ batch.spectrum.eigenvectors.conj(), 1.0)
+    p = ket_distribution(q, phi_tau, pointer, dims)
+    seen = []  # each step's measured, collapsed and evolved ensemble
 
-    def measured(w, *args):
-        seen.append(w)
-        collapsed = collapse(w, *args)
-        seen.append(collapsed)
-        return collapsed
+    def measured(q, phi, *args):
+        seen.append((q, phi))
+        seen.append(collapse(q, phi, *args))
+        return seen[-1]
 
-    def evolved(w, *args):
-        seen.append(w)
-        return born(w, *args)
+    def evolved(q, phi, *args):
+        seen.append((q, phi))
+        return born(q, phi, *args)
 
-    collapse = qndsim.measurement.collapse_after_outcome
-    born = qndsim.measurement.outcome_distribution
+    collapse = qndsim.measurement._collapse_kets
+    born = qndsim.measurement.ket_distribution
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qndsim.measurement, "collapse_after_outcome", measured)
-        mp.setattr(qndsim.measurement, "outcome_distribution", evolved)
-        repeated_outcomes(batch, w_tau, p, pointer, delta_tau,
+        mp.setattr(qndsim.measurement, "_collapse_kets", measured)
+        mp.setattr(qndsim.measurement, "ket_distribution", evolved)
+        repeated_outcomes(batch, q, phi_tau, p, pointer, delta_tau,
                           trial_rng(seed).random((len(seeds), n)))
     assert len(seen) == 3 * (n - 1)
-    for w in np.concatenate(seen):
-        assert_state(w)
+    for ensemble in seen:
+        assert_ensemble(*ensemble)
 
 
-def repeated_outcomes_per_step(m, w_tau, p_tau, pointer, delta_tau, u, evolved):
-    """The repeat protocol with each step through evolve_exact, which forms
-    U(delta_tau) again on every call; appends each evolved state to evolved."""
+def repeated_outcomes_per_step(m, w_tau, p_tau, pointer, delta_tau, u, born):
+    """The density-matrix repeat protocol the ket one replaced, kept as its
+    reference: each step U w U^dag through evolve_exact, the Born weights of
+    the state matrix, then the matrix Lüders collapse; appends each step's
+    Born weights to born."""
     dims = (m.d_system, m.d_apparatus)
     w, p, lams = w_tau, p_tau, []
     for k in range(u.shape[-1]):
         if k:
             w = evolve_exact(m, w, delta_tau)
-            evolved.append(w)
             p = outcome_distribution(w, pointer, dims)
+            born.append(p)
         lams.append(invert_cdf(p, u[..., k]))
         if k + 1 < u.shape[-1]:
             w = collapse_after_outcome(w, pointer, lams[-1], dims)
@@ -572,13 +584,17 @@ def repeated_outcomes_per_step(m, w_tau, p_tau, pointer, delta_tau, u, evolved):
 @SETTINGS
 @given(st.integers(2, 3), st.integers(2, 3), st.sampled_from(["qnd", "violating", "interpolated"]),
        st.floats(0.0, 1.0), st.lists(st.integers(0, 2**16), min_size=1, max_size=4),
-       st.booleans(), st.floats(0.1, 3.0), st.floats(0.1, 5.0), st.integers(2, 6),
-       st.integers(1, 40))
+       st.booleans(), st.booleans(), st.booleans(), st.floats(0.1, 3.0), st.floats(0.1, 5.0),
+       st.integers(2, 6), st.integers(1, 40), st.data())
 def test_repeated_outcomes_equal_per_step_evolution_bitwise(
-        d_s, d_m, family, eta, seeds, stacked, tau, delta_tau, n_repeats, n_trials):
-    """One U(delta_tau) per batch gives the bits of an evolve_exact per step:
-    the same evolved states, outcomes and MeasurementRun fields, on one point
-    and on a stacked batch, with the draws of trial_rng(seed)."""
+        d_s, d_m, family, eta, seeds, stacked, general, degenerate, tau, delta_tau,
+        n_repeats, n_trials, data):
+    """The ket pipeline against the density-matrix route it replaced
+    (repeated_outcomes_per_step), with the draws of trial_rng(seed), on one
+    point and on a stacked batch, from an index or a mixed general
+    preparation, on the model's pointer or a degenerate one: the Born weights
+    at tau and at every repeat agree within 1e-12, and the trial and repeat
+    outcomes are equal bit for bit."""
     eta = eta if family == "interpolated" else None
     models = [random_model((d_s, d_m), family, s, eta=eta) for s in seeds]
     if stacked:
@@ -587,30 +603,42 @@ def test_repeated_outcomes_equal_per_step_evolution_bitwise(
             for name in ("h_system", "h_apparatus", "h_coupling")))
     else:
         m, seeds = models[0], seeds[:1]
-    pointer = PointerObservable.from_operator(m.h_apparatus)
-    batch = Scenario(tuple(map(str, seeds)), m, Preparation.eigenbasis(0, 0), pointer,
-                     Schedule(tau, delta_tau, n_repeats, n_trials), None,
-                     tuple(seeds), (eta,) * len(seeds))
-    got_states, want_states = [], []
+    h = m.h_apparatus.matrix
+    if degenerate:  # the same degenerate pointer for every point
+        h = np.broadcast_to(data.draw(degenerate_pointers(d_m))[0].operator.matrix, h.shape)
+    pointer = PointerObservable.from_operator(HermitianOperator(h))
+    if general:
+        prep = Preparation.general(DensityOperator(random_state(d_s, seeds[0])),
+                                   DensityOperator(random_state(d_m, seeds[0] + 1)))
+    else:
+        prep = Preparation.eigenbasis(data.draw(st.integers(0, d_s - 1)),
+                                      data.draw(st.integers(0, d_m - 1)))
+    s = Scenario(tuple(map(str, seeds)), m, prep, pointer,
+                 Schedule(tau, delta_tau, n_repeats, n_trials), None,
+                 tuple(seeds), (eta,) * len(seeds))
+    got_born = []
 
-    def recording(w, *args):
-        got_states.append(w)
-        return born(w, *args)
+    def recording(*args):
+        got_born.append(born(*args))
+        return got_born[-1]
 
-    born = qndsim.measurement.outcome_distribution
+    born = qndsim.measurement.ket_distribution
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qndsim.measurement, "outcome_distribution", recording)
-        got = measure_batch(batch)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qndsim.scenarios, "repeated_outcomes",
-                   lambda *args: repeated_outcomes_per_step(*args, want_states))
-        want = measure_batch(batch)
-    assert len(got_states) == len(want_states) == n_repeats - 1
-    for a, b in zip(got_states, want_states, strict=True):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
-    for f in dataclasses.fields(MeasurementRun):
-        a, b = getattr(got, f.name), getattr(want, f.name)
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+        mp.setattr(qndsim.scenarios, "ket_distribution", recording)
+        mp.setattr(qndsim.measurement, "ket_distribution", recording)
+        got = measure_batch(s)
+    dims = (d_s, d_m)
+    w_tau = evolve_exact(m, prepare_initial(m, prep, pointer_basis=pointer.basis), tau)
+    want_born = [outcome_distribution(w_tau, pointer, dims)]
+    u = np.stack([trial_rng(seed).random(max(n_repeats, n_trials)) for seed in seeds])
+    u = u.reshape(*m.batch, -1)
+    repeat_lams = repeated_outcomes_per_step(m, w_tau, want_born[0], pointer, delta_tau,
+                                             u[..., :n_repeats], want_born)
+    assert len(got_born) == len(want_born) == n_repeats
+    for a, b in zip(got_born, want_born, strict=True):
+        assert np.abs(a - b).max() <= 1e-12
+    assert np.array_equal(got.repeat_lams, repeat_lams)
+    assert np.array_equal(got.trial_lams, invert_cdf(want_born[0], u[..., :n_trials]))
     assert got.repeat_lams.shape == (*m.batch, n_repeats)
 
 
@@ -731,9 +759,9 @@ def test_scaled_models_keep_every_verdict_and_outcome(
         d_s, d_m, family, eta, seed, k, tau, delta_tau, data):
     """The dynamics depend on E t alone: with every Hamiltonian scaled by
     c = 2^k and every time by 1/c (both exact in floating point), the
-    condition verdicts and defects, the trial and repeat outcomes, sigma / c
-    and the variance / c^2 equal the unscaled run's bit for bit, since every
-    tolerance is relative to its operator's scale."""
+    condition verdicts and defects, the state constancy L, the trial and
+    repeat outcomes, sigma / c and the variance / c^2 equal the unscaled run's
+    bit for bit, since every tolerance is relative to its operator's scale."""
     m = random_model((d_s, d_m), family, seed, eta=eta if family == "interpolated" else None)
     prep = Preparation.eigenbasis(data.draw(st.integers(0, d_s - 1)),
                                   data.draw(st.integers(0, d_m - 1)))
@@ -742,11 +770,13 @@ def test_scaled_models_keep_every_verdict_and_outcome(
         scaled = BipartiteModel(d_s, d_m, *(HermitianOperator(c * getattr(m, name).matrix)
                                             for name in ("h_system", "h_apparatus", "h_coupling")))
         report = check_conditions(scaled)
-        run = measure_batch(Scenario(
-            ("scaled",), scaled, prep, PointerObservable.from_operator(scaled.h_apparatus),
-            Schedule(tau / c, delta_tau / c, 5, 50), None, (seed,), (None,)))
+        pointer = PointerObservable.from_operator(scaled.h_apparatus)
+        s = Scenario(("scaled",), scaled, prep, pointer, Schedule(tau / c, delta_tau / c, 5, 50),
+                     None, (seed,), (None,))
+        run = measure_batch(s)
         got.append([np.asarray(a).tobytes() for a in (
-            *dataclasses.astuple(report), run.trial_lams, run.repeat_lams,
+            *dataclasses.astuple(report), run_scenario(s).constancy_dev,
+            run.trial_lams, run.repeat_lams,
             run.sigma_analytic / c, run.sigma_empirical / c, run.reading_variance / c**2)])
     assert got[0] == got[1]
 

@@ -114,11 +114,17 @@ class TestOracle:
     def test_constancy_route_detects_a_wrong_deviation(self, monkeypatch):
         original = qndsim.scenarios.state_constancy_check
         monkeypatch.setattr(qndsim.scenarios, "state_constancy_check",
-                            lambda m, w0, t_grid: original(m, w0, t_grid[::2]))
+                            lambda m, w0: original(m, w0) * 1.001)
         report = oracle_check((3, 2), 11)
         assert not bool(report)
         assert [line.split(":")[0] for line in report.lines] == [
-            "state_constancy_check vs series exponential"]
+            "state_constancy_check vs eig projectors"]
+        # too small a value also breaks the bound on the series-exponential state
+        monkeypatch.setattr(qndsim.scenarios, "state_constancy_check",
+                            lambda m, w0: original(m, w0) / 100)
+        assert [line.split(":")[0] for line in oracle_check((3, 2), 11).lines] == [
+            "state_constancy_check vs eig projectors",
+            "series exponential past sqrt(2) state_constancy_check"]
 
     def test_rejects_large_dims(self):
         with pytest.raises(ValueError):

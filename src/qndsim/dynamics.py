@@ -67,8 +67,8 @@ class Trajectory:
 
 
 def rhs_component_form(m: BipartiteModel, w) -> np.ndarray:
-    """dw/dt evaluated term by term: system, coupling, apparatus commutators,
-    c = T w - w T over the model's (3, d, d) stack T of terms, summed in order.
+    """dw/dt evaluated term by term: the commutators c = T w - w T of the
+    system term, the coupling and the apparatus term, summed in that order.
 
     Equals -i [H_total, w]; the equality is an executable invariant of the
     test suite rather than an assumption here.
@@ -76,7 +76,7 @@ def rhs_component_form(m: BipartiteModel, w) -> np.ndarray:
     wm = as_matrix(w)
     if wm.shape[0] != m.dim:
         raise ValueError(f"state dim {wm.shape[0]} does not match model dim {m.dim}")
-    c = m.terms @ wm - wm @ m.terms
+    c = [t @ wm - wm @ t for t in (m.system_term, m.h_coupling.matrix, m.apparatus_term)]
     return -1j * (c[0] + c[1] + c[2])
 
 
@@ -122,8 +122,8 @@ def exact_trajectory(m: BipartiteModel, w0: DensityOperator, times) -> Trajector
 def evolve_stepped(m: BipartiteModel, w0: DensityOperator, t_end: float, dt: float) -> Trajectory:
     """Classical RK4 on time_grid(t_end, dt), which must hold more than one time.
 
-    For dw/dt = -i [H, w], H = terms[0] + terms[1] + terms[2], one RK4 step is
-    the degree-4 polynomial sum_{j+k<=4} A_j w A_k^dag, A_j = (-i dt H)^j / j!.
+    For dw/dt = -i [H, w], H = (system_term + h_coupling) + apparatus_term, one
+    RK4 step is the degree-4 polynomial sum_{j+k<=4} A_j w A_k^dag, A_j = (-i dt H)^j / j!.
     It is taken as the increment w + (K + K^dag), K = sum_j A_j w C_j, which
     pairs each (j, k) with its mirror (k, j).  The increment is real-linear on
     Hermitian w, so in the real coordinates x = (diag w, Re w_upper,
@@ -140,7 +140,7 @@ def evolve_stepped(m: BipartiteModel, w0: DensityOperator, t_end: float, dt: flo
         raise ValueError("t-end must span at least one step of dt")
     n_steps = len(times) - 1
     dt, d = t_end / n_steps, m.dim
-    h = m.terms[0] + m.terms[1] + m.terms[2]
+    h = m.system_term + m.h_coupling.matrix + m.apparatus_term
     a = [np.eye(d, dtype=complex)]
     for j in range(1, 5):
         a.append(a[-1] @ h * (-1j * dt / j))
@@ -201,7 +201,7 @@ def kets_at(m: BipartiteModel, c, t: float) -> np.ndarray:
         bad = ~(abs(norm2 - 1.0) <= EPS_TRACE)
     if bad.any():
         raise InvariantViolationError(f"state ket is not finite with unit norm: "
-                                      f"|phi|^2 = {norm2[bad][0]!r}")
+                                      f"|phi|^2 = {norm2[bad][0]}")
     return phi
 
 

@@ -5,7 +5,8 @@ A model couples a measured system (dim dS) to a measuring apparatus
 [H_system x I, H_coupling] = 0 and [H_coupling, I x H_apparatus] = 0;
 check_conditions quantifies how far a model is from satisfying them.
 A model compiles its joint-space operators once, on first use, and every
-caller reads them: lifted terms, total H, its spectrum, the h_S eigenbasis.
+caller reads them: the two lifted terms, total H, its spectrum, and the h_S
+and h_M eigenbases, which a drawn model takes from its draws.
 A model may also be a batch: operators with one shared leading batch shape,
 compiled, checked and prepared as stacks by the same code.  A preparation
 becomes a state matrix (prepare_initial) or an ensemble of weighted unit kets
@@ -70,28 +71,19 @@ class BipartiteModel:
     # Compiled operators: built on first use, then shared (arrays read-only).
 
     @cached_property
-    def terms(self) -> np.ndarray:
-        """(..., 3, d, d): the lifted system term h_S x I, the coupling and the
-        lifted apparatus term I x h_M, in the order of the component form."""
-        return read_only(np.stack([
-            tensor(self.h_system, np.eye(self.d_apparatus)),
-            self.h_coupling.matrix,
-            tensor(np.eye(self.d_system), self.h_apparatus),
-        ], axis=-3))
-
-    @property
     def system_term(self) -> np.ndarray:
-        return self.terms[..., 0, :, :]
+        """The lifted system term h_S x I."""
+        return read_only(tensor(self.h_system, np.eye(self.d_apparatus)))
 
-    @property
+    @cached_property
     def apparatus_term(self) -> np.ndarray:
-        return self.terms[..., 2, :, :]
+        """The lifted apparatus term I x h_M: H_M x I_S in operator language,
+        realised under the system-major joint index."""
+        return read_only(tensor(np.eye(self.d_system), self.h_apparatus))
 
     @cached_property
     def hamiltonian(self) -> HermitianOperator:
-        return HermitianOperator(
-            self.system_term + self.apparatus_term + self.h_coupling.matrix
-        )
+        return HermitianOperator(self.system_term + self.apparatus_term + self.h_coupling.matrix)
 
     @cached_property
     def spectrum(self) -> SpectralDecomposition:
@@ -100,6 +92,10 @@ class BipartiteModel:
     @cached_property
     def system_basis(self) -> SpectralDecomposition:
         return spectral(self.h_system)
+
+    @cached_property
+    def apparatus_basis(self) -> SpectralDecomposition:
+        return spectral(self.h_apparatus)
 
 
 @dataclass(frozen=True)
@@ -156,13 +152,8 @@ def total_hamiltonian(m: BipartiteModel) -> HermitianOperator:
 
 
 def check_conditions(m: BipartiteModel) -> ConditionReport:
-    """Measure the two commutation conditions against CONDITION_THRESHOLD, a
-    relative threshold.
-
-    The apparatus-side condition is stated as [H_C, H_M x I_S] in operator
-    language; under the global system-major index convention the apparatus
-    term is realized as tensor(I_S, h_apparatus).
-    """
+    """Measure the two commutation conditions, [system_term, H_C] and
+    [H_C, apparatus_term], against CONDITION_THRESHOLD, a relative threshold."""
     eq4 = commutator_defect(m.system_term, m.h_coupling)
     eq5 = commutator_defect(m.h_coupling, m.apparatus_term)
     return ConditionReport(
@@ -175,8 +166,8 @@ def check_conditions(m: BipartiteModel) -> ConditionReport:
 
 def _prepared_vectors(m: BipartiteModel, prep: Preparation, pointer_basis):
     """Check that prep fits m; for an index preparation, its system-Hamiltonian
-    eigenvector and pointer-basis vector (pointer_basis defaults to the
-    eigenbasis of h_apparatus), and None for a general one."""
+    eigenvector and pointer-basis vector (pointer_basis defaults to
+    m.apparatus_basis), and None for a general one."""
     if not prep.is_indexed:
         if prep.rho_system.dim != m.d_system or prep.mu_apparatus.dim != m.d_apparatus:
             raise ValueError("preparation dimensions do not match the model")
@@ -186,9 +177,8 @@ def _prepared_vectors(m: BipartiteModel, prep: Preparation, pointer_basis):
         raise IndexError(f"system index {i} out of range [0, {m.d_system})")
     if not 0 <= lam < m.d_apparatus:
         raise IndexError(f"apparatus index {lam} out of range [0, {m.d_apparatus})")
-    if pointer_basis is None:
-        pointer_basis = spectral(m.h_apparatus)
-    return m.system_basis.eigenvectors[..., :, i], pointer_basis.eigenvectors[..., :, lam]
+    pointer = m.apparatus_basis if pointer_basis is None else pointer_basis
+    return m.system_basis.eigenvectors[..., :, i], pointer.eigenvectors[..., :, lam]
 
 
 def prepare_initial(m: BipartiteModel, prep: Preparation,
@@ -230,12 +220,13 @@ def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 class ModelDraws(NamedTuple):
     """A random model's seeded matrices, stacked over seeds: (seeds, d, d) each,
-    and the spectra of the h_M stack, which the qnd coupling is built from."""
+    and their h_S and h_M spectra, which build the qnd coupling and every drawn model holds."""
 
     h_system: np.ndarray
     h_apparatus: np.ndarray
     hc_qnd: np.ndarray
     hc_violating: np.ndarray
+    system_basis: SpectralDecomposition
     apparatus_basis: SpectralDecomposition
 
 
@@ -249,9 +240,8 @@ def model_draws(dims: tuple[int, int], seeds: Sequence[int]) -> ModelDraws:
     rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds]
     h_s = np.array([_random_hermitian(rng, d_s) for rng in rngs])
     h_m = np.array([_random_hermitian(rng, d_m) for rng in rngs])
-    v_s = spectral(h_s).eigenvectors
-    basis_m = spectral(h_m)
-    v_m = basis_m.eigenvectors
+    basis_s, basis_m = spectral(h_s), spectral(h_m)
+    v_s, v_m = basis_s.eigenvectors, basis_m.eigenvectors
     n_terms = min(d_s, d_m)
     ab = [[(rng.uniform(-1.0, 1.0, size=d_s), rng.uniform(-1.0, 1.0, size=d_m))
            for _ in range(n_terms)] for rng in rngs]
@@ -266,21 +256,26 @@ def model_draws(dims: tuple[int, int], seeds: Sequence[int]) -> ModelDraws:
         term_b = (v_m * b) @ v_m.conj().swapaxes(-1, -2)
         hc_qnd += tensor(term_a, term_b)
     hc_qnd = (hc_qnd + hc_qnd.conj().swapaxes(-1, -2)) / 2
-    return ModelDraws(h_s, h_m, hc_qnd, hc_violating, basis_m)
+    return ModelDraws(h_s, h_m, hc_qnd, hc_violating, basis_s, basis_m)
 
 
 def drawn_model(dims: tuple[int, int], draws: ModelDraws, k, eta) -> BipartiteModel:
     """The model of row k of draws, or the batch of rows k (a list), coupled by
     (1 - eta) * hc_qnd + eta * hc_violating; eta is one value in [0, 1] or one
     per row.  eta = 0 is the qnd coupling and eta = 1 the violating one, bit for
-    bit, since 1 * x = x and 0 * y = +-0."""
+    bit, since 1 * x = x and 0 * y = +-0.  Row k of the draws' two spectra is
+    the model's system_basis and apparatus_basis: it decomposes neither again."""
     eta = np.asarray(eta)
     if not np.all((eta >= 0.0) & (eta <= 1.0)):  # NaN fails
         raise ValueError("interpolated family needs eta in [0, 1]")
     eta = eta[..., None, None]
     hc = (1.0 - eta) * draws.hc_qnd[k] + eta * draws.hc_violating[k]
-    return BipartiteModel(*dims, HermitianOperator(draws.h_system[k]),
-                          HermitianOperator(draws.h_apparatus[k]), HermitianOperator(hc))
+    m = BipartiteModel(*dims, HermitianOperator(draws.h_system[k]),
+                       HermitianOperator(draws.h_apparatus[k]), HermitianOperator(hc))
+    for name in ("system_basis", "apparatus_basis"):  # the caches cached_property reads
+        basis = getattr(draws, name)
+        m.__dict__[name] = SpectralDecomposition(basis.eigenvalues[k], basis.eigenvectors[k])
+    return m
 
 
 def random_model(dims: tuple[int, int], family: str, seed: int,

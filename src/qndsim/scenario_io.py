@@ -185,7 +185,8 @@ def _parse_preparation(doc: dict, model: BipartiteModel) -> Preparation:
 
 
 def parse_scenario(doc: dict) -> Scenario:
-    """A one-point Scenario.  The pointer defaults to the eigenbasis of h_M.
+    """A one-point Scenario.  The pointer defaults to h_M, in the model's
+    apparatus_basis.
     A calibration table, if given, is checked here: finite, one row per
     system level and one column per distinct pointer value."""
     if not isinstance(doc, dict):
@@ -210,7 +211,7 @@ def parse_scenario(doc: dict) -> Scenario:
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"schedule: {exc}") from exc
     if doc.get("pointer") is None:
-        pointer = PointerObservable.from_operator(model.h_apparatus)
+        pointer = PointerObservable(model.h_apparatus, model.apparatus_basis)
     else:
         pointer = PointerObservable.from_operator(_hermitian(doc["pointer"], "pointer"))
         if pointer.dim != model.d_apparatus:

@@ -15,9 +15,9 @@ result row per point; run_scenario is its first row.
 interpolation_sweep is the one maker of multi-point scenarios: it runs the
 (eta, seed) grid of one dims as a few batches, and when one fails it reruns
 its points one at a time through the same builder to name the failing point.
-oracle_check re-derives the core numerics through slow, independent routes
-(truncated-series exponential, np.linalg.eig projectors, explicit index
-loops) and compares them against the main implementations.
+oracle_check re-derives the core numerics, ket kernels included, through slow
+independent routes (truncated-series exponential, np.linalg.eig projectors,
+explicit index loops) and compares them against the main implementations.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .linalg import DEGENERACY_TOL, DensityOperator, SpectralDecomposition, degenerate_groups
+from .linalg import DEGENERACY_TOL, DensityOperator, degenerate_groups
 from .model import (BipartiteModel, Preparation, check_conditions, drawn_model, model_draws,
                     prepare_kets, random_model, total_hamiltonian)
 from .dynamics import (energy_coherence, evolve_exact, kets_at, rhs_component_form,
@@ -205,18 +205,18 @@ def run_scenario(s: Scenario) -> SweepRow:
 
 def _point_bytes(dims: tuple[int, int], schedule: Schedule) -> int:
     """Bytes a sweep point adds to its batch's peak, so that a batch of
-    BATCH_BYTES // _point_bytes points stays within BATCH_BYTES: 9 joint
-    matrices (the model's coupling and terms, H, its eigenvectors, and at the
-    peak the commutators, eigh's work or the constancy's state; kets are
-    vectors), its seed's two drawn couplings, its pointer's projectors (at
-    most dM of dM x dM), 8 B for each of its draws, trial outcomes, trial
-    readings and repeat outcomes (np.var's temporary takes the draws' place),
-    and 512 B for its name and its row's fields.  Under tracemalloc, full batches of 893
-    (2, 2), 87 (4, 4) and 5 (8, 8) points with one eta per seed peak at 4.06,
-    3.98 and 3.48 MB (3.33, 3.27 and 2.94 MB on the default eta grid), and a
-    (2, 2) point costs 24 B per trial."""
+    BATCH_BYTES // _point_bytes points stays within BATCH_BYTES: 10 joint
+    matrices (the model's coupling, two lifted terms, H and its eigenvectors,
+    its seed's two drawn couplings, and at the peak the commutators, eigh's
+    work or the constancy's state; kets are vectors; tracemalloc measures 9.1
+    per point at (12, 12) and (16, 16)), its pointer's projectors (at most dM
+    of dM x dM), 8 B for each of its draws, trial outcomes, trial readings and
+    repeat outcomes (np.var's temporary takes the draws' place), and 512 B for
+    its name and row.  Full batches of 944 (2, 2), 95 (4, 4) and 6 (8, 8)
+    points with one eta per seed peak at 4.12, 3.97 and 3.76 MB (3.29, 3.26
+    and 2.61 MB on the default eta grid); a (2, 2) point costs 24 B per trial."""
     d_s, d_m = dims
-    entries = 11 * (d_s * d_m) ** 2 + d_m ** 3
+    entries = 10 * (d_s * d_m) ** 2 + d_m ** 3
     rows = max(schedule.n_repeats, schedule.n_trials) + 2 * schedule.n_trials + schedule.n_repeats
     return ENTRY_BYTES * entries + DRAW_BYTES * rows + 512
 
@@ -224,15 +224,12 @@ def _point_bytes(dims: tuple[int, int], schedule: Schedule) -> int:
 def _sweep_batch(dims, points, draws, schedule) -> Scenario:
     """The interpolated models of points, (eta, seed, k) with k the seed's row
     in draws, whose h_M spectra are the pointers."""
-    k, basis = [k for _, _, k in points], draws.apparatus_basis
-    model = drawn_model(dims, draws, k, [eta for eta, _, _ in points])
-    pointer = PointerObservable(model.h_apparatus, SpectralDecomposition(
-        basis.eigenvalues[k], basis.eigenvectors[k]))
+    model = drawn_model(dims, draws, [k for _, _, k in points], [eta for eta, _, _ in points])
     return Scenario(
         names=tuple(f"interp-eta{eta:g}-seed{seed}" for eta, seed, _ in points),
         model=model,
         preparation=Preparation.eigenbasis(0, 0),
-        pointer=pointer,
+        pointer=PointerObservable(model.h_apparatus, model.apparatus_basis),
         schedule=schedule,
         table=None,
         seeds=tuple(seed for _, seed, _ in points),
@@ -380,15 +377,16 @@ def oracle_check(dims: tuple[int, int], seed: int,
                  swap_index_convention: bool = False) -> OracleReport:
     """Cross-check the main numerics against slow independent recomputations.
 
-    Recomputes the exact propagation via a truncated-series exponential, the
-    state constancy L via projectors onto np.linalg.eig's eigenvectors,
-    orthonormalised per eigenvalue group (and checks that L bounds the
-    series-exponential state's deviation), the outcome distribution via
-    explicit index loops summed per pointer group, and the evolution
-    right-hand side via quadruple-indexed loops.  Returns a falsy report with
-    a diff when any route disagrees beyond ORACLE_TOL.  swap_index_convention
-    deliberately mis-wires the oracle-side joint index (negative control).
-    """
+    Recomputes the exact propagation, and the kets of w0's eigen-ensemble
+    (kets_at), via a truncated-series exponential, the state constancy L via
+    projectors onto np.linalg.eig's eigenvectors, orthonormalised per
+    eigenvalue group (and checks that L bounds the series-exponential state's
+    deviation), the outcome distribution of w0 and of that ensemble
+    (ket_distribution) via explicit index loops summed per pointer group, and
+    the evolution right-hand side via quadruple-indexed loops.  Returns a
+    falsy report with a diff when any route disagrees beyond ORACLE_TOL.
+    swap_index_convention mis-wires the oracle-side joint index (negative
+    control)."""
     d_s, d_m = dims
     if d_s > 3 or d_m > 3:
         raise ValueError("oracle_check is limited to dims <= (3, 3)")
@@ -406,6 +404,10 @@ def oracle_check(dims: tuple[int, int], seed: int,
     w_series = u_series @ w0.matrix @ u_series.conj().T
     w_main = evolve_exact(m, w0, t)
     diffs["evolve_exact vs series exponential"] = np.linalg.norm(w_series - w_main)
+    q, kets = np.linalg.eigh(w0.matrix)  # w0 = sum_k q_k phi_k phi_k^dag, phi_k = kets[:, k]
+    phi_t = kets_at(m, kets.T @ m.spectrum.eigenvectors.conj(), t)
+    w_kets = (q[:, None] * phi_t).T @ phi_t.conj()
+    diffs["kets_at vs series exponential"] = np.linalg.norm(w_series - w_kets)
 
     e, v = np.linalg.eig(h)
     order = np.argsort(e.real)  # groups split where the gap exceeds the relative DEGENERACY_TOL
@@ -427,6 +429,8 @@ def oracle_check(dims: tuple[int, int], seed: int,
     p_loops = np.maximum(np.add.reduceat(p_loops, pointer.starts), 0.0)
     p_loops = p_loops / p_loops.sum()
     diffs["outcome_distribution vs index loops"] = np.max(np.abs(p_main - p_loops))
+    p_kets = ket_distribution(q, kets.T, pointer, dims)
+    diffs["ket_distribution vs index loops"] = np.max(np.abs(p_kets - p_loops))
 
     lines = [f"{pair}: |diff| = {d:.3e}" for pair, d in diffs.items() if not d <= ORACLE_TOL]
     return OracleReport(passed=not lines, lines=lines)

@@ -154,8 +154,8 @@ def test_seeds_with_other_pointer_groups_run_apart(monkeypatch):
 
     def rows(chunk):
         k = [rows_of[seed] for seed in chunk]
-        return ModelDraws(*(a[k] for a in draws[:-1]), SpectralDecomposition(
-            basis.eigenvalues[k], basis.eigenvectors[k]))
+        return ModelDraws(*(a[k] for a in draws[:-2]), *(SpectralDecomposition(
+            b.eigenvalues[k], b.eigenvectors[k]) for b in draws[-2:]))
 
     monkeypatch.setattr(qndsim.scenarios, "model_draws", lambda _, chunk: rows(chunk))
     rows = interpolation_sweep(dims, etas, seeds, SMALL)

@@ -545,6 +545,21 @@ def test_overflowing_time_is_a_computed_failure(argv, tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("argv, prefix", [
+    (lambda path: ["measure", path], ""),
+    (lambda path: ["sweep", "--dims", "2,2", "--seeds", "0:2", "--tau", "1e308"],
+     "scenario 'interp-eta0-seed0' failed: "),
+], ids=["measure", "sweep"])
+def test_ket_norm_prints_as_a_plain_float(argv, prefix, tmp_path, capsys):
+    doc = json.loads(Path(VIOLATING).read_text(encoding="utf-8"))
+    doc["schedule"]["tau"] = 1e308  # E tau overflows: the kets at tau are NaN
+    path = tmp_path / "tau-1e308.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(argv(str(path))) == 1
+    assert capsys.readouterr().err == (
+        f"error: {prefix}state ket is not finite with unit norm: |phi|^2 = nan\n")
+
+
 @pytest.mark.parametrize("table, code", [
     ([[1e308, -1e308], [1e308, -1e308]], 1),  # the variance's sums overflow
     ([[1e308, 1e308], [1e308, 1e308]], 0),  # all readings equal: variance exactly 0

@@ -292,7 +292,7 @@ class TestEvolveStepped:
         # increment stack beyond stack_block(d * d) of d^2 x d^2.
         m = random_model((3, 2), "violating", 1)
         w0 = prepare_initial(m, Preparation.eigenbasis(0, 0))
-        m.terms  # compiled once, outside the measurement
+        m.system_term, m.apparatus_term  # compiled once, outside the measurement
         tracemalloc.start()
         try:
             states = evolve_stepped(m, w0, 5.0, 1e-3).states

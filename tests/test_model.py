@@ -1,16 +1,21 @@
+import json
+
 import numpy as np
 import pytest
 
-from qndsim.linalg import DensityOperator, HermitianOperator
+from qndsim.cli import main
+from qndsim.linalg import DensityOperator, HermitianOperator, spectral
 from qndsim.model import (
     BipartiteModel,
     Preparation,
     check_conditions,
+    drawn_model,
     model_draws,
     prepare_initial,
     random_model,
     total_hamiltonian,
 )
+from qndsim.scenario_io import bundled_scenario_path
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -164,3 +169,48 @@ class TestRandomModel:
             random_model((2, 2), "interpolated", 0, eta=1.5)
         with pytest.raises(ValueError):
             random_model((2, 2), "nope", 0)
+
+
+class TestCompiledOnce:
+    """A model holds one copy of each operator, and a CLI run decomposes each
+    Hermitian matrix once: a drawn model takes h_S's and h_M's spectra from
+    its draws, and the default pointer and the preparation read them."""
+
+    FAMILY = {  # the benchmark's evolve scenario: no pointer, so h_M's basis is the default
+        "schema": 1, "name": "family",
+        "model": {"dims": [3, 2], "family": "violating", "seed": 1},
+        "preparation": {"system_index": 0, "apparatus_index": 0},
+        "schedule": {"tau": 1.0, "delta_tau": 0.5, "n_repeats": 5, "n_trials": 200},
+    }
+
+    @pytest.mark.parametrize("argv, calls", [
+        (["sweep", "--dims", "4,4", "--seeds", "1:5"], 3),  # h_S, h_M stacks; one batch's H
+        (["evolve", "FAMILY", "--t-end", "0.5", "--dt", "0.1"], 3),  # h_S, h_M, H
+        (["evolve", "FAMILY", "--stepped", "--t-end", "0.5", "--dt", "0.01"], 2),  # no H
+        (["measure", str(bundled_scenario_path("qubit-violating"))], 3),  # h_S, h_M, H
+    ], ids=["sweep", "evolve-exact", "evolve-stepped", "measure"])
+    def test_eigh_calls_per_cli_run(self, argv, calls, tmp_path, monkeypatch):
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps(self.FAMILY), encoding="utf-8")
+        argv = [str(family) if a == "FAMILY" else a for a in argv]
+        eigh, seen = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a.shape) or eigh(a))
+        assert main([*argv, "--out", str(tmp_path / "out.csv"), "--quiet"]) == 0
+        assert len(seen) == calls, seen
+
+    def test_no_stacked_terms(self):
+        m = random_model((3, 2), "violating", 1)
+        assert not hasattr(m, "terms")
+        assert np.array_equal(total_hamiltonian(m).matrix,
+                              m.system_term + m.apparatus_term + m.h_coupling.matrix)
+        assert not any(a.flags.writeable for a in (m.system_term, m.apparatus_term))
+        assert m.system_term.flags.c_contiguous and m.apparatus_term.flags.c_contiguous
+
+    def test_drawn_bases_equal_their_decompositions(self):
+        draws = model_draws((3, 2), [4, 5, 6])
+        batch = drawn_model((3, 2), draws, [2, 0], [0.5, 1.0])
+        for basis, h in ((batch.system_basis, batch.h_system),
+                         (batch.apparatus_basis, batch.h_apparatus)):
+            again = spectral(h)
+            assert np.array_equal(basis.eigenvalues, again.eigenvalues)
+            assert np.array_equal(basis.eigenvectors, again.eigenvectors)

@@ -126,6 +126,19 @@ class TestOracle:
             "state_constancy_check vs eig projectors",
             "series exponential past sqrt(2) state_constancy_check"]
 
+    @pytest.mark.parametrize("kernel, wrong, route", [
+        ("kets_at", lambda kets_at, m, c, t: kets_at(m, c, -t),  # backwards in time
+         "kets_at vs series exponential"),
+        ("ket_distribution", lambda born, *args: born(*args) * 1.001,
+         "ket_distribution vs index loops"),
+    ], ids=["kets_at", "ket_distribution"])
+    def test_ket_routes_detect_a_wrong_kernel(self, kernel, wrong, route, monkeypatch):
+        original = getattr(qndsim.scenarios, kernel)
+        monkeypatch.setattr(qndsim.scenarios, kernel, lambda *args: wrong(original, *args))
+        report = oracle_check((3, 2), 11)
+        assert not bool(report)
+        assert [line.split(":")[0] for line in report.lines] == [route]
+
     def test_rejects_large_dims(self):
         with pytest.raises(ValueError):
             oracle_check((4, 4), 0)

@@ -104,38 +104,30 @@ def cmd_measure(args) -> int:
     return EXIT_OK
 
 
-def _parse_float_list(text: str) -> list[float]:
-    try:  # float()'s own message would echo the whole text
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise ValueError(f"expected numbers, got {shown(text)}") from None
-
-
 def _parse_int_list(text: str) -> list[int]:
     out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in filter(str.strip, text.split(",")):
         bounds = [int(b) for b in part.split(":")]
         if len(bounds) > 2:
-            raise ValueError(f"expected an integer or lo:hi, got {shown(part)}")
+            raise ValueError("more than lo:hi")  # _option words the message
         out.extend(range(*bounds) if len(bounds) == 2 else bounds)
     return out
 
 
-def _option(name: str, parse, text: str):
-    """parse(text), a ValueError it raises naming the option."""
+def _option(name: str, parse, text: str, expected: str):
+    """parse(text); a ValueError it raises names the option, what it expects and
+    the text, as shown (int()'s or float()'s own message would echo up to all of it)."""
     try:
         return parse(text)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from exc
+    except ValueError:
+        raise ValueError(f"{name}: expected {expected}, got {shown(text)}") from None
 
 
 def cmd_sweep(args) -> int:
-    dims = _option("--dims", lambda t: tuple(int(x) for x in t.split(",")), args.dims)
-    eta_grid = _option("--eta-grid", _parse_float_list, args.eta_grid)
-    seeds = _option("--seeds", _parse_int_list, args.seeds)
+    dims = _option("--dims", lambda t: tuple(int(x) for x in t.split(",")), args.dims, "dS,dM")
+    eta_grid = _option("--eta-grid", lambda t: [float(x) for x in t.split(",") if x.strip()],
+                       args.eta_grid, "numbers")
+    seeds = _option("--seeds", _parse_int_list, args.seeds, "integers or lo:hi ranges")
     if len(dims) != 2:
         raise ValueError("dims must be dS,dM")
     if min(dims) < 2:

@@ -1,20 +1,17 @@
 """Unitary time evolution of the joint system-apparatus state.
 
 Two propagation paths for a state matrix: an exact spectral propagator and a
-classical 4th-order stepped integrator, which takes each RK4 step as its
-degree-4 step polynomial in the component-summed H and never reads the
-model's eigendecomposition.  For d <= 8 that step is one real d^2 x d^2
-increment map D on the state's real coordinates, and the steps go
-stack_block(d^2) at a time, one matmul per block; larger states step one
-matrix at a time.  The paths are cross-checked against each other in the
-test suite, and the stepped one against the four-stage RK4 loop through the
-term-by-term rhs_component_form.  Both return one (T, d, d) Trajectory,
-checked once as a stack: as finite and Hermitian on the exact path, since
-U w U^dag of a state is a state (an E t that overflows fails there), and in
-full for RK4, which can leave the state space.  The measurement pipeline
-evolves kets instead (kets_at) and reads state constancy as the grid-free L
-(state_constancy_check); H is diagonalised once per model, and both, like
-evolve_exact, also take a batch of models.
+classical 4th-order stepped integrator, which applies RK4's degree-4 step
+polynomial to the generator -i [H, .], diagonal in H's eigenbasis, steps
+going stack_block(d) at a time.  The paths are cross-checked against each
+other in the test suite, and the stepped one, there and in oracle_check,
+against the four-stage RK4 loop through the term-by-term rhs_component_form.
+Both return one (T, d, d) Trajectory, checked once as a stack: as finite and
+Hermitian on the exact path, since U w U^dag of a state is a state (an E t
+that overflows fails there), and in full for RK4, which can leave the state
+space.  The measurement pipeline evolves kets instead (kets_at) and reads
+state constancy as the grid-free L (state_constancy_check); H is diagonalised
+once per model, and both, like evolve_exact, also take a batch of models.
 """
 
 from __future__ import annotations
@@ -122,71 +119,33 @@ def exact_trajectory(m: BipartiteModel, w0: DensityOperator, times) -> Trajector
 def evolve_stepped(m: BipartiteModel, w0: DensityOperator, t_end: float, dt: float) -> Trajectory:
     """Classical RK4 on time_grid(t_end, dt), which must hold more than one time.
 
-    For dw/dt = -i [H, w], H = (system_term + h_coupling) + apparatus_term, one
-    RK4 step is the degree-4 polynomial sum_{j+k<=4} A_j w A_k^dag, A_j = (-i dt H)^j / j!.
-    It is taken as the increment w + (K + K^dag), K = sum_j A_j w C_j, which
-    pairs each (j, k) with its mirror (k, j).  The increment is real-linear on
-    Hermitian w, so in the real coordinates x = (diag w, Re w_upper,
-    Im w_upper) of R^{d^2} a step is x + D x.  While stack_block(d^2) >= 2
-    (d <= 8) the steps go B = stack_block(d^2) at a time: x_{s+j} = x_s + D_j
-    x_s for j = 1..B, one matmul per block, with D_1 = D and D_{j+1} = D_j +
-    (D + D D_j) kept in increment form, and every state after w0 is rebuilt
-    from x, so it is exactly Hermitian.  For larger d the steps run one at a
-    time on matrices, and every state is exactly Hermitian when w0 is.  The
-    states are validated once as a Trajectory with eigenvalues down to -1e-7;
-    a violation or a blown-up (non-finite) step aborts at the first bad time."""
+    For dw/dt = -i [H, w], one RK4 step is R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
+    of the generator, which H's eigenbasis makes diagonal, z_ab = -i dt (E_a - E_b):
+    step k is V (R^k o w~0) V^dag, w~0 = V^dag w0 V, the same RK4 in exact
+    arithmetic.  R^1..R^B, B = stack_block(d), are formed once and the states go
+    B at a time, w~ carried over from each block's last; each is stored as
+    (w + w^dag) / 2, so it is exactly Hermitian.  The states are validated once
+    as a Trajectory with eigenvalues down to -1e-7; a violation or a blown-up
+    (non-finite) step aborts at the first bad time."""
     times = time_grid(t_end, dt)
     if len(times) < 2:
         raise ValueError("t-end must span at least one step of dt")
     n_steps = len(times) - 1
-    dt, d = t_end / n_steps, m.dim
-    h = m.system_term + m.h_coupling.matrix + m.apparatus_term
-    a = [np.eye(d, dtype=complex)]
-    for j in range(1, 5):
-        a.append(a[-1] @ h * (-1j * dt / j))
-    # K = A_0 w C_0 + A_1 w C_1 + A_2 w C_2, where
-    # C_j = (A_j/2 [j in {1, 2}] + sum_{j<k<=4-j} A_k)^dag, so C_3 = C_4 = 0
-    left = np.concatenate(a[:3], axis=1)  # the block row [A_0 A_1 A_2]
-    c = np.stack([a[1] + a[2] + a[3] + a[4], a[1] / 2 + a[2] + a[3], a[2] / 2])
-    c = c.conj().swapaxes(1, 2)
-    block = stack_block(d * d)
-    if block == 1:
-        states = np.empty((n_steps + 1, d, d), dtype=complex)
-        states[0] = w = w0.matrix
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(n_steps):
-                inc = left @ (w @ c).reshape(-1, d)  # K
-                states[k + 1] = w = w + (inc + inc.conj().T)
-        return Trajectory(times, states, pos_tol=STEPPED_POS_TOL)
-    # x[:n_re] = Re w[rows, cols] (diagonal first), x[n_re:] = Im w[r, s]
-    r, s = np.triu_indices(d, 1)
-    rows, cols = np.r_[np.arange(d), r], np.r_[np.arange(d), s]
-    n_re, n = len(rows), d * d
-    basis = np.zeros((n, d, d), dtype=complex)  # w = sum_j x_j basis[j]
-    basis[np.arange(n_re), rows, cols] = basis[np.arange(n_re), cols, rows] = 1
-    basis[np.arange(n_re, n), r, s], basis[np.arange(n_re, n), s, r] = 1j, -1j
-    w = w0.matrix
-    x = np.empty((n_steps + 1, n))
-    x[0, :n_re] = (w.real[rows, cols] + w.real[cols, rows]) / 2  # of (w + w^dag) / 2
-    x[0, n_re:] = (w.imag[r, s] - w.imag[s, r]) / 2
-    increments = np.empty((block, n, n))  # D_1 .. D_B
+    d, v, e = m.dim, m.spectrum.eigenvectors, m.spectrum.eigenvalues
+    z = (-1j * t_end / n_steps) * (e[:, None] - e[None, :])
+    states = np.empty((n_steps + 1, d, d), dtype=complex)
+    states[0] = w0.matrix
     with np.errstate(over="ignore", invalid="ignore"):
-        inc = left @ (basis[:, None] @ c).reshape(n, -1, d)
-        inc += inc.conj().swapaxes(1, 2)  # K + K^dag of each basis matrix
-        increments[0] = np.concatenate([inc.real[:, rows, cols], inc.imag[:, r, s]], 1).T
-        d_1 = increments[0]
-        for j in range(1, block):
-            increments[j] = increments[j - 1] + (d_1 + d_1 @ increments[j - 1])
-        increments = increments.reshape(-1, n)
-        for k in range(0, n_steps, block):
-            ahead = x[k + 1:k + 1 + block]
-            np.matmul(increments[:ahead.size], x[k], out=ahead.reshape(-1))
-            ahead += x[k]
-    states = np.zeros((n_steps + 1, d, d), dtype=complex)
-    states.real[:, rows, cols] = states.real[:, cols, rows] = x[:, :n_re]
-    states.imag[:, r, s] = x[:, n_re:]
-    states.imag[:, s, r] = np.negative(x[:, n_re:], out=x[:, n_re:])  # x's last use
-    states[0] = w
+        r = 1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4)))
+        powers = np.cumprod(np.broadcast_to(r, (min(stack_block(d), n_steps), d, d)), 0)
+        w = v.conj().T @ w0.matrix @ v
+        for k in range(1, n_steps + 1, len(powers)):
+            x = powers[:n_steps + 1 - k] * w  # w~ at each step of the block
+            w = x[-1]
+            # y = (V x V^dag)^T = (x V^dag)^T V^T: one matmul of each flattened stack
+            x = (x.reshape(-1, d) @ v.conj().T).reshape(-1, d, d).swapaxes(1, 2)
+            y = (x.reshape(-1, d) @ v.T).reshape(-1, d, d)
+            states[k:k + len(y)] = (y.swapaxes(1, 2) + y.conj()) / 2
     return Trajectory(times, states, pos_tol=STEPPED_POS_TOL)
 
 

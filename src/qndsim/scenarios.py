@@ -17,7 +17,8 @@ interpolation_sweep is the one maker of multi-point scenarios: it runs the
 its points one at a time through the same builder to name the failing point.
 oracle_check re-derives the core numerics, ket kernels included, through slow
 independent routes (truncated-series exponential, np.linalg.eig projectors,
-explicit index loops) and compares them against the main implementations.
+the four-stage RK4 loop, explicit index loops) and compares them against the
+main implementations.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ import numpy as np
 from .linalg import DEGENERACY_TOL, DensityOperator, degenerate_groups
 from .model import (BipartiteModel, Preparation, check_conditions, drawn_model, model_draws,
                     prepare_kets, random_model, total_hamiltonian)
-from .dynamics import (energy_coherence, evolve_exact, kets_at, rhs_component_form,
-                       state_constancy_check)
+from .dynamics import (energy_coherence, evolve_exact, evolve_stepped, kets_at,
+                       rhs_component_form, state_constancy_check)
 from .measurement import (PointerObservable, aggregate_sigma, invert_cdf, ket_distribution,
                           outcome_changes, outcome_distribution, outcome_frequencies,
                           reading_variance, repeat_times, repeated_outcomes, trial_rng)
@@ -381,7 +382,8 @@ def oracle_check(dims: tuple[int, int], seed: int,
     (kets_at), via a truncated-series exponential, the state constancy L via
     projectors onto np.linalg.eig's eigenvectors, orthonormalised per
     eigenvalue group (and checks that L bounds the series-exponential state's
-    deviation), the outcome distribution of w0 and of that ensemble
+    deviation), 20 evolve_stepped steps via the four-stage RK4 loop through
+    rhs_component_form, the outcome distribution of w0 and of that ensemble
     (ket_distribution) via explicit index loops summed per pointer group, and
     the evolution right-hand side via quadruple-indexed loops.  Returns a
     falsy report with a diff when any route disagrees beyond ORACLE_TOL.
@@ -419,6 +421,19 @@ def oracle_check(dims: tuple[int, int], seed: int,
     diffs["state_constancy_check vs eig projectors"] = abs(dev - main_dev)
     diffs["series exponential past sqrt(2) state_constancy_check"] = max(
         0.0, np.linalg.norm(w_series - w0.matrix) - math.sqrt(2.0) * main_dev)
+
+    # four-stage RK4 through rhs_component_form, no eigh, from w0 mixed with I/d:
+    # its eigenvalues, >= 1/(2d), keep RK4's phase error inside the state space
+    n, w, rk4 = 20, (w0.matrix + np.eye(m.dim) / m.dim) / 2, []
+    mixed = DensityOperator(w)
+    for _ in range(n):
+        k1 = rhs_component_form(m, w)
+        k2 = rhs_component_form(m, w + t / n / 2 * k1)
+        k3 = rhs_component_form(m, w + t / n / 2 * k2)
+        k4 = rhs_component_form(m, w + t / n * k3)
+        rk4.append(w := w + t / n / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+    stepped = evolve_stepped(m, mixed, t, t / n).states[1:]
+    diffs["evolve_stepped vs four-stage RK4"] = np.abs(stepped - rk4).max()
 
     rhs_main = rhs_component_form(m, w0.matrix)
     rhs_loops = _rhs_index_loops(m, w0.matrix, swapped=swap_index_convention)

@@ -109,12 +109,13 @@ def test_traced_cli_runs_leave_no_call_unwrapped(tmp_path):
     # vectors, each evolved ket is checked for its norm alone, and evolved
     # states are states by construction
     assert report["calls"]["linalg.DensityOperator"] == 1
-    # the stepped run takes its five RK4 steps as one step polynomial each
+    # the stepped run takes its five RK4 steps in H's eigenbasis, not term by term
     assert report["calls"]["dynamics.rhs_component_form"] == 0
     assert report["calls"]["dynamics.evolve_stepped"] == 1
     # each operator or state is checked once, where it enters the pipeline or
     # is computed, spectral does not check a wrapper again, and the sweep
     # decomposes its drawn h_M stack once; the ket pipeline checks no matrix
     # (12 fewer than the density-matrix one: sweep and measure each dropped
-    # w(0), w(tau) and the four evolved repeat states)
-    assert report["check_operators"] == 17
+    # w(0), w(tau) and the four evolved repeat states); the stepped run checks
+    # H once, as the model's hamiltonian, before it decomposes it
+    assert report["check_operators"] == 18

@@ -691,6 +691,8 @@ OVERSIZED_VALUES = {
     "kron-factors": ("pointer.kron", lambda d: d.update(pointer={"kron": ["pauli_x"] * 100_000})),
     "tau-string": ("tau", lambda d: d["schedule"].update(tau="1" * 300_000)),
     "seeds-option": ("--seeds", ["sweep", "--seeds", "0:1:" + "2" * 4000]),
+    "seeds-option-text": ("--seeds", ["sweep", "--seeds", "a" * 3000]),
+    "dims-option": ("--dims", ["sweep", "--dims", "2," + "x" * 3000]),
     "eta-grid-option": ("--eta-grid", ["sweep", "--eta-grid", "x" * 300_000]),
     # every typed option, which argparse converts and refuses itself
     "t-end-option": ("--t-end", ["evolve", QND, "--t-end", "x" * 300_000]),
@@ -719,6 +721,20 @@ def test_oversized_value_makes_a_short_error_line(field, value, tmp_path, capsys
     assert bool(usage) == head.startswith("qndsim") and line.startswith(head), line[:400]
     assert f" {field}" in line, line[:400]
     assert len(line.encode()) <= 300 + len(path.encode()), line[:400]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--seeds", "a" * 3000],
+     "--seeds: expected integers or lo:hi ranges, got str '" + "a" * 56 + "..."),
+    (["--seeds", "0:x"], "--seeds: expected integers or lo:hi ranges, got str '0:x'"),
+    (["--seeds", "0:1:2"], "--seeds: expected integers or lo:hi ranges, got str '0:1:2'"),
+    (["--dims", "2,2,"], "--dims: expected dS,dM, got str '2,2,'"),
+    (["--eta-grid", "0.5,x"], "--eta-grid: expected numbers, got str '0.5,x'"),
+], ids=["seeds-text", "seeds-bound", "seeds-step", "dims-trailing-comma", "eta-grid"])
+def test_sweep_list_options_quote_the_text_shortly(argv, message, capsys):
+    # int()'s own message would quote 200 characters of the text
+    assert main(["sweep", *argv, "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_seed_beyond_128_bits_runs(tmp_path, capsys):

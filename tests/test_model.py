@@ -186,7 +186,8 @@ class TestCompiledOnce:
     @pytest.mark.parametrize("argv, calls", [
         (["sweep", "--dims", "4,4", "--seeds", "1:5"], 3),  # h_S, h_M stacks; one batch's H
         (["evolve", "FAMILY", "--t-end", "0.5", "--dt", "0.1"], 3),  # h_S, h_M, H
-        (["evolve", "FAMILY", "--stepped", "--t-end", "0.5", "--dt", "0.01"], 2),  # no H
+        # h_S, h_M, H: the stepped path applies RK4's step polynomial in H's eigenbasis
+        (["evolve", "FAMILY", "--stepped", "--t-end", "0.5", "--dt", "0.01"], 3),
         (["measure", str(bundled_scenario_path("qubit-violating"))], 3),  # h_S, h_M, H
     ], ids=["sweep", "evolve-exact", "evolve-stepped", "measure"])
     def test_eigh_calls_per_cli_run(self, argv, calls, tmp_path, monkeypatch):

@@ -139,6 +139,15 @@ class TestOracle:
         assert not bool(report)
         assert [line.split(":")[0] for line in report.lines] == [route]
 
+    def test_stepped_route_detects_a_wrong_kernel(self, monkeypatch):
+        original = qndsim.scenarios.evolve_stepped
+        monkeypatch.setattr(qndsim.scenarios, "evolve_stepped",  # steps 0.1% too long
+                            lambda m, w0, t, dt: original(m, w0, t * 1.001, dt))
+        report = oracle_check((3, 2), 11)
+        assert not bool(report)
+        assert [line.split(":")[0] for line in report.lines] == [
+            "evolve_stepped vs four-stage RK4"]
+
     def test_rejects_large_dims(self):
         with pytest.raises(ValueError):
             oracle_check((4, 4), 0)

@@ -6,11 +6,11 @@ runtime failure, 2 input error.  Commands raise; main alone maps a failure
 to its exit code and prints it as one ``error:`` line to stderr (an unknown
 option, or a typed option's bad value quoted cut short, gets argparse's usage
 message), so no input ends in a traceback.  A scenario file loads as a
-one-point Scenario: evolve starts from its w(0) matrix, model.prepare_initial,
-and measure runs scenarios.measure_batch on it, as the sweep does on its batches
-of points; measure alone makes records of its outcomes.  All output files are
-UTF-8 with LF line endings; floats use the dot decimal separator at full
-precision, so repeated runs with identical inputs produce identical bytes.
+one-point Scenario: exact evolve runs its kets and --stepped its w(0) matrix
+(model.prepare_initial); measure runs scenarios.measure_batch on it, as the
+sweep does on its batches, and alone makes records of its outcomes.
+All output is UTF-8 with LF endings and full-precision dot-decimal floats,
+so repeated runs with identical inputs produce identical bytes.
 csvtext writes the trajectory and record files, scenarios the sweep table.
 """
 
@@ -61,16 +61,16 @@ def cmd_check(args) -> int:
 def cmd_evolve(args) -> int:
     s = load_scenario_file(args.scenario)
     times = time_grid(args.t_end, args.dt)
-    w0 = prepare_initial(s.model, s.preparation, pointer_basis=s.pointer.basis)
     if args.stepped and len(times) > 1:
+        w0 = prepare_initial(s.model, s.preparation, pointer_basis=s.pointer.basis)
         traj = evolve_stepped(s.model, w0, args.t_end, args.dt)
     else:
-        traj = exact_trajectory(s.model, w0, times)
+        traj = exact_trajectory(s.model, *s.ensemble, times)
     if args.out:
         write_trajectory(args.out, traj)
-    final = traj.states[-1]
+    initial, final = traj.states[0], traj.states[-1]
     trace_dev = abs(float(np.trace(final).real) - 1.0)
-    purity0 = float(np.trace(w0.matrix @ w0.matrix).real)
+    purity0 = float(np.trace(initial @ initial).real)
     purity1 = float(np.trace(final @ final).real)
     _say(args, f"terminal trace deviation = {trace_dev:.17g}")
     _say(args, f"purity drift = {abs(purity1 - purity0):.17g}")
@@ -121,6 +121,8 @@ def _option(name: str, parse, text: str, expected: str):
         return parse(text)
     except ValueError:
         raise ValueError(f"{name}: expected {expected}, got {shown(text)}") from None
+    except (OverflowError, MemoryError):  # a lo:hi range no list can hold
+        raise ValueError(f"{name}: range too large to list, got {shown(text)}") from None
 
 
 def cmd_sweep(args) -> int:
@@ -235,7 +237,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError as exc:  # an input too large to allocate
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        print("error: out of memory:", str(exc) or "input too large to allocate", file=sys.stderr)
         return EXIT_INPUT
 
 

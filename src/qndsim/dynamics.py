@@ -1,23 +1,22 @@
 """Unitary time evolution of the joint system-apparatus state.
 
-Two propagation paths for a state matrix: an exact spectral propagator and a
-classical 4th-order stepped integrator, which applies RK4's degree-4 step
-polynomial to the generator -i [H, .], diagonal in H's eigenbasis, steps
-going stack_block(d) at a time.  The paths are cross-checked against each
-other in the test suite, and the stepped one, there and in oracle_check,
-against the four-stage RK4 loop through the term-by-term rhs_component_form.
-Both return one (T, d, d) Trajectory, checked once as a stack: as finite and
-Hermitian on the exact path, since U w U^dag of a state is a state (an E t
-that overflows fails there), and in full for RK4, which can leave the state
-space.  The measurement pipeline evolves kets instead (kets_at) and reads
-state constancy as the grid-free L (state_constancy_check); H is diagonalised
-once per model, and both, like evolve_exact, also take a batch of models.
+Two paths lay one model's trajectory, each checking its own states.  The
+exact one evolves the prepared ensemble's kets in H's eigenbasis (kets_at:
+finite, unit norm, so an E t that overflows fails there) and writes
+sum_k q_k phi_k phi_k^dag per time.  The stepped one is classical RK4 on the
+state matrix, its step polynomial of -i [H, .] diagonal in H's eigenbasis,
+stack_block(d) steps at a time; RK4 can leave the state space, so its states
+are checked in full.  Either raises IntegrationError at its first bad time.
+The tests cross-check both against evolve_exact (U w U^dag), and RK4, there
+and in oracle_check, against the four-stage loop through rhs_component_form.
+State constancy is the grid-free L (state_constancy_check).  H is
+diagonalised once per model; kets_at, evolve_exact and L take a batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,14 +37,12 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States w(t_k): one read-only (T, d, d) array over times (T,), owned
-    (frozen in place, not copied) and checked once as finite and Hermitian,
-    and given pos_tol as density operators with eigenvalues down to -pos_tol;
-    the first failure raises IntegrationError at its time."""
+    """States w(t_k): one read-only (T, d, d) array over times (T,) that
+    strictly increase from 0, owned (frozen in place, not copied).  It holds
+    them as given: the evolve path that makes it has checked its states."""
 
     times: np.ndarray
     states: np.ndarray
-    pos_tol: float | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -54,10 +51,6 @@ class Trajectory:
             raise ValueError("need one (d, d) state per time")
         if len(t) == 0 or t[0] != 0.0 or np.any(np.diff(t) <= 0):
             raise ValueError("times must strictly increase from 0")
-        try:
-            check_operators(w, "state", self.pos_tol)
-        except InvariantViolationError as exc:
-            raise IntegrationError(float(t[exc.index]), str(exc)) from exc
         for name, a in (("times", t), ("states", w)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -102,18 +95,16 @@ def time_grid(t_end: float, dt: float) -> np.ndarray:
     return np.arange(n + 1) * t_end / max(n, 1)
 
 
-def exact_trajectory(m: BipartiteModel, w0: DensityOperator, times) -> Trajectory:
-    """w0 at times[0] = 0, then U w0 U^dag, stack_block(d) times per stacked
-    product; each state is bitwise equal to evolve_exact at its time, and
-    checked as evolve_exact checks it."""
+def exact_trajectory(m: BipartiteModel, q, c, times) -> Trajectory:
+    """sum_k q_k phi_k phi_k^dag at each time, phi = kets_at(m, c, times), of one
+    model's ensemble as Scenario.ensemble gives it: weights q (r,), coordinates
+    c (r, d) in H's eigenbasis.  A failing ket raises IntegrationError at its time."""
     times = np.asarray(times, dtype=float)
-    states = np.empty((len(times), m.dim, m.dim), dtype=complex)
-    states[:1] = w0.matrix
-    step = stack_block(m.dim)
-    for lo in range(1, len(times), step):
-        u = m.spectrum.unitary(times[lo:lo + step])
-        states[lo:lo + step] = u @ w0.matrix @ u.conj().swapaxes(1, 2)
-    return Trajectory(times, states)
+    try:
+        phi = kets_at(m, c, times)
+    except InvariantViolationError as exc:  # exc.index counts r kets per time
+        raise IntegrationError(float(times[exc.index // len(q)]), str(exc)) from exc
+    return Trajectory(times, (q[:, None] * phi).swapaxes(1, 2) @ phi.conj())
 
 
 def evolve_stepped(m: BipartiteModel, w0: DensityOperator, t_end: float, dt: float) -> Trajectory:
@@ -124,9 +115,9 @@ def evolve_stepped(m: BipartiteModel, w0: DensityOperator, t_end: float, dt: flo
     step k is V (R^k o w~0) V^dag, w~0 = V^dag w0 V, the same RK4 in exact
     arithmetic.  R^1..R^B, B = stack_block(d), are formed once and the states go
     B at a time, w~ carried over from each block's last; each is stored as
-    (w + w^dag) / 2, so it is exactly Hermitian.  The states are validated once
-    as a Trajectory with eigenvalues down to -1e-7; a violation or a blown-up
-    (non-finite) step aborts at the first bad time."""
+    (w + w^dag) / 2, so it is exactly Hermitian.  The states are checked once,
+    as states with eigenvalues down to -STEPPED_POS_TOL; a violation or a
+    blown-up (non-finite) step raises IntegrationError at the first bad time."""
     times = time_grid(t_end, dt)
     if len(times) < 2:
         raise ValueError("t-end must span at least one step of dt")
@@ -146,21 +137,27 @@ def evolve_stepped(m: BipartiteModel, w0: DensityOperator, t_end: float, dt: flo
             x = (x.reshape(-1, d) @ v.conj().T).reshape(-1, d, d).swapaxes(1, 2)
             y = (x.reshape(-1, d) @ v.T).reshape(-1, d, d)
             states[k:k + len(y)] = (y.swapaxes(1, 2) + y.conj()) / 2
-    return Trajectory(times, states, pos_tol=STEPPED_POS_TOL)
+    try:
+        check_operators(states, "state", STEPPED_POS_TOL)
+    except InvariantViolationError as exc:
+        raise IntegrationError(float(times[exc.index]), str(exc)) from exc
+    return Trajectory(times, states)
 
 
-def kets_at(m: BipartiteModel, c, t: float) -> np.ndarray:
+def kets_at(m: BipartiteModel, c, t) -> np.ndarray:
     """Kets V (exp(-i E t) o c) at time t from their coordinates c (..., r, d)
-    in H's eigenbasis, with no U(t); each is checked finite with unit norm,
-    |phi|^2 within EPS_TRACE of 1 (an E t that overflows fails there)."""
+    in H's eigenbasis, with no U(t), or (T, r, d) at T times for one model;
+    each is checked finite with unit norm, |phi|^2 within EPS_TRACE of 1 (an
+    E t that overflows fails there), the error's index the first bad ket."""
     s = m.spectrum
     with np.errstate(over="ignore", invalid="ignore"):
         phi = (c * s.phases(t)[..., None, :]) @ s.eigenvectors.swapaxes(-1, -2)
         norm2 = (phi.real ** 2 + phi.imag ** 2).sum(axis=-1)
         bad = ~(abs(norm2 - 1.0) <= EPS_TRACE)
     if bad.any():
+        n = int(bad.argmax())
         raise InvariantViolationError(f"state ket is not finite with unit norm: "
-                                      f"|phi|^2 = {norm2[bad][0]}")
+                                      f"|phi|^2 = {norm2.flat[n]}", n)
     return phi
 
 

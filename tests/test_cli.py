@@ -13,7 +13,7 @@ import pytest
 from qndsim import cli, csvtext
 from qndsim.cli import main
 from qndsim.dynamics import evolve_stepped, exact_trajectory
-from qndsim.model import Preparation, prepare_initial, random_model
+from qndsim.model import Preparation, prepare_initial, prepare_kets, random_model
 from qndsim.scenario_io import (
     bundled_scenario_path,
     load_scenario_file,
@@ -560,6 +560,13 @@ def test_ket_norm_prints_as_a_plain_float(argv, prefix, tmp_path, capsys):
         f"error: {prefix}state ket is not finite with unit norm: |phi|^2 = nan\n")
 
 
+def test_exact_evolve_names_the_failing_time(capsys):
+    # E t overflows at the last time: its kets are NaN, and the error names it
+    assert main(["evolve", QND, "--t-end", "1e308", "--dt", "1e308"]) == 1
+    assert capsys.readouterr().err == ("error: integration failed at t=1e+308: state ket is "
+                                       "not finite with unit norm: |phi|^2 = nan\n")
+
+
 @pytest.mark.parametrize("table, code", [
     ([[1e308, -1e308], [1e308, -1e308]], 1),  # the variance's sums overflow
     ([[1e308, 1e308], [1e308, 1e308]], 0),  # all readings equal: variance exactly 0
@@ -601,6 +608,25 @@ def test_trajectory_beyond_memory_is_input_error(mode, monkeypatch, capsys):
     monkeypatch.setattr(cli, "exact_trajectory", no_memory)
     monkeypatch.setattr(cli, "evolve_stepped", no_memory)
     _assert_input_error(["evolve", QND, "--t-end", "1", *mode], capsys)
+
+
+def test_memory_error_without_a_reason_prints_one(monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "exact_trajectory", no_memory)
+    assert main(["evolve", QND, "--t-end", "1", "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: out of memory: input too large to allocate\n"
+
+
+# Neither range is allocated: the first's length overflows a C ssize_t, and
+# the list of the second, 8 PB, is refused at once.
+@pytest.mark.parametrize("seeds", ["0:1000000000000000000000000", "0:1000000000000000"],
+                         ids=["length-overflows", "list-unallocatable"])
+def test_seed_range_too_large_is_named(seeds, capsys):
+    assert main(["sweep", "--seeds", seeds, "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --seeds: range too large to list, got str '{seeds}'\n")
 
 
 @pytest.mark.parametrize("command", ["check", "evolve", "measure"])
@@ -832,14 +858,14 @@ def test_a_sequence_of_calls_equals_each_call_alone(tmp_path, capsys):
 @pytest.mark.parametrize("stepped", [False, True], ids=["exact", "stepped"])
 def test_trajectory_writer_matches_cell_by_cell_csv(scenario, stepped, tmp_path):
     s = load_scenario_file(scenario)
-    w0 = prepare_initial(s.model, s.preparation, pointer_basis=s.pointer.basis)
     if stepped:
+        w0 = prepare_initial(s.model, s.preparation, pointer_basis=s.pointer.basis)
         traj = evolve_stepped(s.model, w0, 2.0, 0.01)
     else:
-        traj = exact_trajectory(s.model, w0, np.arange(201) * 2.0 / 200)
+        traj = exact_trajectory(s.model, *s.ensemble, np.arange(201) * 2.0 / 200)
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     csvtext.write_trajectory(got, traj)
-    d = w0.dim
+    d = s.model.dim
     with open(want, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
@@ -856,8 +882,9 @@ def test_trajectory_writer_memory_is_flat(tmp_path):
     # model.  The writer formats a block of rows at a time, so its peak is
     # that block's temporaries, not the file's 9.5 MB.
     m = random_model((3, 2), "violating", 1)
-    w0 = prepare_initial(m, Preparation.eigenbasis(0, 0))
-    traj = exact_trajectory(m, w0, np.arange(5001) * 5.0 / 5000)
+    q, phi = prepare_kets(m, Preparation.eigenbasis(0, 0), m.apparatus_basis)
+    c = phi @ m.spectrum.eigenvectors.conj()  # as Scenario.ensemble gives it
+    traj = exact_trajectory(m, q, c, np.arange(5001) * 5.0 / 5000)
     tracemalloc.start()
     try:
         csvtext.write_trajectory(tmp_path / "traj.csv", traj)

@@ -26,7 +26,6 @@ from .model import (
     total_hamiltonian,
 )
 from .dynamics import (
-    Trajectory,
     evolve_exact,
     evolve_stepped,
     exact_trajectory,

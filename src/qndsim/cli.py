@@ -63,12 +63,12 @@ def cmd_evolve(args) -> int:
     times = time_grid(args.t_end, args.dt)
     if args.stepped and len(times) > 1:
         w0 = prepare_initial(s.model, s.preparation, pointer_basis=s.pointer.basis)
-        traj = evolve_stepped(s.model, w0, args.t_end, args.dt)
+        states = evolve_stepped(s.model, w0, args.t_end, args.dt)
     else:
-        traj = exact_trajectory(s.model, *s.ensemble, times)
+        states = exact_trajectory(s.model, *s.ensemble, times)
     if args.out:
-        write_trajectory(args.out, traj)
-    initial, final = traj.states[0], traj.states[-1]
+        write_trajectory(args.out, times, states)
+    initial, final = states[0], states[-1]
     trace_dev = abs(float(np.trace(final).real) - 1.0)
     purity0 = float(np.trace(initial @ initial).real)
     purity1 = float(np.trace(final @ final).real)

@@ -158,14 +158,14 @@ def _write_rows(fh, times, cells) -> None:
         fh.write(_format_rows(rows))
 
 
-def write_trajectory(path, traj) -> None:
-    """traj's times and states, one row per time, re and im per entry."""
-    d = traj.states.shape[1]
+def write_trajectory(path, times, states) -> None:
+    """States (T, d, d) at times (T,), one row per time, re and im per entry."""
+    d = states.shape[1]
     cols = [f"{p}_{r}_{c}" for r in range(d) for c in range(d) for p in ("re", "im")]
     with open(path, "wb") as fh:
         fh.write((",".join(["time"] + cols) + "\n").encode())
         # the float view interleaves re and im
-        _write_rows(fh, traj.times, traj.states.view(float).reshape(len(traj.times), -1))
+        _write_rows(fh, times, states.view(float).reshape(len(times), -1))
 
 
 def write_record(fh, system_index, trial, time, lam, readings) -> None:

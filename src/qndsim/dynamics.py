@@ -1,12 +1,13 @@
 """Unitary time evolution of the joint system-apparatus state.
 
-Two paths lay one model's trajectory, each checking its own states.  The
-exact one evolves the prepared ensemble's kets in H's eigenbasis (kets_at:
-finite, unit norm, so an E t that overflows fails there) and writes
-sum_k q_k phi_k phi_k^dag per time.  The stepped one is classical RK4 on the
-state matrix, its step polynomial of -i [H, .] diagonal in H's eigenbasis,
-stack_block(d) steps at a time; RK4 can leave the state space, so its states
-are checked in full.  Either raises IntegrationError at its first bad time.
+Two paths lay one model's trajectory as a (T, d, d) array of states, each
+checking its own.  The exact one evolves the prepared ensemble's kets in H's
+eigenbasis (kets_at: finite, unit norm, so an E t that overflows fails
+there) and writes sum_k q_k phi_k phi_k^dag per time.  The stepped one is
+classical RK4 on the state matrix, its step polynomial of -i [H, .] diagonal
+in H's eigenbasis, stack_block(d) steps at a time; RK4 can leave the state
+space, so its states are checked in full.  Either raises IntegrationError
+at its first bad time.
 The tests cross-check both against evolve_exact (U w U^dag), and RK4, there
 and in oracle_check, against the four-stage loop through rhs_component_form.
 State constancy is the grid-free L (state_constancy_check).  H is
@@ -16,12 +17,11 @@ diagonalised once per model; kets_at, evolve_exact and L take a batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import EPS_TRACE, DensityOperator, InvariantViolationError, _group_starts
-from .linalg import as_matrix, as_operators, check_operators, frobenius, stack_block
+from .linalg import as_matrix, as_operators, check_operators, frobenius, stack_block, tensor
 from .model import BipartiteModel
 
 STEPPED_POS_TOL = 1e-7
@@ -35,30 +35,9 @@ class IntegrationError(RuntimeError):
         self.time = time
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """States w(t_k): one read-only (T, d, d) array over times (T,) that
-    strictly increase from 0, owned (frozen in place, not copied).  It holds
-    them as given: the evolve path that makes it has checked its states."""
-
-    times: np.ndarray
-    states: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        w = np.asarray(self.states, dtype=complex)
-        if w.ndim != 3 or len(t) != len(w):
-            raise ValueError("need one (d, d) state per time")
-        if len(t) == 0 or t[0] != 0.0 or np.any(np.diff(t) <= 0):
-            raise ValueError("times must strictly increase from 0")
-        for name, a in (("times", t), ("states", w)):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-
-
 def rhs_component_form(m: BipartiteModel, w) -> np.ndarray:
     """dw/dt evaluated term by term: the commutators c = T w - w T of the
-    system term, the coupling and the apparatus term, summed in that order.
+    lifted system term h_S x I, the coupling and I x h_M, in that order.
 
     Equals -i [H_total, w]; the equality is an executable invariant of the
     test suite rather than an assumption here.
@@ -66,7 +45,9 @@ def rhs_component_form(m: BipartiteModel, w) -> np.ndarray:
     wm = as_matrix(w)
     if wm.shape[0] != m.dim:
         raise ValueError(f"state dim {wm.shape[0]} does not match model dim {m.dim}")
-    c = [t @ wm - wm @ t for t in (m.system_term, m.h_coupling.matrix, m.apparatus_term)]
+    terms = (tensor(m.h_system, np.eye(m.d_apparatus)), m.h_coupling.matrix,
+             tensor(np.eye(m.d_system), m.h_apparatus))
+    c = [t @ wm - wm @ t for t in terms]
     return -1j * (c[0] + c[1] + c[2])
 
 
@@ -95,20 +76,20 @@ def time_grid(t_end: float, dt: float) -> np.ndarray:
     return np.arange(n + 1) * t_end / max(n, 1)
 
 
-def exact_trajectory(m: BipartiteModel, q, c, times) -> Trajectory:
-    """sum_k q_k phi_k phi_k^dag at each time, phi = kets_at(m, c, times), of one
-    model's ensemble as Scenario.ensemble gives it: weights q (r,), coordinates
+def exact_trajectory(m: BipartiteModel, q, c, times) -> np.ndarray:
+    """States (T, d, d) sum_k q_k phi_k phi_k^dag, phi = kets_at(m, c, times), of
+    one model's ensemble as Scenario.ensemble gives it: weights q (r,), coordinates
     c (r, d) in H's eigenbasis.  A failing ket raises IntegrationError at its time."""
     times = np.asarray(times, dtype=float)
     try:
         phi = kets_at(m, c, times)
     except InvariantViolationError as exc:  # exc.index counts r kets per time
         raise IntegrationError(float(times[exc.index // len(q)]), str(exc)) from exc
-    return Trajectory(times, (q[:, None] * phi).swapaxes(1, 2) @ phi.conj())
+    return (q[:, None] * phi).swapaxes(1, 2) @ phi.conj()
 
 
-def evolve_stepped(m: BipartiteModel, w0: DensityOperator, t_end: float, dt: float) -> Trajectory:
-    """Classical RK4 on time_grid(t_end, dt), which must hold more than one time.
+def evolve_stepped(m: BipartiteModel, w0: DensityOperator, t_end: float, dt: float) -> np.ndarray:
+    """Classical RK4's states (T, d, d) on time_grid(t_end, dt), of T > 1 times.
 
     For dw/dt = -i [H, w], one RK4 step is R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
     of the generator, which H's eigenbasis makes diagonal, z_ab = -i dt (E_a - E_b):
@@ -141,7 +122,7 @@ def evolve_stepped(m: BipartiteModel, w0: DensityOperator, t_end: float, dt: flo
         check_operators(states, "state", STEPPED_POS_TOL)
     except InvariantViolationError as exc:
         raise IntegrationError(float(times[exc.index]), str(exc)) from exc
-    return Trajectory(times, states)
+    return states
 
 
 def kets_at(m: BipartiteModel, c, t) -> np.ndarray:

@@ -77,13 +77,22 @@ def read_only(a, dtype=complex) -> np.ndarray:
     return a
 
 
+def scaled(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each M of a (..., d, d) stack times 2^-e, and e, the exponent of its largest
+    |entry| (0 for a zero or non-finite M, and >= -1022, so 2^-e is finite): exact,
+    and its norms' squares neither underflow nor overflow, ||M||_F = 2^e ||M 2^-e||_F."""
+    e = np.maximum(np.frexp(abs(m).max(axis=(-2, -1)))[1], -1022)
+    return m * np.ldexp(1.0, -e)[..., None, None], e
+
+
 def check_operators(m: np.ndarray, what: str, pos_tol: float | None = None) -> None:
-    """Raise unless each M in the (..., d, d) stack m has a finite ||M||_F (so no
-    NaN or inf entry, and none so large, above ~1e154, that ||M||_F overflows;
-    the message tells the two apart), ||M - M^dag||_F <= EPS_HERM * ||M||_F
-    and, given pos_tol, is a state (unit trace, no eigenvalue below -pos_tol);
-    ``index`` is the first failure, in C order.  A block whose (M + M^dag)/2 +
-    pos_tol*I all have a Cholesky factor is positive; otherwise eigvalsh decides."""
+    """Raise unless each M in the (..., d, d) stack m has a finite ||M||_F (no NaN
+    or inf entry) and ||M - M^dag||_F <= EPS_HERM * ||M||_F and, given pos_tol,
+    is a state (unit trace, no eigenvalue below -pos_tol); ``index`` is the first
+    failure, in C order.  An operator's norms are taken of it scaled, so at any
+    scale; a state's are not, and one with entries above ~1e154 overflows
+    ||M||_F, refused as such.  A block whose (M + M^dag)/2 + pos_tol*I all have
+    a Cholesky factor is positive; otherwise eigvalsh decides."""
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatchError(f"{what} must be square, got shape {m.shape}")
     flat = m.reshape(-1, *m.shape[-2:])
@@ -92,19 +101,20 @@ def check_operators(m: np.ndarray, what: str, pos_tol: float | None = None) -> N
         b = flat[start:start + block]
         n, msg = len(b), None  # each rule sees the prefix the earlier ones passed
         with np.errstate(over="ignore", invalid="ignore"):
+            b, e = scaled(b) if pos_tol is None else (b, np.zeros(n, int))
             scale = np.linalg.norm(b, axis=(1, 2))
             bad = ~np.isfinite(scale)
             if bad.any():
                 n = int(bad.argmax())
-                msg = (f"{what} is not finite: ||M||_F = {scale[n]}"
-                       if not np.isfinite(b[n]).all() else
+                msg = (f"{what} is not finite: ||M||_F = {np.linalg.norm(flat[start + n])}"
+                       if not np.isfinite(flat[start + n]).all() else
                        f"{what} has entries too large for ||M||_F, which overflows")
             b = b[:n]
             defect = np.linalg.norm(b - b.conj().swapaxes(1, 2), axis=(1, 2))
             bad = defect > EPS_HERM * scale[:n]
             if bad.any():
                 n = int(bad.argmax())
-                msg = f"{what} is not Hermitian: ||M - M^dag||_F = {defect[n]:.3e}"
+                msg = f"{what} is not Hermitian: ||M - M^dag||_F = {np.ldexp(defect[n], e[n]):.3e}"
             if pos_tol is not None:
                 tr = np.trace(b[:n], axis1=1, axis2=2)
                 bad = abs(tr - 1.0) > EPS_TRACE
@@ -242,10 +252,7 @@ def commutator_defect(a, b):
         raise DimensionMismatchError(
             f"commutator_defect of shapes {ma.shape} and {mb.shape}"
         )
-    # each operand times 2^-e, e the exponent of its largest |entry|: exact, and
-    # it keeps the norms' squares out of underflow and overflow
-    ma, mb = (m * np.ldexp(1.0, -np.frexp(abs(m).max(axis=(-2, -1)))[1])[..., None, None]
-              for m in (ma, mb))
+    (ma, _), (mb, _) = scaled(ma), scaled(mb)
     scale = frobenius(ma) * frobenius(mb)  # 0 when A or B is, and then so is [A,B]
     defect = frobenius(ma @ mb - mb @ ma) / np.where(scale > 0, scale, 1.0)
     return float(defect) if defect.ndim == 0 else defect

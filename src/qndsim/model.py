@@ -4,9 +4,9 @@ A model couples a measured system (dim dS) to a measuring apparatus
 (dim dM).  The two non-demolition conditions are
 [H_system x I, H_coupling] = 0 and [H_coupling, I x H_apparatus] = 0;
 check_conditions quantifies how far a model is from satisfying them.
-A model compiles its joint-space operators once, on first use, and every
-caller reads them: the two lifted terms, total H, its spectrum, and the h_S
-and h_M eigenbases, which a drawn model takes from its draws.
+A model holds its three factors and compiles, once, what callers read: total
+H, its spectrum, and the h_S and h_M eigenbases, which a drawn model takes
+from its draws.  No lift h_S x I or I x h_M is kept: each use forms its own.
 A model may also be a batch: operators with one shared leading batch shape,
 compiled, checked and prepared as stacks by the same code.  A preparation
 becomes a state matrix (prepare_initial) or an ensemble of weighted unit kets
@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .linalg import (DensityOperator, HermitianOperator, SpectralDecomposition,
-                     commutator_defect, read_only, spectral, tensor)
+                     commutator_defect, spectral, tensor)
 
 CONDITION_THRESHOLD = 1e-10
 
@@ -71,19 +71,12 @@ class BipartiteModel:
     # Compiled operators: built on first use, then shared (arrays read-only).
 
     @cached_property
-    def system_term(self) -> np.ndarray:
-        """The lifted system term h_S x I."""
-        return read_only(tensor(self.h_system, np.eye(self.d_apparatus)))
-
-    @cached_property
-    def apparatus_term(self) -> np.ndarray:
-        """The lifted apparatus term I x h_M: H_M x I_S in operator language,
-        realised under the system-major joint index."""
-        return read_only(tensor(np.eye(self.d_system), self.h_apparatus))
-
-    @cached_property
     def hamiltonian(self) -> HermitianOperator:
-        return HermitianOperator(self.system_term + self.apparatus_term + self.h_coupling.matrix)
+        """(h_S x I + I x h_M) + h_C, its two lifts transient."""
+        h = tensor(self.h_system, np.eye(self.d_apparatus))
+        h += tensor(np.eye(self.d_system), self.h_apparatus)
+        h += self.h_coupling.matrix
+        return HermitianOperator(h)
 
     @cached_property
     def spectrum(self) -> SpectralDecomposition:
@@ -152,10 +145,10 @@ def total_hamiltonian(m: BipartiteModel) -> HermitianOperator:
 
 
 def check_conditions(m: BipartiteModel) -> ConditionReport:
-    """Measure the two commutation conditions, [system_term, H_C] and
-    [H_C, apparatus_term], against CONDITION_THRESHOLD, a relative threshold."""
-    eq4 = commutator_defect(m.system_term, m.h_coupling)
-    eq5 = commutator_defect(m.h_coupling, m.apparatus_term)
+    """Measure the two commutation conditions, [h_S x I, H_C] and
+    [H_C, I x h_M], against CONDITION_THRESHOLD, a relative threshold."""
+    eq4 = commutator_defect(tensor(m.h_system, np.eye(m.d_apparatus)), m.h_coupling)
+    eq5 = commutator_defect(m.h_coupling, tensor(np.eye(m.d_system), m.h_apparatus))
     return ConditionReport(
         eq4_defect=eq4,
         eq5_defect=eq5,

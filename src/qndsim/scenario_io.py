@@ -235,8 +235,10 @@ def parse_scenario(doc: dict) -> Scenario:
     seed = _int(doc.get("seed", 0), "seed")
     if seed < 0:
         raise ScenarioFormatError(f"seed {shown(seed)} is negative")
-    return Scenario((doc.get("name", "scenario"),), model, prep, pointer, schedule,
-                    table, (seed,), (eta,))
+    name = doc.get("name", "scenario")
+    if not isinstance(name, str):
+        raise ScenarioFormatError(f"name: expected a string, got {shown(name)}")
+    return Scenario((name,), model, prep, pointer, schedule, table, (seed,), (eta,))
 
 
 def render_scenario(s: Scenario) -> dict:

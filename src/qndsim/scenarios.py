@@ -206,18 +206,18 @@ def run_scenario(s: Scenario) -> SweepRow:
 
 def _point_bytes(dims: tuple[int, int], schedule: Schedule) -> int:
     """Bytes a sweep point adds to its batch's peak, so that a batch of
-    BATCH_BYTES // _point_bytes points stays within BATCH_BYTES: 10 joint
-    matrices (the model's coupling, two lifted terms, H and its eigenvectors,
-    its seed's two drawn couplings, and at the peak the commutators, eigh's
-    work or the constancy's state; kets are vectors; tracemalloc measures 9.1
-    per point at (12, 12) and (16, 16)), its pointer's projectors (at most dM
-    of dM x dM), 8 B for each of its draws, trial outcomes, trial readings and
-    repeat outcomes (np.var's temporary takes the draws' place), and 512 B for
-    its name and row.  Full batches of 944 (2, 2), 95 (4, 4) and 6 (8, 8)
-    points with one eta per seed peak at 4.12, 3.97 and 3.76 MB (3.29, 3.26
-    and 2.61 MB on the default eta grid); a (2, 2) point costs 24 B per trial."""
+    BATCH_BYTES // _point_bytes points stays within BATCH_BYTES: 9 joint
+    matrices (the model's coupling, H and its eigenvectors, its seed's two
+    drawn couplings, and at the peak H's check, a commutator with its lift or
+    eigh's work; kets are vectors; a one-point (12, 12) and (16, 16) sweep
+    peaks at 8.5 and 8.2 under tracemalloc), its pointer's projectors (at most
+    dM of dM x dM), 8 B for each of its draws, trial outcomes, trial readings
+    and repeat outcomes (np.var's temporary takes the draws' place), and 512 B
+    for its name and row.  Full batches of 1002 (2, 2), 105 (4, 4) and 6 (8, 8)
+    points with one eta per seed peak at 3.84, 3.70 and 3.21 MB (2.98, 2.92
+    and 2.13 MB on the default eta grid); a (2, 2) point costs 24 B per trial."""
     d_s, d_m = dims
-    entries = 10 * (d_s * d_m) ** 2 + d_m ** 3
+    entries = 9 * (d_s * d_m) ** 2 + d_m ** 3
     rows = max(schedule.n_repeats, schedule.n_trials) + 2 * schedule.n_trials + schedule.n_repeats
     return ENTRY_BYTES * entries + DRAW_BYTES * rows + 512
 
@@ -432,7 +432,7 @@ def oracle_check(dims: tuple[int, int], seed: int,
         k3 = rhs_component_form(m, w + t / n / 2 * k2)
         k4 = rhs_component_form(m, w + t / n * k3)
         rk4.append(w := w + t / n / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
-    stepped = evolve_stepped(m, mixed, t, t / n).states[1:]
+    stepped = evolve_stepped(m, mixed, t, t / n)[1:]
     diffs["evolve_stepped vs four-stage RK4"] = np.abs(stepped - rk4).max()
 
     rhs_main = rhs_component_form(m, w0.matrix)

@@ -184,7 +184,7 @@ def test_criterion_8_stepped_convergence():
         w0 = DensityOperator(raw)
         ref = evolve_exact(s.model, w0, 1.0)
         errs = [
-            float(np.linalg.norm(evolve_stepped(s.model, w0, 1.0, dt).states[-1] - ref))
+            float(np.linalg.norm(evolve_stepped(s.model, w0, 1.0, dt)[-1] - ref))
             for dt in (0.02, 0.01)
         ]
         ratios.append(errs[0] / errs[1])

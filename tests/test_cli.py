@@ -12,7 +12,7 @@ import pytest
 
 from qndsim import cli, csvtext
 from qndsim.cli import main
-from qndsim.dynamics import evolve_stepped, exact_trajectory
+from qndsim.dynamics import evolve_stepped, exact_trajectory, time_grid
 from qndsim.model import Preparation, prepare_initial, prepare_kets, random_model
 from qndsim.scenario_io import (
     bundled_scenario_path,
@@ -438,6 +438,10 @@ BAD_FILES = {
     # array elements that np.array(..., dtype=float) once coerced
     "diag-string": lambda d: d.update(pointer={"diag": ["1", "0"]}),
     "diag-bool": lambda d: d.update(pointer={"diag": [True, False]}),
+    # names of another JSON type, which once loaded and rendered back
+    "name-list": lambda d: d.update(name=[1, 2]),
+    "name-number": lambda d: d.update(name=0.5),
+    "name-object": lambda d: d.update(name={"a": 1}),
     "matrix-literal-string": lambda d: d.update(
         pointer=[[["1", 0], [0, 0]], [[0, 0], [-1, 0]]]
     ),
@@ -585,19 +589,60 @@ def test_overflowing_statistic_is_a_computed_failure(table, code, tmp_path, caps
         assert "reading_variance = 0\n" in out and err == ""
 
 
-# A finite entry above ~1e154 overflows ||M||_F; a NaN or inf entry is not finite.
-@pytest.mark.parametrize("entry, message", [
-    (1e170, "matrix has entries too large for ||M||_F, which overflows"),
-    (float("nan"), "matrix is not finite: ||M||_F = nan"),
-    (float("inf"), "matrix is not finite: ||M||_F = inf"),
+# A NaN or inf entry is not finite.  An operator's norms are taken of it
+# scaled by a power of two, so a finite operator loads at any scale; a state's
+# are not, and a state entry above ~1e154 overflows ||M||_F.
+@pytest.mark.parametrize("field, entry, message", [
+    ("preparation", 1e170, "state has entries too large for ||M||_F, which overflows"),
+    ("model.h_system", float("nan"), "matrix is not finite: ||M||_F = nan"),
+    ("model.h_system", float("inf"), "matrix is not finite: ||M||_F = inf"),
 ], ids=["1e170", "nan", "inf"])
-def test_operator_beyond_the_norm_is_input_error(entry, message, tmp_path, capsys):
+def test_operator_beyond_the_norm_is_input_error(field, entry, message, tmp_path, capsys):
     doc = json.loads(Path(VIOLATING).read_text(encoding="utf-8"))
-    doc["model"]["h_system"] = [[[entry, 0], [0, 0]], [[0, 0], [-entry, 0]]]
+    matrix = [[[entry, 0], [0, 0]], [[0, 0], [-entry, 0]]]
+    if field == "preparation":
+        doc["preparation"] = {"rho": matrix, "mu": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}
+    else:
+        doc["model"]["h_system"] = matrix
     path = tmp_path / "huge-operator.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["check", str(path)]) == 2
-    assert capsys.readouterr().err == f"error: {path}: model.h_system: {message}\n"
+    assert capsys.readouterr().err == f"error: {path}: {field}: {message}\n"
+
+
+def test_tiny_non_hermitian_operator_is_input_error(tmp_path, capsys):
+    """||M - M^dag||_F = sqrt(2) 1e-200 is measured against ||M||_F = 1e-200,
+    not against norms whose squares underflow to 0, and printed unscaled."""
+    doc = json.loads(Path(VIOLATING).read_text(encoding="utf-8"))
+    doc["model"]["h_system"] = [[[0, 0], [1e-200, 0]], [[0, 0], [0, 0]]]
+    path = tmp_path / "tiny-operator.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == (f"error: {path}: model.h_system: matrix is not "
+                                       f"Hermitian: ||M - M^dag||_F = 1.414e-200\n")
+
+
+@pytest.mark.parametrize("k", [600, 1000, -600])
+def test_scaled_model_prints_the_unscaled_output(k, tmp_path, capsys):
+    """qubit-violating.json with h_S, h_M and h_C times c = 2^k and every time
+    over c: check, measure, evolve and evolve --stepped print what the
+    unscaled file prints, where ||M||_F of an operator once overflowed (k =
+    600, 1000) or underflowed (k = -600)."""
+    runs = []
+    for c in (1.0, 2.0**k):
+        doc = json.loads(Path(VIOLATING).read_text(encoding="utf-8"))
+        z = [[[c, 0], [0, 0]], [[0, 0], [-c, 0]]]
+        x = [[[0, 0], [c, 0]], [[c, 0], [0, 0]]]
+        doc["model"].update(h_system=z, h_apparatus=z, h_coupling={"kron": [x, "pauli_x"]})
+        doc["schedule"].update(tau=1.0 / c, delta_tau=0.5 / c)
+        path = tmp_path / f"scaled-{len(runs)}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        times = ["--t-end", repr(2.0 / c), "--dt", repr(0.01 / c)]
+        runs.append([])
+        for argv in (["check"], ["measure"], ["evolve", *times], ["evolve", *times, "--stepped"]):
+            runs[-1].append((main([argv[0], str(path), *argv[1:]]), capsys.readouterr().out))
+    assert runs[1] == runs[0]
+    assert [code for code, _ in runs[0]] == [1, 0, 0, 0]
 
 
 @pytest.mark.parametrize("mode", [[], ["--stepped"]], ids=["exact", "--stepped"])
@@ -691,6 +736,9 @@ def test_bad_pointer_spec_names_the_field(name, tmp_path, capsys):
     ("calibration-string", "calibration.table"),
     ("diag-40-deep", "pointer.diag"),
     ("coupling-upper-triangle", "model.h_coupling"),
+    ("name-list", "name"),
+    ("name-number", "name"),
+    ("name-object", "name"),
 ])
 def test_oversized_count_names_its_field(name, field, tmp_path, capsys):
     argv = BAD_ARGS.get(name) or ["measure", _bad_file(tmp_path, BAD_FILES[name])]
@@ -714,6 +762,7 @@ def test_unreadable_document_names_the_file(text, tmp_path, capsys):
 # Values far longer than an error line should be, and the field each one fills.
 OVERSIZED_VALUES = {
     "seed-list": ("seed", lambda d: d.update(seed=[0] * 200_000)),
+    "name-list": ("name", lambda d: d.update(name=[0] * 200_000)),
     "kron-factors": ("pointer.kron", lambda d: d.update(pointer={"kron": ["pauli_x"] * 100_000})),
     "tau-string": ("tau", lambda d: d["schedule"].update(tau="1" * 300_000)),
     "seeds-option": ("--seeds", ["sweep", "--seeds", "0:1:" + "2" * 4000]),
@@ -858,20 +907,21 @@ def test_a_sequence_of_calls_equals_each_call_alone(tmp_path, capsys):
 @pytest.mark.parametrize("stepped", [False, True], ids=["exact", "stepped"])
 def test_trajectory_writer_matches_cell_by_cell_csv(scenario, stepped, tmp_path):
     s = load_scenario_file(scenario)
+    times = time_grid(2.0, 0.01)
     if stepped:
         w0 = prepare_initial(s.model, s.preparation, pointer_basis=s.pointer.basis)
-        traj = evolve_stepped(s.model, w0, 2.0, 0.01)
+        states = evolve_stepped(s.model, w0, 2.0, 0.01)
     else:
-        traj = exact_trajectory(s.model, *s.ensemble, np.arange(201) * 2.0 / 200)
+        states = exact_trajectory(s.model, *s.ensemble, times)
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    csvtext.write_trajectory(got, traj)
+    csvtext.write_trajectory(got, times, states)
     d = s.model.dim
     with open(want, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["time"] + [f"{p}_{r}_{c}" for r in range(d) for c in range(d) for p in ("re", "im")]
         )
-        for t, w in zip(traj.times, traj.states):
+        for t, w in zip(times, states):
             cells = [x for z in w.ravel() for x in (z.real, z.imag)]
             writer.writerow([f"{t:.17g}"] + [f"{x:.17g}" for x in cells])
     assert got.read_bytes() == want.read_bytes()
@@ -884,10 +934,11 @@ def test_trajectory_writer_memory_is_flat(tmp_path):
     m = random_model((3, 2), "violating", 1)
     q, phi = prepare_kets(m, Preparation.eigenbasis(0, 0), m.apparatus_basis)
     c = phi @ m.spectrum.eigenvectors.conj()  # as Scenario.ensemble gives it
-    traj = exact_trajectory(m, q, c, np.arange(5001) * 5.0 / 5000)
+    times = np.arange(5001) * 5.0 / 5000
+    states = exact_trajectory(m, q, c, times)
     tracemalloc.start()
     try:
-        csvtext.write_trajectory(tmp_path / "traj.csv", traj)
+        csvtext.write_trajectory(tmp_path / "traj.csv", times, states)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -16,7 +16,6 @@ from qndsim.model import (
 )
 from qndsim.dynamics import (
     IntegrationError,
-    Trajectory,
     evolve_exact,
     evolve_stepped,
     rhs_component_form,
@@ -185,9 +184,9 @@ class TestEvolveStepped:
     def test_single_step_null_hamiltonian(self):
         m = qubit_model(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((4, 4)))
         w0 = DensityOperator(np.eye(4) / 4)
-        traj = evolve_stepped(m, w0, 1.0, 1.0)
-        assert len(traj.states) == 2
-        assert np.allclose(traj.states[-1], w0.matrix)
+        states = evolve_stepped(m, w0, 1.0, 1.0)
+        assert len(states) == 2
+        assert np.allclose(states[-1], w0.matrix)
 
     def test_order_four_convergence(self):
         m = random_model((2, 2), "violating", 7)
@@ -195,7 +194,7 @@ class TestEvolveStepped:
         w0 = random_density(rng, 4)
         ref = evolve_exact(m, w0, 1.0)
         errs = [
-            np.linalg.norm(evolve_stepped(m, w0, 1.0, dt).states[-1] - ref)
+            np.linalg.norm(evolve_stepped(m, w0, 1.0, dt)[-1] - ref)
             for dt in (0.02, 0.01)
         ]
         assert 12 <= errs[0] / errs[1] <= 20
@@ -204,23 +203,23 @@ class TestEvolveStepped:
         m = random_model((2, 2), "violating", 8)
         rng = np.random.default_rng(5)
         w0 = random_density(rng, 4)
-        traj = evolve_stepped(m, w0, 2.0, 1e-3)
-        purity = [np.trace(w @ w).real for w in traj.states]
+        states = evolve_stepped(m, w0, 2.0, 1e-3)
+        purity = [np.trace(w @ w).real for w in states]
         assert max(purity) - min(purity) <= 1e-6
 
     def test_trace_conserved(self):
         m = random_model((2, 2), "violating", 9)
         rng = np.random.default_rng(6)
         w0 = random_density(rng, 4)
-        traj = evolve_stepped(m, w0, 2.0, 1e-3)
-        for w in traj.states:
+        states = evolve_stepped(m, w0, 2.0, 1e-3)
+        for w in states:
             assert abs(np.trace(w).real - 1.0) <= 1e-8
 
     def test_matches_exact_at_default_dt(self):
         m = random_model((2, 2), "violating", 10)
         rng = np.random.default_rng(7)
         w0 = random_density(rng, 4)
-        final = evolve_stepped(m, w0, 1.0, 1e-3).states[-1]
+        final = evolve_stepped(m, w0, 1.0, 1e-3)[-1]
         assert np.linalg.norm(final - evolve_exact(m, w0, 1.0)) <= 1e-8
 
     def test_invariant_violation_reports_time(self):
@@ -261,7 +260,7 @@ class TestEvolveStepped:
     def test_matches_four_stage_reference(self, dims, family, seed, dt, n_steps):
         m = random_model(dims, family, seed)
         w0 = random_density(np.random.default_rng(seed), m.dim)
-        got = evolve_stepped(m, w0, n_steps * dt, dt).states
+        got = evolve_stepped(m, w0, n_steps * dt, dt)
         want = _rk4_reference(m, w0, n_steps * dt, dt)
         assert np.abs(got - want).max() <= 1e-13
 
@@ -274,14 +273,14 @@ class TestEvolveStepped:
             v = rng.normal(size=m.dim) + 1j * rng.normal(size=m.dim)
             p = np.outer(v, v.conj()) / np.vdot(v, v).real
             w0 = DensityOperator((p + p.conj().T) / 2)
-            for w in evolve_stepped(m, w0, 2.0, 1e-3).states:
+            for w in evolve_stepped(m, w0, 2.0, 1e-3):
                 assert np.array_equal(w, w.conj().T)
 
     def test_trace_holds_over_long_run(self):
         for dims in [(2, 2), (3, 2)]:  # 256 and 227 steps per block
             m = random_model(dims, "violating", 12)
             w0 = prepare_initial(m, Preparation.eigenbasis(0, 0))
-            states = evolve_stepped(m, w0, 40.0, 1e-3).states
+            states = evolve_stepped(m, w0, 40.0, 1e-3)
             assert len(states) == 40001
             assert np.abs(np.trace(states, axis1=1, axis2=2) - 1.0).max() <= 1e-13
 
@@ -295,7 +294,7 @@ class TestEvolveStepped:
         m.spectrum  # decomposed once, outside the measurement
         tracemalloc.start()
         try:
-            states = evolve_stepped(m, w0, 5.0, 1e-3).states
+            states = evolve_stepped(m, w0, 5.0, 1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -333,12 +332,6 @@ class TestTimeGrid:
         assert time_grid(0.0, 0.1).tolist() == [0.0]
         assert time_grid(6e-4, 1e-3).tolist() == [0.0, 6e-4]  # n rounds up to 1
         assert time_grid(0.7, 0.01).tolist() == (np.arange(71) * 0.7 / 70).tolist()
-
-
-def test_trajectory_holds_one_shape():
-    states = np.broadcast_to(np.eye(2) / 2, (2, 3, 2, 2))  # a batch of trajectories
-    with pytest.raises(ValueError, match="one \\(d, d\\) state per time"):
-        Trajectory(np.arange(3.0), states)
 
 
 class TestStateConstancy:

@@ -53,6 +53,15 @@ class TestConstruction:
         with pytest.raises(InvariantViolationError):
             HermitianOperator(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("k", [-1070, -600, 600, 1000])
+    def test_hermiticity_is_checked_at_any_scale(self, k):
+        """The norms are taken of M times a power of two, so neither underflows
+        to 0 nor overflows: 2^k [[0, 1], [0, 0]] is refused and 2^k SX loads,
+        at subnormal and near-overflow scales alike."""
+        with pytest.raises(InvariantViolationError, match="not Hermitian"):
+            HermitianOperator(2.0**k * np.array([[0, 1], [0, 0]], dtype=complex))
+        assert HermitianOperator(2.0**k * SX).matrix[0, 1] == 2.0**k
+
     def test_density_rejects_bad_trace(self):
         with pytest.raises(InvariantViolationError):
             DensityOperator(np.eye(2, dtype=complex))
@@ -140,6 +149,11 @@ class TestCommutator:
         rng = np.random.default_rng(5)
         a, b = random_hermitian(rng, 3), random_hermitian(rng, 3)
         assert commutator_defect(2.0**k * a, 2.0**k * b) == commutator_defect(a, b)
+
+    def test_defect_of_a_subnormal_operator(self):
+        """An operator whose entries are all subnormal is scaled by at most
+        2^1022, a finite factor, so its defect keeps its bits."""
+        assert commutator_defect(2.0**-1070 * SZ, SX) == commutator_defect(SZ, SX)
 
     def test_defect_with_a_zero_operator_is_zero(self):
         assert commutator_defect(np.zeros((2, 2)), SX) == 0.0

@@ -200,12 +200,19 @@ class TestCompiledOnce:
         assert len(seen) == calls, seen
 
     def test_no_stacked_terms(self):
+        """The model keeps no lifted operator: once H's spectrum and both
+        conditions are read, it holds its fields, H, H's spectrum and the two
+        factor bases, and H is the np.kron sum (h_S x I + I x h_M) + h_C bit
+        for bit."""
         m = random_model((3, 2), "violating", 1)
-        assert not hasattr(m, "terms")
-        assert np.array_equal(total_hamiltonian(m).matrix,
-                              m.system_term + m.apparatus_term + m.h_coupling.matrix)
-        assert not any(a.flags.writeable for a in (m.system_term, m.apparatus_term))
-        assert m.system_term.flags.c_contiguous and m.apparatus_term.flags.c_contiguous
+        check_conditions(m)
+        assert m.spectrum.dim == m.dim
+        assert set(vars(m)) == {"d_system", "d_apparatus", "h_system", "h_apparatus",
+                                "h_coupling", "hamiltonian", "spectrum",
+                                "system_basis", "apparatus_basis"}
+        lifts = (np.kron(m.h_system.matrix, np.eye(2))
+                 + np.kron(np.eye(3), m.h_apparatus.matrix))
+        assert np.array_equal(total_hamiltonian(m).matrix, lifts + m.h_coupling.matrix)
 
     def test_drawn_bases_equal_their_decompositions(self):
         draws = model_draws((3, 2), [4, 5, 6])

@@ -168,11 +168,10 @@ def test_exact_trajectory_matches_evolve_exact(m, times, mixed, degenerate, data
         pointer = data.draw(degenerate_pointers(m.d_apparatus))[0]
     w0 = prepare_initial(m, prep, pointer_basis=pointer.basis)
     q, phi = prepare_kets(m, prep, pointer_basis=pointer.basis)
-    traj = exact_trajectory(m, q, phi @ m.spectrum.eigenvectors.conj(), times)
-    assert np.array_equal(traj.times, times)
-    assert not traj.states.flags.writeable
-    assert np.abs(traj.states[0] - w0.matrix).max() <= 5e-15
-    for t, w in zip(times, traj.states):
+    states = exact_trajectory(m, q, phi @ m.spectrum.eigenvectors.conj(), times)
+    assert states.shape == (len(times), m.dim, m.dim)
+    assert np.abs(states[0] - w0.matrix).max() <= 5e-15
+    for t, w in zip(times, states):
         assert np.abs(w - evolve_exact(m, w0, t)).max() <= 1e-13
 
 
@@ -214,7 +213,7 @@ def corrupt(w, kind):
 )
 def test_stacked_check_flags_first_failing_state(m, n, block, bad, data):
     w0 = initial_state(m, data)
-    stack = exact_trajectory(m, *eigen_ensemble(m, w0), np.arange(n) * 0.1).states.copy()
+    stack = exact_trajectory(m, *eigen_ensemble(m, w0), np.arange(n) * 0.1)
     for k, kind in bad:
         stack[k % n] = corrupt(stack[k % n], kind)
     first = None
@@ -246,8 +245,6 @@ def test_rhs_matches_explicit_kron_form(m, t, data):
 @given(models())
 def test_cached_arrays_are_read_only(m):
     arrays = [
-        m.system_term,
-        m.apparatus_term,
         m.hamiltonian.matrix,
         m.spectrum.eigenvalues,
         m.spectrum.eigenvectors,
@@ -527,7 +524,7 @@ def test_born_weights_and_states_keep_invariants(m, seed, mixed, t, times, degen
     else:
         pointer = PointerObservable.from_operator(m.h_apparatus)
     dims = (m.d_system, m.d_apparatus)
-    for w in exact_trajectory(m, *eigen_ensemble(m, w0), times).states:
+    for w in exact_trajectory(m, *eigen_ensemble(m, w0), times):
         assert_state(w)
     w = evolve_exact(m, w0, t)
     assert_state(w)
@@ -775,7 +772,8 @@ def test_qnd_models_read_sharply(d_s, d_m, model_seed, seed, n_repeats, n_trials
 @SETTINGS
 @given(
     st.integers(2, 4), st.integers(2, 4), st.sampled_from(["qnd", "violating", "interpolated"]),
-    st.floats(0.0, 1.0), st.integers(0, 2**16), st.sampled_from([-60, -40, -20, 20, 40]),
+    st.floats(0.0, 1.0), st.integers(0, 2**16),
+    st.sampled_from([-400, -60, -40, -20, 20, 40, 480]),
     st.floats(0.1, 3.0), st.floats(0.1, 3.0), st.data(),
 )
 def test_scaled_models_keep_every_verdict_and_outcome(
@@ -784,7 +782,10 @@ def test_scaled_models_keep_every_verdict_and_outcome(
     c = 2^k and every time by 1/c (both exact in floating point), the
     condition verdicts and defects, the state constancy L, the trial and
     repeat outcomes, sigma / c and the variance / c^2 equal the unscaled run's
-    bit for bit, since every tolerance is relative to its operator's scale."""
+    bit for bit, since every tolerance is relative to its operator's scale.
+    Past k = -400 and 480, eigh itself is no longer bitwise scale-covariant
+    (LAPACK rescales such inputs), and L's rounding digits move (seen at
+    k = -450 and 500)."""
     m = random_model((d_s, d_m), family, seed, eta=eta if family == "interpolated" else None)
     prep = Preparation.eigenbasis(data.draw(st.integers(0, d_s - 1)),
                                   data.draw(st.integers(0, d_m - 1)))

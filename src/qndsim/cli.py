@@ -6,9 +6,9 @@ runtime failure, 2 input error.  Commands raise; main alone maps a failure
 to its exit code and prints it as one ``error:`` line to stderr (an unknown
 option, or a typed option's bad value quoted cut short, gets argparse's usage
 message), so no input ends in a traceback.  A scenario file loads as a
-one-point Scenario: exact evolve runs its kets and --stepped its w(0) matrix
-(model.prepare_initial); measure runs scenarios.measure_batch on it, as the
-sweep does on its batches, and alone makes records of its outcomes.
+one-point Scenario: both evolve paths run its prepared ensemble of kets
+(Scenario.ensemble) on one time_grid; measure runs scenarios.measure_batch on it,
+as the sweep does on its batches, and alone makes records of its outcomes.
 All output is UTF-8 with LF endings and full-precision dot-decimal floats,
 so repeated runs with identical inputs produce identical bytes.
 csvtext writes the trajectory and record files, scenarios the sweep table.
@@ -28,7 +28,7 @@ import numpy as np
 from .csvtext import write_trajectory
 from .linalg import InvariantViolationError
 from .measurement import MeasurementRecord
-from .model import check_conditions, prepare_initial, shown
+from .model import check_conditions, shown
 from .dynamics import evolve_stepped, exact_trajectory, time_grid
 from .scenarios import (
     DEFAULT_ETA_GRID,
@@ -61,11 +61,7 @@ def cmd_check(args) -> int:
 def cmd_evolve(args) -> int:
     s = load_scenario_file(args.scenario)
     times = time_grid(args.t_end, args.dt)
-    if args.stepped and len(times) > 1:
-        w0 = prepare_initial(s.model, s.preparation, pointer_basis=s.pointer.basis)
-        states = evolve_stepped(s.model, w0, args.t_end, args.dt)
-    else:
-        states = exact_trajectory(s.model, *s.ensemble, times)
+    states = (evolve_stepped if args.stepped else exact_trajectory)(s.model, *s.ensemble, times)
     if args.out:
         write_trajectory(args.out, times, states)
     initial, final = states[0], states[-1]

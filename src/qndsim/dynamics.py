@@ -1,13 +1,13 @@
 """Unitary time evolution of the joint system-apparatus state.
 
-Two paths lay one model's trajectory as a (T, d, d) array of states, each
-checking its own.  The exact one evolves the prepared ensemble's kets in H's
-eigenbasis (kets_at: finite, unit norm, so an E t that overflows fails
-there) and writes sum_k q_k phi_k phi_k^dag per time.  The stepped one is
-classical RK4 on the state matrix, its step polynomial of -i [H, .] diagonal
-in H's eigenbasis, stack_block(d) steps at a time; RK4 can leave the state
-space, so its states are checked in full.  Either raises IntegrationError
-at its first bad time.
+Two paths lay one model's trajectory as a (T, d, d) array of states on a grid of
+times (time_grid), both from a prepared ensemble: weights q and coordinates c of
+unit kets in H's eigenbasis.  Each checks its own states.  The exact one evolves
+the kets (kets_at: finite, unit norm, so an E t that overflows fails there) and
+writes sum_k q_k phi_k phi_k^dag per time.  The stepped one is classical RK4 on
+sum_k q_k c_k c_k^dag, its step polynomial of -i [H, .] diagonal there,
+stack_block(d) steps at a time; RK4 can leave the state space, so its states are
+checked in full.  Either raises IntegrationError at its first bad time.
 The tests cross-check both against evolve_exact (U w U^dag), and RK4, there
 and in oracle_check, against the four-stage loop through rhs_component_form.
 State constancy is the grid-free L (state_constancy_check).  H is
@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .linalg import EPS_TRACE, DensityOperator, InvariantViolationError, _group_starts
+from .linalg import EPS_TRACE, InvariantViolationError, _group_starts
 from .linalg import as_matrix, as_operators, check_operators, frobenius, stack_block, tensor
 from .model import BipartiteModel
 
@@ -71,6 +71,8 @@ def time_grid(t_end: float, dt: float) -> np.ndarray:
     n = int(round(t_end / dt))
     if t_end > 0 and n < 1:
         raise ValueError("t-end must span at least one step of dt")
+    if n >= np.iinfo(np.intp).max // 8:  # n + 1 float64 times no array can size
+        raise ValueError("t-end / dt counts more steps than an array can hold")
     if n * t_end == math.inf:  # the grid's times are k * t-end / n
         raise ValueError("t-end times its step count overflows")
     return np.arange(n + 1) * t_end / max(n, 1)
@@ -88,32 +90,28 @@ def exact_trajectory(m: BipartiteModel, q, c, times) -> np.ndarray:
     return (q[:, None] * phi).swapaxes(1, 2) @ phi.conj()
 
 
-def evolve_stepped(m: BipartiteModel, w0: DensityOperator, t_end: float, dt: float) -> np.ndarray:
-    """Classical RK4's states (T, d, d) on time_grid(t_end, dt), of T > 1 times.
-
-    For dw/dt = -i [H, w], one RK4 step is R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
-    of the generator, which H's eigenbasis makes diagonal, z_ab = -i dt (E_a - E_b):
-    step k is V (R^k o w~0) V^dag, w~0 = V^dag w0 V, the same RK4 in exact
-    arithmetic.  R^1..R^B, B = stack_block(d), are formed once and the states go
-    B at a time, w~ carried over from each block's last; each is stored as
-    (w + w^dag) / 2, so it is exactly Hermitian.  The states are checked once,
-    as states with eigenvalues down to -STEPPED_POS_TOL; a violation or a
-    blown-up (non-finite) step raises IntegrationError at the first bad time."""
-    times = time_grid(t_end, dt)
-    if len(times) < 2:
-        raise ValueError("t-end must span at least one step of dt")
-    n_steps = len(times) - 1
-    d, v, e = m.dim, m.spectrum.eigenvectors, m.spectrum.eigenvalues
-    z = (-1j * t_end / n_steps) * (e[:, None] - e[None, :])
-    states = np.empty((n_steps + 1, d, d), dtype=complex)
-    states[0] = w0.matrix
+def evolve_stepped(m: BipartiteModel, q, c, times) -> np.ndarray:
+    """Classical RK4's states (T, d, d) on a uniform grid of times, from the ensemble
+    exact_trajectory takes, w~0 = sum_k q_k c_k c_k^dag in H's eigenbasis; one time
+    gives [w(0)].  For dw/dt = -i [H, w], one RK4 step is R(z) = 1 + z + z^2/2 +
+    z^3/6 + z^4/24 of the generator, which that basis makes diagonal, z_ab = -i dt
+    (E_a - E_b), dt = times[1]: state k is V (R^k o w~0) V^dag.  R^0..R^(B-1), B =
+    stack_block(d), are formed once and the states go B at a time, w~ stepped on
+    from each block's last; each, w(0) too, is stored as (w + w^dag) / 2, so it is
+    exactly Hermitian.  The states are checked once, as states with eigenvalues
+    down to -STEPPED_POS_TOL; a violation or a blown-up (non-finite) step raises
+    IntegrationError at the first bad time."""
+    n, d, v, e = len(times), m.dim, m.spectrum.eigenvectors, m.spectrum.eigenvalues
+    z = (-1j * (times[1] if n > 1 else 0.0)) * (e[:, None] - e[None, :])
+    states = np.empty((n, d, d), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         r = 1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4)))
-        powers = np.cumprod(np.broadcast_to(r, (min(stack_block(d), n_steps), d, d)), 0)
-        w = v.conj().T @ w0.matrix @ v
-        for k in range(1, n_steps + 1, len(powers)):
-            x = powers[:n_steps + 1 - k] * w  # w~ at each step of the block
-            w = x[-1]
+        b = min(stack_block(d), n)
+        powers = np.cumprod(np.where(np.arange(b)[:, None, None] > 0, r, 1), 0)  # R^0..R^(b-1)
+        w = (q[:, None] * c).T @ c.conj()
+        for k in range(0, n, b):
+            x = powers[:n - k] * w  # w~ at each step of the block
+            w = x[-1] * r
             # y = (V x V^dag)^T = (x V^dag)^T V^T: one matmul of each flattened stack
             x = (x.reshape(-1, d) @ v.conj().T).reshape(-1, d, d).swapaxes(1, 2)
             y = (x.reshape(-1, d) @ v.T).reshape(-1, d, d)

@@ -102,7 +102,7 @@ def check_operators(m: np.ndarray, what: str, pos_tol: float | None = None) -> N
         n, msg = len(b), None  # each rule sees the prefix the earlier ones passed
         with np.errstate(over="ignore", invalid="ignore"):
             b, e = scaled(b) if pos_tol is None else (b, np.zeros(n, int))
-            scale = np.linalg.norm(b, axis=(1, 2))
+            scale = frobenius(b)
             bad = ~np.isfinite(scale)
             if bad.any():
                 n = int(bad.argmax())
@@ -110,7 +110,8 @@ def check_operators(m: np.ndarray, what: str, pos_tol: float | None = None) -> N
                        if not np.isfinite(flat[start + n]).all() else
                        f"{what} has entries too large for ||M||_F, which overflows")
             b = b[:n]
-            defect = np.linalg.norm(b - b.conj().swapaxes(1, 2), axis=(1, 2))
+            d = b.swapaxes(1, 2).copy()  # M^T, then M^dag - M in place: one more stack
+            defect = frobenius(np.subtract(np.conjugate(d, out=d), b, out=d))
             bad = defect > EPS_HERM * scale[:n]
             if bad.any():
                 n = int(bad.argmax())
@@ -231,11 +232,11 @@ def commutator(a, b) -> np.ndarray:
 
 
 def frobenius(m: np.ndarray) -> np.ndarray:
-    """||M||_F of each C-contiguous matrix of a (..., d, d) stack, with the bits
-    of np.linalg.norm(M): one BLAS dot of the real parts plus one of the
-    imaginary parts per matrix (matmul of a row by a column calls that dot)."""
+    """||M||_F of each C-contiguous matrix of a (..., d, d) stack, with the bits of
+    np.linalg.norm(M) of one M, not of norm(..., axis=(-2, -1)): one BLAS dot (a row
+    by a column) of the real parts plus one of the imaginary parts, no |M|^2 temporary."""
     m = np.asarray(m)
-    row = m.reshape(*m.shape[:-2], 1, -1)
+    row = m.reshape(*m.shape[:-2], 1, m.shape[-2] * m.shape[-1])
     re, im = row.real, row.imag
     return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
 

@@ -8,10 +8,10 @@ A model holds its three factors and compiles, once, what callers read: total
 H, its spectrum, and the h_S and h_M eigenbases, which a drawn model takes
 from its draws.  No lift h_S x I or I x h_M is kept: each use forms its own.
 A model may also be a batch: operators with one shared leading batch shape,
-compiled, checked and prepared as stacks by the same code.  A preparation
-becomes a state matrix (prepare_initial) or an ensemble of weighted unit kets
-(prepare_kets), which the measurement pipeline runs on.  drawn_model alone
-builds a model from model_draws: every random family is an eta of one blend.
+compiled, checked and prepared as stacks by the same code.  A preparation becomes
+an ensemble of weighted unit kets (prepare_kets), which every command runs on, or
+the reference state matrix (prepare_initial), which no command forms.  drawn_model
+alone builds a model from model_draws: every random family is an eta of one blend.
 """
 
 from __future__ import annotations

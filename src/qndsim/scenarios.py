@@ -210,7 +210,7 @@ def _point_bytes(dims: tuple[int, int], schedule: Schedule) -> int:
     matrices (the model's coupling, H and its eigenvectors, its seed's two
     drawn couplings, and at the peak H's check, a commutator with its lift or
     eigh's work; kets are vectors; a one-point (12, 12) and (16, 16) sweep
-    peaks at 8.5 and 8.2 under tracemalloc), its pointer's projectors (at most
+    peaks at 8.1 and 8.0 under tracemalloc), its pointer's projectors (at most
     dM of dM x dM), 8 B for each of its draws, trial outcomes, trial readings
     and repeat outcomes (np.var's temporary takes the draws' place), and 512 B
     for its name and row.  Full batches of 1002 (2, 2), 105 (4, 4) and 6 (8, 8)
@@ -382,13 +382,13 @@ def oracle_check(dims: tuple[int, int], seed: int,
     (kets_at), via a truncated-series exponential, the state constancy L via
     projectors onto np.linalg.eig's eigenvectors, orthonormalised per
     eigenvalue group (and checks that L bounds the series-exponential state's
-    deviation), 20 evolve_stepped steps via the four-stage RK4 loop through
-    rhs_component_form, the outcome distribution of w0 and of that ensemble
-    (ket_distribution) via explicit index loops summed per pointer group, and
-    the evolution right-hand side via quadruple-indexed loops.  Returns a
-    falsy report with a diff when any route disagrees beyond ORACLE_TOL.
-    swap_index_convention mis-wires the oracle-side joint index (negative
-    control)."""
+    deviation), 20 evolve_stepped steps, from the eigen-ensemble of w0 mixed
+    with I/d, via the four-stage RK4 loop through rhs_component_form, the
+    outcome distribution of w0 and of that ensemble (ket_distribution) via
+    explicit index loops summed per pointer group, and the evolution
+    right-hand side via quadruple-indexed loops.  Returns a falsy report with
+    a diff when any route disagrees beyond ORACLE_TOL.  swap_index_convention
+    mis-wires the oracle-side joint index (negative control)."""
     d_s, d_m = dims
     if d_s > 3 or d_m > 3:
         raise ValueError("oracle_check is limited to dims <= (3, 3)")
@@ -425,14 +425,15 @@ def oracle_check(dims: tuple[int, int], seed: int,
     # four-stage RK4 through rhs_component_form, no eigh, from w0 mixed with I/d:
     # its eigenvalues, >= 1/(2d), keep RK4's phase error inside the state space
     n, w, rk4 = 20, (w0.matrix + np.eye(m.dim) / m.dim) / 2, []
-    mixed = DensityOperator(w)
+    q_mixed, kets_mixed = np.linalg.eigh(w)  # its eigen-ensemble, for evolve_stepped
+    stepped = evolve_stepped(m, q_mixed, kets_mixed.T @ m.spectrum.eigenvectors.conj(),
+                             np.arange(n + 1) * t / n)[1:]
     for _ in range(n):
         k1 = rhs_component_form(m, w)
         k2 = rhs_component_form(m, w + t / n / 2 * k1)
         k3 = rhs_component_form(m, w + t / n / 2 * k2)
         k4 = rhs_component_form(m, w + t / n * k3)
         rk4.append(w := w + t / n / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
-    stepped = evolve_stepped(m, mixed, t, t / n)[1:]
     diffs["evolve_stepped vs four-stage RK4"] = np.abs(stepped - rk4).max()
 
     rhs_main = rhs_component_form(m, w0.matrix)

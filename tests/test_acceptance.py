@@ -13,6 +13,7 @@ from qndsim.dynamics import (
     evolve_stepped,
     rhs_component_form,
     state_constancy_check,
+    time_grid,
 )
 from qndsim.measurement import (
     PointerObservable,
@@ -28,6 +29,7 @@ from qndsim.scenarios import (
     oracle_check,
 )
 from qndsim.scenario_io import bundled_scenario_path, load_scenario_file
+from test_properties import eigen_ensemble
 from qndsim.cli import main as cli_main
 
 
@@ -183,8 +185,9 @@ def test_criterion_8_stepped_convergence():
         raw = 0.9 * tensor(pp, pp) + 0.1 * np.eye(4) / 4
         w0 = DensityOperator(raw)
         ref = evolve_exact(s.model, w0, 1.0)
+        q, c = eigen_ensemble(s.model, w0)
         errs = [
-            float(np.linalg.norm(evolve_stepped(s.model, w0, 1.0, dt)[-1] - ref))
+            float(np.linalg.norm(evolve_stepped(s.model, q, c, time_grid(1.0, dt))[-1] - ref))
             for dt in (0.02, 0.01)
         ]
         ratios.append(errs[0] / errs[1])

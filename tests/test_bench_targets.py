@@ -102,13 +102,13 @@ def test_traced_cli_runs_leave_no_call_unwrapped(tmp_path):
     assert report["unpatched"] == []
     assert report["calls"] == report["audit"]
     assert report["calls"]["scenarios.interpolation_sweep"] == 1
-    # only evolve forms w(0) as a matrix: the sweep's four points (one batch)
-    # and measure prepare kets through prepare_kets instead
-    assert report["calls"]["model.prepare_initial"] == 1
-    # and that w(0) is the only state checked in full: the kets are unit
-    # vectors, each evolved ket is checked for its norm alone, and evolved
-    # states are states by construction
-    assert report["calls"]["linalg.DensityOperator"] == 1
+    # no run forms w(0) as a matrix: the sweep's four points (one batch),
+    # stepped evolve and measure all start from the kets of prepare_kets
+    assert report["calls"]["model.prepare_initial"] == 0
+    # so no state is checked as it enters: the kets are unit vectors, each
+    # evolved ket is checked for its norm alone, and the stepped run checks
+    # its computed states once, as one stack
+    assert report["calls"]["linalg.DensityOperator"] == 0
     # the stepped run takes its five RK4 steps in H's eigenbasis, not term by term
     assert report["calls"]["dynamics.rhs_component_form"] == 0
     assert report["calls"]["dynamics.evolve_stepped"] == 1
@@ -117,5 +117,6 @@ def test_traced_cli_runs_leave_no_call_unwrapped(tmp_path):
     # decomposes its drawn h_M stack once; the ket pipeline checks no matrix
     # (12 fewer than the density-matrix one: sweep and measure each dropped
     # w(0), w(tau) and the four evolved repeat states); the stepped run checks
-    # H once, as the model's hamiltonian, before it decomposes it
-    assert report["check_operators"] == 18
+    # H once, as the model's hamiltonian, before it decomposes it, and then its
+    # computed states; no run checks a prepared matrix w(0)
+    assert report["check_operators"] == 17

@@ -13,7 +13,7 @@ import pytest
 from qndsim import cli, csvtext
 from qndsim.cli import main
 from qndsim.dynamics import evolve_stepped, exact_trajectory, time_grid
-from qndsim.model import Preparation, prepare_initial, prepare_kets, random_model
+from qndsim.model import Preparation, prepare_kets, random_model
 from qndsim.scenario_io import (
     bundled_scenario_path,
     load_scenario_file,
@@ -136,6 +136,19 @@ class TestEvolve:
         assert main(argv) == 0
         rows = list(csv.reader(out.open()))
         assert [float(r[0]) for r in rows[1:]] == [0.0, 6e-4]
+
+    @pytest.mark.parametrize("scenario", BUNDLED, ids=[p.stem for p in BUNDLED])
+    def test_both_paths_start_from_one_state(self, scenario, tmp_path):
+        # both run the scenario's ensemble, so the stepped w(0) is the exact one
+        s = load_scenario_file(scenario)
+        times = time_grid(0.5, 0.1)
+        stepped = evolve_stepped(s.model, *s.ensemble, times)[0]
+        assert np.abs(stepped - exact_trajectory(s.model, *s.ensemble, times)[0]).max() <= 1e-15
+        out = tmp_path / "traj.csv"
+        assert main(["evolve", str(scenario), "--t-end", "0", "--stepped", "--out", str(out),
+                     "--quiet"]) == 0
+        rows = list(csv.reader(out.open()))
+        assert len(rows) == 2 and float(rows[1][0]) == 0.0
 
     def test_prints_conservation_summary(self, capsys):
         assert main(["evolve", QND, "--t-end", "1"]) == 0
@@ -468,6 +481,10 @@ BAD_ARGS = {
     "evolve-dt-nan": ["evolve", QND, "--dt", "nan"],
     "evolve-steps-overflow": ["evolve", QND, "--t-end", "1e300", "--dt", "1e-300"],
     "evolve-grid-overflow": ["evolve", QND, "--t-end", "1e308", "--dt", "1e307"],
+    # a finite t-end / dt whose grid no array can size
+    "evolve-steps-unsizable": ["evolve", VIOLATING, "--t-end", "1", "--dt", "1e-300"],
+    "evolve-stepped-steps-unsizable": ["evolve", VIOLATING, "--t-end", "1", "--dt", "1e-300",
+                                       "--stepped"],
     # numpy refuses the 7.11 PiB draw stream at once, allocating nothing
     "measure-trials-unallocatable": ["measure", QND, "--trials", "1000000000000000"],
     "sweep-trials-unallocatable": ["sweep", "--trials", "1000000000000000",
@@ -714,6 +731,8 @@ def test_bad_pointer_spec_names_the_field(name, tmp_path, capsys):
     ("sweep-repeats-unsizable", "n_repeats"),
     ("sweep-dims-unsizable", "dims"),
     ("sweep-joint-dims-unsizable", "dims"),
+    ("evolve-steps-unsizable", "t-end / dt"),
+    ("evolve-stepped-steps-unsizable", "t-end / dt"),
     ("n-trials-unsizable", "n_trials"),
     ("n-repeats-unsizable", "n_repeats"),
     ("dims-unsizable", "model.dims"),
@@ -908,11 +927,7 @@ def test_a_sequence_of_calls_equals_each_call_alone(tmp_path, capsys):
 def test_trajectory_writer_matches_cell_by_cell_csv(scenario, stepped, tmp_path):
     s = load_scenario_file(scenario)
     times = time_grid(2.0, 0.01)
-    if stepped:
-        w0 = prepare_initial(s.model, s.preparation, pointer_basis=s.pointer.basis)
-        states = evolve_stepped(s.model, w0, 2.0, 0.01)
-    else:
-        states = exact_trajectory(s.model, *s.ensemble, times)
+    states = (evolve_stepped if stepped else exact_trajectory)(s.model, *s.ensemble, times)
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     csvtext.write_trajectory(got, times, states)
     d = s.model.dim

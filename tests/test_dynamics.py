@@ -23,6 +23,7 @@ from qndsim.dynamics import (
     time_grid,
 )
 from qndsim.scenario_io import bundled_scenario_path, load_scenario_file
+from test_properties import eigen_ensemble
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -184,7 +185,7 @@ class TestEvolveStepped:
     def test_single_step_null_hamiltonian(self):
         m = qubit_model(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((4, 4)))
         w0 = DensityOperator(np.eye(4) / 4)
-        states = evolve_stepped(m, w0, 1.0, 1.0)
+        states = evolve_stepped(m, *eigen_ensemble(m, w0), time_grid(1.0, 1.0))
         assert len(states) == 2
         assert np.allclose(states[-1], w0.matrix)
 
@@ -193,8 +194,9 @@ class TestEvolveStepped:
         rng = np.random.default_rng(4)
         w0 = random_density(rng, 4)
         ref = evolve_exact(m, w0, 1.0)
+        q, c = eigen_ensemble(m, w0)
         errs = [
-            np.linalg.norm(evolve_stepped(m, w0, 1.0, dt)[-1] - ref)
+            np.linalg.norm(evolve_stepped(m, q, c, time_grid(1.0, dt))[-1] - ref)
             for dt in (0.02, 0.01)
         ]
         assert 12 <= errs[0] / errs[1] <= 20
@@ -203,7 +205,7 @@ class TestEvolveStepped:
         m = random_model((2, 2), "violating", 8)
         rng = np.random.default_rng(5)
         w0 = random_density(rng, 4)
-        states = evolve_stepped(m, w0, 2.0, 1e-3)
+        states = evolve_stepped(m, *eigen_ensemble(m, w0), time_grid(2.0, 1e-3))
         purity = [np.trace(w @ w).real for w in states]
         assert max(purity) - min(purity) <= 1e-6
 
@@ -211,7 +213,7 @@ class TestEvolveStepped:
         m = random_model((2, 2), "violating", 9)
         rng = np.random.default_rng(6)
         w0 = random_density(rng, 4)
-        states = evolve_stepped(m, w0, 2.0, 1e-3)
+        states = evolve_stepped(m, *eigen_ensemble(m, w0), time_grid(2.0, 1e-3))
         for w in states:
             assert abs(np.trace(w).real - 1.0) <= 1e-8
 
@@ -219,7 +221,7 @@ class TestEvolveStepped:
         m = random_model((2, 2), "violating", 10)
         rng = np.random.default_rng(7)
         w0 = random_density(rng, 4)
-        final = evolve_stepped(m, w0, 1.0, 1e-3)[-1]
+        final = evolve_stepped(m, *eigen_ensemble(m, w0), time_grid(1.0, 1e-3))[-1]
         assert np.linalg.norm(final - evolve_exact(m, w0, 1.0)) <= 1e-8
 
     def test_invariant_violation_reports_time(self):
@@ -227,7 +229,7 @@ class TestEvolveStepped:
         m = random_model((2, 2), "violating", 11)
         w0 = prepare_initial(m, Preparation.eigenbasis(0, 0))
         with pytest.raises(IntegrationError) as err:
-            evolve_stepped(m, w0, 4.0, 2.0)
+            evolve_stepped(m, *eigen_ensemble(m, w0), time_grid(4.0, 2.0))
         assert err.value.time == 2.0
 
     def test_blow_up_reports_first_step(self):
@@ -238,7 +240,7 @@ class TestEvolveStepped:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(IntegrationError) as err:
-                evolve_stepped(s.model, w0, 1000.0, 5.0)
+                evolve_stepped(s.model, *eigen_ensemble(s.model, w0), time_grid(1000.0, 5.0))
         assert err.value.time == 5.0
 
     @settings(max_examples=25, deadline=None)
@@ -251,16 +253,17 @@ class TestEvolveStepped:
         dt=st.floats(1e-3, 1e-2),
         n_steps=st.integers(1, 1000),
     )
-    # d = 6 steps 227 at a time: one step, a block less one, one block and
-    # one step more than a block
+    # d = 6 lays 227 states at a time, w(0) included: one step, a block less
+    # one, one block, and one and two states more than a block
     @example(dims=(3, 2), family="violating", seed=13, dt=1e-2, n_steps=1)
+    @example(dims=(3, 2), family="violating", seed=13, dt=1e-2, n_steps=225)
     @example(dims=(3, 2), family="violating", seed=13, dt=1e-2, n_steps=226)
     @example(dims=(3, 2), family="violating", seed=13, dt=1e-2, n_steps=227)
     @example(dims=(3, 2), family="violating", seed=13, dt=1e-2, n_steps=228)
     def test_matches_four_stage_reference(self, dims, family, seed, dt, n_steps):
         m = random_model(dims, family, seed)
         w0 = random_density(np.random.default_rng(seed), m.dim)
-        got = evolve_stepped(m, w0, n_steps * dt, dt)
+        got = evolve_stepped(m, *eigen_ensemble(m, w0), time_grid(n_steps * dt, dt))
         want = _rk4_reference(m, w0, n_steps * dt, dt)
         assert np.abs(got - want).max() <= 1e-13
 
@@ -273,14 +276,14 @@ class TestEvolveStepped:
             v = rng.normal(size=m.dim) + 1j * rng.normal(size=m.dim)
             p = np.outer(v, v.conj()) / np.vdot(v, v).real
             w0 = DensityOperator((p + p.conj().T) / 2)
-            for w in evolve_stepped(m, w0, 2.0, 1e-3):
+            for w in evolve_stepped(m, *eigen_ensemble(m, w0), time_grid(2.0, 1e-3)):
                 assert np.array_equal(w, w.conj().T)
 
     def test_trace_holds_over_long_run(self):
         for dims in [(2, 2), (3, 2)]:  # 256 and 227 steps per block
             m = random_model(dims, "violating", 12)
             w0 = prepare_initial(m, Preparation.eigenbasis(0, 0))
-            states = evolve_stepped(m, w0, 40.0, 1e-3)
+            states = evolve_stepped(m, *eigen_ensemble(m, w0), time_grid(40.0, 1e-3))
             assert len(states) == 40001
             assert np.abs(np.trace(states, axis1=1, axis2=2) - 1.0).max() <= 1e-13
 
@@ -294,24 +297,20 @@ class TestEvolveStepped:
         m.spectrum  # decomposed once, outside the measurement
         tracemalloc.start()
         try:
-            states = evolve_stepped(m, w0, 5.0, 1e-3)
+            states = evolve_stepped(m, *eigen_ensemble(m, w0), time_grid(5.0, 1e-3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert states.shape == (5001, 6, 6)
         assert peak <= states.nbytes + states.nbytes // 2 + 1_000_000
 
-    def test_rejects_bad_step(self):
-        m = random_model((2, 2), "qnd", 0)
+    def test_a_single_time_is_w0(self):
+        m = random_model((2, 2), "violating", 0)
         w0 = prepare_initial(m, Preparation.eigenbasis(0, 0))
-        with pytest.raises(ValueError):
-            evolve_stepped(m, w0, 1.0, 2.0)
-
-    def test_rejects_a_single_time(self):
-        m = random_model((2, 2), "qnd", 0)
-        w0 = prepare_initial(m, Preparation.eigenbasis(0, 0))
-        with pytest.raises(ValueError, match="^t-end must span at least one step of dt$"):
-            evolve_stepped(m, w0, 0.0, 0.1)  # the grid of t_end 0 is the one time 0
+        # the grid of t_end 0 is the one time 0, and its state is w(0)
+        states = evolve_stepped(m, *eigen_ensemble(m, w0), time_grid(0.0, 0.1))
+        assert states.shape == (1, 4, 4)
+        assert np.abs(states[0] - w0.matrix).max() <= 1e-15
 
 
 class TestTimeGrid:

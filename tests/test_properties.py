@@ -98,7 +98,8 @@ def initial_state(m, data):
 
 def eigen_ensemble(m, w):
     """A state w as an ensemble, its eigenvalues q and its eigenvectors'
-    coordinates C = V^dag phi in H's eigenbasis, for exact_trajectory."""
+    coordinates C = V^dag phi in H's eigenbasis, for exact_trajectory and
+    evolve_stepped."""
     q, v = np.linalg.eigh(as_matrix(w))
     return q, v.T @ m.spectrum.eigenvectors.conj()
 

@@ -142,7 +142,7 @@ class TestOracle:
     def test_stepped_route_detects_a_wrong_kernel(self, monkeypatch):
         original = qndsim.scenarios.evolve_stepped
         monkeypatch.setattr(qndsim.scenarios, "evolve_stepped",  # steps 0.1% too long
-                            lambda m, w0, t, dt: original(m, w0, t * 1.001, dt))
+                            lambda m, q, c, times: original(m, q, c, times * 1.001))
         report = oracle_check((3, 2), 11)
         assert not bool(report)
         assert [line.split(":")[0] for line in report.lines] == [

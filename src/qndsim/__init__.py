@@ -47,8 +47,14 @@ from .scenarios import (
     Schedule,
     SweepRow,
     interpolation_sweep,
-    oracle_check,
     run_scenario,
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):  # oracle_check on first access, so no command imports qndsim.exact
+    if name != "oracle_check":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .exact import oracle_check
+    return oracle_check

@@ -23,11 +23,8 @@ from qndsim.measurement import (
     outcome_changes,
     repeatability_protocol,
 )
-from qndsim.scenarios import (
-    Schedule,
-    interpolation_sweep,
-    oracle_check,
-)
+from qndsim.exact import oracle_check
+from qndsim.scenarios import Schedule, interpolation_sweep
 from qndsim.scenario_io import bundled_scenario_path, load_scenario_file
 from test_properties import eigen_ensemble
 from qndsim.cli import main as cli_main

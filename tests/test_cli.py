@@ -1,14 +1,21 @@
 import argparse
+import contextlib
+import copy
 import csv
 import gc
 import io
 import json
+import math
+import tempfile
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qndsim import cli, csvtext
 from qndsim.cli import main
@@ -695,6 +702,74 @@ def test_seed_range_too_large_is_named(seeds, capsys):
 @pytest.mark.parametrize("edit", BAD_FILES.values(), ids=BAD_FILES.keys())
 def test_bad_scenario_file_is_input_error(command, edit, tmp_path, capsys):
     _assert_input_error([command, _bad_file(tmp_path, edit)], capsys)
+
+
+# Item 9's pool of file values.  Every count or size in it is one the parser
+# refuses before it allocates: a large legal identity size or trial count
+# would only measure the host.
+EDIT_POOL = [
+    None, True, False, 0, -1, 0.5, 1e308, -1e308, 1e-320, math.nan, math.inf, -math.inf,
+    2**63, BEYOND_INTP, HUGE_DIGITS, "", "x", "2", "0.5", [], [1, [2]], [[1, 2], [3]], [[[]]],
+    "pauli_x", PAULI_X, {"identity": 2}, {"identity": 2**63}, {"identity": BEYOND_INTP},
+    {"diag": [1, -1]}, {"kron": ["pauli_x", "pauli_z"]}, {"zero": 0},
+]
+CONTRACT_RUNS = [
+    ["check"],
+    ["evolve", "--t-end", "0.05", "--dt", "0.01"],
+    ["evolve", "--t-end", "0.05", "--dt", "0.01", "--stepped"],
+    ["measure", "--trials", "20"],
+]
+
+
+def _slots(doc, path=()):
+    """The path of every key and list element of doc."""
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield path + (key,)
+            yield from _slots(value, path + (key,))
+
+
+@st.composite
+def edited_documents(draw):
+    """qubit-violating.json after one or two edits: each deletes a key or a
+    list element, or sets one to a value from EDIT_POOL."""
+    doc = json.loads(Path(VIOLATING).read_text(encoding="utf-8"))
+    for _ in range(draw(st.integers(1, 2))):
+        *parents, key = draw(st.sampled_from(list(_slots(doc))))
+        owner = doc
+        for k in parents:
+            owner = owner[k]
+        if draw(st.booleans()):
+            del owner[key]
+        else:
+            owner[key] = copy.deepcopy(draw(st.sampled_from(EDIT_POOL)))  # the pool stays as it is
+    return doc
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(doc=edited_documents())
+def test_edited_scenario_files_keep_the_exit_code_contract(doc):
+    """No edited document ends in an exception or a warning: each command
+    exits 0, 1 or 2, and an input error prints exactly one error line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edited.json"
+        path.write_text(json.dumps(doc).replace(json.dumps(HUGE_DIGITS), HUGE_DIGITS),
+                        encoding="utf-8")
+        for command, *options in CONTRACT_RUNS:
+            argv = [command, str(path), *options, "--quiet"]
+            if command != "check":
+                argv += ["--out", str(Path(tmp) / "out.csv")]
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("always")
+                code = main(argv)
+            assert caught == [], (argv, [str(w.message) for w in caught])
+            assert code in (0, 1, 2), argv
+            if code == 2:
+                text = err.getvalue()
+                assert text.startswith("error: ") and text.count("\n") == 1, (argv, text)
+                assert str(path) in text, (argv, text)
 
 
 def test_bad_operator_is_named_once(tmp_path, capsys):

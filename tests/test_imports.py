@@ -1,6 +1,6 @@
 """Every name a module of src/ or tests/ imports is referenced in that module,
-every definition in src/qndsim is reached, and every module-level array of
-qndsim is a read-only table in csvtext.
+every definition in src/qndsim is reached, every module-level array of
+qndsim is a read-only table in csvtext, and no command imports the oracles.
 
 An ast scan stands in for a linter: an imported name counts as used when it
 appears as a name anywhere in the module or is listed in the module's
@@ -10,12 +10,18 @@ in src/ names, no benchmark tracer target wraps and no bench/ module imports:
 a library surface nothing reaches, which only the tests would keep alive.
 bench/ is read as source, never imported or edited.  The module-level arrays
 are the CSV writers' lookup tables, which every later CSV reads, so a stray
-write to one would corrupt all of them; they live in one module.
+write to one would corrupt all of them; they live in one module.  The
+oracles of qndsim.exact are slow routes that only the tests and the
+benchmark's checks run, so a CLI run leaves the module unimported.
 """
 
 import ast
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -89,8 +95,9 @@ def unreached(src: dict[str, str], targets, bench_sources) -> list[str]:
     function or class is reached when src names it (a Name or an Attribute),
     a tracer target (module, attribute) wraps it or a bench/ module imports it
     from qndsim; a method or property is reached when src names it as an
-    Attribute or a "Class.method" target wraps it.  Dunder methods are called
-    by Python itself, so they count as reached."""
+    Attribute or a "Class.method" target wraps it.  Dunder methods and
+    functions (a module's __getattr__) are called by Python itself, so they
+    count as reached."""
     defined, names, attributes = {}, set(), set()
     for module, source in src.items():
         tree = ast.parse(source)
@@ -111,7 +118,7 @@ def unreached(src: dict[str, str], targets, bench_sources) -> list[str]:
         name = key.rsplit(".", 1)[1]
         used = attributes if is_method else names | attributes
         if not (name in used or key in reached
-                or is_method and name.startswith("__") and name.endswith("__")):
+                or name.startswith("__") and name.endswith("__")):
             out.append(key)
     return sorted(out)
 
@@ -120,7 +127,8 @@ def test_scan_sees_unreached_definitions():
     src = {
         "a": "class C:\n    def __init__(self): pass\n    def m(self): pass\n"
              "    def n(self): pass\n    def traced(self): pass\n"
-             "def f(): return C().n\ndef g(): pass\ndef h(): pass\ndef m(): pass\n",
+             "def f(): return C().n\ndef g(): pass\ndef h(): pass\ndef m(): pass\n"
+             "def __getattr__(name): pass\n",
         "b": "from .a import f\nf()\n",
     }
     targets = [("a.traced", "a", "C.traced")]
@@ -147,3 +155,44 @@ def test_module_arrays_are_read_only():
     assert {"csvtext._HEADS", "csvtext.DIGIT_GROUPS"} <= arrays.keys()
     assert [k for k in arrays if not k.startswith("csvtext.")] == []
     assert [k for k, v in arrays.items() if v.flags.writeable] == []
+
+
+# Runs in a fresh interpreter: this test session has imported qndsim.exact.
+CLI_RUNS = """
+import json, sys
+import qndsim.cli
+
+scenario, out = sys.argv[1], sys.argv[2]
+evolve = ["evolve", scenario, "--t-end", "0.05", "--dt", "0.01", "--out", out, "--quiet"]
+runs = [
+    ["check", scenario, "--quiet"],
+    evolve,
+    evolve + ["--stepped"],
+    ["measure", scenario, "--trials", "20", "--out", out, "--quiet"],
+    ["sweep", "--dims", "2,2", "--seeds", "0:2", "--trials", "5", "--out", out, "--quiet"],
+]
+rcs = [qndsim.cli.main(argv) for argv in runs]
+imported = "qndsim.exact" in sys.modules
+import qndsim.exact
+print(json.dumps({
+    "rcs": rcs,
+    "imported": imported,
+    "package": qndsim.oracle_check is qndsim.exact.oracle_check,
+    "scenarios": qndsim.scenarios.oracle_check is qndsim.exact.oracle_check,
+}))
+"""
+
+
+def test_no_command_imports_the_oracles(tmp_path):
+    """Each command runs without importing qndsim.exact, and the package and
+    scenarios still hand out its oracle_check on first access."""
+    src = ROOT / "src"
+    scenario = src / "qndsim" / "data" / "qubit-qnd.json"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_RUNS, str(scenario), str(tmp_path / "out.csv")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {"rcs": [0] * 5, "imported": False, "package": True, "scenarios": True}

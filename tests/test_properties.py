@@ -69,13 +69,8 @@ from qndsim.model import (
     total_hamiltonian,
 )
 from qndsim.scenario_io import parse_scenario, render_scenario
-from qndsim.scenarios import (
-    Scenario,
-    Schedule,
-    _born_index_loops,
-    measure_batch,
-    run_scenario,
-)
+from qndsim.exact import _born_index_loops
+from qndsim.scenarios import Scenario, Schedule, measure_batch, run_scenario
 
 SETTINGS = settings(max_examples=25, deadline=None)
 # V diag(E) V^dag rebuilds H within this, relative to max(1, ||H||_F).

@@ -1,7 +1,8 @@
 """README's command examples are the user contract: every `qndsim ...` line of
 its sh blocks runs through cli.main in a temporary directory and exits with
 the code its trailing `# ... exits N` comment states, and every file under
-src/ that a line names exists."""
+src/ that a line names exists.  Its library layout has one bullet per module
+of src/qndsim."""
 
 import re
 import shlex
@@ -51,3 +52,11 @@ def test_readme_command_exits_as_stated(command, code, tmp_path, monkeypatch, ca
         assert err.startswith("error: ") and err.count("\n") == 1, err
     elif code == 0:
         assert err == ""
+
+
+def test_library_layout_has_one_bullet_per_module():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    layout = text.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^- `qndsim\.(\w+)`", layout, flags=re.M)
+    modules = [p.stem for p in (ROOT / "src" / "qndsim").glob("*.py") if p.stem != "__init__"]
+    assert sorted(bullets) == sorted(modules)

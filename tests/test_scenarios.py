@@ -4,15 +4,15 @@ import json
 import numpy as np
 import pytest
 
-import qndsim.scenarios
+import qndsim.exact
 from qndsim.linalg import HermitianOperator
 from qndsim.measurement import PointerObservable
 from qndsim.model import BipartiteModel, Preparation
+from qndsim.exact import oracle_check
 from qndsim.scenarios import (
     Scenario,
     Schedule,
     interpolation_sweep,
-    oracle_check,
     run_scenario,
     write_sweep_csv,
 )
@@ -112,15 +112,15 @@ class TestOracle:
         assert "diff" in str(report) or "MISMATCH" in str(report)
 
     def test_constancy_route_detects_a_wrong_deviation(self, monkeypatch):
-        original = qndsim.scenarios.state_constancy_check
-        monkeypatch.setattr(qndsim.scenarios, "state_constancy_check",
+        original = qndsim.exact.state_constancy_check
+        monkeypatch.setattr(qndsim.exact, "state_constancy_check",
                             lambda m, w0: original(m, w0) * 1.001)
         report = oracle_check((3, 2), 11)
         assert not bool(report)
         assert [line.split(":")[0] for line in report.lines] == [
             "state_constancy_check vs eig projectors"]
         # too small a value also breaks the bound on the series-exponential state
-        monkeypatch.setattr(qndsim.scenarios, "state_constancy_check",
+        monkeypatch.setattr(qndsim.exact, "state_constancy_check",
                             lambda m, w0: original(m, w0) / 100)
         assert [line.split(":")[0] for line in oracle_check((3, 2), 11).lines] == [
             "state_constancy_check vs eig projectors",
@@ -133,15 +133,15 @@ class TestOracle:
          "ket_distribution vs index loops"),
     ], ids=["kets_at", "ket_distribution"])
     def test_ket_routes_detect_a_wrong_kernel(self, kernel, wrong, route, monkeypatch):
-        original = getattr(qndsim.scenarios, kernel)
-        monkeypatch.setattr(qndsim.scenarios, kernel, lambda *args: wrong(original, *args))
+        original = getattr(qndsim.exact, kernel)
+        monkeypatch.setattr(qndsim.exact, kernel, lambda *args: wrong(original, *args))
         report = oracle_check((3, 2), 11)
         assert not bool(report)
         assert [line.split(":")[0] for line in report.lines] == [route]
 
     def test_stepped_route_detects_a_wrong_kernel(self, monkeypatch):
-        original = qndsim.scenarios.evolve_stepped
-        monkeypatch.setattr(qndsim.scenarios, "evolve_stepped",  # steps 0.1% too long
+        original = qndsim.exact.evolve_stepped
+        monkeypatch.setattr(qndsim.exact, "evolve_stepped",  # steps 0.1% too long
                             lambda m, q, c, times: original(m, q, c, times * 1.001))
         report = oracle_check((3, 2), 11)
         assert not bool(report)

@@ -7,8 +7,8 @@ to its exit code and prints it as one ``error:`` line to stderr (an unknown
 option, or a typed option's bad value quoted cut short, gets argparse's usage
 message), so no input ends in a traceback.  A scenario file loads as a
 one-point Scenario: both evolve paths run its prepared ensemble of kets
-(Scenario.ensemble) on one time_grid; measure runs scenarios.measure_batch on it,
-as the sweep does on its batches, and alone makes records of its outcomes.
+(Scenario.ensemble) on one time_grid, and measure runs measure_batch on it and
+alone makes records of its outcomes.
 All output is UTF-8 with LF endings and full-precision dot-decimal floats,
 so repeated runs with identical inputs produce identical bytes.
 csvtext writes the trajectory and record files, scenarios the sweep table.

@@ -1,10 +1,8 @@
 """CSV text: trajectory and measurement-record rows in the bytes of "%.17g"
 and "%d", a block of rows per pass of numpy calls.  Cells are laid into one
 byte grid with pad bytes 0, their digits taken from DIGIT_GROUPS by _groups,
-and the pads dropped once per block.  A record row's text after its trial
-is formatted by "%", once per pointer group when the record has one time and
-once per row when it has a time per row.  Every module-level table is
-read-only.
+and the pads dropped once per block.  Every module-level table is read-only,
+and no other module of the package holds one.
 """
 
 from __future__ import annotations
@@ -206,7 +204,8 @@ def _block_text(trial: np.ndarray, slots: np.ndarray, longest: int) -> bytearray
     """Row k, trial[k] as "%d" prints it and then slots[k], with pad bytes 0.
 
     A row is a sign lane, only when a trial is negative, ceil(digits / 4)
-    4-byte lanes for the digits of the largest uint64 magnitude, then the
+    4-byte lanes for the digits of the largest uint64 magnitude (so every
+    int64 prints, -2**63 included), then the
     slot, whose first longest bytes hold the tail.  Slots are laid first, so
     a slot's pads past the row's end run on into the next row's lanes, which
     are laid after it."""

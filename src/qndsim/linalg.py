@@ -1,12 +1,11 @@
 """Dense complex linear algebra for small bipartite quantum systems.
 
 All operators are plain ``numpy`` complex arrays; the wrapper classes exist
-only to validate physical invariants where a value enters the pipeline (a
-loaded operator or state, a prepared w(0)), a state's positivity down to
--EPS_POS.  A state computed from a checked one stays a plain array.  The
-module holds only what the pipeline reaches: a partial trace or an
-expectation value is an einsum over joint_axes where one is wanted.  Operators,
-states and spectra may carry leading batch axes, (..., d, d): every
+only to validate physical invariants where a value enters the pipeline: a
+loaded operator or state.  A state computed from a checked one stays a plain
+array.  The module holds only what the pipeline reaches: a partial trace or
+an expectation value is an einsum over joint_axes where one is wanted.
+Operators, states and spectra may carry leading batch axes, (..., d, d): every
 operation then acts on each matrix of the stack, with bits equal to the
 one-matrix call, so a batch of models runs each step once.  Units: hbar = 1,
 so time and energy are dimensionless reciprocal pairs; every tolerance is
@@ -36,7 +35,8 @@ STACK_ELEMENTS = 1 << 13
 
 
 def stack_block(d: int) -> int:
-    """How many d x d matrices one stacked block holds."""
+    """How many d x d matrices one stacked block holds: 32 of 16 x 16, whose
+    temporaries then take 128 KiB each."""
     return max(1, min(STACK_BLOCK, STACK_ELEMENTS // d ** 2))
 
 
@@ -90,9 +90,11 @@ def check_operators(m: np.ndarray, what: str, pos_tol: float | None = None) -> N
     or inf entry) and ||M - M^dag||_F <= EPS_HERM * ||M||_F and, given pos_tol,
     is a state (unit trace, no eigenvalue below -pos_tol); ``index`` is the first
     failure, in C order.  An operator's norms are taken of it scaled, so at any
-    scale; a state's are not, and one with entries above ~1e154 overflows
-    ||M||_F, refused as such.  A block whose (M + M^dag)/2 + pos_tol*I all have
-    a Cholesky factor is positive; otherwise eigvalsh decides."""
+    scale; a state's are not, since its ||M||_F lies in [1/sqrt(d), 1], and one
+    with entries above ~1e154 overflows ||M||_F, refused as such.  A block whose
+    (M + M^dag)/2 + pos_tol*I all have a Cholesky factor is positive; otherwise
+    eigvalsh decides, so every refusal reads as eigvalsh's, and only a lowest
+    eigenvalue within rounding of -pos_tol can pass that eigvalsh would fail."""
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatchError(f"{what} must be square, got shape {m.shape}")
     flat = m.reshape(-1, *m.shape[-2:])
@@ -154,11 +156,10 @@ class HermitianOperator:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Positive-semidefinite unit-trace operator (quantum state), made where
-    a state enters the pipeline: a loaded rho or mu, a prepared w(0).
-    Eigenvalues in [-EPS_POS, 0) are accepted as-is, not clipped; anything
-    below -EPS_POS fails construction.  A (..., d, d) stack of states is
-    validated as one stack."""
+    """Positive-semidefinite unit-trace operator (quantum state): a loaded rho
+    or mu, or prepare_initial's reference w(0).  Eigenvalues in [-EPS_POS, 0)
+    are accepted as-is, not clipped; anything below -EPS_POS fails
+    construction.  A (..., d, d) stack of states is validated as one stack."""
 
     matrix: np.ndarray
 

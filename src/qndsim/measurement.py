@@ -1,18 +1,11 @@
 """Pointer-basis readout: Born-rule sampling, repeated measurement, statistics.
 
-An outcome is a distinct pointer value: a group of eigenvalues (relative
-DEGENERACY_TOL), and its eigenspace.  The pipeline measures an ensemble of
-weights q (..., r) and unit kets phi (..., r, d), model.prepare_kets's
-w = sum_k q_k |phi_k><phi_k|: Born weights from each ket's coefficients in
-the pointer basis, and the Lüders update (I x P_g) phi_k, renormalised and
-reweighted, acting on the apparatus axis alone.  outcome_distribution and
-collapse_after_outcome are their forms on a d x d state matrix.  Randomness is
-one counter-based stream per seed, trial_rng(seed): trial k, and the repeat
-protocol's k-th measurement, take draw k, so the first k trials of an n-trial
-run equal a k-trial run.  A reading is the entry of group lam in a readings
-vector, which scenarios.Scenario.readings alone decides; a MeasurementRecord
-holds a run's trial, time and lam columns with that vector, and
-csvtext.write_record writes it.  Ensembles, pointers and Born distributions
+The pipeline measures an ensemble of weights q (..., r) and unit kets
+phi (..., r, d), model.prepare_kets's w = sum_k q_k |phi_k><phi_k|, never a
+d x d state, and acts on the apparatus axis alone, with no joint-space
+projector.  outcome_distribution and collapse_after_outcome are the Born
+weights and the Lüders update of a d x d state matrix, the references that the
+tests and the benchmark's checks call.  Ensembles, pointers and Born distributions
 may carry leading batch axes: each stage then steps every point of a batch
 at once, and the statistics reduce the last axis of a batch's outcomes and
 readings.  invert_cdf, repeated_outcomes and the statistics are the steps
@@ -90,8 +83,9 @@ class MeasurementRecord:
     without one); lam, the CSV's lambda, is each row's pointer group index,
     and readings (Scenario.readings) holds one reading per group, so a row
     reads readings[lam].  trial and time are each one value (0-d) or one per
-    row; lam and readings are 1-D, every lam in [0, len(readings)).  Every
-    column is stored as a read-only copy."""
+    row: a trial record holds one time and a repeat record one trial, so a row
+    stores 16 B.  lam and readings are 1-D, every lam in [0, len(readings)).
+    Every column is stored as a read-only copy."""
 
     system_index: Optional[int]
     trial: np.ndarray
@@ -202,8 +196,10 @@ def collapse_after_outcome(w, pointer: PointerObservable, lam,
 
 
 def trial_rng(seed: int) -> np.random.Generator:
-    """Philox keyed through SeedSequence(seed), so any seed >= 0 works (even
-    >= 2**128); draw k is trial k's, however many draws are taken."""
+    """Philox (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+    SC'11) keyed through SeedSequence(seed), so any seed >= 0 works (even
+    >= 2**128); draw k is trial k's however many draws are taken, so the
+    first k trials of an n-trial run equal a k-trial run."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 

@@ -6,11 +6,12 @@ A model couples a measured system (dim dS) to a measuring apparatus
 check_conditions quantifies how far a model is from satisfying them.
 A model holds its three factors and compiles, once, what callers read: total
 H, its spectrum, and the h_S and h_M eigenbases, which a drawn model takes
-from its draws.  No lift h_S x I or I x h_M is kept: each use forms its own.
-A model may also be a batch: operators with one shared leading batch shape,
-compiled, checked and prepared as stacks by the same code.  A preparation becomes
-an ensemble of weighted unit kets (prepare_kets), which every command runs on, or
-the reference state matrix (prepare_initial), which no command forms.  drawn_model
+from its draws and a loaded scenario's default pointer and index preparation
+read, so no run decomposes h_S or h_M twice.  No lift h_S x I or I x h_M is
+kept: each use forms its own.  A batch of models is compiled, checked and
+prepared as stacks by the same code.  A preparation becomes an ensemble of
+weighted unit kets (prepare_kets), which every command runs on, or the
+reference state matrix (prepare_initial), which no command forms.  drawn_model
 alone builds a model from model_draws: every random family is an eta of one blend.
 """
 
@@ -279,7 +280,7 @@ def random_model(dims: tuple[int, int], family: str, seed: int,
     Hamiltonian eigenbases, so both commutation conditions hold by
     construction.  ``violating``: dense random Hermitian coupling.
     ``interpolated``: (1 - eta) * qnd + eta * violating, sharing the same
-    seeded draws; qnd is its eta = 0 endpoint and violating its eta = 1 one.
+    seeded draws (drawn_model).
     """
     if family == "interpolated":
         if eta is None:  # drawn_model checks the range

@@ -191,9 +191,9 @@ def parse_scenario(doc: dict) -> Scenario:
     system level and one column per distinct pointer value."""
     if not isinstance(doc, dict):
         raise ScenarioFormatError("scenario document must be an object")
-    if doc.get("schema") != SCHEMA_VERSION:
+    if _int(doc.get("schema"), "schema") != SCHEMA_VERSION:
         raise ScenarioFormatError(
-            f"unsupported schema {shown(doc.get('schema'))}; expected {SCHEMA_VERSION}"
+            f"unsupported schema {shown(doc['schema'])}; expected {SCHEMA_VERSION}"
         )
     for key in ("model", "preparation", "schedule"):
         if not isinstance(doc.get(key), dict):

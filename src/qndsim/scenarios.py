@@ -4,17 +4,9 @@ A Scenario bundles a model, a preparation, a pointer observable, a schedule,
 and a scenario file's calibration table, if it gives one: one point, as a
 scenario file loads it, or a batch of points that share dims, preparation,
 pointer eigenvalue groups and schedule, stacked so that each stage runs once
-over all of them.  Its readings, the one place a pointer group's reading is
-decided, and its prepared ensemble of kets are computed once, on first use.
-measure_batch, the one measurement pipeline (CLI measure and run_batch),
-runs on kets, never on d x d states: the kets at tau, their Born weights,
-one draw stream per seed, the ket repeat protocol, one inversion for all the
-trials, then each statistic once over the batch.  run_batch adds the
-condition check and the constancy L of the same ensemble, and emits one
-result row per point; run_scenario is its first row.
-interpolation_sweep is the one maker of multi-point scenarios: it runs the
-(eta, seed) grid of one dims as a few batches, and when one fails it reruns
-its points one at a time through the same builder to name the failing point.
+over all of them.  measure_batch is the one measurement pipeline, which CLI
+measure and run_batch both run, and interpolation_sweep the one maker of
+multi-point scenarios.
 """
 
 from __future__ import annotations
@@ -67,10 +59,10 @@ class Schedule:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One point, or a batch of points: model and pointer carry the batch
-    axes, and the per-point names, seeds and etas are tuples in the batch's C
-    order.  table is a scenario file's read-only (dS, groups) calibration
-    table, or None."""
+    """Model and pointer carry the batch axes, and the per-point names, seeds
+    and etas are tuples in the batch's C order.  table is a scenario file's
+    read-only (dS, groups) calibration table, or None.  readings and ensemble
+    are computed once, on first use."""
 
     names: tuple[str, ...]
     model: BipartiteModel
@@ -83,9 +75,9 @@ class Scenario:
 
     @cached_property
     def readings(self) -> np.ndarray:
-        """The reading of each pointer group, (*batch, groups): the table's row
-        at the prepared system index, or the pointer values when there is no
-        table or no index."""
+        """The reading of each pointer group, (*batch, groups), and the one
+        place a reading is decided: the table's row at the prepared system
+        index, or the pointer values when there is no table or no index."""
         i = self.preparation.system_index
         return self.pointer.values if self.table is None or i is None else self.table[i]
 
@@ -171,9 +163,10 @@ def measure_batch(s: Scenario) -> MeasurementRun:
 
 
 def run_batch(s: Scenario) -> list[SweepRow]:
-    """The full pipeline, each stage once over the batch, then one result row
-    per point.  A failure is a RuntimeError that names the scenario, or for a
-    batch of several points the range of them."""
+    """The full pipeline, each stage once over the batch: the condition check,
+    the constancy L of the ensemble measure_batch measures, and measure_batch;
+    then one result row per point.  A failure is a RuntimeError that names the
+    scenario, or for a batch of several points the range of them."""
     try:
         report = check_conditions(s.model)
         q, c = s.ensemble  # the state in H's eigenbasis, sum_k q_k c_k c_k^dag

@@ -471,6 +471,9 @@ BAD_FILES = {
     "seed-5000-digits": lambda d: d.update(seed=HUGE_DIGITS),
     # a small non-Hermitian coupling, once within EPS_HERM * max(1, ||M||_F)
     "coupling-upper-triangle": lambda d: d["model"].update(h_coupling=UPPER_ONLY),
+    # schema versions that once loaded as 1, since True == 1.0 == 1
+    "schema-bool": lambda d: d.update(schema=True),
+    "schema-float": lambda d: d.update(schema=1.0),
 }
 
 BAD_ARGS = {
@@ -562,6 +565,9 @@ OVERFLOWING_TIMES = {
     "sweep-repeat-propagator": lambda tmp_path: [
         "sweep", "--delta-tau", "1e308", "--repeats", "2", "--seeds", "0:2"],
     "evolve-exact": lambda tmp_path: ["evolve", QND, "--t-end", "1e308", "--dt", "1e308"],
+    # dt (E_a - E_b) overflows in RK4's step factor, which once warned
+    "evolve-stepped": lambda tmp_path: ["evolve", QND, "--t-end", "1e308", "--dt", "1e308",
+                                        "--stepped"],
 }
 
 
@@ -770,6 +776,115 @@ def test_edited_scenario_files_keep_the_exit_code_contract(doc):
                 text = err.getvalue()
                 assert text.startswith("error: ") and text.count("\n") == 1, (argv, text)
                 assert str(path) in text, (argv, text)
+
+
+FAMILY = {"dims": [2, 2], "family": "interpolated", "seed": 0, "eta": 0.5}
+# Every typed field of a scenario file, as its error names it: its JSON type,
+# a value of that type it takes, and how to set it in qubit-qnd.json.
+TYPED_FIELDS = {
+    "schema": ("integer", 1, lambda d, v: d.update(schema=v)),
+    "seed": ("integer", 7, lambda d, v: d.update(seed=v)),
+    "name": ("string", "qnd", lambda d, v: d.update(name=v)),
+    "model.dims": ("integer", 2, lambda d, v: d["model"].update(dims=[2, v])),
+    "model.seed": ("integer", 3, lambda d, v: d.update(model={**FAMILY, "seed": v})),
+    "model.eta": ("real", 0.25, lambda d, v: d.update(model={**FAMILY, "eta": v})),
+    "preparation.system_index": ("integer", 1,
+                                 lambda d, v: d["preparation"].update(system_index=v)),
+    "preparation.apparatus_index": ("integer", 1,
+                                    lambda d, v: d["preparation"].update(apparatus_index=v)),
+    "tau": ("real", 1.5, lambda d, v: d["schedule"].update(tau=v)),
+    "delta_tau": ("real", 0.25, lambda d, v: d["schedule"].update(delta_tau=v)),
+    "n_repeats": ("integer", 4, lambda d, v: d["schedule"].update(n_repeats=v)),
+    "n_trials": ("integer", 20, lambda d, v: d["schedule"].update(n_trials=v)),
+    "pointer.diag": ("real", 0.5, lambda d, v: d.update(pointer={"diag": [1, v]})),
+    "calibration.table": ("real", 0.5,
+                          lambda d, v: d.update(calibration={"table": [[1, v], [v, 1]]})),
+}
+
+
+def _wrong_values(kind, valid):
+    """Values of another JSON type than the field's: a bool, and a numeric
+    string or a number, each of which a coercing parser would take."""
+    if kind == "string":
+        return [True, 5, 0.5]
+    return [True, str(valid)] + ([float(valid)] if kind == "integer" else [])
+
+
+WRONG_TYPES = [(field, value) for field, (kind, valid, _) in TYPED_FIELDS.items()
+               for value in _wrong_values(kind, valid)]
+
+
+@pytest.mark.parametrize("field, value", WRONG_TYPES,
+                         ids=[f"{f}-{type(v).__name__}" for f, v in WRONG_TYPES])
+def test_value_of_the_wrong_json_type_is_refused(field, value, tmp_path, capsys):
+    """The field takes a value of its type, but this one is never coerced: the
+    file is refused with one error line that names it and the field."""
+    _, valid, put = TYPED_FIELDS[field]
+    assert main(["check", _bad_file(tmp_path, lambda d: put(d, valid)), "--quiet"]) in (0, 1)
+    path = _bad_file(tmp_path, lambda d: put(d, value))
+    assert main(["check", path, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+    assert field in err, err
+
+
+# sweep's options: each a small valid value or one refused before it allocates,
+# so no run holds more than 3 x 3 dims, 3 etas, 3 seeds and 20 trials or repeats.
+HUGE_COUNTS = ["1000000000000000", str(INTP_MAX), str(BEYOND_INTP)]
+SWEEP_OPTIONS = {
+    "--dims": (st.tuples(st.integers(2, 3), st.integers(2, 3)).map(lambda t: f"{t[0]},{t[1]}"),
+               ["1,2", "2,0", "-1,2", "2", "2,2,2", "a,b", "2.5,2", "",
+                f"{2**62},2", f"{2**31},{2**31}", f"{BEYOND_INTP},2"]),
+    "--eta-grid": (st.lists(st.floats(0, 1).map(repr), min_size=1, max_size=3).map(",".join),
+                   ["", ",", "2", "-0.5", "nan", "inf", "x", "0:1"]),
+    "--seeds": (st.one_of(st.lists(st.integers(0, 2**130).map(str), min_size=1,
+                                   max_size=3).map(",".join),
+                          st.tuples(st.integers(0, 2**130), st.integers(1, 3)).map(
+                              lambda t: f"{t[0]}:{t[0] + t[1]}")),
+                ["-1:2", "-2", "1:", ":2", "0:2:3", "x", "", "5:2",
+                 "0:1000000000000000", "0:1000000000000000000000000",
+                 f"{BEYOND_INTP}:{BEYOND_INTP + 10**16}"]),
+    "--tau": (st.floats(1e-3, 10).map(repr),
+              ["0", "-1", "inf", "nan", "x", "1e-320", "1.7e308"]),
+    "--delta-tau": (st.floats(1e-3, 10).map(repr), ["0", "-0.5", "inf", "nan", "x", "1e308"]),
+    "--repeats": (st.integers(2, 20).map(str), ["1", "0", "-3", "x", "2.5", *HUGE_COUNTS]),
+    "--trials": (st.integers(1, 20).map(str), ["0", "-1", "x", "1e3", *HUGE_COUNTS]),
+}
+
+
+@st.composite
+def sweep_argvs(draw):
+    """sweep with every option as --opt=VALUE (argparse reads a lone "-1:2" as
+    an option), at most two of them from the refused values."""
+    odd = draw(st.sets(st.sampled_from(sorted(SWEEP_OPTIONS)), max_size=2))
+    return ["sweep", *(f"{opt}={draw(st.sampled_from(refused) if opt in odd else valid)}"
+                       for opt, (valid, refused) in SWEEP_OPTIONS.items())]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=sweep_argvs())
+def test_sweep_options_keep_the_exit_code_contract(argv):
+    """No sweep argv ends in an exception or a warning: it exits 0, 1 or 2,
+    and an exit 2 prints one error line or argparse's usage message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            try:
+                code = main(argv + ["--out", str(Path(tmp) / "sweep.csv"), "--quiet"])
+            except SystemExit as exc:  # argparse refused a typed option
+                code, usage = exc.code, True
+            else:
+                usage = False
+    assert caught == [], (argv, [str(w.message) for w in caught])
+    assert code in (0, 1, 2), argv
+    text = err.getvalue()
+    if usage:
+        assert code == 2 and text.startswith("usage: qndsim sweep "), (argv, text)
+        assert text.splitlines()[-1].startswith("qndsim sweep: error: "), (argv, text)
+    elif code == 2:
+        assert text.startswith("error: ") and text.count("\n") == 1, (argv, text)
 
 
 def test_bad_operator_is_named_once(tmp_path, capsys):

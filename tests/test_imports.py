@@ -4,15 +4,15 @@ qndsim is a read-only table in csvtext, and no command imports the oracles.
 
 An ast scan stands in for a linter: an imported name counts as used when it
 appears as a name anywhere in the module or is listed in the module's
-__all__.  A package's __init__ is exempt, since its imports are the names it
-exports.  A second scan finds the functions, classes and methods that no code
-in src/ names, no benchmark tracer target wraps and no bench/ module imports:
-a library surface nothing reaches, which only the tests would keep alive.
-bench/ is read as source, never imported or edited.  The module-level arrays
-are the CSV writers' lookup tables, which every later CSV reads, so a stray
-write to one would corrupt all of them; they live in one module.  The
-oracles of qndsim.exact are slow routes that only the tests and the
-benchmark's checks run, so a CLI run leaves the module unimported.
+__all__.  A second scan finds the functions, classes and methods that no
+code in src/ names, no benchmark tracer target wraps and no bench/ module
+imports: a library surface nothing reaches, which only the tests would keep
+alive.  The package's __init__ imports and defines nothing, so both scans
+cover every module.  bench/ is read as source, never imported or edited.  The
+module-level arrays are the CSV writers' lookup tables, which every later CSV
+reads, so a stray write to one would corrupt all of them; they live in one
+module.  The oracles of qndsim.exact are slow routes that only the tests and
+the benchmark's checks run, so a CLI run leaves the module unimported.
 """
 
 import ast
@@ -31,9 +31,7 @@ import qndsim
 from test_bench_targets import tracer_targets
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py"
-)
+MODULES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -139,7 +137,7 @@ def test_scan_sees_unreached_definitions():
 
 def test_every_definition_is_reached():
     src = {p.stem: p.read_text(encoding="utf-8")
-           for p in sorted((ROOT / "src" / "qndsim").glob("*.py")) if p.stem != "__init__"}
+           for p in sorted((ROOT / "src" / "qndsim").glob("*.py"))}
     bench = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "bench").glob("*.py"))]
     found = unreached(src, tracer_targets(), bench)
     assert sorted(set(found) - UNREACHED_ALLOWED.keys()) == []
@@ -177,15 +175,14 @@ import qndsim.exact
 print(json.dumps({
     "rcs": rcs,
     "imported": imported,
-    "package": qndsim.oracle_check is qndsim.exact.oracle_check,
     "scenarios": qndsim.scenarios.oracle_check is qndsim.exact.oracle_check,
 }))
 """
 
 
 def test_no_command_imports_the_oracles(tmp_path):
-    """Each command runs without importing qndsim.exact, and the package and
-    scenarios still hand out its oracle_check on first access."""
+    """Each command runs without importing qndsim.exact, and scenarios still
+    hands out its oracle_check on first access."""
     src = ROOT / "src"
     scenario = src / "qndsim" / "data" / "qubit-qnd.json"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
@@ -195,4 +192,4 @@ def test_no_command_imports_the_oracles(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report == {"rcs": [0] * 5, "imported": False, "package": True, "scenarios": True}
+    assert report == {"rcs": [0] * 5, "imported": False, "scenarios": True}

@@ -1,8 +1,8 @@
 """README's command examples are the user contract: every `qndsim ...` line of
 its sh blocks runs through cli.main in a temporary directory and exits with
 the code its trailing `# ... exits N` comment states, and every file under
-src/ that a line names exists.  Its library layout has one bullet per module
-of src/qndsim."""
+src/ that a line names exists.  Its library layout has one single-line bullet
+per module of src/qndsim."""
 
 import re
 import shlex
@@ -54,9 +54,20 @@ def test_readme_command_exits_as_stated(command, code, tmp_path, monkeypatch, ca
         assert err == ""
 
 
-def test_library_layout_has_one_bullet_per_module():
+def library_layout() -> str:
     text = (ROOT / "README.md").read_text(encoding="utf-8")
-    layout = text.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
-    bullets = re.findall(r"^- `qndsim\.(\w+)`", layout, flags=re.M)
+    return text.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_library_layout_has_one_bullet_per_module():
+    bullets = re.findall(r"^- `qndsim\.(\w+)`", library_layout(), flags=re.M)
     modules = [p.stem for p in (ROOT / "src" / "qndsim").glob("*.py") if p.stem != "__init__"]
     assert sorted(bullets) == sorted(modules)
+
+
+def test_library_layout_bullets_are_one_line():
+    """A module's facts live in its docstrings; README names each in one line."""
+    lines = library_layout().splitlines()
+    continued = [line for line, after in zip(lines, lines[1:] + [""])
+                 if line.startswith("- `qndsim.") and after[:1].isspace()]
+    assert continued == []
